@@ -1,11 +1,12 @@
-"""E13 — the persistent fleet scheduler vs the wave-synchronous pool.
+"""E13 — the persistent fleet scheduler against the in-process loop.
 
 The scheduler (:mod:`repro.orchestrator.scheduler`) is sold on four
 claims, and this bench checks each one:
 
-* **differential** — the scheduled run's verdicts and work counters are
-  identical to the serial and wave paths on the full catalog; the
-  scheduler reorders work, it never changes it.  Checked unconditionally.
+* **differential** — the scheduled run's verdicts and Step-1 work are
+  identical to the in-process (``workers=1``) loop's on the full
+  catalog; the scheduler reorders work, it never changes it.  Checked
+  unconditionally.
 * **one pool, no churn** — exactly one pool is forked per run
   (``pools_forked == 1``) and workers stay busy: parent-measured idle
   time stays under 20% of the pool's worker-lifetime.  The idle bound is
@@ -13,16 +14,15 @@ claims, and this bench checks each one:
   core and "idle" measures the kernel scheduler, not ours).
 * **overlap** — on the straggler catalog (one deliberately heavy Step-1
   element in front of quick pipelines) some Step-2 verification *starts*
-  before the last Step-1 summary *ends*.  The wave path structurally
-  cannot do this; asserted on hosts with >= 2 CPUs.
-* **risk first** — with a seeded high-churn/violation history,
-  ``--schedule risk`` reaches the risky pipeline's verdict before >= 90%
-  of the unchanged catalog.  Single-worker dispatch is deterministic, so
+  before the last Step-1 summary *ends*; asserted on hosts with >= 2
+  CPUs.
+* **risk first** — with a seeded high-churn/violation history, a
+  risk-ranked run reaches the risky pipeline's verdict before >= 90% of
+  the unchanged catalog.  Single-worker dispatch is deterministic, so
   this is asserted everywhere and pinned exactly in the baseline.
 
-Wall-clock speedup over the wave path is reported (and asserted >= 1.0
-on >= 4 CPUs) but deliberately not pinned in the committed baseline —
-it is the one metric here that measures the host, not the code.
+Wall-clock times are reported but not pinned in the committed baseline:
+they measure the host, not the code.
 
 Set ``REPRO_BENCH_QUICK=1`` for a CI-smoke-sized run.
 """
@@ -38,7 +38,7 @@ from repro.orchestrator import (
     certify_fleet,
     run_scheduled,
 )
-from repro.orchestrator.scheduler import OFF, RISK, SUMMARY, VERIFY
+from repro.orchestrator.scheduler import SUMMARY, VERIFY
 from repro.symbex.engine import SymbexOptions
 from repro.verify import CrashFreedom
 from repro.workloads import store_scale_catalog, straggler_catalog
@@ -79,21 +79,6 @@ def run_serial():
         store_scale_catalog(CATALOG_SIZE), [CrashFreedom()], input_lengths=INPUT_LENGTHS
     )
     return {"seconds": clock() - started, "report": report}
-
-
-def run_wave():
-    """The legacy path: wave-synchronous discovery over one shared pool."""
-    with tempfile.TemporaryDirectory(prefix="repro-bench-wave-") as root:
-        started = clock()
-        report = certify_fleet(
-            store_scale_catalog(CATALOG_SIZE),
-            [CrashFreedom()],
-            input_lengths=INPUT_LENGTHS,
-            workers=WORKERS,
-            store=SummaryStore(root),
-            schedule=OFF,
-        )
-        return {"seconds": clock() - started, "report": report}
 
 
 def run_scheduler():
@@ -180,7 +165,6 @@ def run_risk_priority():
             SymbexOptions(),
             workers=1,
             store=SummaryStore(os.path.join(root, "store")),
-            schedule=RISK,
             risk_history=history,
         )
     position = run.verify_order.index(risky_index)
@@ -193,14 +177,12 @@ def run_risk_priority():
 
 def test_scheduler(benchmark, bench_json):
     serial = benchmark.pedantic(run_serial, rounds=1, iterations=1)
-    wave = run_wave()
     scheduled = run_scheduler()
     overlap = run_straggler_overlap()
     risk = run_risk_priority()
 
-    # Differential: verdicts and work counters identical across all paths.
+    # Differential: verdicts and Step-1 work identical across both engines.
     assert scheduled["verdicts"] == serial["report"].verdicts()
-    assert wave["report"].verdicts() == serial["report"].verdicts()
     assert scheduled["distinct_summary_jobs"] == DISTINCT_JOBS
     assert scheduled["summaries_computed"] == serial["report"].statistics.summaries_computed
     # One pool, exact task accounting: every Step-1 job and every pipeline
@@ -212,7 +194,6 @@ def test_scheduler(benchmark, bench_json):
     # Risk preemption is deterministic (single worker) — assert everywhere.
     assert risk["preempted_fraction"] >= RISK_PREEMPTION_FLOOR
 
-    speedup = wave["seconds"] / max(scheduled["seconds"], 1e-9)
     if CPUS >= 2:
         assert overlap["overlapped"], (
             "no Step-2 task started before the last Step-1 summary ended"
@@ -221,18 +202,13 @@ def test_scheduler(benchmark, bench_json):
         assert scheduled["idle_fraction"] < IDLE_FRACTION_CEILING, (
             f"workers idled {scheduled['idle_fraction']:.1%} of the pool lifetime"
         )
-        assert speedup >= 1.0, (
-            f"scheduler ({scheduled['seconds']:.2f}s) lost to the wave path "
-            f"({wave['seconds']:.2f}s)"
-        )
 
     print(f"\n--- E13: fleet scheduler ({CATALOG_SIZE} pipelines, "
           f"{WORKERS} workers, {CPUS} cpus) ---")
     print(f"{'path':>10} | {'wall (s)':>9}")
-    for label, row in (("serial", serial), ("wave", wave), ("scheduler", scheduled)):
+    for label, row in (("serial", serial), ("scheduler", scheduled)):
         print(f"{label:>10} | {row['seconds']:>9.2f}")
-    print(f"speedup over wave: {speedup:.2f}x  "
-          f"idle fraction: {scheduled['idle_fraction']:.1%}  "
+    print(f"idle fraction: {scheduled['idle_fraction']:.1%}  "
           f"overlap: {overlap['overlapped']} "
           f"({overlap['overlap_seconds']:.3f}s)  "
           f"risk preemption: {risk['preempted_fraction']:.1%}")
@@ -245,11 +221,9 @@ def test_scheduler(benchmark, bench_json):
             "cpus": CPUS,
             "serial": {"seconds": serial["seconds"],
                        **_statistics_row(serial["report"])},
-            "wave": {"seconds": wave["seconds"], **_statistics_row(wave["report"])},
             "scheduler": {
                 key: value for key, value in scheduled.items() if key != "verdicts"
             },
-            "speedup_over_wave": speedup,
             "overlap": overlap,
             "risk": risk,
         },

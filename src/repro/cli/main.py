@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import List, NoReturn, Optional, Sequence, Tuple, Union
 
 from ..orchestrator import (
-    SCHEDULES,
     OrchestratorError,
     QueryStore,
     RiskStore,
@@ -106,15 +105,10 @@ def _build_parser() -> _Parser:
     )
     certify.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     certify.add_argument(
-        "--schedule", choices=SCHEDULES, default="fifo", metavar="POLICY",
-        help="parallel scheduling policy: fifo (catalog order, default), risk "
-             "(churn/verdict history first; needs --risk-store), largest-first "
-             "(most elements first), or off (legacy wave-synchronous pool)",
-    )
-    certify.add_argument(
         "--risk-store", metavar="DIR",
-        help="risk history directory: feeds --schedule risk and records this "
-             "run's churn/violations for the next one",
+        help="risk history directory: parallel work is dispatched riskiest "
+             "first (churn/violation history) instead of in catalog order, "
+             "and this run's churn/violations are recorded for the next one",
     )
     certify.add_argument("--store", metavar="DIR", help="summary store directory (L2 tier)")
     certify.add_argument(
@@ -290,7 +284,6 @@ def _run_certify(args: argparse.Namespace) -> int:
             QueryStore(args.query_store, backend=args.store_backend)
             if args.query_store else None
         ),
-        schedule=args.schedule,
         risk_store=(
             RiskStore(args.risk_store, backend=args.store_backend)
             if args.risk_store else None

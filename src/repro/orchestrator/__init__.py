@@ -4,10 +4,10 @@ The sixth architectural layer: stable DAG serialization for hash-consed
 summaries (:mod:`serialize`), content-addressed on-disk stores shared
 across processes and runs (:mod:`store` for Step-1 summaries,
 :mod:`verdicts` for whole per-pipeline certification records),
-multiprocessing workers with deterministic merging (:mod:`workers`), the
-batch certification API (:mod:`fleet`), and the change-impact engine that
-makes re-certification proportional to a configuration diff
-(:mod:`impact`).
+the persistent worker pool that runs wide fleets (:mod:`scheduler`, with
+task bodies in :mod:`workers`), the batch certification API
+(:mod:`fleet`), and the change-impact engine that makes
+re-certification proportional to a configuration diff (:mod:`impact`).
 
 Typical usage::
 
@@ -32,7 +32,7 @@ from .backends import (
     make_backend,
     migrate_store,
 )
-from .errors import OrchestratorError, SerializationError, StoreError, WorkerError
+from .errors import OrchestratorError, SerializationError, StoreError
 from .fleet import (
     DELTA_REUSED,
     FRESH,
@@ -53,7 +53,6 @@ from .impact import (
 )
 from .risk import RISK_VERSION, RiskHistory, RiskProfile, RiskStore, risk_key
 from .scheduler import (
-    SCHEDULES,
     JobGraph,
     PersistentPool,
     ScheduledRun,
@@ -85,11 +84,11 @@ from .store import (
 from .verdicts import (
     RECORD_VERSION,
     VerdictStore,
+    element_slots,
     property_fingerprint,
     property_set_fingerprint,
     verdict_key,
 )
-from .workers import WorkerPool, run_tasks, summarize_jobs
 
 __all__ = [
     "DELTA_REUSED",
@@ -98,7 +97,6 @@ __all__ = [
     "MANIFEST_VERSION",
     "RECORD_VERSION",
     "RISK_VERSION",
-    "SCHEDULES",
     "SQLITE_FILENAME",
     "STORE_SCHEMA_VERSION",
     "CatalogImpact",
@@ -129,8 +127,6 @@ __all__ = [
     "TermLoader",
     "TermTable",
     "VerdictStore",
-    "WorkerError",
-    "WorkerPool",
     "catalog_manifest",
     "certify_fleet",
     "decode_terms",
@@ -138,6 +134,7 @@ __all__ = [
     "diff_catalogs",
     "diff_manifests",
     "dumps_summary",
+    "element_slots",
     "encode_terms",
     "loads_summary",
     "make_backend",
@@ -149,8 +146,6 @@ __all__ = [
     "recertify",
     "risk_key",
     "run_scheduled",
-    "run_tasks",
-    "summarize_jobs",
     "summary_from_payload",
     "summary_key",
     "summary_to_payload",

@@ -13,7 +13,3 @@ class SerializationError(OrchestratorError):
 
 class StoreError(OrchestratorError):
     """The on-disk summary store could not be read or written."""
-
-
-class WorkerError(OrchestratorError):
-    """A worker process failed while computing its shard."""

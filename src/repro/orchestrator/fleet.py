@@ -5,23 +5,21 @@ against one pipeline.  At fleet scale an operator holds a *catalog* of
 pipelines that share most of their elements (every variant starts with the
 same CheckIPHeader, routes through the same IPLookup configuration, …).
 :func:`certify_fleet` exploits that sharing the same way the verifier
-exploits sharing within one pipeline:
+exploits sharing within one pipeline: Step 1 is deduplicated across the
+whole catalog by store digest, so an element appearing in twenty
+pipelines is symbolically executed once — and zero times on a warm
+:class:`~repro.orchestrator.store.SummaryStore`.
 
-1. **Step 1, deduplicated and sharded** — the catalog's (element
-   configuration, input length) jobs are discovered breadth-first across
-   *all* pipelines at once, deduplicated by store digest, and summarized
-   in parallel worker processes backed by one shared
-   :class:`~repro.orchestrator.store.SummaryStore`.  An element appearing
-   in twenty pipelines is symbolically executed once — and zero times on a
-   warm store.
-2. **Step 2, sharded by pipeline** — per-pipeline suspect-composition
-   checks are independent, so each worker certifies its pipelines against
-   every property, hydrating summaries from the store (L2 hits, no
-   symbolic execution).
+Two engines run the work, chosen by the effective worker count:
+
+* **one worker** — an in-process loop certifies the pipelines in catalog
+  order through one shared :class:`~repro.verify.cache.SummaryCache`.
+* **more workers** — :func:`repro.orchestrator.scheduler.run_scheduled`
+  drives Step-1 summary jobs and per-pipeline Step-2 checks through one
+  persistent pool, with the summary store as the transport.
 
 Merging is deterministic: certifications come back in catalog order, and
-parallel runs produce the same verdicts and counterexamples as serial
-runs.
+both engines produce the same verdicts.
 """
 
 from __future__ import annotations
@@ -46,19 +44,12 @@ from ..verify.pipeline_verifier import PipelineVerifier
 from ..verify.properties import Property
 from ..verify.report import InstructionBoundResult, VerificationResult
 from .errors import OrchestratorError
-from .scheduler import FIFO, OFF, SCHEDULES, SchedulerStatistics, run_scheduled
+from .scheduler import SchedulerStatistics, run_scheduled
 from .store import QueryStore, SummaryStore
-from .verdicts import VerdictStore, verdict_key
+from .verdicts import VerdictStore, element_slots, verdict_key
 from .workers import (
-    COMPUTED,
-    EXPLODED,
-    WorkerPool,
     drain_observability,
-    job_digest,
-    merge_observability,
     merge_query_entries,
-    run_tasks,
-    summarize_jobs,
     worker_query_cache,
     worker_summary_store,
 )
@@ -154,10 +145,6 @@ class FleetStatistics(StatisticsMixin):
     #: Step-1 discovery jobs served from the on-disk store instead of being
     #: computed — the work a warm store *avoided*.
     store_hits: int = 0
-    #: Store loads performed by Step-2 worker processes to rehydrate their
-    #: caches.  In parallel mode this is mandatory transport, not avoided
-    #: work; serial mode reuses the in-process cache and reports 0.
-    step2_store_loads: int = 0
     solver_checks: int = 0
     #: Times a CDCL search actually ran across the whole (fresh) fleet
     #: run — 0 on a warm run backed by the persistent L3 query cache.
@@ -188,9 +175,9 @@ class FleetReport:
 
     certifications: List[PipelineCertification] = field(default_factory=list)
     statistics: FleetStatistics = field(default_factory=FleetStatistics)
-    #: Scheduler-side accounting (pool forks, idle time, retries) when the
-    #: run went through the persistent scheduler; ``None`` on the serial
-    #: and wave-synchronous paths.
+    #: Scheduler-side accounting (pool forks, idle time, retries, Step-2
+    #: store rehydrations) when a pool ran; ``None`` when the in-process
+    #: loop did the work, or nothing needed certifying.
     scheduler: Optional[SchedulerStatistics] = None
 
     @property
@@ -230,8 +217,8 @@ class FleetReport:
             f"{stats.sat_core_calls} SAT-core calls "
             f"({stats.qcache_hits} query-cache hits)"
             + (
-                f", {stats.step2_store_loads} store rehydrations"
-                if stats.step2_store_loads
+                f", {self.scheduler.step2_store_loads} store rehydrations"
+                if self.scheduler is not None and self.scheduler.step2_store_loads
                 else ""
             ),
             f"verdict    : {len(self.certified)} certified / {len(self.rejected)} rejected, "
@@ -256,96 +243,6 @@ def _entry_of(pipeline: Pipeline) -> Element:
             "fleet certification needs exactly one"
         )
     return entries[0]
-
-
-def _discover_jobs(
-    pipelines: Sequence[Pipeline],
-    input_lengths: Sequence[int],
-    options: SymbexOptions,
-    workers: int,
-    store: SummaryStore,
-    qstats: Optional[QueryCacheStatistics] = None,
-    pool: Optional[WorkerPool] = None,
-) -> Tuple[Dict[str, object], int, int]:
-    """Breadth-first Step-1 over the whole catalog, deduplicated by digest.
-
-    Downstream packet lengths are only known once the upstream summary
-    exists, so discovery proceeds in waves: summarize the current frontier
-    of distinct jobs in parallel, expand each pipeline's worklist through
-    the new summaries, repeat.  A job that blows its path/time budget is
-    simply not prefetched — the owning pipeline's own verification hits
-    the same budget and reports ``unknown``, exactly as a serial run
-    would.  Each frontier's warm-store probes go through one bulk read
-    (:meth:`SummaryStore.load_digests`) instead of a round trip per job,
-    and ``pool`` reuses one set of worker processes across every wave.
-    Returns (summaries by digest, computed count, store-hit count).
-    """
-    summaries: Dict[str, object] = {}
-    exploded: Set[str] = set()  # budget-blown digests: never re-batched
-    computed_count = 0
-    loaded_count = 0
-    # Per-pipeline BFS state, mirroring PipelineVerifier.element_summaries.
-    visited: List[Set[Tuple[str, int]]] = [set() for _ in pipelines]
-    worklists: List[List[Tuple[Element, int]]] = []
-    for pipeline in pipelines:
-        entry = _entry_of(pipeline)
-        worklists.append([(entry, length) for length in input_lengths])
-
-    while True:
-        wave: List[Tuple[int, Element, int, str]] = []
-        frontier: List[Tuple[Element, int, str]] = []
-        frontier_digests: Set[str] = set()
-        for index, worklist in enumerate(worklists):
-            while worklist:
-                element, length = worklist.pop()
-                key = (element.name, length)
-                if key in visited[index]:
-                    continue
-                visited[index].add(key)
-                digest = job_digest(element, length, options)
-                wave.append((index, element, length, digest))
-                if digest in summaries or digest in exploded or digest in frontier_digests:
-                    continue
-                frontier.append((element, length, digest))
-                frontier_digests.add(digest)
-        if not wave:
-            break
-        # Warm-store entries load in-process — no reason to ship the job to
-        # a worker only to parse the same JSON twice — and the whole
-        # frontier probes in one bulk read, not one round trip per job.
-        stored = store.load_digests([digest for _element, _length, digest in frontier])
-        batch: List[Tuple[Element, int]] = []
-        batch_digests: List[str] = []
-        for element, length, digest in frontier:
-            summary = stored.get(digest)
-            if summary is not None:
-                summaries[digest] = summary
-                loaded_count += 1
-                continue
-            batch.append((element, length))
-            batch_digests.append(digest)
-        if batch:
-            results = summarize_jobs(
-                batch, options, workers=workers, store=store, qstats=qstats, pool=pool
-            )
-            for digest, (status, summary, _detail) in zip(batch_digests, results):
-                if status == EXPLODED:
-                    exploded.add(digest)
-                    continue
-                summaries[digest] = summary
-                if status == COMPUTED:
-                    computed_count += 1
-                else:
-                    loaded_count += 1
-        for index, element, _length, digest in wave:
-            summary = summaries.get(digest)
-            if summary is None:  # exploded job: stop expanding this branch
-                continue
-            for segment in summary.emit_segments:  # type: ignore[attr-defined]
-                downstream = pipelines[index].downstream(element, segment.port or 0)
-                if downstream is not None:
-                    worklists[index].append((downstream[0], len(segment.output_bytes)))
-    return summaries, computed_count, loaded_count
 
 
 def _certify_one(
@@ -438,33 +335,26 @@ def certify_fleet(
     verdict_store: Optional[Union[VerdictStore, str]] = None,
     query_store: Optional[Union[QueryStore, str]] = None,
     trace: Union[bool, Tracer, NullTracer, None] = None,
-    schedule: str = FIFO,
     risk_history=None,
 ) -> FleetReport:
     """Certify every pipeline in the catalog against every property.
 
-    ``workers`` > 1 shards both steps across processes; the effective
-    pool size is ``min(requested, os.cpu_count())`` — forking a pool on
-    a host without the cores to run it is strictly slower than serial,
-    so one effective worker falls back to in-process execution.  A
-    ``store`` (path or :class:`SummaryStore`) persists summaries across
-    runs — pass the same store twice and the second run performs no
-    symbolic execution for an unchanged catalog.  Parallel mode requires
+    ``workers`` > 1 drives both steps through the persistent
+    dependency-aware scheduler (:mod:`repro.orchestrator.scheduler`):
+    one pool for the whole run, Step-2 verification overlapping Step-1
+    symbex.  The effective pool size is ``min(requested, os.cpu_count())``
+    — forking a pool on a host without the cores to run it is strictly
+    slower than serial, so one effective worker runs the in-process
+    loop.  A ``store`` (path or :class:`SummaryStore`) persists summaries
+    across runs — pass the same store twice and the second run performs
+    no symbolic execution for an unchanged catalog.  The pool requires
     the shared store as its transport; an ephemeral one is created when
     none is given.
 
-    ``schedule`` picks how parallel work is ordered.  The default
-    (``fifo``, also ``risk`` / ``largest-first``) drives both steps
-    through the persistent dependency-aware scheduler
-    (:mod:`repro.orchestrator.scheduler`): one pool for the whole run,
-    no wave barriers, Step-2 verification overlapping Step-1 symbex, and
-    pipelines prioritized by the policy — ``risk`` ranks them by the
-    churn/verdict history in ``risk_history`` (a
-    :class:`repro.orchestrator.risk.RiskHistory`).  ``schedule="off"``
-    keeps the wave-synchronous path (frontier barriers, Step 2 strictly
-    after Step 1) — now over a single reused pool rather than one fork
-    per wave.  Every schedule produces identical verdicts, counters and
-    worker spans; only the order (and the wall clock) moves.
+    Pooled work is dispatched in catalog order, or — given a
+    ``risk_history`` (a :class:`repro.orchestrator.risk.RiskHistory`) —
+    by churn/verdict history, riskiest first.  Either way only the order
+    (and the wall clock) moves, never a verdict.
 
     A ``query_store`` (path or :class:`QueryStore`) persists the query
     cache's L3 tier: sliced solver verdicts, models and unsat cores
@@ -510,7 +400,6 @@ def certify_fleet(
             instruction_bounds,
             verdict_store,
             query_store,
-            schedule,
             risk_history,
         )
 
@@ -527,16 +416,11 @@ def _certify_fleet(
     instruction_bounds: bool,
     verdict_store: Optional[Union[VerdictStore, str]],
     query_store: Optional[Union[QueryStore, str]],
-    schedule: str = FIFO,
     risk_history=None,
 ) -> FleetReport:
     """The certification body, running under whatever tracer is active."""
     started = clock()
     options = options or SymbexOptions()
-    if schedule not in SCHEDULES:
-        raise OrchestratorError(
-            f"unknown schedule {schedule!r} (expected one of {', '.join(SCHEDULES)})"
-        )
     trace = tracer()
     if trace.enabled and not options.trace:
         # Workers learn the parent is tracing through the options they are
@@ -544,7 +428,7 @@ def _certify_fleet(
         options = dataclasses.replace(options, trace=True)
     # More workers than cores is pure overhead (fork + store round trips
     # with no parallelism underneath: 0.87x on a 1-CPU host); clamp to
-    # the machine, and one effective worker means the serial path.
+    # the machine, and one effective worker means the in-process loop.
     workers = max(1, min(workers, os.cpu_count() or 1))
     for pipeline in pipelines:
         pipeline.validate()
@@ -581,6 +465,7 @@ def _certify_fleet(
                 max_counterexamples,
                 confirm_by_replay,
                 instruction_bounds,
+                slots=element_slots(pipeline, properties),
             )
         # One bulk read instead of a round trip per pipeline: on the
         # batched backend a warm fleet lookup is a handful of chunked
@@ -612,15 +497,16 @@ def _certify_fleet(
         store = SummaryStore(ephemeral.name)
 
     fresh_certifications: List[PipelineCertification] = []
-    # Fleet-wide per-tier query-cache counters: serial runs read them off
-    # the shared cache, parallel runs fold in what each worker shipped.
+    # Fleet-wide per-tier query-cache counters: the in-process loop reads
+    # them off the shared cache, the scheduler folds in what each task
+    # shipped.
     fleet_qstats = QueryCacheStatistics()
     try:
-        if workers > 1 and fresh_pipelines and schedule != OFF:
+        if workers > 1 and fresh_pipelines:
             assert store is not None
-            # The persistent scheduler: one pool, no wave barriers, Step-2
-            # verification overlapping Step-1 symbex, shards merged
-            # incrementally as each task's result arrives.
+            # The persistent scheduler: one pool, Step-2 verification
+            # overlapping Step-1 symbex, shards merged incrementally as
+            # each task's result arrives.
             scheduled = run_scheduled(
                 fresh_pipelines,
                 properties,
@@ -631,7 +517,6 @@ def _certify_fleet(
                 max_counterexamples=max_counterexamples,
                 confirm_by_replay=confirm_by_replay,
                 instruction_bounds=instruction_bounds,
-                schedule=schedule,
                 risk_history=risk_history,
                 qstats=fleet_qstats,
             )
@@ -641,82 +526,20 @@ def _certify_fleet(
             report.statistics.store_hits = scheduled.loaded
             # Step-1 solver work happened in worker forks; the counters
             # ride back on the computed summaries (store-loaded ones are
-            # rightly zero), so scheduled runs account like serial ones.
+            # rightly zero), so pooled runs account like in-process ones.
             for summary in scheduled.summaries.values():
                 report.statistics.sat_core_calls += getattr(summary, "sat_core_calls", 0)
                 report.statistics.qcache_hits += getattr(summary, "qcache_hits", 0)
             for position in range(len(fresh_pipelines)):
-                certification, misses, l2_hits = scheduled.step2[position]
+                certification, misses = scheduled.step2[position]
                 fresh_certifications.append(certification)
+                # Step-2 misses are real symbolic executions (lengths Step 1
+                # could not discover, e.g. past an exploded element).
                 report.statistics.summaries_computed += misses
-                report.statistics.step2_store_loads += l2_hits
             merge_query_entries(options.query_cache_dir, scheduled.query_entries)
-        elif workers > 1 and fresh_pipelines:
-            assert store is not None
-            # Wave-synchronous fallback (schedule="off"): one *shared* pool
-            # reused across every discovery wave and Step 2, instead of the
-            # historical fork-per-wave churn.
-            with WorkerPool(workers) as shared_pool:
-                # Step 1: catalog-wide deduplicated summarization into the store.
-                step1_started = clock()
-                summaries, computed, loaded = _discover_jobs(
-                    fresh_pipelines, input_lengths, options, workers, store,
-                    qstats=fleet_qstats, pool=shared_pool,
-                )
-                if trace.enabled:
-                    trace.record_span(
-                        "fleet.summarize",
-                        "fleet",
-                        step1_started,
-                        clock(),
-                        jobs=len(summaries),
-                        computed=computed,
-                        loaded=loaded,
-                    )
-                report.statistics.distinct_summary_jobs = len(summaries)
-                report.statistics.summaries_computed = computed
-                report.statistics.store_hits = loaded
-                # Step-1 solver work happened in worker forks; the counters
-                # ride back on the computed summaries (store-loaded ones are
-                # rightly zero), so parallel runs account like serial ones.
-                for summary in summaries.values():
-                    report.statistics.sat_core_calls += getattr(summary, "sat_core_calls", 0)
-                    report.statistics.qcache_hits += getattr(summary, "qcache_hits", 0)
-                # Step 2: per-pipeline composition checks, hydrated from the store.
-                payloads = [
-                    (
-                        pipeline,
-                        list(properties),
-                        tuple(input_lengths),
-                        options,
-                        str(store.root),
-                        max_counterexamples,
-                        confirm_by_replay,
-                        instruction_bounds,
-                    )
-                    for pipeline in fresh_pipelines
-                ]
-                shipped_entries: List[tuple] = []
-                for certification, misses, l2_hits, query_entries, extras in run_tasks(
-                    _certify_worker, payloads, workers=workers, pool=shared_pool
-                ):
-                    fresh_certifications.append(certification)
-                    # Worker-side misses are real symbolic executions (lengths
-                    # Step 1 could not discover, e.g. past an exploded element);
-                    # worker-side store loads are rehydration, tracked apart
-                    # from the avoided-work counter.
-                    report.statistics.summaries_computed += misses
-                    report.statistics.step2_store_loads += l2_hits
-                    shipped_entries.extend(query_entries)
-                    merge_observability(extras, fleet_qstats)
-            # The shared pool is torn down (results all in, shards
-            # flushed): fold worker shards (SQLite backend) into the main
-            # store before anyone reads it cold.
-            store.merge_shards()
-            merge_query_entries(options.query_cache_dir, shipped_entries)
         elif fresh_pipelines:
-            # Serial: one shared cache dedupes across the catalog in-process
-            # (and through the store, when one is provided).
+            # In-process: one shared cache dedupes across the catalog (and
+            # through the store, when one is provided).
             cache = SummaryCache(options, store=store)
             if query_store is not None and cache.query_cache is not None:
                 # Route the L3 tier through the caller's QueryStore object

@@ -46,7 +46,6 @@ from ..verify.properties import Property
 from .errors import OrchestratorError
 from .fleet import FleetReport, certify_fleet
 from .risk import RiskHistory, RiskStore
-from .scheduler import FIFO
 from .store import QueryStore, SummaryStore
 from .verdicts import VerdictStore
 
@@ -327,7 +326,6 @@ def recertify(
     instruction_bounds: bool = False,
     query_store: Optional[Union[QueryStore, str]] = None,
     trace: Union[bool, Tracer, NullTracer, None] = None,
-    schedule: str = FIFO,
     risk_store: Optional[Union[RiskStore, str]] = None,
 ) -> RecertificationReport:
     """Re-certify a catalog, doing work proportional to what changed.
@@ -341,10 +339,9 @@ def recertify(
     persists the solver-level L3 query-cache tier, exactly as in
     :func:`certify_fleet`.
 
-    ``schedule`` is forwarded to the fleet scheduler; a ``risk_store``
-    (path or :class:`~repro.orchestrator.risk.RiskStore`) both feeds
-    ``schedule="risk"`` — pipelines with churny or violating history are
-    certified first — and is updated from this run's manifest and
+    A ``risk_store`` (path or :class:`~repro.orchestrator.risk.RiskStore`)
+    both ranks pooled work — pipelines with churny or violating history
+    are certified first — and is updated from this run's manifest and
     verdicts, so the history accumulates as a side effect of the normal
     delta workflow.
     """
@@ -369,7 +366,6 @@ def recertify(
         verdict_store=verdict_store,
         query_store=query_store,
         trace=trace,
-        schedule=schedule,
         risk_history=history,
     )
     if history is not None:

@@ -5,9 +5,9 @@ of work in PAPERS.md: rank *where* trouble will land from passively
 collected history) applied to scheduling: under delta mode almost every
 pipeline is served whole from the verdict store, so the interesting
 wall-clock question is how fast the few *changed* — and historically
-troublesome — pipelines reach a verdict.  The ``risk`` schedule policy
+troublesome — pipelines reach a verdict.  The fleet scheduler
 (:mod:`repro.orchestrator.scheduler`) answers it by ranking the catalog
-with the history this module persists.
+with the history this module persists, whenever one is given.
 
 The history rides the existing :class:`~repro.orchestrator.store.Store`
 facade (same backends, same quarantine/gc semantics): one entry per
@@ -23,7 +23,7 @@ records history as a side effect of the delta workflow.
 
 Scoring is deliberately simple and monotone: violations outweigh churn,
 churn outweighs bulk, never-seen pipelines sit between (new code is risk,
-but evidence beats novelty).  The policy only *reorders* work — a wrong
+but evidence beats novelty).  The ranking only *reorders* work — a wrong
 rank costs latency-to-verdict, never a verdict.
 """
 

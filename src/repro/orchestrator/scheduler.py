@@ -1,13 +1,8 @@
-"""Persistent dependency-aware fleet scheduler: no wave barriers, no pool churn.
+"""Persistent dependency-aware fleet scheduler: the engine for ``workers > 1``.
 
-The wave-synchronous path in :mod:`repro.orchestrator.fleet` runs Step-1
-discovery in lock-step frontiers (a full join barrier per wave, a fresh
-``multiprocessing.Pool`` per :func:`~repro.orchestrator.workers.run_tasks`
-call) and gates every Step-2 verification on the *last* Step-1 summary of
-the whole catalog.  At 1,000-pipeline scale the wall clock is dominated by
-barrier idle and fork churn, not solver work.
-
-This module replaces the waves with a job graph over one long-lived pool:
+:func:`repro.orchestrator.fleet.certify_fleet` runs one effective worker
+as an in-process loop over a shared summary cache, and hands anything
+wider to :func:`run_scheduled`, a job graph over one long-lived pool:
 
 * :class:`JobGraph` — Step-1 summary jobs are nodes keyed by store digest;
   when a summary lands, exactly the pipelines waiting on that digest
@@ -24,17 +19,16 @@ This module replaces the waves with a job graph over one long-lived pool:
   reporting, so the parent folds that one shard into the main store the
   moment the result arrives (``merge_shards(only=...)``) instead of
   blocking on a straggler at pool join.
-* A priority seam (:data:`SCHEDULES`): ``fifo`` preserves catalog order,
-  ``largest-first`` fronts the widest pipelines, and ``risk`` ranks
-  pipelines by the persisted churn/verdict history of
-  :mod:`repro.orchestrator.risk` — under delta mode the likely-violating
-  few reach a verdict while bulk reuse trails.
+* **Priorities** (:func:`pipeline_ranks`) — catalog order, or, given a
+  risk history, the ranking of :mod:`repro.orchestrator.risk`: under
+  delta mode the likely-violating few reach a verdict while bulk reuse
+  trails.
 
-Differential guarantee: verdicts, work counters and the worker-span
-multiset equal the serial and wave-parallel paths exactly — the scheduler
-reorders work, it never changes it.  Observability: per-task
-``scheduler.task`` spans, plus ``scheduler.queue_depth`` and
-``scheduler.worker_idle_ms`` gauges in the process metrics registry.
+Differential guarantee: verdicts equal the in-process loop's — the
+scheduler reorders work, it never changes it.
+Observability: per-task ``scheduler.task`` spans, plus
+``scheduler.queue_depth`` and ``scheduler.worker_idle_ms`` gauges in the
+process metrics registry.
 """
 
 from __future__ import annotations
@@ -66,11 +60,6 @@ from .workers import (
 )
 
 __all__ = [
-    "FIFO",
-    "LARGEST_FIRST",
-    "OFF",
-    "RISK",
-    "SCHEDULES",
     "JobGraph",
     "PersistentPool",
     "ScheduledRun",
@@ -78,13 +67,6 @@ __all__ = [
     "pipeline_ranks",
     "run_scheduled",
 ]
-
-#: Priority policies accepted by ``certify_fleet(schedule=...)`` / ``--schedule``.
-OFF = "off"
-FIFO = "fifo"
-RISK = "risk"
-LARGEST_FIRST = "largest-first"
-SCHEDULES = (OFF, FIFO, RISK, LARGEST_FIRST)
 
 #: Task kinds (also the ``kind`` arg on ``scheduler.task`` spans).
 SUMMARY = "summary"
@@ -108,6 +90,10 @@ class SchedulerStatistics(StatisticsMixin):
     tasks_retried: int = 0
     #: Incremental per-task shard merges performed on result arrival.
     incremental_merges: int = 0
+    #: Summaries Step-2 tasks loaded from the store to rehydrate their
+    #: fresh per-task caches: transport, not avoided work (an in-process
+    #: run reads its shared cache instead).
+    step2_store_loads: int = 0
     max_queue_depth: int = 0
     #: Child-measured task execution time, summed across workers.
     worker_busy_seconds: float = 0.0
@@ -116,33 +102,17 @@ class SchedulerStatistics(StatisticsMixin):
     pool_lifetime_seconds: float = 0.0
 
 
-# -- priority policies ----------------------------------------------------------------
+# -- priorities -----------------------------------------------------------------------
 
 
-def pipeline_ranks(
-    pipelines: Sequence[Pipeline],
-    schedule: str = FIFO,
-    risk_history=None,
-) -> List[int]:
-    """Per-pipeline priority ranks (0 = most urgent) under a policy.
+def pipeline_ranks(pipelines: Sequence[Pipeline], risk_history=None) -> List[int]:
+    """Per-pipeline priority ranks (0 = most urgent).
 
-    ``fifo`` is catalog order; ``largest-first`` fronts pipelines with the
-    most element instances (they gate the most Step-1 work); ``risk``
-    delegates to a :class:`repro.orchestrator.risk.RiskHistory` and falls
-    back to fifo when no history is available.  Ties always break on
-    catalog index, so every policy is deterministic.
+    Catalog order, unless a :class:`repro.orchestrator.risk.RiskHistory`
+    is given: then pipelines rank by their churn/verdict history, ties
+    breaking on catalog index.
     """
-    if schedule not in SCHEDULES:
-        raise OrchestratorError(
-            f"unknown schedule {schedule!r} (expected one of {', '.join(SCHEDULES)})"
-        )
-    indices = list(range(len(pipelines)))
-    if schedule == LARGEST_FIRST:
-        order = sorted(indices, key=lambda i: (-len(pipelines[i].elements), i))
-    elif schedule == RISK and risk_history is not None:
-        order = risk_history.rank(pipelines)
-    else:
-        order = indices
+    order = risk_history.rank(pipelines) if risk_history is not None else range(len(pipelines))
     ranks = [0] * len(pipelines)
     for position, index in enumerate(order):
         ranks[index] = position
@@ -158,12 +128,13 @@ class JobGraph:
     Summary jobs are keyed by store digest (the fleet-wide dedupe unit);
     each pipeline tracks the set of digests it still needs.  Resolving a
     digest expands exactly the waiting pipelines' downstream jobs — the
-    per-pipeline BFS of the wave path, without the cross-pipeline
-    barrier — and a pipeline whose need-set empties becomes
-    verify-ready.  A digest that blew its budget (:meth:`explode`) stops
-    expanding, and its pipelines still verify: their own Step-2 pass hits
-    the same budget and reports ``unknown``, exactly like the serial and
-    wave paths.
+    per-pipeline BFS of
+    :meth:`repro.verify.pipeline_verifier.PipelineVerifier.element_summaries`,
+    without any cross-pipeline barrier — and a pipeline whose need-set
+    empties becomes verify-ready.  A digest that blew its budget
+    (:meth:`explode`) stops expanding, and its pipelines still verify:
+    their own Step-2 pass hits the same budget and reports ``unknown``,
+    exactly like the in-process loop.
 
     The graph is pure bookkeeping (no processes, no store): drive it in
     any completion order — the reachable job set, the summary dict and
@@ -508,12 +479,11 @@ class ScheduledRun:
     summaries: Dict[str, object] = field(default_factory=dict)
     computed: int = 0
     loaded: int = 0
-    #: Step-2 worker results by catalog index:
-    #: ``(certification, misses, l2_hits, query_entries, extras)`` with the
-    #: entries/extras already consumed (merged) by the scheduler.
+    #: Step-2 results by catalog index: ``(certification, misses)``, where
+    #: ``misses`` counts summaries the task had to compute itself.
     step2: Dict[int, tuple] = field(default_factory=dict)
-    #: Catalog indices in verification *completion* order — what the risk
-    #: policy reorders, and what the bench asserts on.
+    #: Catalog indices in verification *completion* order — what risk
+    #: ranking reorders, and what the bench asserts on.
     verify_order: List[int] = field(default_factory=list)
     #: L3 query-cache entries shipped by all tasks, for one parent merge.
     query_entries: List[tuple] = field(default_factory=list)
@@ -530,7 +500,6 @@ def run_scheduled(
     max_counterexamples: int = 3,
     confirm_by_replay: bool = True,
     instruction_bounds: bool = False,
-    schedule: str = FIFO,
     risk_history=None,
     qstats: Optional[QueryCacheStatistics] = None,
     summary_worker: Optional[Callable] = None,
@@ -538,7 +507,7 @@ def run_scheduled(
 ) -> ScheduledRun:
     """Drive the whole catalog through one persistent pool.
 
-    The public entry is ``certify_fleet(schedule=...)``; this function is
+    The public entry is ``certify_fleet(workers=N)``; this function is
     the scheduler itself, exposed so tests and benches can run it with a
     worker count the fleet layer's cpu clamp would refuse.  ``summary_worker``
     and ``verify_worker`` override the task callables (module-level,
@@ -546,17 +515,15 @@ def run_scheduled(
 
     Priority: tasks carry ``(rank, stage, seq)`` keys — a summary job
     inherits the best rank among the pipelines waiting on it at admission
-    time, a verification job its pipeline's rank — so under ``risk`` the
-    highest-risk pipeline's entire dependency chain, then its verdict,
-    preempt the bulk of the catalog.
+    time, a verification job its pipeline's rank — so with a
+    ``risk_history`` the highest-risk pipeline's entire dependency chain,
+    then its verdict, preempt the bulk of the catalog.
     """
     from .fleet import _certify_worker  # deferred: fleet imports this module
 
-    if schedule == OFF:
-        raise OrchestratorError("run_scheduled called with schedule='off'")
     summary_fn = summary_worker or _summarize_worker
     verify_fn = verify_worker or _certify_worker
-    ranks = pipeline_ranks(pipelines, schedule, risk_history)
+    ranks = pipeline_ranks(pipelines, risk_history)
     graph = JobGraph(pipelines, input_lengths, options)
     run = ScheduledRun()
     stats = run.statistics
@@ -666,7 +633,8 @@ def run_scheduled(
         certification, misses, l2_hits, entries, extras = payload
         merge_observability(extras, qstats)
         run.query_entries.extend(entries)
-        run.step2[task.key] = (certification, misses, l2_hits)
+        stats.step2_store_loads += l2_hits
+        run.step2[task.key] = (certification, misses)
         run.verify_order.append(task.key)
 
     _admit()
@@ -739,9 +707,8 @@ def run_scheduled(
     idle_gauge.set(stats.worker_idle_seconds * 1000.0)
     depth_gauge.set(0)
     if trace.enabled and (run.computed or run.loaded):
-        # The wave path records one fleet.summarize span over Step 1; keep
-        # the phase comparable by spanning admission to the last Step-1
-        # resolution (Step 2 overlaps it — that is the point).
+        # One fleet.summarize span over Step 1: admission to the last
+        # Step-1 resolution (Step 2 overlaps it — that is the point).
         trace.record_span(
             "fleet.summarize",
             "fleet",

@@ -14,8 +14,11 @@ Keys are ``pipeline fingerprint x property set``: the pipeline fingerprint
 programs, static-table contents and wiring with instance names normalized
 out, and :func:`property_set_fingerprint` renders the property objects
 structurally (dataclass fields, not ``repr`` — function defaults would
-otherwise embed memory addresses).  Any change that could alter a verdict
-changes the key; a no-op rename does not.
+otherwise embed memory addresses).  A property that names elements (a
+reachability exemption) also pins where each named element sits
+(:func:`element_slots`), because the fingerprint cannot see names.  Any
+change that could alter a verdict changes the key; a no-op rename does
+not.
 
 Records whose verdicts include ``unknown`` are never stored: an unknown is
 a budget artifact, not a fact about the pipeline, and a bigger budget on
@@ -28,8 +31,10 @@ import dataclasses
 import hashlib
 import json
 import types
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
+from ..dataplane.fingerprint import canonical_elements
+from ..dataplane.pipeline import Pipeline
 from ..symbex.engine import SymbexOptions
 from ..verify.properties import Property
 from ..verify.report import Verdict
@@ -41,6 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fleet imports this m
 __all__ = [
     "RECORD_VERSION",
     "VerdictStore",
+    "element_slots",
     "property_fingerprint",
     "property_set_fingerprint",
     "verdict_key",
@@ -116,6 +122,23 @@ def property_set_fingerprint(properties: Sequence[Property]) -> str:
     return hashlib.sha256(material.encode()).hexdigest()
 
 
+def element_slots(
+    pipeline: Pipeline, properties: Sequence[Property]
+) -> Dict[str, Optional[int]]:
+    """Where each element that some property names sits in ``pipeline``.
+
+    Maps the name to the element's index in
+    :func:`~repro.dataplane.fingerprint.canonical_elements` order, or to
+    ``None`` when no element has that name.  Empty when no property
+    names an element, which skips the canonical walk altogether.
+    """
+    names = {name for target in properties for name in target.element_names()}
+    if not names:
+        return {}
+    positions = {element.name: index for index, element in enumerate(canonical_elements(pipeline))}
+    return {name: positions.get(name) for name in names}
+
+
 def verdict_key(
     pipeline_fingerprint: str,
     properties: Sequence[Property],
@@ -124,6 +147,7 @@ def verdict_key(
     max_counterexamples: int,
     confirm_by_replay: bool,
     instruction_bounds: bool,
+    slots: Optional[Dict[str, Optional[int]]] = None,
 ) -> str:
     """The store digest for one (pipeline configuration, verification request) pair.
 
@@ -134,6 +158,12 @@ def verdict_key(
     excluded: a starved budget yields ``unknown``, and unknown records are
     never stored, so budgets cannot poison the tier — while a stored
     proof obtained under a generous budget stays a proof under any budget.
+
+    ``slots`` is the pipeline's :func:`element_slots` for ``properties``.
+    The fingerprint normalizes names out, but a property that names
+    elements decides by name, so a rename can change its verdict.  When
+    no property names an element the material, and so the key, is the
+    same as without this field.
     """
     material = "\x1f".join(
         (
@@ -148,6 +178,7 @@ def verdict_key(
             f"replay={confirm_by_replay}",
             f"bounds={instruction_bounds}",
         )
+        + ((f"slots={json.dumps(sorted(slots.items()))}",) if slots else ())
     )
     return hashlib.sha256(material.encode()).hexdigest()
 

@@ -1,29 +1,29 @@
-"""Multiprocessing workers: shard Step-1 and Step-2 work across cores.
+"""Worker-process task bodies for the persistent fleet scheduler.
 
-Two kinds of work parallelize cleanly:
+:mod:`repro.orchestrator.scheduler` runs two kinds of task in its fork
+workers:
 
-* **Step-1 element summarization** — per-(element, input length) jobs are
-  independent; each worker symbolically executes its element and ships the
-  summary back as a serialized DAG payload (hash-consed terms cannot cross
-  process boundaries by pickling — see
-  :mod:`repro.orchestrator.serialize`).  When a shared
-  :class:`~repro.orchestrator.store.SummaryStore` is configured, workers
-  check it first and write through on compute, so a summary is computed
-  once per *fleet*, not once per process.
-* **Step-2 composition checks** — :func:`run_tasks` is the generic ordered
-  fan-out used by :mod:`repro.orchestrator.fleet` to run per-pipeline
-  suspect-composition verification in parallel.
+* **Step-1 element summarization** — :func:`_summarize_worker` checks
+  the shared :class:`~repro.orchestrator.store.SummaryStore` first,
+  otherwise symbolically executes its element, writes the summary
+  through, and ships it back as a serialized DAG payload (hash-consed
+  terms cannot cross process boundaries by pickling — see
+  :mod:`repro.orchestrator.serialize`).
+* **Step-2 composition checks** — ``repro.orchestrator.fleet._certify_worker``
+  certifies one pipeline against every property, hydrating summaries
+  from the store.
 
-Merging is deterministic: results always come back in input order
-regardless of worker scheduling, so parallel runs produce byte-identical
-reports to serial ones.
+Both open the stores the way a worker must (per-task store shards, a
+read-only query cache) and ship their observability output back with
+the result; this module holds those helpers and their parent-side
+counterparts.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import List, Optional, Sequence, Tuple
 
 from ..dataplane.element import Element
 from ..obs.slowlog import slow_solve_log
@@ -31,15 +31,8 @@ from ..obs.trace import enable, tracer
 from ..smt.qcache import QueryCache, QueryCacheStatistics, build_query_cache
 from ..symbex.engine import SymbexOptions, SymbolicEngine
 from ..symbex.errors import PathExplosionError
-from ..symbex.segment import ElementSummary
-from .serialize import dumps_summary, loads_summary
+from .serialize import dumps_summary
 from .store import QueryStore, SummaryStore, summary_key
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-#: A Step-1 job: summarize ``element`` at ``input_length`` bytes.
-SummaryJob = Tuple[Element, int]
 
 
 def _pool_context():
@@ -50,79 +43,13 @@ def _pool_context():
         return multiprocessing.get_context("spawn")
 
 
-class WorkerPool:
-    """A ``multiprocessing.Pool`` that outlives one :func:`run_tasks` call.
-
-    The wave-synchronous fleet path used to fork a fresh pool per
-    discovery wave and tear it down at the join — pool churn that at
-    catalog scale costs more than the work between waves.  This wrapper
-    forks lazily on first use, is handed to every subsequent
-    :func:`run_tasks` / :func:`summarize_jobs` call, and is torn down
-    once by the owner.  ``forks`` counts actual pool creations so tests
-    and benches can assert "one pool per run, not one per wave".
-    """
-
-    def __init__(self, workers: int) -> None:
-        self.workers = max(1, workers)
-        self.forks = 0
-        self._pool = None
-
-    def _ensure(self):
-        if self._pool is None:
-            self._pool = _pool_context().Pool(processes=self.workers)
-            self.forks += 1
-        return self._pool
-
-    def map(self, worker: Callable[[T], R], payloads: Sequence[T]) -> List[R]:
-        """Ordered map over the persistent pool (imap, chunksize 1)."""
-        if self.workers <= 1 or len(payloads) <= 1:
-            return [worker(payload) for payload in payloads]
-        pool = self._ensure()
-        return list(pool.imap(worker, payloads, chunksize=1))
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def run_tasks(
-    worker: Callable[[T], R],
-    payloads: Sequence[T],
-    workers: int = 1,
-    pool: Optional[WorkerPool] = None,
-) -> List[R]:
-    """Run ``worker`` over ``payloads``, in input order, on up to ``workers`` processes.
-
-    ``worker`` must be a module-level callable and payloads/results must be
-    picklable.  With ``workers <= 1`` (or a single payload) everything runs
-    in-process — the degenerate case costs nothing and keeps behaviour
-    identical for debugging.  Passing a :class:`WorkerPool` reuses its
-    processes instead of forking (and joining) a fresh pool per call.
-    """
-    if pool is not None:
-        return pool.map(worker, payloads)
-    if workers <= 1 or len(payloads) <= 1:
-        return [worker(payload) for payload in payloads]
-    context = _pool_context()
-    with context.Pool(processes=min(workers, len(payloads))) as pool_:
-        # imap (not imap_unordered): completion order may vary, result order may not.
-        return list(pool_.imap(worker, payloads, chunksize=1))
-
-
 #: Result statuses shipped back by the summarization worker.
 COMPUTED = "computed"
 LOADED = "loaded"
 #: The job blew its path/time budget; the payload is the error message.
 #: Shipped as data (not an exception) so one exploding element does not
-#: tear down the whole pool — callers re-raise or degrade per pipeline.
+#: tear down its worker — the scheduler stops expanding that branch, and
+#: the owning pipelines' own verification reports ``unknown``.
 EXPLODED = "exploded"
 
 
@@ -170,8 +97,8 @@ def worker_summary_store(store_root: Optional[str]) -> Optional[SummaryStore]:
 
     Reads hit the main store; writes land in this worker's private shard
     (SQLite backend) or go atomically in place (JSON backend, which has
-    no shards).  The parent folds shards in after the pool joins — see
-    :meth:`repro.orchestrator.store.Store.merge_shards`.
+    no shards).  The parent folds a task's shard in as soon as its result
+    arrives — see :meth:`repro.orchestrator.store.Store.merge_shards`.
     """
     if store_root is None:
         return None
@@ -227,9 +154,7 @@ def merge_observability(
 
     Spans land in the active tracer (dropped when tracing is off here),
     slow records append to the process slow log, and the per-tier query
-    counters merge into ``qstats`` when an accumulator is provided.  The
-    degenerate in-process case (``run_tasks`` with one worker) drains and
-    re-ingests the same buffers, which only repositions entries.
+    counters merge into ``qstats`` when an accumulator is provided.
     """
     if not extras:
         return
@@ -249,7 +174,7 @@ def merge_observability(
 #: (sat_core_calls, qcache_hits) a worker performed for one job.  The
 #: counters are runtime accounting and deliberately not serialized with
 #: the summary, so they travel alongside it and are restored on arrival —
-#: parallel runs then account Step-1 solver work exactly like serial ones.
+#: pooled runs then account Step-1 solver work like in-process ones.
 WorkerWork = Tuple[int, int]
 
 
@@ -283,7 +208,7 @@ def _summarize_worker(
             )
         except PathExplosionError as exc:
             # A blown budget yields no summary; its partial solver work is
-            # uncounted, matching the serial path (which raises the same way).
+            # uncounted, matching the in-process loop (which raises the same way).
             return (
                 EXPLODED,
                 str(exc),
@@ -305,59 +230,6 @@ def _summarize_worker(
             # Push this job's write into the worker's shard now: the pool
             # may recycle or kill the process before any destructor runs.
             store.close()
-
-
-def summarize_jobs(
-    jobs: Sequence[SummaryJob],
-    options: SymbexOptions,
-    workers: int = 1,
-    store: Optional[Union[SummaryStore, str]] = None,
-    qstats: Optional[QueryCacheStatistics] = None,
-    pool: Optional[WorkerPool] = None,
-) -> List[Tuple[str, Optional[ElementSummary], str]]:
-    """Summarize every (element, input length) job, sharded across processes.
-
-    Returns, in job order, ``(status, summary, detail)`` triples: status is
-    :data:`COMPUTED`, :data:`LOADED` (from the store — no symbolic
-    execution, which is how callers count real work), or :data:`EXPLODED`
-    (summary is ``None`` and detail carries the budget message).  Loaded
-    summaries are re-interned into the calling process's term table.
-
-    Worker observability (spans, slow-solve records) merges into this
-    process's tracer and slow log; per-tier query-cache counters fold
-    into ``qstats`` when an accumulator is passed.  A :class:`WorkerPool`
-    reuses processes across calls (one fork per run, not per wave).
-    """
-    store_root = None
-    if store is not None:
-        store_root = str(store.root) if isinstance(store, SummaryStore) else str(store)
-    payloads = [(element, length, options, store_root) for element, length in jobs]
-    results = run_tasks(_summarize_worker, payloads, workers=workers, pool=pool)
-    if store_root is not None:
-        # Every result is in (run_tasks returned), and each worker flushed
-        # its shard per job (store.close() in _summarize_worker's finally),
-        # so no shard of *this batch* has a live writer even when the pool
-        # persists: fold every worker shard into the main store in one
-        # bulk copy each.  A no-op on the JSON backend.
-        main_store = store if isinstance(store, SummaryStore) else SummaryStore(store_root)
-        main_store.merge_shards()
-    merge_query_entries(
-        options.query_cache_dir,
-        [entry for _status, _text, entries, _work, _extras in results for entry in entries],
-    )
-    merged: List[Tuple[str, Optional[ElementSummary], str]] = []
-    for status, text, _entries, work, extras in results:
-        merge_observability(extras, qstats)
-        if status == EXPLODED:
-            merged.append((status, None, text))
-            continue
-        summary = loads_summary(text)
-        if status == COMPUTED:
-            # Serialization drops the runtime work counters; restore the
-            # worker's so downstream accounting matches a serial run.
-            summary.sat_core_calls, summary.qcache_hits = work
-        merged.append((status, summary, ""))
-    return merged
 
 
 def job_digest(element: Element, input_length: int, options: SymbexOptions) -> str:

@@ -125,10 +125,6 @@ class SummaryCache:
             self.store.save(element, input_length, self.options, summary)
         return summary
 
-    def contains(self, element: Element, input_length: int) -> bool:
-        """True if the summary is already resident in L1 (no L2 probe)."""
-        return self._key(element, input_length) in self._summaries
-
     def seed(self, element: Element, input_length: int, summary: ElementSummary) -> None:
         """Install a summary computed elsewhere (a worker process, a peer cache)."""
         self._insert(self._key(element, input_length), summary)

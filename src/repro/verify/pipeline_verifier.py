@@ -12,7 +12,8 @@ replayed on the concrete dataplane to confirm it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..dataplane.driver import PipelineDriver
 from ..dataplane.element import Element
@@ -45,11 +46,9 @@ class PipelineVerifier:
         options: Optional[SymbexOptions] = None,
         cache: Optional[SummaryCache] = None,
         store: Optional[object] = None,
-        workers: int = 1,
     ) -> None:
         """``store`` backs the summary cache with an on-disk L2 tier
-        (:class:`repro.orchestrator.store.SummaryStore`); ``workers`` > 1
-        shards Step-1 summarization of each BFS frontier across processes.
+        (:class:`repro.orchestrator.store.SummaryStore`).
         """
         pipeline.validate()
         self.pipeline = pipeline
@@ -60,7 +59,6 @@ class PipelineVerifier:
                 "(SummaryCache(options, store=...)) when you need both"
             )
         self.cache = cache if cache is not None else SummaryCache(self.options, store=store)
-        self.workers = workers
         self.composer = CompositionEngine(self.cache, incremental=self.options.incremental)
         if entry is None:
             entries = pipeline.entry_elements()
@@ -78,86 +76,23 @@ class PipelineVerifier:
     ) -> Dict[Tuple[str, int], Tuple[Element, ElementSummary]]:
         """Summarise every reachable element at every packet length it can receive.
 
-        With ``workers`` > 1 each BFS frontier (the branches of the
-        pipeline graph discovered so far) is summarized in parallel worker
-        processes; results are merged in deterministic frontier order.
+        A breadth-first walk from the entry through the summary cache.
+        The result's insertion order is the BFS order, and counterexample
+        order follows it.
         """
         summaries: Dict[Tuple[str, int], Tuple[Element, ElementSummary]] = {}
-        worklist: List[Tuple[Element, int]] = [(self.entry, input_length)]
-        while worklist:
-            frontier: List[Tuple[Element, int]] = []
-            for element, length in worklist:
-                if (element.name, length) not in summaries and not any(
-                    element is other and length == other_length
-                    for other, other_length in frontier
-                ):
-                    frontier.append((element, length))
-            worklist = []
-            if not frontier:
-                break
-            for (element, length), summary in zip(
-                frontier, self._summarize_frontier(frontier)
-            ):
-                summaries[(element.name, length)] = (element, summary)
-                for segment in summary.emit_segments:
-                    downstream = self.pipeline.downstream(element, segment.port or 0)
-                    if downstream is not None:
-                        key = (downstream[0].name, len(segment.output_bytes))
-                        if key not in summaries:
-                            worklist.append((downstream[0], len(segment.output_bytes)))
+        queue: Deque[Tuple[Element, int]] = deque([(self.entry, input_length)])
+        while queue:
+            element, length = queue.popleft()
+            if (element.name, length) in summaries:
+                continue
+            summary = self.cache.summarize(element, length)
+            summaries[(element.name, length)] = (element, summary)
+            for segment in summary.emit_segments:
+                downstream = self.pipeline.downstream(element, segment.port or 0)
+                if downstream is not None:
+                    queue.append((downstream[0], len(segment.output_bytes)))
         return summaries
-
-    def _summarize_frontier(
-        self, frontier: List[Tuple[Element, int]]
-    ) -> List[ElementSummary]:
-        """Summarize one BFS frontier, through the cache (serial) or workers (parallel)."""
-        if self.workers <= 1 or len(frontier) <= 1:
-            return [self.cache.summarize(element, length) for element, length in frontier]
-        # Import here: the orchestrator layer sits above verify and imports it.
-        from ..orchestrator.workers import COMPUTED, EXPLODED, job_digest, summarize_jobs
-
-        pending = [
-            (element, length)
-            for element, length in frontier
-            if not self.cache.contains(element, length)
-        ]
-        shipped: Dict[Tuple[int, int], ElementSummary] = {}
-        if pending:
-            # Dedupe by summary digest: identically configured elements in
-            # one wave share a single job, as they would share an L1 hit
-            # on the serial path.
-            jobs: List[Tuple[Element, int]] = []
-            job_index: Dict[str, int] = {}
-            digests = []
-            for element, length in pending:
-                digest = job_digest(element, length, self.options)
-                digests.append(digest)
-                if digest not in job_index:
-                    job_index[digest] = len(jobs)
-                    jobs.append((element, length))
-            results = summarize_jobs(
-                jobs, self.options, workers=self.workers, store=self.cache.store
-            )
-            for (element, length), (status, summary, detail) in zip(jobs, results):
-                if status == EXPLODED:
-                    # Same surface as a serial run: verify() catches this
-                    # and reports the verdict as unknown.
-                    raise PathExplosionError(detail)
-                if status == COMPUTED:
-                    self.cache.statistics.misses += 1
-                else:
-                    self.cache.statistics.l2_hits += 1
-            for (element, length), digest in zip(pending, digests):
-                summary = results[job_index[digest]][1]
-                self.cache.seed(element, length, summary)
-                shipped[(id(element), length)] = summary
-        # Worker-shipped summaries are returned directly (their miss/L2 hit
-        # is already counted above); only genuinely cached entries go back
-        # through the cache and register an L1 hit, as in a serial run.
-        return [
-            shipped.get((id(element), length)) or self.cache.summarize(element, length)
-            for element, length in frontier
-        ]
 
     # -- main verification entry point --------------------------------------------------------------
 

@@ -27,6 +27,10 @@ class Property:
         """True if this segment, in isolation, might violate the property."""
         raise NotImplementedError
 
+    def element_names(self) -> Set[str]:
+        """Element names the property refers to (verdict keys pin where they sit)."""
+        return set()
+
     def describe(self) -> str:
         return self.name
 
@@ -98,6 +102,9 @@ class Reachability(Property):
         if element_name in self.exempt_elements:
             return False
         return segment.drops
+
+    def element_names(self) -> Set[str]:
+        return set(self.exempt_elements)
 
     def describe(self) -> str:
         return self.description

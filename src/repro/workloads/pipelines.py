@@ -274,10 +274,10 @@ def straggler_catalog(
     :class:`SyntheticBranchyElement` (``2^branches`` paths, so its Step-1
     summary dominates the run) ahead of a pool element, and the remaining
     ``count - 1`` pipelines are the quick :func:`store_scale_catalog`
-    chains.  Under the legacy wave-synchronous pool every quick pipeline's
-    Step-2 verification waits for the straggler's wave to join; the
-    dependency-aware scheduler verifies them while the straggler is still
-    summarizing.  Deterministic, like every workload catalog.
+    chains.  The dependency-aware scheduler verifies the quick pipelines
+    while the straggler is still summarizing, instead of gating Step 2
+    on the whole catalog's Step 1.  Deterministic, like every workload
+    catalog.
     """
     if count < 2:
         raise ValueError(f"straggler catalog needs at least 2 pipelines, got {count}")

@@ -17,6 +17,7 @@ from repro.orchestrator import (
     catalog_manifest,
     certify_fleet,
     diff_catalogs,
+    element_slots,
     property_set_fingerprint,
     recertify,
     verdict_key,
@@ -79,6 +80,34 @@ class TestPipelineFingerprints:
         assert base == verdict_key(
             fingerprint, [CrashFreedom()], (24,), SymbexOptions(max_paths=7), 3, True, False
         )
+
+    def test_verdict_key_unchanged_when_no_property_names_an_element(self):
+        # Pinned digest: stores written before element slots entered the
+        # key stay warm for every property set that names no element.
+        pipeline = ip_router_pipeline(length=2, name="p")
+        properties = [CrashFreedom(), destination_reachability(0x0A000001)]
+        slots = element_slots(pipeline, properties)
+        assert slots == {}
+        key = verdict_key(
+            pipeline_fingerprint(pipeline, True), properties, (24,), SymbexOptions(),
+            3, True, False, slots=slots,
+        )
+        assert key == "55337691fb9fa833b9e8b888f46af81737c33a8bdc6b120238c884c910fed889"
+
+    def test_verdict_key_pins_named_element_slots(self):
+        pipeline = ip_router_pipeline(length=2, name="p")  # check_ip -> lookup
+        properties = [destination_reachability(0x0A000001, exempt_elements={"lookup", "nat"})]
+        slots = element_slots(pipeline, properties)
+        assert slots == {"lookup": 1, "nat": None}
+        fingerprint = pipeline_fingerprint(pipeline, True)
+
+        def key(slots):
+            return verdict_key(
+                fingerprint, properties, (24,), SymbexOptions(), 3, True, False, slots=slots
+            )
+
+        assert key(slots) != key({"lookup": 0, "nat": None})
+        assert key(slots) != key({"lookup": None, "nat": None})
 
     def test_property_set_fingerprint_is_stable_across_instances(self):
         one = [CrashFreedom(), destination_reachability(0x0A000001, exempt_elements={"a"})]
@@ -227,6 +256,30 @@ class TestDeltaRecertification:
         assert [c.pipeline_name for c in delta.report.certifications] == [
             p.name for p in churned_fleet_catalog(CATALOG_SIZE, "rename")
         ]
+
+    def test_rename_out_of_an_exempt_set_reverifies(self, tmp_path):
+        # Exemptions name elements, and fingerprints normalize names out:
+        # renaming router-2's elements drops check_ip and lookup from the
+        # exempt set, so its reachability verdict changes.
+        properties = [
+            CrashFreedom(),
+            destination_reachability(
+                0x0A000001, exempt_elements={"check_ip", "gw_check", "dec_ttl", "lookup"}
+            ),
+        ]
+        verdict_store = VerdictStore(tmp_path / "verdicts")
+        certify_fleet(
+            fleet_catalog(6), properties, input_lengths=LENGTHS, verdict_store=verdict_store
+        )
+        delta = certify_fleet(
+            churned_fleet_catalog(6, "rename", target=0), properties,
+            input_lengths=LENGTHS, verdict_store=verdict_store,
+        )
+        cold = certify_fleet(
+            churned_fleet_catalog(6, "rename", target=0), properties, input_lengths=LENGTHS
+        )
+        assert delta.verdicts() == cold.verdicts()
+        assert [c.reused for c in delta.certifications] == [False] + [True] * 5
 
     def test_property_set_change_misses_the_verdict_store(self, stores, cold):
         summary_store, verdict_store = stores

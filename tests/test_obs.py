@@ -371,49 +371,64 @@ class TestSatInstrumentation:
 
 
 class TestWorkerShipping:
-    def _jobs(self):
+    def _run(self, options, root):
+        """fleet_catalog(1) through a two-worker pool: two summary tasks, one verify."""
+        from repro.orchestrator import SummaryStore, run_scheduled
+        from repro.verify import CrashFreedom
         from repro.workloads import fleet_catalog
 
-        pipeline = fleet_catalog(1)[0]
-        return [(pipeline.elements[0], 24), (pipeline.elements[1], 24)]
+        return run_scheduled(
+            fleet_catalog(1), [CrashFreedom()], (24,), options,
+            workers=2, store=SummaryStore(root),
+        )
 
-    def test_forked_workers_ship_spans_exactly_once(self):
-        from repro.orchestrator.workers import summarize_jobs
+    def test_forked_workers_ship_spans_exactly_once(self, tmp_path):
         from repro.symbex.engine import SymbexOptions
 
         options = dataclasses.replace(SymbexOptions(), trace=True)
         with active(Tracer()) as t:
-            results = summarize_jobs(self._jobs(), options, workers=2)
-            assert all(status == "computed" for status, _s, _d in results)
+            run = self._run(options, tmp_path)
             spans = t.spans()
+        assert run.computed == 2
         elements = [s for s in spans if s.name == "symbex.element"]
         assert len(elements) == 2  # one per job, no duplicates
         assert len({(s.pid, s.sid) for s in spans}) == len(spans)
-        # run_tasks forked: the recording pids are the children's, not ours.
+        # Workers recorded them: the pids are the children's, not ours.
         assert all(s.pid != os.getpid() for s in elements)
 
-    def test_parallel_and_serial_runs_trace_the_same_work(self):
-        from repro.orchestrator.workers import summarize_jobs
+    def test_parallel_and_serial_runs_trace_the_same_work(self, tmp_path):
+        from repro.orchestrator import certify_fleet
         from repro.symbex.engine import SymbexOptions
+        from repro.verify import CrashFreedom
+        from repro.workloads import fleet_catalog
 
         options = dataclasses.replace(SymbexOptions(), trace=True)
 
-        def span_names(workers: int):
-            with active(Tracer()) as t:
-                summarize_jobs(self._jobs(), options, workers=workers)
-                names = sorted(s.name for s in t.spans())
-            return names
+        def work(spans):
+            # Cache events differ by design: pool tasks rehydrate from the
+            # store where the in-process loop hits its shared cache.
+            return sorted(
+                (s.name, s.args.get("element"))
+                for s in spans
+                if s.category in ("symbex", "verify")
+            )
 
-        assert span_names(workers=1) == span_names(workers=2)
+        with active(Tracer()) as t:
+            certify_fleet(fleet_catalog(1), [CrashFreedom()], input_lengths=(24,), options=options)
+            serial = work(t.spans())
+        with active(Tracer()) as t:
+            self._run(options, tmp_path)
+            pooled = work(t.spans())
+        assert pooled == serial
 
     def test_disabled_tracer_ships_no_observability(self):
         from repro.orchestrator.workers import _summarize_worker
-
         from repro.symbex.engine import SymbexOptions
+        from repro.workloads import fleet_catalog
 
-        element, length = self._jobs()[0]
+        element = fleet_catalog(1)[0].elements[0]
         status, _text, _entries, _work, extras = _summarize_worker(
-            (element, length, SymbexOptions(), None)
+            (element, 24, SymbexOptions(), None)
         )
         assert status == "computed"
         # Tracing off: no span or slow-log keys ride along.  The query-tier
@@ -421,13 +436,12 @@ class TestWorkerShipping:
         # accumulate whether or not anyone is tracing.
         assert "spans" not in extras and "slow" not in extras
 
-    def test_forked_workers_ship_slow_records(self):
-        from repro.orchestrator.workers import summarize_jobs
+    def test_forked_workers_ship_slow_records(self, tmp_path):
         from repro.symbex.engine import SymbexOptions
 
         set_slow_threshold_ms(0.0)
-        results = summarize_jobs(self._jobs(), SymbexOptions(), workers=2)
-        assert all(status == "computed" for status, _s, _d in results)
+        run = self._run(SymbexOptions(), tmp_path)
+        assert run.computed == 2
         records = slow_solve_log().drain()
         assert records  # the children's threshold crossings arrived here
         assert all("backend" in record for record in records)

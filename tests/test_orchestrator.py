@@ -1,4 +1,4 @@
-"""Tests for the fleet orchestrator: serialization, store, workers, fleet API."""
+"""Tests for the fleet orchestrator: serialization, store, worker tasks, fleet API."""
 
 import json
 
@@ -13,11 +13,11 @@ from repro.orchestrator import (
     encode_terms,
     loads_summary,
     program_fingerprint,
-    run_tasks,
-    summarize_jobs,
+    run_scheduled,
     summary_key,
 )
 from repro.orchestrator.errors import OrchestratorError, SerializationError
+from repro.orchestrator.workers import COMPUTED, EXPLODED, LOADED, _summarize_worker, job_digest
 from repro.symbex import SymbexOptions
 from repro.symbex.engine import SymbolicEngine
 from repro.verify import CrashFreedom, PipelineVerifier, SummaryCache
@@ -354,45 +354,41 @@ class TestTieredCache:
         assert cache.statistics.entries == 0 == len(cache)
 
 
-def _double(value):
-    return value * 2
-
-
 class TestWorkers:
-    def test_run_tasks_preserves_order(self):
-        payloads = list(range(8))
-        assert run_tasks(_double, payloads, workers=1) == run_tasks(_double, payloads, workers=3)
+    def test_summarize_jobs_parallel_matches_serial(self, tmp_path):
+        # Pool-computed summaries re-intern to the terms an in-process
+        # engine builds for the same job.
+        from repro.dataplane import Pipeline
 
-    def test_summarize_jobs_parallel_matches_serial(self):
-        jobs = [
-            (SyntheticBranchyElement(2, name="s2"), 12),
-            (SyntheticBranchyElement(3, name="s3"), 12),
-        ]
+        elements = [SyntheticBranchyElement(2, name="s2"), SyntheticBranchyElement(3, name="s3")]
+        catalog = [Pipeline.chain([element], name=f"p-{element.name}") for element in elements]
         options = SymbexOptions()
-        serial = summarize_jobs(jobs, options, workers=1)
-        parallel = summarize_jobs(jobs, options, workers=2)
-        for (_, fresh, _), (_, shipped, _) in zip(serial, parallel):
+        run = run_scheduled(
+            catalog, [CrashFreedom()], (12,), options, workers=2, store=SummaryStore(tmp_path)
+        )
+        for element in elements:
+            fresh = _summarize(element, 12)
+            shipped = run.summaries[job_digest(element, 12, options)]
             assert [s.outcome for s in fresh.segments] == [s.outcome for s in shipped.segments]
-            assert [s.constraint is t.constraint for s, t in zip(fresh.segments, shipped.segments)]
+            assert all(
+                s.constraint is t.constraint for s, t in zip(fresh.segments, shipped.segments)
+            )
 
     def test_summarize_jobs_uses_store(self, tmp_path):
-        from repro.orchestrator.workers import COMPUTED, LOADED
-
         element = SyntheticBranchyElement(2, name="stored")
-        options = SymbexOptions()
-        first = summarize_jobs([(element, 12)], options, workers=1, store=str(tmp_path))
-        second = summarize_jobs([(element, 12)], options, workers=1, store=str(tmp_path))
-        assert first[0][0] == COMPUTED
-        assert second[0][0] == LOADED
-        assert len(second[0][1].segments) == len(first[0][1].segments)
+        payload = (element, 12, SymbexOptions(), str(tmp_path))
+        first_status, first, _entries, _work, _extras = _summarize_worker(payload)
+        second_status, second, _entries, work, _extras = _summarize_worker(payload)
+        assert (first_status, second_status) == (COMPUTED, LOADED)
+        assert work == (0, 0)  # a store load performs no solver work
+        assert len(loads_summary(second).segments) == len(loads_summary(first).segments)
 
     def test_path_explosion_is_shipped_not_raised(self):
-        from repro.orchestrator.workers import EXPLODED
-
-        jobs = [(SyntheticBranchyElement(6, name="wide"), 12)]
-        results = summarize_jobs(jobs, SymbexOptions(max_paths=4, merge="off"), workers=2)
-        status, summary, detail = results[0]
-        assert status == EXPLODED and summary is None and "budget" in detail
+        options = SymbexOptions(max_paths=4, merge="off")
+        status, detail, _entries, _work, _extras = _summarize_worker(
+            (SyntheticBranchyElement(6, name="wide"), 12, options, None)
+        )
+        assert status == EXPLODED and "budget" in detail
         # The explosion names the offending element so EXPLODED jobs and
         # trace summaries can attribute it.
         assert "wide" in detail
@@ -424,7 +420,7 @@ class TestFleet:
         assert warm.statistics.store_hits == cold.statistics.summaries_computed
         assert warm.verdicts() == cold.verdicts()
 
-    def test_parallel_matches_serial(self, catalog, tmp_path):
+    def test_parallel_matches_serial(self, catalog, four_cpus, tmp_path):
         serial = certify_fleet(catalog, [CrashFreedom()], input_lengths=(24,))
         parallel = certify_fleet(
             fleet_catalog(4),
@@ -444,11 +440,12 @@ class TestFleet:
         ]
         assert parallel_packets == serial_packets
 
-    def test_parallel_without_store_uses_ephemeral(self):
+    def test_parallel_without_store_uses_ephemeral(self, four_cpus):
         report = certify_fleet(fleet_catalog(2), [CrashFreedom()], input_lengths=(24,), workers=2)
         assert len(report.certifications) == 2
+        assert report.scheduler is not None
 
-    def test_budget_explosion_degrades_identically_in_both_modes(self):
+    def test_budget_explosion_degrades_identically_in_both_modes(self, four_cpus):
         from repro.workloads import synthetic_pipeline
 
         # merge=off: state merging would collapse the branchy element under

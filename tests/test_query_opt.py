@@ -357,25 +357,32 @@ class TestEngineAndFleetWiring:
         _cert, _m, _l, warm_entries, _warm_extras = _certify_worker(payload)
         assert warm_entries == []
 
-    def test_parallel_summarize_jobs_preserve_work_counters(self):
+    def test_parallel_summarize_jobs_preserve_work_counters(self, tmp_path):
         """Worker-computed summaries arrive with their solver-work counters
         restored (serialization drops them), matching a serial engine."""
-        from repro.orchestrator.workers import COMPUTED, summarize_jobs
+        from repro.orchestrator import SummaryStore, run_scheduled
+        from repro.orchestrator.workers import job_digest
         from repro.symbex.engine import SymbexOptions, SymbolicEngine
+        from repro.verify import CrashFreedom
         from repro.workloads import fleet_catalog
 
-        element = fleet_catalog(1)[0].elements[0]
+        pipeline = fleet_catalog(1)[0]
         options = SymbexOptions()
-        serial = SymbolicEngine(options).summarize_element(
-            element.program, 24,
-            tables=element.state.tables(),
-            element_name=element.name,
-            configuration_key=element.configuration_key(),
+        run = run_scheduled(
+            [pipeline], [CrashFreedom()], (24,), options,
+            workers=2, store=SummaryStore(tmp_path),
         )
-        [(status, shipped, _detail)] = summarize_jobs([(element, 24)], options, workers=2)
-        assert status == COMPUTED and shipped is not None
-        assert shipped.sat_core_calls == serial.sat_core_calls
-        assert shipped.qcache_hits == serial.qcache_hits
+        assert run.computed == len(run.summaries)
+        for element in pipeline.elements:
+            serial = SymbolicEngine(options).summarize_element(
+                element.program, 24,
+                tables=element.state.tables(),
+                element_name=element.name,
+                configuration_key=element.configuration_key(),
+            )
+            shipped = run.summaries[job_digest(element, 24, options)]
+            assert shipped.sat_core_calls == serial.sat_core_calls
+            assert shipped.qcache_hits == serial.qcache_hits
 
     def test_workers_clamped_to_cpu_count(self):
         import os

@@ -2,11 +2,11 @@
 
 The scheduler's contract is differential — it reorders work, it never
 changes it — so most tests here drive the same catalog through the
-serial, wave-synchronous and scheduled paths and assert the outputs are
-identical.  The container may expose a single CPU (``certify_fleet``
-clamps ``workers`` to the CPU count), so end-to-end tests monkeypatch
-``repro.orchestrator.fleet.os.cpu_count`` and graph/pool tests call
-:func:`run_scheduled` directly with an explicit worker count.
+in-process loop (``workers=1``) and the pool (``workers=2``) and assert
+the outputs are identical.  The container may expose a single CPU
+(``certify_fleet`` clamps ``workers`` to the CPU count), so end-to-end
+tests lift the clamp with the ``four_cpus`` fixture and graph/pool tests
+call :func:`run_scheduled` directly with an explicit worker count.
 """
 
 import dataclasses
@@ -23,29 +23,18 @@ from repro.orchestrator import (
     RiskHistory,
     RiskStore,
     SummaryStore,
-    WorkerPool,
     certify_fleet,
     pipeline_ranks,
     run_scheduled,
-    summarize_jobs,
 )
-from repro.orchestrator.scheduler import FIFO, LARGEST_FIRST, OFF, RISK
 from repro.orchestrator.workers import _summarize_worker, job_digest
 from repro.symbex.engine import SymbexOptions
-from repro.verify import CrashFreedom
+from repro.verify import CrashFreedom, destination_reachability
 from repro.workloads import (
     fleet_catalog,
     store_scale_catalog,
     synthetic_pipeline,
 )
-
-
-@pytest.fixture
-def four_cpus(monkeypatch):
-    """Lift the fleet layer's worker clamp on single-CPU CI hosts."""
-    import repro.orchestrator.fleet as fleet_mod
-
-    monkeypatch.setattr(fleet_mod.os, "cpu_count", lambda: 4)
 
 
 def _serial_summaries(pipelines, lengths, options):
@@ -67,31 +56,19 @@ def _serial_summaries(pipelines, lengths, options):
 class TestPipelineRanks:
     def test_fifo_is_catalog_order(self):
         catalog = store_scale_catalog(4)
-        assert pipeline_ranks(catalog, FIFO) == [0, 1, 2, 3]
+        assert pipeline_ranks(catalog) == [0, 1, 2, 3]
 
-    def test_largest_first_fronts_wide_pipelines(self):
-        catalog = [
-            synthetic_pipeline(2, 1, name="small"),
-            synthetic_pipeline(4, 1, name="large"),
-            synthetic_pipeline(3, 1, name="mid"),
-        ]
-        ranks = pipeline_ranks(catalog, LARGEST_FIRST)
-        assert ranks == [2, 0, 1]  # large first, then mid, then small
-
-    def test_risk_without_history_is_fifo(self):
+    def test_risk_without_history_is_fifo(self, tmp_path):
         catalog = store_scale_catalog(3)
-        assert pipeline_ranks(catalog, RISK) == [0, 1, 2]
+        history = RiskHistory(RiskStore(tmp_path))  # nothing observed yet
+        assert pipeline_ranks(catalog, history) == [0, 1, 2]
 
     def test_risk_fronts_seeded_history(self, tmp_path):
         catalog = store_scale_catalog(3)
         history = RiskHistory(RiskStore(tmp_path))
         history.seed(catalog[2].name, violations=2)
-        ranks = pipeline_ranks(catalog, RISK, history)
+        ranks = pipeline_ranks(catalog, history)
         assert ranks[2] == 0  # the violating pipeline preempts the catalog
-
-    def test_unknown_schedule_raises(self):
-        with pytest.raises(OrchestratorError):
-            pipeline_ranks(store_scale_catalog(1), "steepest-descent")
 
 
 class TestJobGraph:
@@ -157,33 +134,30 @@ class TestJobGraph:
 
 
 class TestScheduledRun:
-    def test_matches_serial_verdicts_and_counters(self, four_cpus, tmp_path):
-        catalog = store_scale_catalog(8)
-        options = SymbexOptions()
-        serial = certify_fleet(
-            catalog, [CrashFreedom()], input_lengths=(64,), options=options
-        )
-        scheduled = certify_fleet(
-            store_scale_catalog(8), [CrashFreedom()], input_lengths=(64,),
-            workers=2, store=SummaryStore(tmp_path / "sched"), options=options,
-        )
-        wave = certify_fleet(
-            store_scale_catalog(8), [CrashFreedom()], input_lengths=(64,),
-            workers=2, store=SummaryStore(tmp_path / "wave"), options=options,
-            schedule=OFF,
-        )
-        assert scheduled.verdicts() == serial.verdicts() == wave.verdicts()
-        assert scheduled.scheduler is not None and scheduled.scheduler.pools_forked == 1
-        assert wave.scheduler is None
-        for name in (
-            "distinct_summary_jobs", "summaries_computed", "store_hits",
-            "solver_checks", "sat_core_calls", "qcache_hits", "counterexamples",
-        ):
-            assert getattr(scheduled.statistics, name) == getattr(serial.statistics, name)
-            assert getattr(scheduled.statistics, name) == getattr(wave.statistics, name)
-        # Step-2 store rehydration is a parallel-only counter; the
-        # scheduler must match the wave path it replaces.
-        assert scheduled.statistics.step2_store_loads == wave.statistics.step2_store_loads
+    def test_matches_serial_verdicts_and_counters(self, four_cpus):
+        """Both engines agree on every FleetStatistics field but three.
+
+        ``workers`` and ``elapsed_seconds`` differ by nature.  The loop
+        shares one in-memory query cache across the catalog while each
+        pool task starts a fresh one, so the same slice questions split
+        differently between SAT-core calls and cache hits — their sum
+        is fixed.
+        """
+        properties = [CrashFreedom(), destination_reachability(0x0A000001)]
+        for build in (lambda: fleet_catalog(6), lambda: store_scale_catalog(20)):
+            serial = certify_fleet(build(), properties, input_lengths=(24,))
+            pooled = certify_fleet(build(), properties, input_lengths=(24,), workers=2)
+            assert pooled.verdicts() == serial.verdicts()
+            assert serial.scheduler is None
+            assert pooled.scheduler is not None and pooled.scheduler.pools_forked == 1
+            one, two = serial.statistics.to_dict(), pooled.statistics.to_dict()
+            assert (one.pop("workers"), two.pop("workers")) == (1, 2)
+            del one["elapsed_seconds"], two["elapsed_seconds"]
+            solved = [
+                stats.pop("sat_core_calls") + stats.pop("qcache_hits") for stats in (one, two)
+            ]
+            assert solved[0] == solved[1]
+            assert one == two
 
     def test_counterexample_packets_match_serial(self, four_cpus, tmp_path):
         serial = certify_fleet(fleet_catalog(2), [CrashFreedom()], input_lengths=(24,))
@@ -229,33 +203,6 @@ class TestScheduledRun:
         # admission batch, not one per digest.
         assert store.statistics.round_trips_saved > 0
 
-    def test_schedule_off_forks_one_pool_across_waves(self, four_cpus, tmp_path, monkeypatch):
-        import repro.orchestrator.fleet as fleet_mod
-
-        forks = []
-        original = fleet_mod.WorkerPool
-
-        class CountingPool(original):
-            def __init__(self, workers):
-                super().__init__(workers)
-                forks.append(self)
-
-        monkeypatch.setattr(fleet_mod, "WorkerPool", CountingPool)
-        report = certify_fleet(
-            store_scale_catalog(4), [CrashFreedom()], input_lengths=(64,),
-            workers=2, store=SummaryStore(tmp_path), schedule=OFF,
-        )
-        assert len(report.certifications) == 4
-        assert len(forks) == 1  # one shared pool for every wave and Step 2
-        assert forks[0].forks == 1
-
-    def test_unknown_schedule_rejected_up_front(self, tmp_path):
-        with pytest.raises(OrchestratorError):
-            certify_fleet(
-                store_scale_catalog(1), [CrashFreedom()], input_lengths=(64,),
-                schedule="sorted-by-vibes",
-            )
-
 
 class TestSchedulerDirect:
     """Drive run_scheduled with real worker processes (no cpu clamp)."""
@@ -274,8 +221,7 @@ class TestSchedulerDirect:
         # One worker: dispatch strictly follows the priority heap, so the
         # completion order is deterministic.
         run = self._run(
-            catalog, SummaryStore(tmp_path / "store"), workers=1,
-            schedule=RISK, risk_history=history,
+            catalog, SummaryStore(tmp_path / "store"), workers=1, risk_history=history,
         )
         assert run.verify_order[0] == 4
         assert len(run.verify_order) == len(catalog)
@@ -284,10 +230,6 @@ class TestSchedulerDirect:
         catalog = store_scale_catalog(5)
         run = self._run(catalog, SummaryStore(tmp_path), workers=1)
         assert run.verify_order == list(range(len(catalog)))
-
-    def test_schedule_off_refused(self, tmp_path):
-        with pytest.raises(OrchestratorError):
-            self._run(store_scale_catalog(1), SummaryStore(tmp_path), schedule=OFF)
 
     def test_crashed_worker_is_respawned_and_task_retried(self, tmp_path):
         catalog = store_scale_catalog(4)
@@ -326,9 +268,8 @@ class TestSchedulerDirect:
 
         # The scheduler reorders the serial run's symbolic executions; it
         # never adds or drops one.  (Cache hit/miss *events* legitimately
-        # differ from serial — parallel Step 2 rehydrates from the store,
-        # serial reads its in-process cache — that is the wave path's
-        # pre-existing behavior, compared exhaustively below.)
+        # differ from serial: pooled Step 2 rehydrates from the store,
+        # serial reads its in-process cache.)
         with active(Tracer()) as t:
             serial = certify_fleet(
                 store_scale_catalog(4), [CrashFreedom()], input_lengths=(64,),
@@ -343,27 +284,6 @@ class TestSchedulerDirect:
             (s.name, s.args.get("element")) for s in serial_spans if s.category == "symbex"
         )
         assert symbex == serial_symbex
-
-    def test_trace_matches_wave_path_exactly(self, tmp_path, monkeypatch):
-        import repro.orchestrator.fleet as fleet_mod
-
-        monkeypatch.setattr(fleet_mod.os, "cpu_count", lambda: 4)
-        options = dataclasses.replace(SymbexOptions(), trace=True)
-
-        def names(schedule, root):
-            with active(Tracer()) as t:
-                certify_fleet(
-                    store_scale_catalog(4), [CrashFreedom()], input_lengths=(64,),
-                    workers=2, store=SummaryStore(root), options=options,
-                    schedule=schedule,
-                )
-                return sorted(
-                    s.name for s in t.spans() if s.category != "scheduler"
-                )
-
-        scheduled = names(FIFO, tmp_path / "sched")
-        wave = names(OFF, tmp_path / "wave")
-        assert scheduled == wave
 
     def test_queue_and_idle_gauges_published(self, tmp_path):
         from repro.obs.metrics import metrics
@@ -394,17 +314,3 @@ def _crash_once_worker(payload):
         else:
             os._exit(1)
     return _summarize_worker(payload)
-
-
-class TestWorkerPoolReuse:
-    def test_one_fork_across_many_batches(self):
-        jobs = [(p.entry_elements()[0], 64) for p in store_scale_catalog(3)]
-        with WorkerPool(2) as pool:
-            for _ in range(3):
-                results = summarize_jobs(jobs, SymbexOptions(), workers=2, pool=pool)
-                assert all(status == "computed" for status, _s, _d in results)
-            assert pool.forks == 1
-
-    def test_lazy_fork_only_on_parallel_work(self):
-        with WorkerPool(2) as pool:
-            assert pool.forks == 0
