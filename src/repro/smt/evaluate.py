@@ -24,28 +24,34 @@ def _mask(width: int) -> int:
     return (1 << width) - 1
 
 
-def evaluate(term: Term, env: Mapping[str, Value] | None = None) -> Value:
+def evaluate(
+    term: Term, env: Mapping[str, Value] | None = None, fill: Value | None = None
+) -> Value:
     """Evaluate ``term`` under ``env`` (a mapping from variable name to value).
 
-    Raises :class:`EvaluationError` if a free variable is unbound.
+    Raises :class:`EvaluationError` if a free variable is unbound, unless
+    ``fill`` is given: an unbound variable then reads as ``fill``, which
+    is 0 (zero / false) or -1 (all ones / true) — the two defaults
+    :class:`repro.smt.model.Model` evaluates under.
     Bitvector results are returned as non-negative ints reduced modulo the
     term's width; boolean results as ``bool``.
     """
-    env = env or {}
+    if env is None:
+        env = {}
     cache: dict[int, Value] = {}
 
     def walk(node: Term) -> Value:
         cached = cache.get(id(node))
         if cached is not None or id(node) in cache:
             return cache[id(node)]
-        result = _eval_node(node, env, walk)
+        result = _eval_node(node, env, fill, walk)
         cache[id(node)] = result
         return result
 
     return walk(term)
 
 
-def _eval_node(node: Term, env: Mapping[str, Value], walk) -> Value:
+def _eval_node(node: Term, env: Mapping[str, Value], fill: Value | None, walk) -> Value:
     op = node.op
 
     # Leaves.
@@ -54,9 +60,9 @@ def _eval_node(node: Term, env: Mapping[str, Value], walk) -> Value:
     if op == Op.BOOL_CONST:
         return bool(node.value)
     if op in (Op.BV_VAR, Op.BOOL_VAR):
-        if node.name not in env:
+        value = env.get(node.name, fill)
+        if value is None:
             raise EvaluationError(f"variable {node.name!r} is not bound in the assignment")
-        value = env[node.name]
         if op == Op.BV_VAR:
             return int(value) & _mask(node.width)
         return bool(value)

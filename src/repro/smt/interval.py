@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from .errors import EvaluationError
 from .evaluate import evaluate
-from .terms import Op, Term
+from .terms import Op, Term, intern_term
 
 
 @dataclass
@@ -70,10 +71,6 @@ def _conjuncts(term: Term) -> List[Term]:
     return [term]
 
 
-def _term_key(term: Term) -> str:
-    return term.to_sexpr(max_depth=64)
-
-
 def quick_check(constraint: Term) -> QuickCheckOutcome:
     """Attempt to decide a constraint with interval reasoning alone.
 
@@ -87,8 +84,10 @@ def quick_check(constraint: Term) -> QuickCheckOutcome:
     if constraint.is_true():
         return QuickCheckOutcome(QuickCheckResult.SAT, model={})
 
-    intervals: Dict[str, Interval] = {}
-    subjects: Dict[str, Term] = {}
+    # Keyed by interned uid: structurally equal subjects share one interval,
+    # distinct ones never do.
+    intervals: Dict[int, Interval] = {}
+    subjects: Dict[int, Term] = {}
     all_understood = True
 
     for conjunct in _conjuncts(constraint):
@@ -100,7 +99,8 @@ def quick_check(constraint: Term) -> QuickCheckOutcome:
         if interval.is_empty():
             return QuickCheckOutcome(
                 QuickCheckResult.UNSAT,
-                reason=f"interval for {key} is empty ([{interval.lo}, {interval.hi}]"
+                reason=f"interval for {subjects[key].to_sexpr(max_depth=64)} is empty"
+                f" ([{interval.lo}, {interval.hi}]"
                 f" minus {len(interval.excluded)} exclusions)",
             )
 
@@ -115,14 +115,17 @@ def quick_check(constraint: Term) -> QuickCheckOutcome:
             return QuickCheckOutcome(QuickCheckResult.UNKNOWN)
         value = intervals[key].pick()
         if value is None:
-            return QuickCheckOutcome(QuickCheckResult.UNSAT, reason=f"no value left for {key}")
+            return QuickCheckOutcome(
+                QuickCheckResult.UNSAT,
+                reason=f"no value left for {subject.to_sexpr(max_depth=64)}",
+            )
         model[subject.name] = value  # type: ignore[index]
     # Confirm the model against the original constraint (defensive: interval
     # reasoning over independent variables cannot interact, but evaluation is cheap).
     try:
         if evaluate(constraint, model):
             return QuickCheckOutcome(QuickCheckResult.SAT, model=model)
-    except Exception:  # pragma: no cover - defensive
+    except EvaluationError:  # pragma: no cover - defensive
         pass
     return QuickCheckOutcome(QuickCheckResult.UNKNOWN)
 
@@ -140,7 +143,7 @@ def _comparison_parts(conjunct: Term) -> Optional[Tuple[str, Term, int, bool]]:
 
 
 def _apply_conjunct(
-    conjunct: Term, intervals: Dict[str, Interval], subjects: Dict[str, Term]
+    conjunct: Term, intervals: Dict[int, Interval], subjects: Dict[int, Term]
 ) -> bool:
     """Fold one conjunct into the interval map.  Returns True if understood."""
     negated = False
@@ -155,7 +158,7 @@ def _apply_conjunct(
     if not subject.is_bitvec():
         return False
 
-    key = _term_key(subject)
+    key = intern_term(subject).uid
     interval = intervals.get(key)
     if interval is None:
         interval = Interval(0, (1 << subject.width) - 1)

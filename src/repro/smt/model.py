@@ -14,10 +14,21 @@ class Model:
     Variables that do not appear in the assignment are treated as zero /
     false when evaluating terms: the solver only records variables that
     were relevant to the query, and any value works for the others.
+    ``fill=-1`` makes them read as all ones / true instead (the query
+    cache's second canned probe).
+
+    A model is immutable and term uids are never reused, so
+    :meth:`satisfies` memoises its verdict per term ``uid`` for the
+    model's lifetime.  Uids are process-local: a model must not carry its
+    memo into another process.
     """
 
-    def __init__(self, assignment: Mapping[str, Value] | None = None) -> None:
+    def __init__(
+        self, assignment: Mapping[str, Value] | None = None, *, fill: Value = 0
+    ) -> None:
         self._assignment: Dict[str, Value] = dict(assignment or {})
+        self._fill = fill
+        self._verdicts: Dict[int, bool] = {}
 
     def __getitem__(self, name: str) -> Value:
         return self._assignment[name]
@@ -41,19 +52,15 @@ class Model:
         return dict(self._assignment)
 
     def evaluate(self, term: Term) -> Value:
-        """Evaluate a term under this model (unbound variables default to 0/False)."""
-        names = term.free_variables()
-        env: Dict[str, Value] = {}
-        for name, var in names.items():
-            if name in self._assignment:
-                env[name] = self._assignment[name]
-            else:
-                env[name] = False if var.is_bool() else 0
-        return evaluate(term, env)
+        """Evaluate a term under this model (unbound variables read as the fill)."""
+        return evaluate(term, self._assignment, self._fill)
 
     def satisfies(self, term: Term) -> bool:
         """True if the boolean term evaluates to true under this model."""
-        return bool(self.evaluate(term))
+        verdict = self._verdicts.get(term.uid)
+        if verdict is None:
+            verdict = self._verdicts[term.uid] = bool(self.evaluate(term))
+        return verdict
 
     def __repr__(self) -> str:
         entries = ", ".join(f"{k}={v}" for k, v in sorted(self._assignment.items()))

@@ -53,6 +53,7 @@ from typing import (
 from ..obs.slowlog import slice_context
 from ..obs.stats import StatisticsMixin
 from ..obs.trace import tracer
+from .evaluate import Value
 from .interval import QuickCheckResult, quick_check
 from .model import Model
 from .slicing import Slice, arena_order, partition
@@ -175,12 +176,22 @@ def _restrict(model: Optional[Model], variables: FrozenSet[str]) -> Optional[Mod
     slices' global models may disagree outside their own variables.
     Variables the source model leaves unbound are materialized as 0 —
     the same default :meth:`Model.evaluate` applies, so the projected
-    model satisfies exactly what the source did.
+    model satisfies exactly what the source did.  (The all-ones probe
+    reads them as all ones; :func:`_all_ones` builds its witness.)
     """
     if model is None:
         return None
     data = model.as_dict()
     return Model({name: data.get(name, 0) for name in sorted(variables)})
+
+
+def _all_ones(query_slice: Slice) -> Model:
+    """The all-ones probe's witness over exactly a slice's variables (sorted, total)."""
+    ones: Dict[str, Value] = {}
+    for term in query_slice.terms:
+        for name, var in term.free_variables().items():
+            ones[name] = var.sort.mask if var.is_bitvec() else True  # type: ignore[attr-defined]
+    return Model(dict(sorted(ones.items())))
 
 
 @dataclass
@@ -212,6 +223,11 @@ class QueryCache:
         self._sat_by_uid: Dict[int, List[_Entry]] = {}
         self._cores_by_uid: Dict[int, List[FrozenSet[int]]] = {}
         self._models: Deque[Tuple[Model, FrozenSet[str]]] = deque(maxlen=self.model_pool)
+        # The two canned probes live as long as the cache (an L1 reset
+        # drops them with the rest), so their per-term verdict memos
+        # carry across slices.
+        self._zeros = Model()
+        self._ones = Model(fill=-1)
 
     # -- querying ------------------------------------------------------------------
 
@@ -315,7 +331,10 @@ class QueryCache:
                 self.statistics.model_reuse_hits += 1
                 if trace.enabled:
                     trace.event("qcache.hit", "qcache", tier="model_reuse")
-                restricted = _restrict(model, query_slice.variables)
+                if model is self._ones:
+                    restricted = _all_ones(query_slice)
+                else:
+                    restricted = _restrict(model, query_slice.variables)
                 self._install(query_slice, SAT, restricted)
                 return SAT, restricted
 
@@ -348,12 +367,8 @@ class QueryCache:
 
     def _candidate_models(self, query_slice: Slice):
         """Witness candidates for a slice, cheapest-to-likeliest first."""
-        yield Model({})  # every variable 0/False
-        ones: Dict[str, object] = {}
-        for term in query_slice.terms:
-            for name, var in term.free_variables().items():
-                ones[name] = var.sort.mask if var.is_bitvec() else True  # type: ignore[attr-defined]
-        yield Model(ones)  # type: ignore[arg-type]
+        yield self._zeros  # every variable 0/False
+        yield self._ones  # every variable all ones/True
         for model, model_vars in reversed(self._models):
             if model_vars & query_slice.variables:
                 yield model

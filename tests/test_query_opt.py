@@ -1,6 +1,7 @@
 """Tests for the query-optimization layer: slicing, the tiered query cache,
 its persistent L3 store, and the fleet-level wiring."""
 
+import gc
 import random
 
 import pytest
@@ -13,7 +14,10 @@ from repro.smt import (
     Bool,
     CheckResult,
     Eq,
+    Extract,
+    Model,
     Not,
+    Or,
     QueryCache,
     Solver,
     SolverContext,
@@ -173,6 +177,94 @@ class TestQueryCacheTiers:
         assert model is not None
         for term in constraints:
             assert model.satisfies(term)
+
+
+class _FreshModelsCache(QueryCache):
+    """Builds both probes and a copy of every pool model anew for each slice,
+    so no verdict memo outlives the slice it was computed for."""
+
+    def _candidate_models(self, query_slice):
+        yield Model({})
+        ones = {}
+        for term in query_slice.terms:
+            for name, var in term.free_variables().items():
+                ones[name] = var.sort.mask if var.is_bitvec() else True
+        yield Model(ones)
+        for model, model_vars in reversed(self._models):
+            if model_vars & query_slice.variables:
+                yield Model(model.as_dict())
+
+
+def _certify_fleet_six(monkeypatch, cache_class):
+    """Certify fleet_catalog(6) on one worker through ``cache_class``; returns
+    verdicts, counterexample packets and the summed tier counters."""
+    from repro.orchestrator import certify_fleet
+    from repro.smt import qcache
+    from repro.verify import CrashFreedom, destination_reachability
+    from repro.workloads import fleet_catalog
+
+    caches = []
+
+    def build(*args, **kwargs):
+        caches.append(cache_class(*args, **kwargs))
+        return caches[-1]
+
+    monkeypatch.setattr(qcache, "QueryCache", build)
+    report = certify_fleet(
+        fleet_catalog(6),
+        [CrashFreedom(), destination_reachability(0x0A000001)],
+        input_lengths=(24,),
+        workers=1,
+    )
+    monkeypatch.undo()
+    packets = [
+        (cert.pipeline_name, result.property_name, [c.packet for c in result.counterexamples])
+        for cert in report.certifications
+        for result in cert.results
+    ]
+    tiers = {
+        tier: sum(getattr(cache.statistics, tier) for cache in caches)
+        for tier in ("exact_hits", "model_reuse_hits", "superset_sat_hits", "unsat_core_hits",
+                     "l3_hits", "solved")
+    }
+    return report.verdicts(), packets, tiers
+
+
+class TestPersistentProbes:
+    def test_all_ones_witness_covers_exactly_the_slice_variables(self):
+        x, y, p = BitVec("x", 16), BitVec("y", 8), Bool("p")
+        terms = [
+            smt.simplify(term)
+            for term in (UGT(x, 60000), Eq(Extract(7, 0, x), y), Or(p, ULT(y, 3)))
+        ]
+
+        def unreachable(_terms):
+            raise AssertionError("the all-ones probe answers this slice")
+
+        cache = QueryCache()
+        status, model = cache.check(terms, unreachable)
+        assert status == SAT
+        assert cache.statistics.model_reuse_hits == 1
+        assert model.as_dict() == {"p": True, "x": 0xFFFF, "y": 0xFF}
+        assert list(model) == ["p", "x", "y"]
+
+    def test_fleet_matches_fresh_models_per_slice(self, monkeypatch):
+        # Simplified terms reference themselves, so they die only in a cyclic
+        # collection, and one built again afterwards gets a new uid.
+        # Collections follow allocation, which the two caches do
+        # differently.  With collection off no term dies, every term keeps
+        # one uid across both runs, and the runs must agree exactly.
+        gc.collect()
+        gc.disable()
+        try:
+            memoised = _certify_fleet_six(monkeypatch, QueryCache)
+            fresh = _certify_fleet_six(monkeypatch, _FreshModelsCache)
+        finally:
+            gc.enable()
+        assert memoised[0] == fresh[0]
+        assert memoised[1] == fresh[1]
+        assert memoised[2] == fresh[2]
+        assert memoised[2]["model_reuse_hits"] > 0
 
 
 class TestQueryStoreL3:

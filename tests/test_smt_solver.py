@@ -14,7 +14,11 @@ from repro.smt import (
     Bool,
     CheckResult,
     Eq,
+    EvaluationError,
+    If,
+    Iff,
     Implies,
+    Model,
     Not,
     Or,
     Solver,
@@ -28,6 +32,7 @@ from repro.smt import SLE, SLT
 from repro.smt.cnf import CNFBuilder
 from repro.smt.errors import SolverError
 from repro.smt.interval import QuickCheckResult, quick_check
+from repro.smt.terms import Op, mk_and, mk_bv_unop, mk_eq
 from repro.smt.sat import SATSolver, SatResult, luby, solve_clauses
 
 
@@ -301,6 +306,17 @@ class TestQuickCheck:
         excluded = quick_check(And(Not(Eq(b, BitVecVal(0, 1))), Not(Eq(b, BitVecVal(1, 1)))))
         assert excluded.status == QuickCheckResult.UNSAT
 
+    def test_deep_subjects_over_distinct_variables_do_not_alias(self):
+        # Two 70-deep bvnot chains render alike once cut at depth 64; keyed
+        # by uid they stay two pseudo-variables with their own intervals.
+        deep_a, deep_b = BitVec("a", 8), BitVec("b", 8)
+        for _ in range(70):
+            deep_a = mk_bv_unop(Op.BV_NOT, deep_a)
+            deep_b = mk_bv_unop(Op.BV_NOT, deep_b)
+        formula = mk_and(mk_eq(deep_a, BitVecVal(1, 8)), mk_eq(deep_b, BitVecVal(2, 8)))
+        assert evaluate(formula, {"a": 1, "b": 2}) is True  # satisfiable
+        assert quick_check(formula).status == QuickCheckResult.UNKNOWN
+
 
 @st.composite
 def bitvector_formula(draw):
@@ -356,3 +372,68 @@ class TestSolverAgainstEvaluation:
     def test_simplify_preserves_truth(self, formula, x_value, y_value):
         env = {"x": x_value, "y": y_value}
         assert evaluate(formula, env) == evaluate(smt.simplify(formula), env)
+
+
+@st.composite
+def mixed_formula(draw):
+    """``bitvector_formula`` joined with the boolean variables ``p`` and ``q``."""
+    p, q = Bool("p"), Bool("q")
+    formula = draw(bitvector_formula())
+    atom = draw(st.sampled_from([p, q, Not(p)]))
+    connective = draw(st.sampled_from(["and", "or", "implies", "iff", "ite"]))
+    if connective == "ite":
+        return If(atom, formula, q)
+    return {"and": And, "or": Or, "implies": Implies, "iff": Iff}[connective](atom, formula)
+
+
+partial_assignment = st.fixed_dictionaries(
+    {},
+    optional={
+        "x": st.integers(0, 255),
+        "y": st.integers(0, 255),
+        "p": st.booleans(),
+        "q": st.booleans(),
+    },
+)
+
+
+def reference_evaluate(term, assignment):
+    """Model evaluation without memoisation or fill: collect the free
+    variables, bind the unassigned ones to 0/False explicitly, evaluate."""
+    env = {}
+    for name, var in term.free_variables().items():
+        if name in assignment:
+            env[name] = assignment[name]
+        else:
+            env[name] = False if var.is_bool() else 0
+    return evaluate(term, env)
+
+
+class TestModelEvaluationAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_formula(), partial_assignment, partial_assignment)
+    def test_memoised_verdicts_match_reference(self, formula, first, second):
+        model, other = Model(first), Model(second)
+        expected = reference_evaluate(formula, first)
+        assert model.evaluate(formula) == expected
+        assert model.satisfies(formula) is bool(expected)
+        assert model.satisfies(formula) is bool(expected)  # memo hit
+        # Another model asked the same term answers from its own assignment.
+        assert other.satisfies(formula) is bool(reference_evaluate(formula, second))
+        assert model.satisfies(formula) is bool(expected)
+        # Without a fill, an unbound variable is still an error (replay needs it).
+        with pytest.raises(EvaluationError):
+            evaluate(formula, {})
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_formula())
+    def test_all_ones_probe_matches_mask_environment(self, formula):
+        ones = {
+            name: var.sort.mask if var.is_bitvec() else True
+            for name, var in formula.free_variables().items()
+        }
+        probe = Model(fill=-1)
+        expected = reference_evaluate(formula, ones)
+        assert probe.evaluate(formula) == expected
+        assert probe.satisfies(formula) is bool(expected)
+        assert probe.satisfies(formula) is bool(expected)  # memo hit
