@@ -333,8 +333,10 @@ class SqliteBackend:
     ``shard`` switches the backend into its worker view: reads come from
     the main database, writes land in ``shards/<shard>.sqlite`` for the
     parent's :meth:`merge_shards` to fold in after the pool joins.  The
-    connection is process-private; a backend inherited through ``fork``
-    transparently reopens on first use in the child.
+    shard file is created on the view's first write, so a view that only
+    reads leaves nothing to merge.  The connection is process-private; a
+    backend inherited through ``fork`` transparently reopens on first use
+    in the child.
     """
 
     name = SQLITE_BACKEND
@@ -388,14 +390,19 @@ class SqliteBackend:
             self._quarantine_database()
             self._read_conn = self._connect(self.path)
             self._initialize(self._read_conn)
-        if self.shard is None:
-            self._write_conn = self._read_conn
-        else:
+        # A shard view opens its shard in _writer, on its first write.
+        self._write_conn = self._read_conn if self.shard is None else None
+
+    def _writer(self) -> sqlite3.Connection:
+        """The write connection, creating a shard view's shard on first use."""
+        self._ensure_process()
+        if self._write_conn is None:
             shard_path = self.shard_path
             assert shard_path is not None
             shard_path.parent.mkdir(parents=True, exist_ok=True)
             self._write_conn = self._connect(shard_path)
             self._initialize(self._write_conn)
+        return self._write_conn
 
     def _initialize(self, connection: sqlite3.Connection) -> None:
         for statement in _SCHEMA_STATEMENTS:
@@ -561,11 +568,10 @@ class SqliteBackend:
 
     def write_many(self, rows: Iterable[Tuple[str, str, float]]) -> int:
         """Bulk insert ``(digest, text, mtime)`` rows in one batch."""
-        self._ensure_process()
-        assert self._write_conn is not None
+        connection = self._writer()
         materialized = list(rows)
         self._retry(
-            lambda: self._write_conn.executemany(
+            lambda: connection.executemany(
                 "INSERT OR REPLACE INTO entries (digest, payload, mtime) VALUES (?, ?, ?)",
                 materialized,
             )
@@ -621,12 +627,9 @@ class SqliteBackend:
         """
         self._pending.pop(digest, None)
         self._touched.pop(digest, None)
-        self._ensure_process()
-        assert self._write_conn is not None
+        connection = self._writer()
         self._retry(
-            lambda: self._write_conn.execute(
-                "DELETE FROM entries WHERE digest=?", (digest,)
-            )
+            lambda: connection.execute("DELETE FROM entries WHERE digest=?", (digest,))
         )
 
     def contains(self, digest: str) -> bool:
@@ -668,15 +671,14 @@ class SqliteBackend:
     def clear(self) -> int:
         self._pending.clear()
         self._touched.clear()
-        self._ensure_process()
-        assert self._write_conn is not None
+        connection = self._writer()
         removed = self.count()
-        self._retry(lambda: self._write_conn.execute("DELETE FROM entries"))
+        self._retry(lambda: connection.execute("DELETE FROM entries"))
         return removed
 
     def gc(self, older_than_seconds: Optional[float] = None) -> GcResult:
         self.flush()
-        assert self._write_conn is not None
+        connection = self._writer()
         result = GcResult()
         now = wall_clock()
         for path in self.root.glob(f"*{QUARANTINE_SUFFIX}"):
@@ -695,7 +697,7 @@ class SqliteBackend:
         if older_than_seconds is not None:
             horizon = now - older_than_seconds
             freed = self._retry(
-                lambda: self._write_conn.execute(
+                lambda: connection.execute(
                     "SELECT COUNT(*), COALESCE(SUM(LENGTH(payload)), 0) "
                     "FROM entries WHERE mtime < ?",
                     (horizon,),
@@ -704,15 +706,13 @@ class SqliteBackend:
             result.removed_entries = freed[0]
             result.bytes_freed += freed[1]
             self._retry(
-                lambda: self._write_conn.execute(
-                    "DELETE FROM entries WHERE mtime < ?", (horizon,)
-                )
+                lambda: connection.execute("DELETE FROM entries WHERE mtime < ?", (horizon,))
             )
         result.kept_entries = self.count()
         if result.removed_entries:
             # Return the space to the filesystem; safe here because gc is
             # an explicit maintenance call, not a hot-path operation.
-            self._retry(lambda: self._write_conn.execute("VACUUM"))
+            self._retry(lambda: connection.execute("VACUUM"))
         return result
 
     # -- metrics ---------------------------------------------------------------------
@@ -741,13 +741,12 @@ class SqliteBackend:
         increments — strictly better than the JSON sidecar's
         last-writer-wins.
         """
-        self._ensure_process()
-        assert self._write_conn is not None
+        connection = self._writer()
 
         def _transact() -> dict:
-            self._write_conn.execute("BEGIN IMMEDIATE")
+            connection.execute("BEGIN IMMEDIATE")
             try:
-                row = self._write_conn.execute(
+                row = connection.execute(
                     "SELECT value FROM meta WHERE key='metrics'"
                 ).fetchone()
                 try:
@@ -757,14 +756,14 @@ class SqliteBackend:
                 if not isinstance(totals, dict):
                     totals = {}
                 totals = _fold_metrics(totals, counters)
-                self._write_conn.execute(
+                connection.execute(
                     "INSERT OR REPLACE INTO meta (key, value) VALUES ('metrics', ?)",
                     (json.dumps(totals, sort_keys=True),),
                 )
-                self._write_conn.execute("COMMIT")
+                connection.execute("COMMIT")
                 return totals
             except BaseException:
-                self._write_conn.execute("ROLLBACK")
+                connection.execute("ROLLBACK")
                 raise
 
         return self._retry(_transact)
@@ -775,11 +774,11 @@ class SqliteBackend:
         """Push buffered writes and mtime touches in two batched statements."""
         self._ensure_process()
         if self._pending:
-            assert self._write_conn is not None
+            connection = self._writer()
             now = wall_clock()
             rows = [(digest, text, now) for digest, text in self._pending.items()]
             self._retry(
-                lambda: self._write_conn.executemany(
+                lambda: connection.executemany(
                     "INSERT OR REPLACE INTO entries (digest, payload, mtime) "
                     "VALUES (?, ?, ?)",
                     rows,
@@ -790,10 +789,10 @@ class SqliteBackend:
             # Touch refreshes only make sense against the main database
             # (a shard view's reads came from main, which it must not
             # write); shard-view touches are simply dropped.
-            assert self._write_conn is not None
+            connection = self._writer()
             rows = [(mtime, digest) for digest, mtime in self._touched.items()]
             self._retry(
-                lambda: self._write_conn.executemany(
+                lambda: connection.executemany(
                     "UPDATE entries SET mtime=? WHERE digest=?", rows
                 )
             )

@@ -46,8 +46,10 @@ from ..verify.report import InstructionBoundResult, VerificationResult
 from .errors import OrchestratorError
 from .scheduler import SchedulerStatistics, run_scheduled
 from .store import QueryStore, SummaryStore
-from .verdicts import VerdictStore, element_slots, verdict_key
+from .verdicts import VerdictStore, element_slots, property_set_fingerprint, verdict_key
 from .workers import (
+    MemoSummaryCache,
+    PoolRun,
     drain_observability,
     merge_query_entries,
     worker_query_cache,
@@ -274,43 +276,39 @@ def _certify_one(
     return certification
 
 
-def _certify_worker(payload) -> Tuple[PipelineCertification, int, int, list, dict]:
-    """Per-pipeline Step-2 task: certify one pipeline from the shared store.
+def _certify_worker(
+    index: int, run: PoolRun
+) -> Tuple[PipelineCertification, int, int, list, dict]:
+    """Per-pipeline Step-2 task: certify ``run.pipelines[index]`` from the shared store.
 
-    The query cache is opened read-only (see
+    Returns (certification, summaries the task computed itself, summaries
+    it loaded from the store, new query-cache entries, drained
+    observability extras).  Summaries this worker already decoded for an
+    earlier task come from its memo instead of the store (see
+    :class:`repro.orchestrator.workers.MemoSummaryCache`).  The query
+    cache is opened read-only (see
     :func:`repro.orchestrator.workers.worker_query_cache`); newly solved
-    slice entries ride back with the result for the parent to merge, and
-    observability output (spans, slow-solve records, query-tier counters)
-    travels the same way as a fifth tuple member.
+    slice entries ride back with the result for the parent to merge.
     """
-    (
-        pipeline,
-        properties,
-        input_lengths,
-        options,
-        store_root,
-        max_counterexamples,
-        confirm_by_replay,
-        with_instruction_bound,
-    ) = payload
+    options = run.options
     if options.trace:
         enable()
     query_cache = worker_query_cache(options)
-    store = worker_summary_store(store_root)
-    cache = SummaryCache(options, store=store, query_cache=query_cache)
+    store = worker_summary_store(run.store_root)
+    cache = MemoSummaryCache(options, store, query_cache, run.decoded)
     try:
         certification = _certify_one(
-            pipeline,
-            properties,
-            input_lengths,
+            run.pipelines[index],
+            run.properties,
+            run.input_lengths,
             cache,
-            max_counterexamples,
-            confirm_by_replay,
-            with_instruction_bound,
+            run.max_counterexamples,
+            run.confirm_by_replay,
+            run.instruction_bounds,
         )
     finally:
         if store is not None:
-            # Push worker-side miss writes into this worker's shard before
+            # Push worker-side miss writes into this task's shard before
             # the pool can recycle the process (see _summarize_worker).
             store.close()
     return (
@@ -456,6 +454,7 @@ def _certify_fleet(
     record_keys: List[Optional[str]] = [None] * len(pipelines)
     if verdict_store is not None:
         include_tables = options.static_table_mode == StaticTableMode.CONCRETE
+        property_set = property_set_fingerprint(properties)
         for index, pipeline in enumerate(pipelines):
             record_keys[index] = verdict_key(
                 pipeline_fingerprint(pipeline, include_static_tables=include_tables),
@@ -466,6 +465,7 @@ def _certify_fleet(
                 confirm_by_replay,
                 instruction_bounds,
                 slots=element_slots(pipeline, properties),
+                property_set=property_set,
             )
         # One bulk read instead of a round trip per pipeline: on the
         # batched backend a warm fleet lookup is a handful of chunked
@@ -496,6 +496,20 @@ def _certify_fleet(
         ephemeral = tempfile.TemporaryDirectory(prefix="repro-fleet-store-")
         store = SummaryStore(ephemeral.name)
 
+    #: Which catalog index's record each key holds.  Identical pipelines
+    #: share a key, and the later one in catalog order keeps it, in
+    #: whatever order the pool reports their results.
+    recorded: Dict[str, int] = {}
+
+    def _record(index: int, certification: PipelineCertification) -> None:
+        certification.provenance = FRESH
+        key = record_keys[index]
+        if verdict_store is None or key is None or recorded.get(key, -1) > index:
+            return
+        # Unknown verdicts are never recorded (see VerdictStore.save_record).
+        if verdict_store.save_record(key, certification):
+            recorded[key] = index
+
     fresh_certifications: List[PipelineCertification] = []
     # Fleet-wide per-tier query-cache counters: the in-process loop reads
     # them off the shared cache, the scheduler folds in what each task
@@ -506,7 +520,8 @@ def _certify_fleet(
             assert store is not None
             # The persistent scheduler: one pool, Step-2 verification
             # overlapping Step-1 symbex, shards merged incrementally as
-            # each task's result arrives.
+            # each task's result arrives, and each verdict record written
+            # as its pipeline's result lands.
             scheduled = run_scheduled(
                 fresh_pipelines,
                 properties,
@@ -519,6 +534,9 @@ def _certify_fleet(
                 instruction_bounds=instruction_bounds,
                 risk_history=risk_history,
                 qstats=fleet_qstats,
+                on_verified=lambda position, certification: _record(
+                    fresh_indices[position], certification
+                ),
             )
             report.scheduler = scheduled.statistics
             report.statistics.distinct_summary_jobs = len(scheduled.summaries)
@@ -564,16 +582,13 @@ def _certify_fleet(
             report.statistics.store_hits = cache.statistics.l2_hits
             if cache.query_cache is not None:
                 fleet_qstats.merge(cache.query_cache.statistics)
+            for index, certification in zip(fresh_indices, fresh_certifications):
+                _record(index, certification)
     finally:
         if ephemeral is not None:
             ephemeral.cleanup()
 
-    for index, certification in zip(fresh_indices, fresh_certifications):
-        certification.provenance = FRESH
-        merged[index] = certification
-        if verdict_store is not None and record_keys[index] is not None:
-            # Unknown verdicts are never recorded (see VerdictStore.save_record).
-            verdict_store.save_record(record_keys[index], certification)
+    merged.update(zip(fresh_indices, fresh_certifications))
     report.certifications = [merged[index] for index in range(len(pipelines))]
 
     for certification in report.certifications:

@@ -371,8 +371,10 @@ def recertify(
     if history is not None:
         # Fold this run back into the history the next run ranks with.
         history.record(manifest, report.verdicts())
+    # Manifests reject duplicate names, so the index is one impact per name.
+    impacts = {entry.name: entry for entry in impact.pipelines} if impact else {}
     for certification in report.certifications:
-        pipeline_impact = impact.by_name(certification.pipeline_name) if impact else None
+        pipeline_impact = impacts.get(certification.pipeline_name)
         if certification.reused:
             certification.impact_causes = (
                 list(pipeline_impact.causes) if pipeline_impact else ["unchanged configuration"]

@@ -14,6 +14,13 @@ wider to :func:`run_scheduled`, a job graph over one long-lived pool:
   the full priority heap, so priorities are honored exactly), with
   crashed-worker detection: a task whose process dies is re-queued under
   a fresh attempt tag and a replacement worker is forked.
+* **Lean tasks** — the run's constants (catalog, properties, options,
+  store root, …) travel once per worker as a
+  :class:`~repro.orchestrator.workers.PoolRun`, so a Step-2 task ships
+  only its catalog index, and each worker decodes each stored summary
+  once for the life of the pool.  Each Step-2 result is handed to the
+  caller's ``on_verified`` hook as it lands (the fleet layer writes its
+  verdict record there), once every idle worker has been refilled.
 * **Incremental shard merge** — each task writes its store entries into a
   private per-attempt shard (``t<id>a<attempt>``) and flushes it before
   reporting, so the parent folds that one shard into the main store the
@@ -37,7 +44,7 @@ import heapq
 import os
 import queue as queue_module
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..dataplane.element import Element
 from ..dataplane.pipeline import Pipeline
@@ -52,6 +59,7 @@ from .store import SummaryStore
 from .workers import (
     EXPLODED,
     LOADED,
+    PoolRun,
     _pool_context,
     _summarize_worker,
     job_digest,
@@ -90,9 +98,11 @@ class SchedulerStatistics(StatisticsMixin):
     tasks_retried: int = 0
     #: Incremental per-task shard merges performed on result arrival.
     incremental_merges: int = 0
-    #: Summaries Step-2 tasks loaded from the store to rehydrate their
-    #: fresh per-task caches: transport, not avoided work (an in-process
-    #: run reads its shared cache instead).
+    #: Summaries Step-2 tasks read and decoded from the store: transport,
+    #: not avoided work (an in-process run reads its shared cache
+    #: instead).  Each worker memoises what it loads for the life of the
+    #: pool, so this is at most workers x distinct digests; a memo hit
+    #: counts as an L1 hit of the task's cache, not as a load.
     step2_store_loads: int = 0
     max_queue_depth: int = 0
     #: Child-measured task execution time, summed across workers.
@@ -276,10 +286,13 @@ class _Task:
         return f"t{self.task_id}a{self.attempt}"
 
 
-def _pool_worker_loop(tasks, results) -> None:
+def _pool_worker_loop(tasks, results, run: PoolRun) -> None:
     """Worker body: run tasks until the ``None`` sentinel arrives.
 
-    Each task runs under its per-attempt shard tag and reports
+    ``run`` holds the run's constants; a task marked ``with_run`` (a
+    Step-2 task, whose payload is a catalog index) receives it as a
+    second argument, while a Step-1 payload carries its own job.  Each
+    task runs under its per-attempt shard tag and reports
     ``(pid, task_id, shard_tag, ok, started, ended, payload)``; the
     shard tag travels back so the parent merges exactly the shard this
     attempt flushed, even if the task was retried meanwhile.  Failures
@@ -290,11 +303,11 @@ def _pool_worker_loop(tasks, results) -> None:
         item = tasks.get()
         if item is None:
             break
-        task_id, shard_tag, fn, payload = item
+        task_id, shard_tag, fn, payload, with_run = item
         set_worker_shard_tag(shard_tag)
         started = clock()
         try:
-            result = fn(payload)
+            result = fn(payload, run) if with_run else fn(payload)
         except BaseException as exc:  # noqa: BLE001 - shipped as data, see docstring
             results.put(
                 (pid, task_id, shard_tag, False, started, clock(),
@@ -327,10 +340,12 @@ class PersistentPool:
     worker that dies mid-task is detected on the next poll: its task is
     surfaced as a ``("crashed", task)`` event for the driver to re-queue,
     and a replacement process is forked so capacity never decays.
+    ``run`` is handed to every worker at start, replacements included.
     """
 
-    def __init__(self, workers: int, statistics: SchedulerStatistics) -> None:
+    def __init__(self, workers: int, statistics: SchedulerStatistics, run: PoolRun) -> None:
         self.statistics = statistics
+        self._run = run
         self._context = _pool_context()
         self._results = self._context.Queue()
         self._workers: List[_WorkerHandle] = []
@@ -345,7 +360,7 @@ class PersistentPool:
     def _spawn(self) -> _WorkerHandle:
         tasks = self._context.Queue()
         process = self._context.Process(
-            target=_pool_worker_loop, args=(tasks, self._results), daemon=True
+            target=_pool_worker_loop, args=(tasks, self._results, self._run), daemon=True
         )
         process.start()
         handle = _WorkerHandle(process, tasks)
@@ -381,7 +396,9 @@ class PersistentPool:
         handle.current = task
         self._in_flight[task.task_id] = task
         self.statistics.tasks_dispatched += 1
-        handle.tasks.put((task.task_id, task.shard_tag, task.fn, task.payload))
+        handle.tasks.put(
+            (task.task_id, task.shard_tag, task.fn, task.payload, task.kind == VERIFY)
+        )
 
     def _reap_crashed(self) -> Optional[_Task]:
         """Find one dead worker; respawn it and surface its lost task (if any)."""
@@ -504,6 +521,7 @@ def run_scheduled(
     qstats: Optional[QueryCacheStatistics] = None,
     summary_worker: Optional[Callable] = None,
     verify_worker: Optional[Callable] = None,
+    on_verified: Optional[Callable[[int, Any], None]] = None,
 ) -> ScheduledRun:
     """Drive the whole catalog through one persistent pool.
 
@@ -511,7 +529,13 @@ def run_scheduled(
     the scheduler itself, exposed so tests and benches can run it with a
     worker count the fleet layer's cpu clamp would refuse.  ``summary_worker``
     and ``verify_worker`` override the task callables (module-level,
-    picklable) — the crash tests inject a self-killing wrapper this way.
+    picklable; a verify callable takes ``(index, run)``) — the crash
+    tests inject a self-killing wrapper this way.
+
+    ``on_verified(index, certification)`` is called once per pipeline as
+    its Step-2 result lands, after every idle worker has been refilled
+    and before the driver blocks on the next event, so work done there
+    (the fleet layer's verdict-record writes) never starves the pool.
 
     Priority: tasks carry ``(rank, stage, seq)`` keys — a summary job
     inherits the best rank among the pipelines waiting on it at admission
@@ -532,6 +556,16 @@ def run_scheduled(
     depth_gauge = registry.gauge("scheduler.queue_depth")
     idle_gauge = registry.gauge("scheduler.worker_idle_ms")
     store_root = str(store.root)
+    constants = PoolRun(
+        pipelines=list(pipelines),
+        properties=list(properties),
+        input_lengths=tuple(input_lengths),
+        options=options,
+        store_root=store_root,
+        max_counterexamples=max_counterexamples,
+        confirm_by_replay=confirm_by_replay,
+        instruction_bounds=instruction_bounds,
+    )
 
     heap: List[Tuple[Tuple, int, _Task]] = []
     #: Summary tasks still queued, by digest — late joiners re-prioritize
@@ -539,6 +573,8 @@ def run_scheduled(
     #: style: an entry is live only while its key equals task.priority).
     pending_summaries: Dict[str, _Task] = {}
     dispatched_ids: Set[int] = set()
+    #: Verified catalog indices not yet handed to ``on_verified``.
+    landed: List[int] = []
     queued = 0
     seq = 0
     task_ids = iter(range(1, 1 << 30))
@@ -597,16 +633,7 @@ def run_scheduled(
                     kind=VERIFY,
                     key=index,
                     fn=verify_fn,
-                    payload=(
-                        pipelines[index],
-                        list(properties),
-                        tuple(input_lengths),
-                        options,
-                        store_root,
-                        max_counterexamples,
-                        confirm_by_replay,
-                        instruction_bounds,
-                    ),
+                    payload=index,
                     priority=(ranks[index], 1),
                     label=pipelines[index].name,
                 )
@@ -630,15 +657,22 @@ def run_scheduled(
         graph.resolve(task.key, summary)
 
     def _finish_verify(task: _Task, payload) -> None:
-        certification, misses, l2_hits, entries, extras = payload
+        certification, misses, store_loads, entries, extras = payload
         merge_observability(extras, qstats)
         run.query_entries.extend(entries)
-        stats.step2_store_loads += l2_hits
+        stats.step2_store_loads += store_loads
         run.step2[task.key] = (certification, misses)
         run.verify_order.append(task.key)
+        landed.append(task.key)
+
+    def _report_landed() -> None:
+        if on_verified is not None:
+            for index in landed:
+                on_verified(index, run.step2[index][0])
+        landed.clear()
 
     _admit()
-    with PersistentPool(workers, stats) as pool:
+    with PersistentPool(workers, stats, constants) as pool:
         while heap or pool.busy_count:
             while heap and pool.has_idle:
                 priority, _seq, task = heapq.heappop(heap)
@@ -653,6 +687,7 @@ def run_scheduled(
                     stats.verify_tasks += 1
                 pool.dispatch(task)
             depth_gauge.set(queued)
+            _report_landed()  # every idle worker is busy again: write now
             if not pool.busy_count:
                 if queued:  # pragma: no cover - every worker died and respawn failed
                     raise OrchestratorError("scheduler has queued tasks but no workers")
@@ -701,6 +736,7 @@ def run_scheduled(
             else:
                 _finish_verify(task, payload)
             _admit()
+    _report_landed()
     if not graph.settled or len(run.step2) != len(pipelines):  # pragma: no cover
         raise OrchestratorError("scheduler finished with unresolved work")
     run.summaries = graph.summaries

@@ -124,8 +124,8 @@ class Store:
     (see :func:`repro.orchestrator.backends.make_backend` for how the
     implementation is chosen).  ``shard`` opens the SQLite backend in its
     worker view — reads from the main database, writes to a private
-    ``shards/<shard>.sqlite`` that the parent folds in via
-    :meth:`merge_shards` after the pool joins.  The JSON backend ignores
+    ``shards/<shard>.sqlite`` (created on the first write) that the
+    parent folds in via :meth:`merge_shards`.  The JSON backend ignores
     ``shard``: its per-entry writes are already atomic in place.
     """
 

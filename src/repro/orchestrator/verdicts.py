@@ -148,6 +148,7 @@ def verdict_key(
     confirm_by_replay: bool,
     instruction_bounds: bool,
     slots: Optional[Dict[str, Optional[int]]] = None,
+    property_set: Optional[str] = None,
 ) -> str:
     """The store digest for one (pipeline configuration, verification request) pair.
 
@@ -164,12 +165,16 @@ def verdict_key(
     elements decides by name, so a rename can change its verdict.  When
     no property names an element the material, and so the key, is the
     same as without this field.
+
+    ``property_set`` is ``property_set_fingerprint(properties)``, for a
+    caller that keys many pipelines against one property set and hashes
+    it once.
     """
     material = "\x1f".join(
         (
             f"r{RECORD_VERSION}",
             pipeline_fingerprint,
-            property_set_fingerprint(properties),
+            property_set or property_set_fingerprint(properties),
             ",".join(str(length) for length in input_lengths),
             options.static_table_mode,
             f"prune={options.prune_infeasible_branches}",

@@ -10,8 +10,10 @@ workers:
   terms cannot cross process boundaries by pickling — see
   :mod:`repro.orchestrator.serialize`).
 * **Step-2 composition checks** — ``repro.orchestrator.fleet._certify_worker``
-  certifies one pipeline against every property, hydrating summaries
-  from the store.
+  certifies one pipeline against every property.  Its task carries only
+  the pipeline's catalog index: the rest of the request travels once per
+  worker as a :class:`PoolRun`, and a :class:`MemoSummaryCache` hydrates
+  summaries from the store, decoding each digest once per worker.
 
 Both open the stores the way a worker must (per-task store shards, a
 read-only query cache) and ship their observability output back with
@@ -23,14 +25,18 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dataplane.element import Element
+from ..dataplane.pipeline import Pipeline
 from ..obs.slowlog import slow_solve_log
 from ..obs.trace import enable, tracer
 from ..smt.qcache import QueryCache, QueryCacheStatistics, build_query_cache
 from ..symbex.engine import SymbexOptions, SymbolicEngine
 from ..symbex.errors import PathExplosionError
+from ..symbex.segment import ElementSummary
+from ..verify.cache import SummaryCache
 from .serialize import dumps_summary
 from .store import QueryStore, SummaryStore, summary_key
 
@@ -103,6 +109,69 @@ def worker_summary_store(store_root: Optional[str]) -> Optional[SummaryStore]:
     if store_root is None:
         return None
     return SummaryStore(store_root, shard=worker_shard_tag())
+
+
+@dataclass
+class PoolRun:
+    """The constants of one pooled run, handed to each worker process once.
+
+    :func:`repro.orchestrator.scheduler.run_scheduled` builds it before
+    the pool starts: fork children inherit it (a replacement forked after
+    a crash too), a spawn child unpickles it once.  A Step-2 task then
+    ships only its index into :attr:`pipelines`.
+
+    :attr:`decoded` is the one field a worker fills: its memo of the
+    summaries it loaded from the store, keyed by store digest (see
+    :class:`MemoSummaryCache`).  Each process holds its own copy, and the
+    parent never fills its own, so the memo lives exactly as long as its
+    worker and holds at most one entry per digest of the run.
+    """
+
+    pipelines: Sequence[Pipeline]
+    properties: Sequence
+    input_lengths: Tuple[int, ...]
+    options: SymbexOptions
+    store_root: Optional[str]
+    max_counterexamples: int = 3
+    confirm_by_replay: bool = True
+    instruction_bounds: bool = False
+    decoded: Dict[str, ElementSummary] = field(default_factory=dict)
+
+
+class MemoSummaryCache(SummaryCache):
+    """A Step-2 task's summary cache over its worker's decode memo.
+
+    Every task still starts a fresh L1 and query cache, so its counters
+    do not depend on which worker ran it.  Beneath L1 sits ``decoded``,
+    the worker's :attr:`PoolRun.decoded`: a digest found there enters L1
+    and counts as an L1 hit instead of being read and re-interned again,
+    and every real store load (an L2 hit) is added to it.  Only loaded
+    summaries go in.  A computed one carries runtime
+    ``sat_core_calls``/``qcache_hits``, which
+    :meth:`repro.verify.PipelineVerifier.verify` reports once per
+    process; reusing it in a later task would count that SAT work twice.
+    """
+
+    def __init__(
+        self,
+        options: SymbexOptions,
+        store: Optional[SummaryStore],
+        query_cache: Optional[QueryCache],
+        decoded: Dict[str, ElementSummary],
+    ) -> None:
+        super().__init__(options, store=store, query_cache=query_cache)
+        self.decoded = decoded
+
+    def summarize(self, element: Element, input_length: int) -> ElementSummary:
+        digest = summary_key(element, input_length, self.options)
+        decoded = self.decoded.get(digest)
+        if decoded is not None:
+            self.seed(element, input_length, decoded)  # the lookup below hits L1
+        loads = self.statistics.l2_hits
+        summary = super().summarize(element, input_length)
+        if self.statistics.l2_hits > loads:
+            self.decoded[digest] = summary
+        return summary
 
 
 def merge_query_entries(

@@ -427,7 +427,7 @@ class TestEngineAndFleetWiring:
 
         from repro.orchestrator.fleet import _certify_worker
         from repro.orchestrator.store import QueryStore
-        from repro.orchestrator.workers import merge_query_entries
+        from repro.orchestrator.workers import PoolRun, merge_query_entries
         from repro.symbex.engine import SymbexOptions
         from repro.verify import CrashFreedom
         from repro.workloads import fleet_catalog
@@ -435,18 +435,20 @@ class TestEngineAndFleetWiring:
         options = dataclasses.replace(
             SymbexOptions(), query_cache_dir=str(tmp_path / "queries")
         )
-        payload = (
-            fleet_catalog(1)[0], [CrashFreedom()], (24,), options,
-            str(tmp_path / "summaries"), 3, True, False,
-        )
-        certification, _misses, _l2_hits, entries, _extras = _certify_worker(payload)
+
+        def worker_run():
+            return PoolRun(
+                fleet_catalog(1), [CrashFreedom()], (24,), options, str(tmp_path / "summaries"),
+            )
+
+        certification, _misses, _l2_hits, entries, _extras = _certify_worker(0, worker_run())
         assert certification.certified
         assert entries  # solved slices that could not be written in-fork
         assert len(QueryStore(tmp_path / "queries")) == 0
         merge_query_entries(str(tmp_path / "queries"), entries)
         assert len(QueryStore(tmp_path / "queries")) > 0
         # A second worker over the merged store solves nothing new.
-        _cert, _m, _l, warm_entries, _warm_extras = _certify_worker(payload)
+        _cert, _m, _l, warm_entries, _warm_extras = _certify_worker(0, worker_run())
         assert warm_entries == []
 
     def test_parallel_summarize_jobs_preserve_work_counters(self, tmp_path):

@@ -27,6 +27,7 @@ from repro.orchestrator import (
     pipeline_ranks,
     run_scheduled,
 )
+from repro.orchestrator.fleet import _certify_worker
 from repro.orchestrator.workers import _summarize_worker, job_digest
 from repro.symbex.engine import SymbexOptions
 from repro.verify import CrashFreedom, destination_reachability
@@ -250,6 +251,35 @@ class TestSchedulerDirect:
         ]
         assert verdicts == serial.verdicts()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_crashed_verify_task_is_retried_with_the_same_run(self, tmp_path, workers):
+        # One worker: the retry can only run in the replacement, which
+        # must inherit the run's constants to certify from an index.
+        catalog = store_scale_catalog(4)
+        store = SummaryStore(tmp_path / "store")
+        (tmp_path / "crash-once").touch()
+        run = self._run(
+            catalog, store, workers=workers, verify_worker=_crash_once_verify_worker
+        )
+        stats = run.statistics
+        assert stats.tasks_retried == 1
+        assert stats.workers_crashed == 1
+        assert stats.workers_spawned == stats.workers + 1
+        serial = certify_fleet(store_scale_catalog(4), [CrashFreedom()], input_lengths=(64,))
+        verdicts = [
+            (catalog[index].name, r.property_name, r.verdict)
+            for index in sorted(run.step2)
+            for r in run.step2[index][0].results
+        ]
+        assert verdicts == serial.verdicts()
+
+    def test_each_worker_decodes_each_summary_once(self, tmp_path):
+        run = self._run(store_scale_catalog(20), SummaryStore(tmp_path))
+        assert len(run.step2) == 20
+        # Every pipeline reads two or more summaries; without the worker
+        # memo each task would decode its own from the store again.
+        assert 0 < run.statistics.step2_store_loads <= 2 * len(run.summaries)
+
     def test_spans_ship_exactly_once_and_match_serial_work(self, tmp_path):
         options = dataclasses.replace(SymbexOptions(), trace=True)
         catalog = store_scale_catalog(4)
@@ -296,15 +326,14 @@ class TestSchedulerDirect:
         )
 
 
-def _crash_once_worker(payload):
-    """Summary worker that hard-kills its process on the first marked task.
+def _crash_if_marked(store_root):
+    """Hard-kill this process if the sentinel next to the store root exists.
 
-    The sentinel lives next to the store root; exactly one task consumes
-    it, dies without reporting, and every retry (fresh attempt tag)
-    computes normally.  ``os._exit`` skips worker cleanup on purpose —
-    that is what a segfault looks like to the parent.
+    Exactly one task consumes the sentinel and dies without reporting;
+    every retry (fresh attempt tag) runs normally.  ``os._exit`` skips
+    worker cleanup on purpose — that is what a segfault looks like to
+    the parent.
     """
-    element, length, options, store_root = payload
     sentinel = Path(store_root).parent / "crash-once"
     if sentinel.exists():
         try:
@@ -313,4 +342,15 @@ def _crash_once_worker(payload):
             pass
         else:
             os._exit(1)
+
+
+def _crash_once_worker(payload):
+    """Summary worker that hard-kills its process on the first marked task."""
+    _crash_if_marked(payload[3])
     return _summarize_worker(payload)
+
+
+def _crash_once_verify_worker(index, run):
+    """Step-2 twin of :func:`_crash_once_worker`."""
+    _crash_if_marked(run.store_root)
+    return _certify_worker(index, run)

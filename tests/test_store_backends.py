@@ -247,6 +247,19 @@ class TestShards:
         assert main.load_payload(_digest(2)) == {"from": "shard"}
         assert not (tmp_path / "shards" / "w1.sqlite").exists()
 
+    def test_read_only_shard_view_creates_no_shard(self, tmp_path):
+        main = QueryStore(tmp_path, backend="sqlite")
+        main.save_payload(_digest(1), {"from": "main"})
+        main.flush()
+
+        shard = QueryStore(tmp_path, shard="t1a1")
+        assert shard.load_payload(_digest(1)) == {"from": "main"}
+        assert shard.load_payload(_digest(2)) is None
+        shard.close()  # flushes: nothing was written, so nothing is created
+
+        assert not (tmp_path / "shards" / "t1a1.sqlite").exists()
+        assert main.merge_shards(only=["t1a1"]) == 0
+
     def test_merge_refuses_on_shard_view(self, tmp_path):
         QueryStore(tmp_path, backend="sqlite").close()
         shard = QueryStore(tmp_path, shard="w1")
