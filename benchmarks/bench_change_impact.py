@@ -17,6 +17,7 @@ three claims that matter:
 Set ``REPRO_BENCH_QUICK=1`` for a CI-smoke-sized run.
 """
 
+import gc
 import os
 import tempfile
 
@@ -53,6 +54,11 @@ def run_change_impact():
     with tempfile.TemporaryDirectory(prefix="repro-bench-impact-") as root:
         summary_store = SummaryStore(os.path.join(root, "summaries"))
         verdict_store = VerdictStore(os.path.join(root, "verdicts"))
+        # Each timed phase starts from a full collection, so a gen-2 pass
+        # over everything the process holds (~30 ms here) is not charged
+        # to whichever phase happens to cross the collector's threshold:
+        # against a delta run of a few milliseconds it swamped the ratio.
+        gc.collect()
         cold = recertify(
             fleet_catalog(CATALOG_SIZE),
             _properties(),
@@ -61,6 +67,7 @@ def run_change_impact():
             verdict_store=verdict_store,
         )
         mutated = churned_fleet_catalog(CATALOG_SIZE, MUTATION)
+        gc.collect()
         delta = recertify(
             mutated,
             _properties(),

@@ -28,7 +28,7 @@ import time
 from repro.orchestrator import certify_fleet
 from repro.symbex import SymbexOptions, SymbolicEngine, SymbolicPacket
 from repro.verify import CrashFreedom, Verdict
-from repro.workloads import fleet_catalog, synthetic_branchy_element, synthetic_pipeline
+from repro.workloads import fleet_catalog, synthetic_pipeline
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
@@ -105,7 +105,7 @@ def _arena_microbench(slices=5):
     from repro import smt
     from repro.smt.qcache import build_query_cache
 
-    checker = smt.AssumptionChecker(query_cache=build_query_cache(True, None))
+    checker = smt.AssumptionChecker(query_cache=build_query_cache())
     constraints = [
         smt.intern_term(smt.simplify((smt.BitVec(f"in_b{i}", 64) & 0x7) == 0x5))
         for i in range(slices)

@@ -1,18 +1,19 @@
 """E12 — the query-optimization layer: slicing + tiered query caching.
 
-Certifies the 8-pipeline fleet catalog three ways and checks the three
-claims the layer is built on:
+Certifies the 8-pipeline fleet catalog cold and then warm, and checks
+the claims the layer is built on:
 
-* **fewer SAT calls** — with independence slicing and the verdict/model/
-  unsat-core cache enabled (the default), the run invokes the CDCL core
-  >= 2x less often than the optimization-disabled mode, with *identical*
-  certification verdicts;
+* **few SAT calls** — independence slicing plus the verdict/model/
+  unsat-core cache keep the cold run's CDCL searches at the count the
+  baseline pins (47 in quick mode, within 15%).  The layer is the only
+  solve path, so the pin, not a ratio against a disabled mode, is what
+  guards it;
 * **warm L3** — re-certifying the unchanged catalog against a warm
   summary store *and* query store performs zero symbolic executions and
   **zero SAT-core calls**: every solver question is answered from the
   persistent tier, the solver-level analogue of the zero-symbex warm
   path;
-* **verdict stability** — all three runs certify the same pipelines.
+* **verdict stability** — both runs certify the same pipelines.
 
 The counters are deterministic for the fixed catalog (serial runs, no
 randomness in the solver), so the baseline pins them tightly.  Set
@@ -24,7 +25,6 @@ import os
 import tempfile
 
 from repro.orchestrator import QueryStore, SummaryStore, certify_fleet
-from repro.symbex.engine import SymbexOptions
 from repro.verify import CrashFreedom, destination_reachability
 from repro.workloads import fleet_catalog
 
@@ -48,12 +48,6 @@ def _properties():
 
 def run_query_cache_comparison():
     with tempfile.TemporaryDirectory(prefix="repro-bench-qcache-") as root:
-        disabled = certify_fleet(
-            fleet_catalog(CATALOG_SIZE),
-            _properties(),
-            input_lengths=INPUT_LENGTHS,
-            options=SymbexOptions(query_opt=False),
-        )
         optimized = certify_fleet(
             fleet_catalog(CATALOG_SIZE),
             _properties(),
@@ -68,57 +62,37 @@ def run_query_cache_comparison():
             store=SummaryStore(os.path.join(root, "summaries")),
             query_store=QueryStore(os.path.join(root, "queries")),
         )
-    return disabled, optimized, warm
+    return optimized, warm
 
 
 def test_query_cache(benchmark, bench_json):
-    disabled, optimized, warm = benchmark.pedantic(
-        run_query_cache_comparison, rounds=1, iterations=1
-    )
+    optimized, warm = benchmark.pedantic(run_query_cache_comparison, rounds=1, iterations=1)
 
-    reduction = disabled.statistics.sat_core_calls / max(
-        optimized.statistics.sat_core_calls, 1
-    )
     print(f"\n--- E12: query-optimization layer ({CATALOG_SIZE} pipelines, "
           f"{len(_properties())} properties) ---")
     print(f"{'mode':>16} | {'SAT-core calls':>14} | {'qcache hits':>11} | {'time (s)':>8}")
-    for label, report in (("opt disabled", disabled), ("opt enabled", optimized),
-                          ("warm L3", warm)):
+    for label, report in (("cold", optimized), ("warm L3", warm)):
         stats = report.statistics
         print(f"{label:>16} | {stats.sat_core_calls:>14} | "
               f"{stats.qcache_hits:>11} | {stats.elapsed_seconds:>8.2f}")
-    print(f"{'reduction':>16} | {reduction:>13.2f}x")
 
     bench_json(
         "query_cache",
         {
             "catalog_size": CATALOG_SIZE,
             "properties": len(_properties()),
-            "disabled_sat_core_calls": disabled.statistics.sat_core_calls,
             "optimized_sat_core_calls": optimized.statistics.sat_core_calls,
-            "sat_core_reduction": reduction,
             "optimized_qcache_hits": optimized.statistics.qcache_hits,
             "warm_sat_core_calls": warm.statistics.sat_core_calls,
             "warm_summaries_computed": warm.statistics.summaries_computed,
-            "verdicts_match": int(
-                disabled.verdicts() == optimized.verdicts() == warm.verdicts()
-            ),
-            "disabled_seconds": disabled.statistics.elapsed_seconds,
+            "verdicts_match": int(optimized.verdicts() == warm.verdicts()),
             "optimized_seconds": optimized.statistics.elapsed_seconds,
             "warm_seconds": warm.statistics.elapsed_seconds,
         },
     )
 
-    # The optimization may never change what is proved — only how.
-    assert optimized.verdicts() == disabled.verdicts()
-    assert warm.verdicts() == disabled.verdicts()
-
-    # >= 2x fewer CDCL invocations on the same catalog and properties.
-    assert reduction >= 2.0, (
-        f"query optimization reduced SAT-core calls only {reduction:.2f}x "
-        f"({disabled.statistics.sat_core_calls} -> "
-        f"{optimized.statistics.sat_core_calls})"
-    )
+    # Answering from the persistent tier may never change what is proved.
+    assert warm.verdicts() == optimized.verdicts()
 
     # Warm L3: zero symbolic execution and zero SAT-core calls, matching
     # the summary store's 0-symbex warm path one layer down.

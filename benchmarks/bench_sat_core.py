@@ -1,9 +1,9 @@
 """E13 — the flat-array CDCL core against the reference solver.
 
-Certifies the checksum-heavy 8-pipeline fleet catalog with the query
-cache disabled — every solver question reaches the CDCL core, so solver
-time dominates the run — once per SAT backend, and checks the three
-claims the backend seam is built on:
+Certifies the checksum-heavy 8-pipeline fleet catalog — whose checksum
+constraints give the CDCL core its hardest searches — once per SAT
+backend, on the production solve path (query cache and all), and checks
+the three claims the backend seam is built on:
 
 * **speedup** — the ``array`` backend spends >= 5x (quick: >= 4x) less
   CPU time inside ``solve`` than ``reference`` on the identical
@@ -13,7 +13,9 @@ claims the backend seam is built on:
   DIMACS solver binary is installed) certifies the same verdicts on the
   full catalog;
 * **determinism** — the in-process cores are deterministic for the
-  fixed catalog, so the SAT-core call count is pinned exactly.
+  fixed catalog, so each core's SAT-core call count is pinned exactly.
+  The counts differ by core: the query cache reuses the models a search
+  returns, and two cores may return different models of the same slice.
 
 Set ``REPRO_BENCH_QUICK=1`` for the CI-smoke-sized run (same catalog,
 single property — the quick numbers are the pinned ones).  Set
@@ -41,7 +43,7 @@ INPUT_LENGTHS = (24,)
 
 #: Solver-core CPU-seconds speedup the array backend must clear.  The
 #: full-mode floor is the acceptance criterion; the quick floor sits
-#: below the ~5.7x observed at baseline-refresh time because the quick
+#: below the 4.6-6.4x observed at baseline-refresh time because the quick
 #: workload is lighter and per-call overhead weighs more.
 SPEEDUP_FLOOR = 4.0 if QUICK else 5.0
 
@@ -65,7 +67,7 @@ def _certify(backend):
         fleet_catalog(CATALOG_SIZE, verify_checksum=True),
         _properties(),
         input_lengths=INPUT_LENGTHS,
-        options=SymbexOptions(query_opt=False, sat_backend=backend),
+        options=SymbexOptions(sat_backend=backend),
     )
 
 
@@ -126,7 +128,7 @@ def test_sat_core(benchmark, bench_json):
         rows.append(("external", external_report, float("nan")))
 
     print(f"\n--- E13: SAT-core backends ({CATALOG_SIZE} checksum pipelines, "
-          f"{len(_properties())} properties, cache disabled) ---")
+          f"{len(_properties())} properties) ---")
     print(f"{'backend':>10} | {'SAT-core calls':>14} | {'solve CPU (s)':>13} | "
           f"{'total (s)':>9}")
     for label, report, seconds in rows:
@@ -158,10 +160,6 @@ def test_sat_core(benchmark, bench_json):
     assert array_report.verdicts() == reference_report.verdicts()
     if external_report is not None:
         assert external_report.verdicts() == reference_report.verdicts()
-
-    # Both in-process cores see the identical query stream.
-    assert (array_report.statistics.sat_core_calls
-            == reference_report.statistics.sat_core_calls)
 
     assert speedup >= SPEEDUP_FLOOR, (
         f"array backend only {speedup:.2f}x faster than reference "

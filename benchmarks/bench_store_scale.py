@@ -13,8 +13,13 @@ sold on:
 * **differential** — both backends produce identical verdicts and
   identical hit/miss/put statistics on every tier; the backend changes
   where bytes live, never what the orchestrator sees;
-* **store does not dominate** — on the cold run, store I/O stays under
-  the time spent actually verifying (both backends);
+* **store I/O costs what its entries cost** — on the cold run, each
+  store operation (a hit, miss or put on any tier) costs at most twice
+  one raw write plus one raw read on the same backend, measured by the
+  microbenchmark below in the same run (both backends).  This bounds the
+  store tier by something verification speed does not move;
+* **store does not dominate** — on the cold run, SQLite store I/O stays
+  under the time spent actually verifying;
 * **batched beats per-file when warm** — SQLite's warm store I/O beats
   JSON's by >= 3x at full scale (>= 1.5x in quick mode, where the
   catalog is too small to amortize the constant costs);
@@ -48,6 +53,9 @@ BACKENDS = ("json", "sqlite")
 WARM_IO_FLOOR = 1.5 if QUICK else 3.0
 #: Raw microbenchmark entry count.
 RAW_ENTRIES = 400 if QUICK else 2000
+#: Cold store I/O per store operation may cost at most this many raw
+#: per-entry write-plus-read costs on the same backend.
+IO_PER_OP_CEILING = 2.0
 
 
 def _open_stores(root, backend):
@@ -142,6 +150,11 @@ def run_backend(backend):
         }
 
 
+def _store_ops(counters):
+    """Store operations behind a run's I/O: hits, misses and puts over every tier."""
+    return sum(tier["hits"] + tier["misses"] + tier["puts"] for tier in counters)
+
+
 def run_raw_traffic(backend):
     """Raw per-entry store traffic: N payload writes, then N reads back."""
     payload = {"verdict": "unsat", "core": list(range(24)), "v": 1}
@@ -170,6 +183,15 @@ def test_store_scale(benchmark, bench_json):
     raw = {backend: run_raw_traffic(backend) for backend in BACKENDS}
 
     json_run, sqlite_run = runs["json"], runs["sqlite"]
+    io_per_op_ratio = {}
+    for backend in BACKENDS:
+        io_per_op = runs[backend]["cold"]["store_io_seconds"] / max(
+            _store_ops(runs[backend]["cold_counters"]), 1
+        )
+        raw_per_entry = (
+            raw[backend]["write_seconds"] + raw[backend]["read_seconds"]
+        ) / RAW_ENTRIES
+        io_per_op_ratio[backend] = io_per_op / max(raw_per_entry, 1e-12)
     warm_io_ratio = json_run["warm"]["store_io_seconds"] / max(
         sqlite_run["warm"]["store_io_seconds"], 1e-9
     )
@@ -190,6 +212,9 @@ def test_store_scale(benchmark, bench_json):
               f"{run['warm']['store_io_seconds']:>8.3f}")
     print(f"warm store-io ratio json/sqlite: {warm_io_ratio:.2f}x "
           f"(wall {warm_wall_ratio:.2f}x)")
+    print("cold io per store op / raw write+read per entry: "
+          + ", ".join(f"{backend} {io_per_op_ratio[backend]:.2f}" for backend in BACKENDS)
+          + f" (ceiling {IO_PER_OP_CEILING:.1f})")
 
     bench_json(
         "store_scale",
@@ -199,6 +224,7 @@ def test_store_scale(benchmark, bench_json):
             "sqlite": {key: sqlite_run[key] for key in ("cold", "warm")},
             "warm_store_io_ratio": warm_io_ratio,
             "warm_wall_ratio": warm_wall_ratio,
+            "cold_io_per_op_ratio": io_per_op_ratio,
             "raw": raw,
         },
     )
@@ -221,13 +247,21 @@ def test_store_scale(benchmark, bench_json):
         # store and re-executes nothing.
         assert run["warm"]["verdicts_reused"] == CATALOG_SIZE
         assert run["warm"]["summaries_computed"] == 0
-        # The store tier must not dominate the cold run: I/O stays under
-        # the non-store (symbex + composition + solver) time.
-        non_store = run["cold"]["seconds"] - run["cold"]["store_io_seconds"]
-        assert run["cold"]["store_io_seconds"] < non_store, (
-            f"{backend}: store I/O {run['cold']['store_io_seconds']:.3f}s dominates "
-            f"the cold run ({run['cold']['seconds']:.3f}s total)"
+        # Cold store I/O costs what its entries cost on this backend: each
+        # store operation stays within a small multiple of one raw write
+        # plus one raw read.  Verification speed does not move either side.
+        assert io_per_op_ratio[backend] <= IO_PER_OP_CEILING, (
+            f"{backend}: cold store I/O per operation is {io_per_op_ratio[backend]:.2f}x "
+            f"the raw per-entry write+read cost (ceiling {IO_PER_OP_CEILING:.1f}x)"
         )
+
+    # The batched backend's store tier must not dominate the cold run: its
+    # I/O stays under the non-store (symbex + composition + solver) time.
+    non_store = sqlite_run["cold"]["seconds"] - sqlite_run["cold"]["store_io_seconds"]
+    assert sqlite_run["cold"]["store_io_seconds"] < non_store, (
+        f"sqlite: store I/O {sqlite_run['cold']['store_io_seconds']:.3f}s dominates "
+        f"the cold run ({sqlite_run['cold']['seconds']:.3f}s total)"
+    )
 
     # The point of the batched backend: warm fleet re-certification store
     # traffic is >= 3x cheaper than per-file JSON (>= 1.5x in quick mode).

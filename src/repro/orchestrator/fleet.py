@@ -315,7 +315,7 @@ def _certify_worker(
         certification,
         cache.statistics.misses,
         cache.statistics.l2_hits,
-        query_cache.new_entries if query_cache is not None else [],
+        query_cache.new_entries,
         drain_observability(query_cache),
     )
 
@@ -559,7 +559,7 @@ def _certify_fleet(
             # In-process: one shared cache dedupes across the catalog (and
             # through the store, when one is provided).
             cache = SummaryCache(options, store=store)
-            if query_store is not None and cache.query_cache is not None:
+            if query_store is not None:
                 # Route the L3 tier through the caller's QueryStore object
                 # (not the cache's own private instance over the same
                 # directory), so its statistics see the traffic and its
@@ -580,8 +580,7 @@ def _certify_fleet(
             report.statistics.distinct_summary_jobs = cache.statistics.entries
             report.statistics.summaries_computed = cache.statistics.misses
             report.statistics.store_hits = cache.statistics.l2_hits
-            if cache.query_cache is not None:
-                fleet_qstats.merge(cache.query_cache.statistics)
+            fleet_qstats.merge(cache.query_cache.statistics)
             for index, certification in zip(fresh_indices, fresh_certifications):
                 _record(index, certification)
     finally:

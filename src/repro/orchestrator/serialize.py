@@ -28,7 +28,7 @@ from .errors import SerializationError
 
 #: Bump when the node or summary layout changes; stored payloads carry the
 #: version and the store treats a mismatch as a miss, not an error.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Sort encoding: booleans are 0, bitvectors are their (positive) width.
 _BOOL_SORT = 0

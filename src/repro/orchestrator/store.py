@@ -63,13 +63,12 @@ def summary_key(element: Element, input_length: int, options: SymbexOptions) -> 
 
     Besides the element's configuration fingerprint, the digest covers the
     engine options that shape summary *content*: the static-table mode,
-    branch pruning, the solver conflict budget (a starved budget can
-    soundly-but-differently prune branches), and the state-merging policy
-    (merged summaries carry ite-lifted segments and upper-bound
-    instruction counts, so modes must not share entries).  ``incremental``
-    and ``sat_backend`` are deliberately excluded — the solving cores and
-    SAT backends are differentially tested to produce identical summaries,
-    so they may share entries.
+    the solver conflict budget (a starved budget keeps branches a roomier
+    one prunes), and the state-merging policy (merged summaries carry
+    ite-lifted segments and upper-bound instruction counts, so modes must
+    not share entries).  ``sat_backend`` is deliberately excluded — the
+    SAT backends are differentially tested to produce identical
+    summaries, so they may share entries.
     Path/time budgets are also excluded: blowing one raises instead of
     producing a summary, so it can never poison the store.
     """
@@ -82,7 +81,6 @@ def summary_key(element: Element, input_length: int, options: SymbexOptions) -> 
             ),
             str(input_length),
             options.static_table_mode,
-            f"prune={options.prune_infeasible_branches}",
             f"conflicts={options.solver_max_conflicts}",
             f"merge={options.merge}:{options.merge_max_ites}",
         )

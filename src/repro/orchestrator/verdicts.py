@@ -52,8 +52,11 @@ __all__ = [
     "verdict_key",
 ]
 
-#: Bump when the record layout changes; a version mismatch reads as a miss.
-RECORD_VERSION = 1
+#: Bump when the record layout changes, or when records older code wrote
+#: must not be served; a version mismatch reads as a miss.  Version 2: older
+#: code could store ``proved`` for a violation its conflict budget left
+#: undecided.
+RECORD_VERSION = 2
 
 
 def _render_value(value: object) -> str:
@@ -177,7 +180,6 @@ def verdict_key(
             property_set or property_set_fingerprint(properties),
             ",".join(str(length) for length in input_lengths),
             options.static_table_mode,
-            f"prune={options.prune_infeasible_branches}",
             f"conflicts={options.solver_max_conflicts}",
             f"cex={max_counterexamples}",
             f"replay={confirm_by_replay}",

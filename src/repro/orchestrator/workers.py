@@ -59,7 +59,7 @@ LOADED = "loaded"
 EXPLODED = "exploded"
 
 
-def worker_query_cache(options: SymbexOptions) -> Optional[QueryCache]:
+def worker_query_cache(options: SymbexOptions) -> QueryCache:
     """The query cache a worker process should route through.
 
     Workers open the persistent L3 tier **read-only**: many forks hitting
@@ -69,11 +69,7 @@ def worker_query_cache(options: SymbexOptions) -> Optional[QueryCache]:
     ``cache.new_entries`` and travel back with its result for the parent
     to merge on join (:func:`merge_query_entries`).
     """
-    return build_query_cache(
-        options.incremental and options.query_opt,
-        options.query_cache_dir,
-        readonly=True,
-    )
+    return build_query_cache(options.query_cache_dir, readonly=True)
 
 
 #: Process-local shard-name override (see :func:`set_worker_shard_tag`).
@@ -156,7 +152,7 @@ class MemoSummaryCache(SummaryCache):
         self,
         options: SymbexOptions,
         store: Optional[SummaryStore],
-        query_cache: Optional[QueryCache],
+        query_cache: QueryCache,
         decoded: Dict[str, ElementSummary],
     ) -> None:
         super().__init__(options, store=store, query_cache=query_cache)
@@ -189,7 +185,7 @@ def merge_query_entries(
     store.close()  # push the batched writes before the store object goes away
 
 
-def drain_observability(query_cache: Optional[QueryCache] = None) -> dict:
+def drain_observability(query_cache: QueryCache) -> dict:
     """Collect this process's observability output for shipping to a parent.
 
     Returns a JSON-able dict with up to three keys: ``spans`` (the
@@ -209,10 +205,9 @@ def drain_observability(query_cache: Optional[QueryCache] = None) -> dict:
     slow = slow_solve_log().drain()
     if slow:
         extras["slow"] = slow
-    if query_cache is not None:
-        stats = query_cache.statistics.to_dict()
-        if any(stats.values()):
-            extras["qstats"] = stats
+    stats = query_cache.statistics.to_dict()
+    if any(stats.values()):
+        extras["qstats"] = stats
     return extras
 
 
@@ -281,7 +276,7 @@ def _summarize_worker(
             return (
                 EXPLODED,
                 str(exc),
-                query_cache.new_entries if query_cache else [],
+                query_cache.new_entries,
                 (0, 0),
                 drain_observability(query_cache),
             )
@@ -290,7 +285,7 @@ def _summarize_worker(
         return (
             COMPUTED,
             dumps_summary(summary),
-            query_cache.new_entries if query_cache else [],
+            query_cache.new_entries,
             (summary.sat_core_calls, summary.qcache_hits),
             drain_observability(query_cache),
         )

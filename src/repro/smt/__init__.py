@@ -1,14 +1,20 @@
 """``repro.smt`` — a from-scratch QF_BV constraint solver.
 
 The symbolic executor and verifier state all of their constraints in this
-term language and decide them with :class:`Solver`.  The implementation
-consists of an immutable term DAG, an algebraic simplifier, an
-interval-domain quick check, a Tseitin bit-blaster, and a CDCL SAT core
-selected through the pluggable backend seam (:mod:`repro.smt.backend`):
-the flat-array :class:`ArraySolver` by default, the reference
-:class:`SATSolver` oracle, or an external DIMACS solver subprocess.
+term language and decide every feasibility question through one
+:class:`AssumptionChecker`: a feasibility memo over a persistent
+:class:`SolverContext`, which slices each query and answers it from the
+tiered :class:`QueryCache` or one assumption solve on its retained CNF.
+The implementation consists of an immutable term DAG, an algebraic
+simplifier, an interval-domain quick check, a Tseitin bit-blaster, and a
+CDCL SAT core selected through the pluggable backend seam
+(:mod:`repro.smt.backend`): the flat-array :class:`ArraySolver` by
+default, the reference :class:`SATSolver` oracle, or an external DIMACS
+solver subprocess.
 
-Typical usage::
+The scratch :class:`Solver` re-decides each query from nothing (fresh
+CNF, no slicing or cache tiers).  It is the reference the tests hold the
+production path to, and the simplest way to ask one question::
 
     from repro.smt import BitVec, BitVecVal, Solver, ULT, And
 
@@ -87,7 +93,7 @@ from .sat import SATSolver, SatResult
 from .satcore import ArraySolver
 from .simplify import is_literal_false, is_literal_true, simplify
 from .slicing import Slice, free_variable_names, partition
-from .solver import CheckResult, Solver, SolverStatistics, check_formula
+from .solver import CheckResult, Solver, SolverStatistics
 from .sorts import BOOL, BitVecSort, BoolSort, Sort, bitvec
 from .terms import FALSE, TRUE, Op, Term, intern_term, iter_dag, mk_term
 
@@ -154,7 +160,6 @@ __all__ = [
     "available_backends",
     "bitvec",
     "build_query_cache",
-    "check_formula",
     "find_external_solver",
     "make_sat_solver",
     "parse_dimacs",

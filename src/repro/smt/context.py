@@ -1,39 +1,32 @@
-"""Incremental, assumption-based solving core.
+"""The production solving core: persistent, assumption-based and cached.
 
-This module is the persistent counterpart of the one-shot :class:`Solver`
-facade.  A :class:`SolverContext` keeps one CNF, one bit-blaster and one
-CDCL solver alive for its whole lifetime:
+A :class:`SolverContext` keeps one CNF, one bit-blaster and one CDCL
+solver alive for its whole lifetime, and decides every query through the
+**query-optimization layer** (:mod:`repro.smt.qcache`):
 
+* the query is partitioned into variable-independent slices, and each
+  slice is answered by the cheapest cache tier that can (exact verdict,
+  unsat-core subset, SAT superset, model reuse, persistent L3);
+* only unseen slices reach this context's CDCL core — tried first with
+  the interval quick check, since slices are small enough for it to
+  succeed where whole conjunctions are not;
 * every distinct (hash-consed) boolean term is Tseitin-encoded **once**,
-  the first time it is seen — repeat queries over shared constraint
-  prefixes reuse the encoding and the SAT solver's variable maps;
-* queries are decided with ``check_assumptions``: the context passes the
-  root literal of each active constraint as a CDCL assumption instead of
-  asserting unit clauses, so the clause database never has to be rebuilt
-  or retracted and **learned clauses remain valid across queries**;
-* ``push``/``pop`` scope which constraints are active.  Popping is O(1)
-  bookkeeping — the encodings stay behind for when the terms return,
-  which is exactly what happens along a symbolic-execution fork tree or
-  a DFS walk over composed pipeline routes.
+  the first time a slice needs it, and a solve passes the root literals
+  of its slice as CDCL assumptions instead of asserting unit clauses, so
+  the clause database never has to be rebuilt or retracted and **learned
+  clauses remain valid across queries**.
 
-:class:`AssumptionChecker` layers the two services the symbex and verify
-layers need on top: *alignment* of the context's scope stack to a query's
-constraint prefix (so append-only constraint lists share work with their
-siblings), and a feasibility memo keyed on interned term uids.
-
-Both classes optionally route through the **query-optimization layer**
-(:mod:`repro.smt.qcache`): the query is partitioned into
-variable-independent slices, each slice is answered by the cheapest cache
-tier that can (exact verdict, unsat-core subset, SAT superset, model
-reuse, persistent L3), and only unseen slices reach this context's CDCL
-core — tried first with the interval quick check, since slices are small
-enough for it to succeed where whole conjunctions are not.
+:class:`AssumptionChecker` adds the feasibility memo keyed on interned
+term uids that the symbex and verify layers share.  The scratch
+:class:`repro.smt.solver.Solver` is the reference the tests hold this
+path to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.stats import StatisticsMixin
 from ..obs.trace import clock
@@ -60,10 +53,9 @@ class ContextStatistics(StatisticsMixin):
     unknown: int = 0
     terms_encoded: int = 0
     literals_reused: int = 0
-    #: Times the CDCL core actually ran a search.  With the query cache
-    #: attached this counts per-slice solves; cache and quick-check
-    #: answers never reach it — the counter the optimization layer is
-    #: judged by.
+    #: Times the CDCL core actually ran a search, one per slice solve;
+    #: cache and quick-check answers never reach it — the counter the
+    #: optimization layer is judged by.
     sat_core_calls: int = 0
     #: Slice sub-queries handed to this context by the query cache.
     slices_solved: int = 0
@@ -108,10 +100,10 @@ class SolverContext:
         query_cache: Optional[QueryCache] = None,
         sat_backend: Optional[str] = None,
     ) -> None:
-        """``query_cache`` routes every check through the slicing/cache
-        layer; ``None`` keeps the direct assumption-solving path (the
-        differential-testing baseline).  ``sat_backend`` names the CDCL
-        core (see :mod:`repro.smt.backend`); ``None`` takes the default."""
+        """``query_cache`` may be shared between contexts (slice verdicts
+        then cross them); ``None`` gives this context a fresh one.
+        ``sat_backend`` names the CDCL core (see :mod:`repro.smt.backend`);
+        ``None`` takes the default."""
         self._cnf = CNFBuilder()
         self._blaster = BitBlaster(self._cnf)
         self.sat_backend = sat_backend
@@ -119,9 +111,7 @@ class SolverContext:
         self._clauses_fed = 0
         self._flat_fed = 0
         self._max_conflicts = max_conflicts
-        self.query_cache = query_cache
-        # Scope stack of asserted terms; scope 0 is the root and never popped.
-        self._scopes: List[List[Term]] = [[]]
+        self.query_cache = query_cache if query_cache is not None else QueryCache()
         # Interned-term uid -> (term, root literal).  Holding the term keeps
         # every encoded subterm alive, which keeps the blaster's id-keyed
         # caches sound.
@@ -129,94 +119,38 @@ class SolverContext:
         self._model: Optional[Model] = None
         self.statistics = ContextStatistics()
 
-    # -- assertion scoping ---------------------------------------------------------
-
-    def push(self) -> None:
-        """Open a new assertion scope."""
-        self._scopes.append([])
-
-    def pop(self) -> None:
-        """Deactivate the constraints of the innermost scope (O(1); encodings stay)."""
-        if len(self._scopes) == 1:
-            raise SolverError("pop() without a matching push()")
-        self._scopes.pop()
-
-    @property
-    def depth(self) -> int:
-        """Number of open scopes above the root."""
-        return len(self._scopes) - 1
-
-    def assert_term(self, *constraints: Term) -> None:
-        """Assert boolean terms in the current scope."""
-        for constraint in constraints:
-            if not isinstance(constraint, Term) or not constraint.is_bool():
-                raise SolverError(f"only boolean terms can be asserted, got {constraint!r}")
-            self._scopes[-1].append(constraint)
-
-    def assertions(self) -> List[Term]:
-        """All currently active assertions, outermost scope first."""
-        return [term for scope in self._scopes for term in scope]
-
     # -- solving -------------------------------------------------------------------
 
-    def check_assumptions(self, *extra: Term) -> str:
-        """Decide satisfiability of the active assertions plus ``extra``.
+    def check_assumptions(self, *terms: Term) -> str:
+        """Decide the conjunction of ``terms`` (boolean terms).
 
-        ``extra`` terms are temporary assumptions for this call only; they
-        are encoded (and their encodings retained for reuse) but never
-        asserted.
+        Every term travels as a per-call assumption: nothing is asserted,
+        so no call affects the next one's answer.  The query cache's
+        slicing replaces prefix bookkeeping, and the persistent encodings
+        and learned clauses of this context back every slice that
+        actually has to be solved.
         """
         started = clock()
         self.statistics.checks += 1
         self._model = None
 
-        if self.query_cache is not None:
-            return self._check_optimized(extra, started)
-
-        literals: List[int] = []
-        trivially_unsat = False
-        for term in self.assertions() + [t for t in extra]:
-            reduced = simplify(term)
-            if reduced.is_true():
-                continue
-            if reduced.is_false():
-                trivially_unsat = True
-                break
-            literals.append(self._literal(reduced))
-        self.statistics.encode_seconds += clock() - started
-
-        if trivially_unsat:
-            return self._finish(CheckResult.UNSAT)
-
-        solve_started = clock()
-        status, model = self._solve_assumptions(literals)
-        self.statistics.solve_seconds += clock() - solve_started
-        self._model = model
-        return self._finish(status)
-
-    def _check_optimized(self, extra: Sequence[Term], started: float) -> str:
-        """Decide the active assertions + ``extra`` through the query cache.
-
-        Every constraint travels as a per-call assumption: the cache's
-        slicing makes prefix bookkeeping unnecessary, and the persistent
-        encodings/learned clauses of this context still back every slice
-        that actually has to be solved.
-        """
-        terms: List[Term] = []
-        for term in list(self.assertions()) + list(extra):
+        reduced_terms: List[Term] = []
+        for term in terms:
+            if not isinstance(term, Term) or not term.is_bool():
+                raise SolverError(f"only boolean terms can be checked, got {term!r}")
             reduced = simplify(term)
             if reduced.is_true():
                 continue
             if reduced.is_false():
                 self.statistics.encode_seconds += clock() - started
                 return self._finish(CheckResult.UNSAT)
-            terms.append(intern_term(reduced))
+            reduced_terms.append(intern_term(reduced))
         self.statistics.encode_seconds += clock() - started
 
         solve_started = clock()
         hits_before = self.query_cache.statistics.hits
         status, model = self.query_cache.check(
-            terms, self._solve_slice, make_batch=self._make_batch
+            reduced_terms, self._solve_slice, make_batch=self._make_batch
         )
         self.statistics.qcache_hits += self.query_cache.statistics.hits - hits_before
         self.statistics.solve_seconds += clock() - solve_started
@@ -224,12 +158,14 @@ class SolverContext:
             self._model = model if model is not None else Model({})
         return self._finish(status)
 
-    def _solve_slice(self, terms: Sequence[Term]) -> Tuple[str, Optional[Model]]:
-        """Decide one variable-independent slice on the persistent core.
+    def _decide_slice(
+        self, terms: Sequence[Term], literals: Callable[[], List[int]]
+    ) -> Tuple[str, Optional[Model]]:
+        """Decide one variable-independent slice: quick check, then the core.
 
         Slices are small, so the interval quick check — useless on whole
         path conjunctions — resolves most of them outright; the rest are
-        one assumption solve on the retained CNF.
+        one assumption solve under ``literals()`` on the retained CNF.
         """
         self.statistics.slices_solved += 1
         goal = terms[0] if len(terms) == 1 else mk_and(*terms)
@@ -240,10 +176,16 @@ class SolverContext:
         if quick.status == QuickCheckResult.SAT:
             self.statistics.quick_check_hits += 1
             return CheckResult.SAT, Model(quick.model)
+        return self._solve_assumptions(literals())
 
-        # Unbatched: one encode sweep per core-reaching slice.
-        self.statistics.encode_passes += 1
-        return self._solve_assumptions([self._literal(term) for term in terms])
+    def _solve_slice(self, terms: Sequence[Term]) -> Tuple[str, Optional[Model]]:
+        """The query cache's per-slice callback: one encode sweep per core-reaching slice."""
+
+        def encode() -> List[int]:
+            self.statistics.encode_passes += 1
+            return [self._literal(term) for term in terms]
+
+        return self._decide_slice(terms, encode)
 
     def _make_batch(self, groups: Sequence[Sequence[Term]]) -> List:
         """Batched slice solving on the persistent core: one encode, N solves.
@@ -260,42 +202,27 @@ class SolverContext:
         so verdicts, counters and the one-UNSAT short-circuit match the
         unbatched path.
         """
-        state: Dict[str, object] = {}
+        encoded: List[List[int]] = []
 
-        def ensure_encoded() -> None:
-            if state:
-                return
-            # One encode sweep covers every slice of the arena.
-            self.statistics.encode_passes += 1
-            state["literals"] = [
-                [self._literal(term) for term in terms] for terms in groups
-            ]
-            self._feed_clauses()
+        def literals(index: int) -> List[int]:
+            if not encoded:
+                # One encode sweep covers every slice of the arena.
+                self.statistics.encode_passes += 1
+                encoded.extend([self._literal(term) for term in terms] for terms in groups)
+                self._feed_clauses()
+            return encoded[index]
 
-        def solve_group(index: int):
-            def run(terms: Sequence[Term]) -> Tuple[str, Optional[Model]]:
-                self.statistics.slices_solved += 1
-                goal = terms[0] if len(terms) == 1 else mk_and(*terms)
-                quick = quick_check(goal)
-                if quick.status == QuickCheckResult.UNSAT:
-                    self.statistics.quick_check_hits += 1
-                    return CheckResult.UNSAT, None
-                if quick.status == QuickCheckResult.SAT:
-                    self.statistics.quick_check_hits += 1
-                    return CheckResult.SAT, Model(quick.model)
-                ensure_encoded()
-                return self._solve_assumptions(state["literals"][index])  # type: ignore[index]
-
-            return run
-
-        return [solve_group(index) for index in range(len(groups))]
+        return [
+            partial(self._decide_slice, literals=partial(literals, index))
+            for index in range(len(groups))
+        ]
 
     def _solve_assumptions(self, literals: List[int]) -> Tuple[str, Optional[Model]]:
         """Run one CDCL search under ``literals``, with the work bookkeeping.
 
-        The shared tail of the plain and optimized paths; ``solve_seconds``
-        is deliberately the caller's concern (the optimized path times the
-        whole cache interaction instead).
+        The shared tail of both slice paths; ``solve_seconds`` is the
+        caller's concern (``check_assumptions`` times the whole cache
+        interaction instead).
         """
         self._feed_clauses()
         conflicts_before = self._sat.conflicts
@@ -314,15 +241,6 @@ class SolverContext:
         if outcome == SatResult.UNSAT:
             return CheckResult.UNSAT, None
         return CheckResult.UNKNOWN, None
-
-    # ``check`` is an alias so the context can stand in for the scratch facade.
-    check = check_assumptions
-
-    def is_satisfiable(self, *extra: Term) -> bool:
-        return self.check_assumptions(*extra) == CheckResult.SAT
-
-    def is_unsatisfiable(self, *extra: Term) -> bool:
-        return self.check_assumptions(*extra) == CheckResult.UNSAT
 
     def model(self) -> Model:
         """Model of the last satisfiable check."""
@@ -385,11 +303,11 @@ class AssumptionChecker:
     """Feasibility oracle sharing one :class:`SolverContext` across queries.
 
     Callers hand over whole constraint lists (a path's prefix) plus query
-    terms.  The checker aligns the context's scope stack to the longest
-    common prefix with the previous query — cheap for the append-only
-    constraint lists of a fork tree or a DFS route walk — and memoizes
-    verdicts by the *set* of interned term uids, so structurally identical
-    queries (however they were reassembled) are solved once.
+    terms, decided as one conjunction.  The checker memoizes verdicts by
+    the *set* of interned term uids, so structurally identical queries
+    (however they were reassembled) are solved once.  Verdicts are
+    three-valued: ``unknown`` (a spent conflict budget) refutes nothing,
+    and each caller decides what it may conclude from one.
     """
 
     #: Memo entries are dropped wholesale past this size: uids are never
@@ -403,43 +321,18 @@ class AssumptionChecker:
         sat_backend: Optional[str] = None,
     ) -> None:
         """``query_cache`` (shared freely between checkers) slices every
-        query and reuses verdicts/models/cores across them; without one
-        the checker keeps the prefix-alignment path.  ``sat_backend``
-        picks the CDCL core backing the shared context."""
+        query and reuses verdicts/models/cores across them; ``None`` gives
+        the checker its own.  ``sat_backend`` picks the CDCL core backing
+        the shared context."""
         self.context = SolverContext(
             max_conflicts=max_conflicts, query_cache=query_cache, sat_backend=sat_backend
         )
-        self.query_cache = query_cache
-        self._stack: List[Term] = []
+        self.query_cache = self.context.query_cache
         # Verdicts only — models are not pinned here; a SAT repeat that
         # needs one re-solves on the warm context (or its cache) instead.
         self._memo: Dict[frozenset, str] = {}
         self.memo_hits = 0
         self.checks = 0
-
-    # -- prefix alignment ----------------------------------------------------------
-
-    def align(self, constraints: Sequence[Term]) -> None:
-        """Re-derive the context's scope stack for this constraint prefix.
-
-        One scope per constraint: sibling paths that share a prefix of
-        length p keep p scopes (and their encodings) and only push/pop the
-        divergent suffix.
-        """
-        common = 0
-        for current, wanted in zip(self._stack, constraints):
-            if current is not wanted and intern_term(current) is not intern_term(wanted):
-                break
-            common += 1
-        while len(self._stack) > common:
-            self.context.pop()
-            self._stack.pop()
-        for term in constraints[common:]:
-            self.context.push()
-            self.context.assert_term(term)
-            self._stack.append(term)
-
-    # -- querying ------------------------------------------------------------------
 
     def check(
         self, constraints: Sequence[Term], extra: Sequence[Term] = (), need_model: bool = False
@@ -458,22 +351,12 @@ class AssumptionChecker:
         if cached is not None and not (need_model and cached == CheckResult.SAT):
             self.memo_hits += 1
             return cached, None
-        if self.query_cache is not None:
-            # Slicing subsumes prefix alignment: unchanged slices hit the
-            # cache whatever the constraint order, so everything travels
-            # as per-call assumptions and the scope stack stays empty.
-            status = self.context.check_assumptions(*constraints, *extra)
-        else:
-            self.align(constraints)
-            status = self.context.check_assumptions(*extra)
+        status = self.context.check_assumptions(*constraints, *extra)
         model = self.context.model() if need_model and status == CheckResult.SAT else None
         if len(self._memo) >= self.MEMO_LIMIT:
             self._memo.clear()
         self._memo[key] = status
         return status, model
-
-    def is_feasible(self, constraints: Sequence[Term], extra: Sequence[Term] = ()) -> bool:
-        return self.check(constraints, extra)[0] == CheckResult.SAT
 
     @property
     def statistics(self) -> ContextStatistics:

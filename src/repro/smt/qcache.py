@@ -1,7 +1,7 @@
 """The tiered query cache: memoize sliced satisfiability queries across checks.
 
-Sits between the solver facades (:class:`repro.smt.solver.Solver`,
-:class:`repro.smt.context.SolverContext`) and the CDCL core.  A query —
+Sits between :class:`repro.smt.context.SolverContext` and its CDCL
+core.  A query —
 a list of simplified boolean terms — is partitioned into independent
 slices (:mod:`repro.smt.slicing`) and each slice is answered by the
 cheapest tier that can:
@@ -72,9 +72,9 @@ UNKNOWN = "unknown"
 SolveFn = Callable[[Sequence[Term]], Tuple[str, Optional[Model]]]
 
 #: Batched-encoding hook: given every slice's term list, return one
-#: :data:`SolveFn` per slice.  Callers that build a fresh solver per
-#: slice use this to amortize bit-blasting and solver construction over
-#: the whole slice set (one arena, per-slice assumption roots).
+#: :data:`SolveFn` per slice.  The solving context uses it to encode the
+#: whole slice set in one sweep (per-slice assumption roots) the first
+#: time any slice reaches the core.
 BatchFn = Callable[[Sequence[Sequence[Term]]], Sequence[SolveFn]]
 
 
@@ -476,17 +476,12 @@ class QueryCache:
         return frozenset(term.uid for term in terms)
 
 
-def build_query_cache(
-    enabled: bool, store_dir: Optional[str] = None, readonly: bool = False
-) -> Optional[QueryCache]:
+def build_query_cache(store_dir: Optional[str] = None, readonly: bool = False) -> QueryCache:
     """Construct the query cache an engine/context should route through.
 
-    Returns ``None`` when the optimization is disabled — callers treat
-    that as "use the legacy direct-solve path".  ``store_dir`` attaches
-    the persistent L3 tier.
+    ``store_dir`` attaches the persistent L3 tier; ``readonly`` opens it
+    the way a worker process must (see :class:`QueryCache`).
     """
-    if not enabled:
-        return None
     store = None
     if store_dir:
         # Late import: the orchestrator layer sits above smt and imports

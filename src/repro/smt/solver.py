@@ -1,25 +1,28 @@
-"""Solver facade: the entry point used by the symbolic executor and verifier.
+"""The scratch solver: the from-nothing reference the production path is checked against.
 
 A :class:`Solver` accumulates boolean assertions (with ``push``/``pop``
 scoping), and decides satisfiability by:
 
 1. rewriting the conjunction with the algebraic simplifier,
 2. trying the unsigned-interval quick check, and
-3. falling back to bit-blasting plus CDCL SAT.
+3. falling back to bit-blasting plus CDCL SAT on a fresh CNF.
 
 Query results are cached by the simplified constraint's hash-consed term
 uid — structurally identical queries share one interned term, so the
 lookup is an O(1) integer-keyed dict hit with no rendering on the hot
-path.  This matters for Step 2 of the verifier where many composed paths
-reduce to the same residual constraint.  A :class:`~repro.smt.qcache.
-QueryCache` can additionally be attached to slice each query into
-variable-independent parts and reuse per-slice verdicts across queries.
+path.
+
+The verifier itself decides every feasibility question through
+:class:`repro.smt.context.AssumptionChecker` (slicing, the tiered query
+cache and one persistent CDCL context).  This class shares none of that
+machinery above the quick check, which is what makes it a useful
+reference: the tests compare the production answers against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..obs.stats import StatisticsMixin
 from ..obs.trace import clock
@@ -31,11 +34,7 @@ from .interval import QuickCheckResult, quick_check
 from .model import Model, model_from_bits
 from .sat import SatResult
 from .simplify import simplify
-from .terms import TRUE, Op, Term, mk_and
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (qcache imports nothing here,
-    # but the annotation-only import keeps the layering one-directional)
-    from .qcache import QueryCache
+from .terms import TRUE, Term
 
 
 class CheckResult:
@@ -57,10 +56,8 @@ class SolverStatistics(StatisticsMixin):
     quick_check_hits: int = 0
     cache_hits: int = 0
     #: Times the CDCL core actually ran a search (quick-check and cache
-    #: answers excluded) — the denominator of the query-optimization win.
+    #: answers excluded).
     sat_core_calls: int = 0
-    #: Slice questions the attached QueryCache answered without solving.
-    qcache_hits: int = 0
     sat_conflicts: int = 0
     sat_decisions: int = 0
     #: Root-level bit-blasting passes across this solver's (per-check)
@@ -84,18 +81,16 @@ class Solver:
     """Scratch-mode solver facade over the QF_BV term language.
 
     Each ``check()`` builds a fresh CNF for the current assertion set; the
-    per-query cache absorbs exact repetition.  This is the from-scratch
-    baseline kept for differential testing — production callers use the
-    truly incremental :class:`repro.smt.context.SolverContext`, which
-    retains the bit-blasted CNF, variable maps and learned clauses across
-    checks instead of rebuilding per query.
+    per-query cache absorbs exact repetition.  Production callers use the
+    persistent :class:`repro.smt.context.SolverContext`, which retains the
+    bit-blasted CNF, variable maps and learned clauses across checks; this
+    facade is the reference the tests hold it to.
     """
 
     def __init__(
         self,
         max_conflicts: Optional[int] = 200_000,
         enable_cache: bool = True,
-        query_cache: Optional["QueryCache"] = None,
         sat_backend: Optional[str] = None,
     ) -> None:
         self._assertions: List[Term] = []
@@ -107,7 +102,6 @@ class Solver:
         # Keyed by the simplified goal's interned uid: uids are never
         # reused, so a key can go stale (unreachable) but never collide.
         self._cache: Dict[int, _CachedAnswer] = {}
-        self._query_cache = query_cache
         self.statistics = SolverStatistics()
 
     # -- assertion management ------------------------------------------------------
@@ -159,15 +153,7 @@ class Solver:
                 self.statistics.total_time += clock() - started
                 return cached.status
 
-        if self._query_cache is not None and not goal.is_true() and not goal.is_false():
-            conjuncts = list(goal.args) if goal.op == Op.AND else [goal]
-            hits_before = self._query_cache.statistics.hits
-            status, model = self._query_cache.check(
-                conjuncts, self._decide_slice, make_batch=self._make_batch
-            )
-            self.statistics.qcache_hits += self._query_cache.statistics.hits - hits_before
-        else:
-            status, model = self._decide(goal)
+        status, model = self._decide(goal)
         self._model = model
         if self._enable_cache:
             self._cache[key] = _CachedAnswer(status, model, goal)
@@ -198,10 +184,6 @@ class Solver:
             self.statistics.unsat += 1
         else:
             self.statistics.unknown += 1
-
-    def _decide_slice(self, terms) -> tuple[str, Optional[Model]]:
-        """Per-slice decision callback for the attached query cache."""
-        return self._decide(terms[0] if len(terms) == 1 else mk_and(*terms))
 
     def _decide(self, goal: Term) -> tuple[str, Optional[Model]]:
         if goal.is_true():
@@ -237,81 +219,6 @@ class Solver:
         )
         return CheckResult.SAT, model
 
-    def _make_batch(self, groups: Sequence[Sequence[Term]]) -> List:
-        """Batched slice arena: one bit-blaster + one SAT core for all slices.
-
-        Each slice's conjunction is Tseitin-encoded to a root literal in a
-        *shared* CNF, fed once to a single solver; slice ``i`` is then one
-        assumption solve under its root.  Encoding and solver construction
-        are amortized over the slice set, and the encoding is lazy — it
-        only happens if some slice actually misses every cache tier and
-        the interval quick check (an earlier slice answering UNSAT means
-        later slices never force the build at all).
-
-        Sound because Tseitin definitions are satisfiable on their own:
-        under root ``r_i`` only slice ``i``'s constraint is active, so
-        verdicts match the solver-per-slice path (models may differ —
-        any model of slice ``i`` is acceptable).
-        """
-        state: Dict[str, object] = {}
-
-        def ensure_built() -> None:
-            if state:
-                return
-            blaster = BitBlaster()
-            roots = [
-                blaster.blast_bool(terms[0] if len(terms) == 1 else mk_and(*terms))
-                for terms in groups
-            ]
-            self.statistics.blast_passes += blaster.passes
-            self.statistics.blast_cache_hits += blaster.cache_hits
-            sat_solver = make_sat_solver(self.sat_backend, blaster.cnf.num_vars)
-            state["ok"] = _feed_cnf(sat_solver, blaster.cnf)
-            state["blaster"] = blaster
-            state["solver"] = sat_solver
-            state["roots"] = roots
-
-        def solve_group(index: int):
-            def run(terms: Sequence[Term]) -> tuple[str, Optional[Model]]:
-                goal = terms[0] if len(terms) == 1 else mk_and(*terms)
-                quick = quick_check(goal)
-                if quick.status == QuickCheckResult.UNSAT:
-                    self.statistics.quick_check_hits += 1
-                    return CheckResult.UNSAT, None
-                if quick.status == QuickCheckResult.SAT:
-                    self.statistics.quick_check_hits += 1
-                    return CheckResult.SAT, Model(quick.model)
-                ensure_built()
-                if not state["ok"]:
-                    # A definitional CNF cannot be contradictory; if the
-                    # feed still failed, degrade soundly (never cached).
-                    return CheckResult.UNKNOWN, None
-                sat_solver = state["solver"]
-                conflicts_before = sat_solver.conflicts
-                decisions_before = sat_solver.decisions
-                self.statistics.sat_core_calls += 1
-                outcome = sat_solver.solve(
-                    assumptions=[state["roots"][index]],  # type: ignore[index]
-                    max_conflicts=self._max_conflicts,
-                )
-                self.statistics.sat_conflicts += sat_solver.conflicts - conflicts_before
-                self.statistics.sat_decisions += sat_solver.decisions - decisions_before
-                if outcome == SatResult.UNSAT:
-                    return CheckResult.UNSAT, None
-                if outcome == SatResult.UNKNOWN:
-                    return CheckResult.UNKNOWN, None
-                blaster = state["blaster"]
-                model = model_from_bits(
-                    blaster.variable_bits(),  # type: ignore[attr-defined]
-                    blaster.boolean_variables(),  # type: ignore[attr-defined]
-                    sat_solver.model(),
-                )
-                return CheckResult.SAT, model
-
-            return run
-
-        return [solve_group(index) for index in range(len(groups))]
-
 
 def _feed_cnf(sat_solver, cnf) -> bool:
     """Feed a whole CNF to a fresh SAT core; False on a trivially false clause.
@@ -329,11 +236,3 @@ def _feed_cnf(sat_solver, cnf) -> bool:
             return False
     return True
 
-
-def check_formula(formula: Term, max_conflicts: Optional[int] = 200_000) -> tuple[str, Optional[Model]]:
-    """One-shot satisfiability check of a single boolean term."""
-    solver = Solver(max_conflicts=max_conflicts, enable_cache=False)
-    solver.add(formula)
-    status = solver.check()
-    model = solver.model() if status == CheckResult.SAT else None
-    return status, model

@@ -77,19 +77,10 @@ class SymbexOptions:
     max_paths: int = 4096
     max_seconds: Optional[float] = None
     static_table_mode: str = StaticTableMode.CONCRETE
+    #: Conflict budget of each CDCL search.  A search that spends it
+    #: answers ``unknown``, which never prunes a path: Step 1 keeps the
+    #: branch, and a violation Step 2 cannot decide yields ``unknown``.
     solver_max_conflicts: Optional[int] = 200_000
-    prune_infeasible_branches: bool = True
-    #: Use the incremental assumption-based solver core: one persistent
-    #: context per engine, aligned to each path's constraint prefix, with a
-    #: feasibility memo keyed on interned constraint-set ids.  Scratch mode
-    #: (``False``) re-solves every query from nothing and is kept for
-    #: differential testing.
-    incremental: bool = True
-    #: Route feasibility queries through the query-optimization layer:
-    #: independence slicing plus the tiered verdict/model/unsat-core cache
-    #: (:mod:`repro.smt.qcache`).  ``False`` keeps the plain incremental
-    #: path for differential testing and benchmarking.
-    query_opt: bool = True
     #: Directory of the persistent L3 query-cache tier (``None`` keeps the
     #: in-memory tiers only).  Excluded from summary/verdict store keys:
     #: the cache changes how queries are answered, never what they answer.
@@ -123,7 +114,6 @@ class SymbolicEngine:
     def __init__(
         self,
         options: Optional[SymbexOptions] = None,
-        solver: Optional[smt.Solver] = None,
         query_cache: Optional[smt.QueryCache] = None,
     ) -> None:
         """``query_cache`` shares one slicing/verdict cache across engines
@@ -136,24 +126,11 @@ class SymbolicEngine:
             from ..obs.trace import enable
 
             enable()
-        self.solver = solver if solver is not None else smt.Solver(
+        self.checker = smt.AssumptionChecker(
             max_conflicts=self.options.solver_max_conflicts,
+            query_cache=query_cache or smt.build_query_cache(self.options.query_cache_dir),
             sat_backend=self.options.sat_backend,
         )
-        # Injecting an explicit scratch solver opts out of incremental mode:
-        # callers doing so want every query to go through that instance.
-        if self.options.incremental and solver is None:
-            if query_cache is None:
-                query_cache = smt.build_query_cache(
-                    self.options.query_opt, self.options.query_cache_dir
-                )
-            self.checker: Optional[smt.AssumptionChecker] = smt.AssumptionChecker(
-                max_conflicts=self.options.solver_max_conflicts,
-                query_cache=query_cache,
-                sat_backend=self.options.sat_backend,
-            )
-        else:
-            self.checker = None
         if self.options.merge not in MergeMode.ALL:
             raise ValueError(
                 f"unknown merge mode {self.options.merge!r}; expected one of {MergeMode.ALL}"
@@ -211,13 +188,9 @@ class SymbolicEngine:
     ) -> ElementSummary:
         """Step-1 primitive: symbex an element on a fresh symbolic packet and summarise it."""
         started = clock()
-        query_cache = self.checker.query_cache if self.checker is not None else None
-        qcache_hits_before = query_cache.statistics.hits if query_cache is not None else 0
-        sat_core_before = (
-            self.checker.statistics.sat_core_calls
-            if self.checker is not None
-            else self.solver.statistics.sat_core_calls
-        )
+        query_cache = self.checker.query_cache
+        qcache_hits_before = query_cache.statistics.hits
+        sat_core_before = self.checker.statistics.sat_core_calls
         merged_before = self.merge_counters.paths_merged
         ites_before = self.merge_counters.ites_introduced
         rejected_before = self.merge_counters.merge_rejected
@@ -233,18 +206,9 @@ class SymbolicEngine:
             summary.segments.append(summarize_path(name, index, state))
         summary.paths_explored = len(states)
         summary.solver_checks = self.solver_checks
-        summary.incremental = self.checker is not None
-        summary.feasibility_memo_hits = self.checker.memo_hits if self.checker else 0
-        summary.sat_core_calls = (
-            self.checker.statistics.sat_core_calls
-            if self.checker is not None
-            else self.solver.statistics.sat_core_calls
-        ) - sat_core_before
-        summary.qcache_hits = (
-            query_cache.statistics.hits - qcache_hits_before
-            if query_cache is not None
-            else 0
-        )
+        summary.feasibility_memo_hits = self.checker.memo_hits
+        summary.sat_core_calls = self.checker.statistics.sat_core_calls - sat_core_before
+        summary.qcache_hits = query_cache.statistics.hits - qcache_hits_before
         summary.merge_mode = self.options.merge
         summary.paths_merged = self.merge_counters.paths_merged - merged_before
         summary.ites_introduced = self.merge_counters.ites_introduced - ites_before
@@ -401,12 +365,8 @@ class SymbolicEngine:
         fails = smt.simplify(smt.Not(holds))
 
         results: List[PathState] = []
-        take_then = not holds.is_false() and (
-            not self.options.prune_infeasible_branches or self._is_feasible(state, holds)
-        )
-        take_else = not fails.is_false() and (
-            not self.options.prune_infeasible_branches or self._is_feasible(state, fails)
-        )
+        take_then = not holds.is_false() and self._is_feasible(state, holds)
+        take_else = not fails.is_false() and self._is_feasible(state, fails)
 
         if take_then and take_else:
             then_state = state.fork()
@@ -466,14 +426,8 @@ class SymbolicEngine:
                 holds = self._as_condition(condition)
                 fails = smt.simplify(smt.Not(holds))
 
-                can_continue = not holds.is_false() and (
-                    not self.options.prune_infeasible_branches
-                    or self._is_feasible(current, holds)
-                )
-                can_exit = not fails.is_false() and (
-                    not self.options.prune_infeasible_branches
-                    or self._is_feasible(current, fails)
-                )
+                can_continue = not holds.is_false() and self._is_feasible(current, holds)
+                can_exit = not fails.is_false() and self._is_feasible(current, fails)
 
                 if can_exit:
                     exit_state = current.fork() if can_continue else current
@@ -615,9 +569,10 @@ class SymbolicEngine:
     ) -> bool:
         """Handle a potential crash condition on the current path.
 
-        Adds a crash fork when the trap is possible, constrains the main
-        path to the safe case, and returns False when the trap is
-        unavoidable (the main state is then terminated as the crash).
+        Adds a crash fork unless the solver refutes the trap, constrains
+        the main path to the safe case, and returns False when the solver
+        refutes the safe case (the main state is then terminated as the
+        crash).
         """
         trap = smt.simplify(trap_condition)
         if trap.is_false():
@@ -722,17 +677,18 @@ class SymbolicEngine:
         return smt.Not(smt.Eq(simplified, smt.BitVecVal(0, 64)))
 
     def _is_feasible(self, state: PathState, *extra: Term) -> bool:
+        """False only when the solver proves the path condition ∧ ``extra`` unsatisfiable.
+
+        An ``unknown`` answer (a spent conflict budget) keeps the branch,
+        trap fork or terminal state: over-approximating the paths is
+        sound for proofs, and a violation Step 2 then cannot decide makes
+        the verdict ``unknown`` instead of ``proved``.
+        """
         self.solver_checks += 1
         if not state.constraints and not extra:
             return True
-        if self.checker is not None:
-            # Incremental: the shared context re-derives the scope stack for
-            # this path's constraint prefix (a fork only diverges in its
-            # suffix) and decides the query as one assumption check.
-            return self.checker.is_feasible(state.constraints, extra)
-        constraints = list(state.constraints) + [smt.simplify(term) for term in extra]
-        goal = smt.conjoin(constraints)
-        return self.solver.check(goal) == smt.CheckResult.SAT
+        status, _model = self.checker.check(state.constraints, extra)
+        return status != smt.CheckResult.UNSAT
 
 
 def _one() -> Term:

@@ -198,8 +198,6 @@ class ElementSummary:
     ites_introduced: int = 0
     merge_rejected: int = 0
     solver_checks: int = 0
-    #: Whether the engine used the incremental assumption-based solver core.
-    incremental: bool = False
     #: Feasibility queries answered from the interned-constraint-set memo.
     feasibility_memo_hits: int = 0
     #: Times the CDCL core ran for this summary, and slice questions the
@@ -259,7 +257,6 @@ class ElementSummary:
             "ites_introduced": self.ites_introduced,
             "merge_rejected": self.merge_rejected,
             "solver_checks": self.solver_checks,
-            "incremental": self.incremental,
             "feasibility_memo_hits": self.feasibility_memo_hits,
             "elapsed_seconds": self.elapsed_seconds,
         }
@@ -277,7 +274,6 @@ class ElementSummary:
             ites_introduced=data.get("ites_introduced", 0),
             merge_rejected=data.get("merge_rejected", 0),
             solver_checks=data["solver_checks"],
-            incremental=data["incremental"],
             feasibility_memo_hits=data["feasibility_memo_hits"],
             elapsed_seconds=data["elapsed_seconds"],
         )

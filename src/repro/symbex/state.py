@@ -184,8 +184,8 @@ class PathState:
 
     def add_constraint(self, constraint: Term) -> None:
         # Constraints are interned on the way in: the path's prefix is then a
-        # sequence of canonical terms, so the engine's incremental solver
-        # context can align scopes and memoize feasibility by integer uid.
+        # sequence of canonical terms, so the engine's solver context can
+        # memoize feasibility and slice verdicts by integer uid.
         self.constraints.append(smt.intern_term(constraint))
 
     def path_constraint(self) -> Term:

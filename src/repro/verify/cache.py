@@ -67,14 +67,7 @@ class SummaryCache:
         #: The query-optimization cache shared by every engine this cache
         #: spawns (and by the composition engine attached to it), so slice
         #: verdicts cross element and pipeline boundaries within a run.
-        self.query_cache = (
-            query_cache
-            if query_cache is not None
-            else smt.build_query_cache(
-                self.options.incremental and self.options.query_opt,
-                self.options.query_cache_dir,
-            )
-        )
+        self.query_cache = query_cache or smt.build_query_cache(self.options.query_cache_dir)
         self._summaries: Dict[Tuple[str, int, str], ElementSummary] = {}
         self.statistics = CacheStatistics()
 

@@ -81,40 +81,27 @@ class ComposedViolation:
 class CompositionEngine:
     """Composes Step-1 summaries along pipeline routes and decides feasibility.
 
-    Routes are walked DFS-style, and in incremental mode (the default,
-    inherited from the cache's :class:`SymbexOptions`) the engine keeps one
-    persistent assumption-based solver context aligned to the composed
-    prefix: stage constraints shared by many routes are simplified,
-    bit-blasted and propagated once, and each feasibility question is a
-    single ``check_assumptions`` call on the retained CNF.
+    Routes are walked DFS-style through one persistent
+    :class:`repro.smt.AssumptionChecker`: stage constraints shared by many
+    routes slice into the same query-cache entries, and a slice that has
+    to be solved runs on the retained CNF and learned clauses.
     """
 
-    def __init__(
-        self,
-        cache: SummaryCache,
-        solver: Optional[smt.Solver] = None,
-        incremental: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, cache: SummaryCache) -> None:
         self.cache = cache
-        self.solver = solver if solver is not None else smt.Solver(
-            sat_backend=cache.options.sat_backend
-        )
-        if incremental is None:
-            incremental = cache.options.incremental and solver is None
         # The query cache is shared with the summary cache's engines, so
         # Step-2 composition reuses slice verdicts Step 1 already paid for.
-        self.checker: Optional[smt.AssumptionChecker] = (
-            smt.AssumptionChecker(
-                max_conflicts=cache.options.solver_max_conflicts,
-                query_cache=cache.query_cache,
-                sat_backend=cache.options.sat_backend,
-            )
-            if incremental
-            else None
+        self.checker = smt.AssumptionChecker(
+            max_conflicts=cache.options.solver_max_conflicts,
+            query_cache=cache.query_cache,
+            sat_backend=cache.options.sat_backend,
         )
         self.paths_checked = 0
         self.paths_feasible = 0
         self.solver_checks = 0
+        #: Suspect segments (element name, segment) whose composed path the
+        #: solver could neither confirm nor refute within its conflict budget.
+        self.undecided: List[Tuple[str, SegmentSummary]] = []
 
     # -- stitching ----------------------------------------------------------------------------
 
@@ -175,22 +162,14 @@ class CompositionEngine:
 
     # -- feasibility ---------------------------------------------------------------------------
 
-    def is_feasible(self, prefix: ComposedPrefix, *extra: Term) -> Tuple[bool, Optional[smt.Model]]:
-        """Check the composed constraint (plus optional extra predicates).
+    def check(self, prefix: ComposedPrefix, *extra: Term) -> Tuple[str, Optional[smt.Model]]:
+        """Decide the composed constraint (plus optional extra predicates).
 
-        Incremental mode aligns the persistent context to the prefix's
-        constraint list — composed routes sharing an upstream prefix keep
-        its scopes (and learned clauses) between checks.
+        Returns the solver's status (``sat``, ``unsat`` or ``unknown``) and
+        the model of a satisfiable path.
         """
         self.solver_checks += 1
-        if self.checker is not None:
-            status, model = self.checker.check(prefix.constraints, extra, need_model=True)
-            return status == smt.CheckResult.SAT, model
-        goal = smt.conjoin(list(prefix.constraints) + [smt.simplify(t) for t in extra])
-        status = self.solver.check(goal)
-        if status == smt.CheckResult.SAT:
-            return True, self.solver.model()
-        return False, None
+        return self.checker.check(prefix.constraints, extra, need_model=True)
 
     # -- route enumeration over the pipeline graph ------------------------------------------------
 
@@ -235,6 +214,8 @@ class CompositionEngine:
         correctly.  ``extra_predicate`` (if given) maps the list of input
         byte terms to an additional boolean constraint — used by the
         reachability property to restrict attention to packets of interest.
+        A suspect the solver leaves undecided is yielded nowhere; it lands
+        in :attr:`undecided` instead.
         """
         found = 0
         for route in self.routes_to(pipeline, entry, target):
@@ -271,8 +252,8 @@ class CompositionEngine:
                     continue
                 candidate = self.extend(prefix, target.name, segment)
                 self.paths_checked += 1
-                feasible, model = self.is_feasible(candidate, *extra)
-                if feasible and model is not None:
+                status, model = self.check(candidate, *extra)
+                if status == smt.CheckResult.SAT and model is not None:
                     self.paths_feasible += 1
                     yield ComposedViolation(
                         prefix=candidate,
@@ -281,6 +262,8 @@ class CompositionEngine:
                         model=model,
                         input_length=input_length,
                     )
+                elif status == smt.CheckResult.UNKNOWN:
+                    self.undecided.append((target.name, segment))
             return
 
         element, port = route[position]
@@ -288,8 +271,10 @@ class CompositionEngine:
         for segment in summary.emit_segments_for_port(port):
             candidate = self.extend(prefix, element.name, segment)
             self.paths_checked += 1
-            feasible, _model = self.is_feasible(candidate)
-            if not feasible:
+            # Only a refuted prefix is pruned: an undecided one stays
+            # explored, so its suspects are decided (or reported undecided).
+            status, _model = self.check(candidate)
+            if status == smt.CheckResult.UNSAT:
                 continue
             yield from self._explore_route(
                 route, position + 1, candidate, target, suspect_filter, extra, input_length

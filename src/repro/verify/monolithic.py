@@ -30,6 +30,7 @@ from .report import (
     VerificationResult,
     VerificationStatistics,
     Verdict,
+    undecided_note,
 )
 
 
@@ -112,23 +113,36 @@ class MonolithicVerifier:
 
         try:
             explore(self.entry, SymbolicPacket.fresh(input_length), [], {}, [])
+            undecided: List[Tuple[Element, PathState]] = []
             for element, state, trail in terminal_paths:
-                violating = self._violates(target_property, element, state)
-                if not violating:
+                if len(counterexamples) >= max_counterexamples:
+                    break
+                if not self._violates(target_property, element, state):
                     continue
+                counterexample = self._counterexample(engine, element, state, trail, input_length)
+                if counterexample is None:
+                    undecided.append((element, state))
+                else:
+                    counterexamples.append(counterexample)
+            if counterexamples:
                 verdict = Verdict.VIOLATED
-                if len(counterexamples) < max_counterexamples:
-                    counterexamples.append(self._counterexample(engine, element, state, trail, input_length))
+            elif undecided:
+                # Kept only because the solver could not refute them: no
+                # proof, and no packet to show.
+                verdict = Verdict.UNKNOWN
+                statistics.budget_exceeded = True
+                notes.extend(
+                    undecided_note(
+                        element.name, state.outcome or "", state.crash_message or state.drop_reason
+                    )
+                    for element, state in undecided
+                )
         except PathExplosionError as exc:
             verdict = Verdict.UNKNOWN
             statistics.budget_exceeded = True
             notes.append(f"did not complete within budget: {exc}")
 
-        statistics.count_solver_checks(
-            engine.solver_checks,
-            incremental=engine.checker is not None,
-            memo_hits=engine.checker.memo_hits if engine.checker else 0,
-        )
+        statistics.count_solver_checks(engine.solver_checks, memo_hits=engine.checker.memo_hits)
         statistics.elapsed_seconds = clock() - started
         return VerificationResult(
             property_name=target_property.describe(),
@@ -173,18 +187,16 @@ class MonolithicVerifier:
         state: PathState,
         trail: List[str],
         input_length: int,
-    ) -> Counterexample:
-        solver = engine.solver
-        status = solver.check(state.path_constraint())
-        packet = bytes(input_length)
-        if status == smt.CheckResult.SAT:
-            model = solver.model()
-            data = bytearray(input_length)
-            for index in range(input_length):
-                data[index] = int(model.get(f"in_b{index}", 0)) & 0xFF
-            packet = bytes(data)
+    ) -> Optional[Counterexample]:
+        """The packet that drives ``state``'s path; ``None`` when the solver cannot find one."""
+        status, model = engine.checker.check(state.constraints, need_model=True)
+        if status != smt.CheckResult.SAT or model is None:
+            return None
+        data = bytearray(input_length)
+        for index in range(input_length):
+            data[index] = int(model.get(f"in_b{index}", 0)) & 0xFF
         return Counterexample(
-            packet=packet,
+            packet=bytes(data),
             element_path=trail,
             violating_element=element.name,
             violation_kind=state.outcome or "",

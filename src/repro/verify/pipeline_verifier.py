@@ -4,10 +4,12 @@ Step 1 (:class:`repro.verify.cache.SummaryCache` + property classification)
 symbolically executes each element *once per configuration and input
 length* and tags suspect segments.  Step 2
 (:class:`repro.verify.composition.CompositionEngine`) composes summaries
-along pipeline routes ending in a suspect and checks feasibility.  If no
-composed suspect path is feasible, the property is proved; otherwise the
-solver model is turned into a concrete counterexample packet, which is
-replayed on the concrete dataplane to confirm it.
+along pipeline routes ending in a suspect and checks feasibility.  If the
+solver refutes every composed suspect path, the property is proved; if it
+satisfies one, the solver model is turned into a concrete counterexample
+packet, which is replayed on the concrete dataplane to confirm it.  A
+suspect path it can do neither for within its conflict budget makes the
+verdict ``unknown``, unless another path already violates the property.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
+from .. import smt
 from ..dataplane.driver import PipelineDriver
 from ..dataplane.element import Element
 from ..dataplane.pipeline import Pipeline
@@ -33,6 +36,7 @@ from .report import (
     VerificationResult,
     VerificationStatistics,
     Verdict,
+    undecided_note,
 )
 
 
@@ -59,7 +63,7 @@ class PipelineVerifier:
                 "(SummaryCache(options, store=...)) when you need both"
             )
         self.cache = cache if cache is not None else SummaryCache(self.options, store=store)
-        self.composer = CompositionEngine(self.cache, incremental=self.options.incremental)
+        self.composer = CompositionEngine(self.cache)
         if entry is None:
             entries = pipeline.entry_elements()
             if len(entries) != 1:
@@ -99,11 +103,8 @@ class PipelineVerifier:
     def _composer_work(self) -> Tuple[int, int, int]:
         """Snapshot of the composition engine's (sat-core calls, query-cache
         hits, slices solved) — cumulative, so callers take deltas."""
-        if self.composer.checker is not None:
-            stats = self.composer.checker.statistics
-            return stats.sat_core_calls, stats.qcache_hits, stats.slices_solved
-        stats = self.composer.solver.statistics
-        return stats.sat_core_calls, stats.qcache_hits, 0
+        stats = self.composer.checker.statistics
+        return stats.sat_core_calls, stats.qcache_hits, stats.slices_solved
 
     def verify(
         self,
@@ -128,6 +129,7 @@ class PipelineVerifier:
         # merged exactly once, or the reported work inflates with every revisit.
         counted_summaries: Set[int] = set()
         core_before, qcache_before, slices_before = self._composer_work()
+        undecided_before = len(self.composer.undecided)
 
         try:
             for input_length in input_lengths:
@@ -141,9 +143,7 @@ class PipelineVerifier:
                             f"{name}@{length}", len(summary.segments), summary.elapsed_seconds
                         )
                         statistics.count_solver_checks(
-                            summary.solver_checks,
-                            incremental=summary.incremental,
-                            memo_hits=summary.feasibility_memo_hits,
+                            summary.solver_checks, memo_hits=summary.feasibility_memo_hits
                         )
                         # Structural facts of the summary (serialized, so
                         # store-loaded summaries carry them too) — counted
@@ -194,6 +194,18 @@ class PipelineVerifier:
                         )
                 if counterexamples:
                     verdict = Verdict.VIOLATED
+            undecided = self.composer.undecided[undecided_before:]
+            if undecided and not counterexamples:
+                # A violation the solver could not refute is no proof, and
+                # without a model there is no packet to show either.
+                verdict = Verdict.UNKNOWN
+                statistics.budget_exceeded = True
+                notes.extend(
+                    undecided_note(
+                        name, segment.outcome, segment.crash_message or segment.drop_reason
+                    )
+                    for name, segment in undecided
+                )
         except PathExplosionError as exc:
             verdict = Verdict.UNKNOWN
             statistics.budget_exceeded = True
@@ -202,9 +214,7 @@ class PipelineVerifier:
         statistics.composed_paths_checked = self.composer.paths_checked
         statistics.composed_paths_feasible = self.composer.paths_feasible
         statistics.count_solver_checks(
-            self.composer.solver_checks,
-            incremental=self.composer.checker is not None,
-            memo_hits=self.composer.checker.memo_hits if self.composer.checker else 0,
+            self.composer.solver_checks, memo_hits=self.composer.checker.memo_hits
         )
         core_after, qcache_after, slices_after = self._composer_work()
         statistics.sat_core_calls += core_after - core_before
@@ -279,9 +289,7 @@ class PipelineVerifier:
 
         statistics.composed_paths_checked = self.composer.paths_checked
         statistics.count_solver_checks(
-            self.composer.solver_checks,
-            incremental=self.composer.checker is not None,
-            memo_hits=self.composer.checker.memo_hits if self.composer.checker else 0,
+            self.composer.solver_checks, memo_hits=self.composer.checker.memo_hits
         )
         core_after, qcache_after, slices_after = self._composer_work()
         statistics.sat_core_calls += core_after - core_before
@@ -345,8 +353,8 @@ class PipelineVerifier:
         prefix = self.composer.initial_prefix(input_length)
         for element, segment in chain:
             prefix = self.composer.extend(prefix, element.name, segment)
-        feasible, model = self.composer.is_feasible(prefix)
-        if not feasible or model is None:
+        status, model = self.composer.check(prefix)
+        if status != smt.CheckResult.SAT or model is None:
             return None, None
         data = bytearray(input_length)
         for index in range(input_length):

@@ -23,6 +23,12 @@ class Verdict:
     UNKNOWN = "unknown"
 
 
+def undecided_note(element: str, outcome: str, detail: Optional[str]) -> str:
+    """The note an ``unknown`` verdict carries for a violation the solver left undecided."""
+    suffix = f": {detail}" if detail else ""
+    return f"solver budget exhausted deciding whether {element!r} can {outcome}{suffix}"
+
+
 @dataclass
 class Counterexample:
     """A concrete packet (plus any required table state) violating the property."""
@@ -74,11 +80,7 @@ class VerificationStatistics(StatisticsMixin):
     """Work performed during one verification run.
 
     ``solver_checks`` counts every feasibility/satisfiability question the
-    run asked.  The incremental/scratch split reports which solving core
-    answered them: ``incremental_solver_checks`` went through a persistent
-    assumption-based context (encodings and learned clauses retained
-    between questions), ``scratch_solver_checks`` rebuilt the query from
-    nothing, and ``feasibility_memo_hits`` were answered from the
+    run asked; ``feasibility_memo_hits`` of them were answered from the
     interned-constraint-set memo without touching a solver at all.
     """
 
@@ -88,8 +90,6 @@ class VerificationStatistics(StatisticsMixin):
     composed_paths_checked: int = 0
     composed_paths_feasible: int = 0
     solver_checks: int = 0
-    incremental_solver_checks: int = 0
-    scratch_solver_checks: int = 0
     feasibility_memo_hits: int = 0
     #: Times the CDCL core actually searched during this run (slice-level;
     #: quick-check and query-cache answers excluded).  0 on a warm run
@@ -119,13 +119,9 @@ class VerificationStatistics(StatisticsMixin):
         self.per_element_segments[name] = segments
         self.per_element_seconds[name] = self.per_element_seconds.get(name, 0.0) + seconds
 
-    def count_solver_checks(self, checks: int, incremental: bool, memo_hits: int = 0) -> None:
-        """Attribute ``checks`` solver questions to the right solving core."""
+    def count_solver_checks(self, checks: int, memo_hits: int = 0) -> None:
+        """Add ``checks`` solver questions, ``memo_hits`` of them memo answers."""
         self.solver_checks += checks
-        if incremental:
-            self.incremental_solver_checks += checks
-        else:
-            self.scratch_solver_checks += checks
         self.feasibility_memo_hits += memo_hits
 
 
@@ -160,9 +156,7 @@ class VerificationResult:
             f"composed   : {self.statistics.composed_paths_checked} checked, "
             f"{self.statistics.composed_paths_feasible} feasible",
             f"solver     : {self.statistics.solver_checks} checks "
-            f"({self.statistics.incremental_solver_checks} incremental / "
-            f"{self.statistics.scratch_solver_checks} scratch, "
-            f"{self.statistics.feasibility_memo_hits} memo hits)",
+            f"({self.statistics.feasibility_memo_hits} memo hits)",
             f"sat core   : {self.statistics.sat_core_calls} calls "
             f"({self.statistics.qcache_hits} query-cache hits, "
             f"{self.statistics.slices_solved} slices solved)",

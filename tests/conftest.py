@@ -1,6 +1,12 @@
 """Fixtures shared by the tier-1 test modules."""
 
+from contextlib import contextmanager
+
 import pytest
+
+from repro import smt
+from repro.symbex.engine import SymbolicEngine
+from repro.verify.composition import CompositionEngine
 
 
 @pytest.fixture
@@ -9,3 +15,57 @@ def four_cpus(monkeypatch):
     import repro.orchestrator.fleet as fleet_mod
 
     monkeypatch.setattr(fleet_mod.os, "cpu_count", lambda: 4)
+
+
+def _reference_solver(engine, options) -> smt.Solver:
+    """The engine's scratch solver, built on first use with its budget and backend."""
+    solver = getattr(engine, "_reference_solver", None)
+    if solver is None:
+        solver = smt.Solver(
+            max_conflicts=options.solver_max_conflicts, sat_backend=options.sat_backend
+        )
+        engine._reference_solver = solver
+    return solver
+
+
+def _reference_goal(constraints, extra) -> smt.Term:
+    return smt.conjoin(list(constraints) + [smt.simplify(term) for term in extra])
+
+
+def _reference_is_feasible(self, state, *extra):
+    """``SymbolicEngine._is_feasible`` decided from nothing by a scratch solver."""
+    self.solver_checks += 1
+    if not state.constraints and not extra:
+        return True
+    solver = _reference_solver(self, self.options)
+    return solver.check(_reference_goal(state.constraints, extra)) != smt.CheckResult.UNSAT
+
+
+def _reference_check(self, prefix, *extra):
+    """``CompositionEngine.check`` decided from nothing by a scratch solver."""
+    self.solver_checks += 1
+    solver = _reference_solver(self, self.cache.options)
+    status = solver.check(_reference_goal(prefix.constraints, extra))
+    return status, solver.model() if status == smt.CheckResult.SAT else None
+
+
+@pytest.fixture
+def scratch_reference():
+    """A context manager under which a scratch :class:`repro.smt.Solver` decides
+    every Step-1 and Step-2 feasibility question.
+
+    Each engine gets one scratch solver with its own conflict budget and
+    SAT backend, which re-solves every conjunction from a fresh CNF: no
+    slicing, query cache, feasibility memo or persistent context.  Run a
+    workload once as is and once inside the context, and compare: the
+    production solve path must agree with this reference.
+    """
+
+    @contextmanager
+    def reference():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SymbolicEngine, "_is_feasible", _reference_is_feasible)
+            patch.setattr(CompositionEngine, "check", _reference_check)
+            yield
+
+    return reference

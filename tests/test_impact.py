@@ -92,7 +92,7 @@ class TestPipelineFingerprints:
             pipeline_fingerprint(pipeline, True), properties, (24,), SymbexOptions(),
             3, True, False, slots=slots,
         )
-        assert key == "55337691fb9fa833b9e8b888f46af81737c33a8bdc6b120238c884c910fed889"
+        assert key == "28c61bea4e2551775524356ca0414195b7adbc3720da7095413b68de3d9b9cc6"
 
     def test_verdict_key_pins_named_element_slots(self):
         pipeline = ip_router_pipeline(length=2, name="p")  # check_ip -> lookup

@@ -337,6 +337,7 @@ class TestQueryStoreL3:
 
 class TestSolverContextRouting:
     def test_context_with_cache_agrees_with_plain_context(self):
+        """The context (sliced, cached) agrees with the scratch solver."""
         rng = random.Random(23)
         x, y = BitVec("x", 8), BitVec("y", 8)
 
@@ -350,53 +351,47 @@ class TestSolverContextRouting:
             return rng.choice(ops)
 
         for _round in range(10):
-            plain = SolverContext()
+            scratch = Solver(enable_cache=False)
             routed = SolverContext(query_cache=QueryCache())
+            terms = []
             for _step in range(6):
-                term = formula()
-                plain.assert_term(term)
-                routed.assert_term(term)
-                assert plain.check_assumptions() == routed.check_assumptions()
-
-    def test_solver_facade_with_query_cache(self):
-        x, y = BitVec("x", 8), BitVec("y", 8)
-        solver = Solver(query_cache=QueryCache())
-        solver.add(ULT(x, 10), UGT(y, 250))
-        assert solver.check() == CheckResult.SAT
-        model = solver.model()
-        assert int(model["x"]) < 10 and int(model["y"]) > 250
-        solver.add(UGT(x, 20))
-        assert solver.check() == CheckResult.UNSAT
+                terms.append(formula())
+                scratch.add(terms[-1])
+                assert routed.check_assumptions(*terms) == scratch.check()
 
     def test_unknown_is_not_cached(self):
-        # A conflict budget of 0 forces UNKNOWN; the cache must not pin it.
-        x, y = BitVec("x", 16), BitVec("y", 16)
-        hard = Eq(x * y, BitVecVal(12_345, 16))
+        # Factoring a product of two primes starves a 10-conflict budget
+        # into UNKNOWN; the cache must not pin that for a roomier context.
+        x, y = BitVec("x", 32), BitVec("y", 32)
+        terms = (
+            Eq(x * y, BitVecVal(65521 * 65519, 32)),
+            UGT(x, 1),
+            ULT(x, 0x10000),
+            UGT(y, 1),
+            ULT(y, 0x10000),
+        )
         cache = QueryCache()
-        starved = SolverContext(max_conflicts=0, query_cache=cache)
-        starved.assert_term(hard, UGT(x, 2), UGT(y, 2))
-        if starved.check_assumptions() == CheckResult.UNKNOWN:
-            roomy = SolverContext(max_conflicts=200_000, query_cache=cache)
-            roomy.assert_term(hard, UGT(x, 2), UGT(y, 2))
-            assert roomy.check_assumptions() in (CheckResult.SAT, CheckResult.UNSAT)
+        starved = SolverContext(max_conflicts=10, query_cache=cache)
+        assert starved.check_assumptions(*terms) == CheckResult.UNKNOWN
+        assert cache.statistics.unknown_results == 1
+        roomy = SolverContext(max_conflicts=200_000, query_cache=cache)
+        assert roomy.check_assumptions(*terms) == CheckResult.SAT
+        assert cache.statistics.hits == 0 and cache.statistics.solved == 2
+        assert sorted((int(roomy.model()["x"]), int(roomy.model()["y"]))) == [65519, 65521]
 
 
 class TestEngineAndFleetWiring:
-    def test_engine_differential_query_opt_on_off(self):
-        from repro.symbex.engine import SymbexOptions
+    def test_engine_differential_query_opt_on_off(self, scratch_reference):
+        """The sliced, cached production path agrees with the scratch reference."""
         from repro.workloads import synthetic_pipeline
         from repro.verify import CrashFreedom
         from repro.verify.pipeline_verifier import PipelineVerifier
 
         pipeline = synthetic_pipeline(3, 2, name="diff")
-        on = PipelineVerifier(pipeline, options=SymbexOptions(query_opt=True)).verify(
-            CrashFreedom(), input_lengths=(12,)
-        )
-        off = PipelineVerifier(pipeline, options=SymbexOptions(query_opt=False)).verify(
-            CrashFreedom(), input_lengths=(12,)
-        )
-        assert on.verdict == off.verdict
-        assert on.statistics.sat_core_calls <= off.statistics.sat_core_calls
+        production = PipelineVerifier(pipeline).verify(CrashFreedom(), input_lengths=(12,))
+        with scratch_reference():
+            reference = PipelineVerifier(pipeline).verify(CrashFreedom(), input_lengths=(12,))
+        assert production.verdict == reference.verdict
 
     def test_warm_fleet_run_makes_zero_sat_core_calls(self, tmp_path):
         from repro.orchestrator import QueryStore, SummaryStore, certify_fleet

@@ -16,8 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import smt
-from repro.smt import And, BitVec, Eq, Not, Or, Solver, ULE, ULT
+from repro.smt import And, AssumptionChecker, BitVec, Eq, Not, Or, Solver, ULE, ULT
 from repro.smt.backend import (
     ARRAY,
     EXTERNAL,
@@ -142,8 +141,10 @@ class TestDifferentialBitvector:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)
     def test_batched_arena_matches_sequential(self, seed):
-        """Multi-slice goals through the query cache (batched arena) agree
-        with the plain per-goal path on every backend."""
+        """Multi-slice queries through the production checker (the query
+        cache's batched arena) agree with the scratch solver on every
+        available backend — the external one too, where a solver binary
+        is installed."""
         rng = random.Random(seed)
         # Disjoint variable groups force multiple slices.
         groups = []
@@ -156,16 +157,13 @@ class TestDifferentialBitvector:
                 )
             )
         goal = And(*groups)
-        for name in local_backends():
-            plain = Solver(sat_backend=name, enable_cache=False)
-            plain.add(goal)
-            batched = Solver(
-                sat_backend=name, enable_cache=False, query_cache=smt.QueryCache()
-            )
-            batched.add(goal)
-            assert plain.check() == batched.check()
-            if plain.check() == "sat":
-                assert batched.model().satisfies(goal)
+        for name in available_backends():
+            scratch = Solver(sat_backend=name, enable_cache=False)
+            scratch.add(goal)
+            status, model = AssumptionChecker(sat_backend=name).check(groups, need_model=True)
+            assert status == scratch.check()
+            if status == "sat":
+                assert model.satisfies(goal)
 
 
 class TestLearnedClauseBounds:

@@ -1,4 +1,5 @@
-"""Tests for the incremental solver core: interning, scoping, differentials."""
+"""Tests for the production solver core: interning, assumption checks, and
+agreement with the scratch reference."""
 
 import random
 
@@ -10,7 +11,6 @@ from repro.smt import (
     AssumptionChecker,
     BitVec,
     BitVecVal,
-    Bool,
     CheckResult,
     Eq,
     Not,
@@ -23,6 +23,7 @@ from repro.smt import (
 )
 from repro.smt.errors import SolverError
 from repro.smt.terms import Op, Term, mk_term
+from repro.symbex.engine import SymbolicEngine
 
 
 class TestInterning:
@@ -62,65 +63,44 @@ class TestInterning:
 
 
 class TestSolverContextScoping:
-    def test_push_pop_mirrors_scratch_solver(self):
-        x = BitVec("x", 8)
-        context = SolverContext()
-        context.assert_term(ULT(x, 10))
-        context.push()
-        context.assert_term(UGT(x, 20))
-        assert context.check_assumptions() == CheckResult.UNSAT
-        context.pop()
-        assert context.check_assumptions() == CheckResult.SAT
-        assert context.model()["x"] < 10
-        with pytest.raises(SolverError):
-            context.pop()
-
-    def test_nested_scopes(self):
-        x = BitVec("x", 8)
-        context = SolverContext()
-        context.assert_term(ULT(x, 100))
-        context.push()
-        context.assert_term(UGT(x, 50))
-        context.push()
-        context.assert_term(Eq(x, BitVecVal(51, 8)))
-        assert context.depth == 2
-        assert context.check_assumptions() == CheckResult.SAT
-        assert context.model()["x"] == 51
-        context.pop()
-        context.push()
-        context.assert_term(Eq(x, BitVecVal(10, 8)))
-        assert context.check_assumptions() == CheckResult.UNSAT
-        context.pop()
-        context.pop()
-        assert context.check_assumptions() == CheckResult.SAT
+    """Each ``check_assumptions`` call decides exactly the terms it is given."""
 
     def test_assumptions_do_not_persist(self):
         x = BitVec("x", 8)
         context = SolverContext()
-        context.assert_term(ULT(x, 10))
-        assert context.check_assumptions(UGT(x, 20)) == CheckResult.UNSAT
-        assert context.check_assumptions() == CheckResult.SAT
-        assert context.check_assumptions(UGT(x, 5)) == CheckResult.SAT
+        assert context.check_assumptions(ULT(x, 10), UGT(x, 20)) == CheckResult.UNSAT
+        assert context.check_assumptions(ULT(x, 10)) == CheckResult.SAT
+        assert context.check_assumptions(ULT(x, 10), UGT(x, 5)) == CheckResult.SAT
         assert context.model()["x"] in (6, 7, 8, 9)
 
     def test_non_boolean_assertion_rejected(self):
         with pytest.raises(SolverError):
-            SolverContext().assert_term(BitVec("x", 8))
+            SolverContext().check_assumptions(BitVec("x", 8))
+        with pytest.raises(SolverError):
+            SolverContext().check_assumptions(ULT(BitVec("x", 8), 10), 3)
 
     def test_model_before_check_raises(self):
         with pytest.raises(SolverError):
             SolverContext().model()
-
-    def test_encodings_are_reused_across_checks(self):
         x = BitVec("x", 8)
         context = SolverContext()
-        context.assert_term(ULT(x, 10))
-        context.check_assumptions()
+        assert context.check_assumptions(ULT(x, 10), UGT(x, 20)) == CheckResult.UNSAT
+        with pytest.raises(SolverError):
+            context.model()
+
+    def test_encodings_are_reused_across_checks(self):
+        # A product constraint neither the interval quick check nor the
+        # canned probe models decide, so both checks reach the CDCL core.
+        x, y = BitVec("x", 8), BitVec("y", 8)
+        product = Eq(x * y, BitVecVal(143, 8))
+        context = SolverContext()
+        assert context.check_assumptions(product) == CheckResult.SAT
         encoded_once = context.statistics.terms_encoded
-        context.check_assumptions()
-        context.check_assumptions(ULT(x, 10))
-        assert context.statistics.terms_encoded == encoded_once
-        assert context.statistics.literals_reused >= 2
+        other = Not(Eq(x, BitVecVal(int(context.model()["x"]), 8)))
+        assert context.check_assumptions(product, other) == CheckResult.SAT
+        assert context.statistics.sat_core_calls == 2
+        assert context.statistics.terms_encoded == encoded_once + 1
+        assert context.statistics.literals_reused >= 1
 
 
 def _random_formula(rng: random.Random) -> "smt.Term":
@@ -139,30 +119,30 @@ def _random_formula(rng: random.Random) -> "smt.Term":
 
 class TestDifferentialAgainstScratch:
     def test_assumption_checks_agree_with_scratch_solver(self):
-        """Random push/assert/pop/check scripts: both cores give identical verdicts."""
+        """Random scripts that grow, cut and check a constraint list: the
+        context and the scratch solver give identical verdicts."""
         rng = random.Random(7)
         for _round in range(15):
             context = SolverContext()
             scratch = Solver(enable_cache=False)
-            depth = 0
+            constraints = []
+            scopes = []
             for _step in range(rng.randrange(4, 12)):
                 action = rng.random()
                 if action < 0.5:
                     formula = _random_formula(rng)
-                    context.assert_term(formula)
+                    constraints.append(formula)
                     scratch.add(formula)
                 elif action < 0.7:
-                    context.push()
+                    scopes.append(len(constraints))
                     scratch.push()
-                    depth += 1
-                elif action < 0.8 and depth > 0:
-                    context.pop()
+                elif action < 0.8 and scopes:
+                    del constraints[scopes.pop():]
                     scratch.pop()
-                    depth -= 1
                 else:
                     extra = _random_formula(rng)
-                    assert context.check_assumptions(extra) == scratch.check(extra)
-            assert context.check_assumptions() == scratch.check()
+                    assert context.check_assumptions(*constraints, extra) == scratch.check(extra)
+            assert context.check_assumptions(*constraints) == scratch.check()
 
     def test_checker_memo_and_agreement_on_growing_prefixes(self):
         """Append-only constraint lists (the fork-tree shape) agree with scratch."""
@@ -187,10 +167,8 @@ class TestDifferentialAgainstScratch:
         context = SolverContext()
         asserted = []
         for _step in range(20):
-            formula = _random_formula(rng)
-            context.assert_term(formula)
-            asserted.append(formula)
-            if context.check_assumptions() == CheckResult.SAT:
+            asserted.append(_random_formula(rng))
+            if context.check_assumptions(*asserted) == CheckResult.SAT:
                 model = context.model()
                 for term in asserted:
                     assert model.satisfies(term)
@@ -198,51 +176,79 @@ class TestDifferentialAgainstScratch:
                 break
 
 
+def _segment_shapes(summary):
+    return sorted((segment.outcome, segment.port, segment.instructions) for segment in summary.segments)
+
+
 class TestEngineModesAgree:
-    def test_summaries_identical_across_solver_modes(self):
+    """The production solve path agrees with the scratch reference
+    (the ``scratch_reference`` fixture) on summaries and verdicts."""
+
+    def test_summaries_identical_across_solver_modes(self, scratch_reference):
         from repro.dataplane.elements import CheckIPHeader, DecIPTTL, IPOptions
         from repro.symbex import SymbexOptions
-        from repro.symbex.engine import SymbolicEngine
+        from repro.workloads.pipelines import SyntheticBranchyElement
 
-        for element in (
-            DecIPTTL(name="ttl"),
-            CheckIPHeader(name="chk", verify_checksum=False),
-            IPOptions(name="opts", max_options=4),
-        ):
-            fingerprints = []
-            for incremental in (True, False):
-                engine = SymbolicEngine(SymbexOptions(incremental=incremental))
-                summary = engine.summarize_element(
-                    element.program,
-                    24,
-                    tables=element.state.tables(),
-                    element_name=element.name,
-                )
-                assert summary.incremental == incremental
-                fingerprints.append(
-                    sorted(
-                        (segment.outcome, segment.port, segment.instructions)
-                        for segment in summary.segments
-                    )
-                )
-            assert fingerprints[0] == fingerprints[1]
+        cases = [
+            (element, 24, SymbexOptions())
+            for element in (
+                DecIPTTL(name="ttl"),
+                CheckIPHeader(name="chk", verify_checksum=False),
+                IPOptions(name="opts", max_options=4),
+            )
+        ] + [
+            (
+                SyntheticBranchyElement(branches=branches, offset=0, name=f"branchy{branches}"),
+                12,
+                SymbexOptions(max_paths=100_000, merge="off"),
+            )
+            for branches in (2, 3, 4)
+        ]
 
-    def test_verification_verdicts_identical_across_solver_modes(self):
+        engines = []
+
+        def summarize(element, length, options):
+            engines.append(SymbolicEngine(options))
+            return engines[-1].summarize_element(
+                element.program, length, tables=element.state.tables(), element_name=element.name
+            )
+
+        production = [_segment_shapes(summarize(*case)) for case in cases]
+        with scratch_reference():
+            reference = [_segment_shapes(summarize(*case)) for case in cases]
+        assert production == reference
+        assert all(production)
+        # The reference really answered: its engines never asked the checker.
+        for engine in engines[len(cases):]:
+            assert engine.checker.checks == 0
+            assert engine._reference_solver.statistics.checks > 0
+
+    def test_verification_verdicts_identical_across_solver_modes(self, scratch_reference):
         from repro.dataplane import Pipeline
         from repro.dataplane.elements import CheckIPHeader, IPOptions
         from repro.symbex import SymbexOptions
         from repro.verify import verify_crash_freedom
+        from repro.workloads import ip_router_pipeline
 
         protected = Pipeline.chain(
             [CheckIPHeader(name="chk", verify_checksum=False), IPOptions(name="opts", max_options=6)],
             name="protected",
         )
         unprotected = Pipeline.chain([IPOptions(name="opts", max_options=6)], name="unprotected")
-        for pipeline, expected in ((protected, "proved"), (unprotected, "violated")):
-            for incremental in (True, False):
-                result = verify_crash_freedom(
-                    pipeline,
-                    input_lengths=[24],
-                    options=SymbexOptions(incremental=incremental),
-                )
-                assert result.verdict == expected
+        router = ip_router_pipeline(length=2, verify_checksum=False)
+        cases = [
+            (protected, SymbexOptions(), "proved"),
+            (unprotected, SymbexOptions(), "violated"),
+            (router, SymbexOptions(merge="off"), "proved"),
+        ]
+
+        def verdicts():
+            return [
+                verify_crash_freedom(pipeline, input_lengths=[24], options=options).verdict
+                for pipeline, options, _expected in cases
+            ]
+
+        production = verdicts()
+        with scratch_reference():
+            reference = verdicts()
+        assert production == reference == [expected for _pipeline, _options, expected in cases]

@@ -25,7 +25,6 @@ from repro.smt import (
     UGT,
     ULE,
     ULT,
-    check_formula,
     evaluate,
 )
 from repro.smt import SLE, SLT
@@ -34,6 +33,14 @@ from repro.smt.errors import SolverError
 from repro.smt.interval import QuickCheckResult, quick_check
 from repro.smt.terms import Op, mk_and, mk_bv_unop, mk_eq
 from repro.smt.sat import SATSolver, SatResult, luby, solve_clauses
+
+
+def check_formula(formula):
+    """One-shot check of a single boolean term: (status, model-or-None)."""
+    solver = Solver(enable_cache=False)
+    solver.add(formula)
+    status = solver.check()
+    return status, solver.model() if status == CheckResult.SAT else None
 
 
 class TestSATSolver:

@@ -39,6 +39,23 @@ class ToyClamp(Element):
         return builder.build()
 
 
+class Factor(Element):
+    """Crashes on a packet whose two 4-byte fields factor 65521 * 65519.
+
+    Finding the factors takes the CDCL core more than 100 conflicts, so a
+    starved conflict budget leaves the crash undecided.
+    """
+
+    def build_program(self) -> ElementProgram:
+        builder = ProgramBuilder(self.name)
+        x = builder.let("x", builder.load(0, 4))
+        y = builder.let("y", builder.load(4, 4))
+        with builder.if_((x > 1) & (x < 0x10000) & (y > 1) & (y < 0x10000)):
+            builder.assert_(x * y != 65521 * 65519, "factored")
+        builder.emit(0)
+        return builder.build()
+
+
 class ToyAssert(Element):
     """E2 of Figure 2: crash on "negative" input, clamp small values to 10."""
 
@@ -206,8 +223,8 @@ class TestCompositionEngine:
         extended = composer.extend(prefix, element.name, emit)
         assert len(extended.current_bytes) == 20
         assert extended.instructions == emit.instructions
-        feasible, model = composer.is_feasible(extended)
-        assert feasible and model is not None
+        status, model = composer.check(extended)
+        assert status == smt.CheckResult.SAT and model is not None
 
     def test_routes_to_enumeration(self):
         pipeline = ip_router_pipeline(length=3, verify_checksum=False)
@@ -246,6 +263,34 @@ class TestMonolithicBaseline:
         monolithic = MonolithicVerifier(pipeline).verify(CrashFreedom(), input_length=1)
         assert monolithic.violated
         assert monolithic.counterexamples[0].packet[0] >= 0x80
+
+
+class TestSolverBudget:
+    """A spent conflict budget yields ``unknown``, never ``proved``."""
+
+    def test_spent_budget_is_unknown_not_proved(self):
+        pipeline = Pipeline.chain([Factor(name="factor")], name="factor")
+        for conflicts in (10, 100):
+            options = SymbexOptions(solver_max_conflicts=conflicts)
+            result = verify_crash_freedom(pipeline, input_lengths=[8], options=options)
+            assert result.verdict == Verdict.UNKNOWN, conflicts
+            assert result.statistics.budget_exceeded
+            assert result.counterexamples == []
+            assert any("'factor'" in note and "factored" in note for note in result.notes)
+            baseline = MonolithicVerifier(pipeline, options=options)
+            monolithic = baseline.verify(CrashFreedom(), input_length=8)
+            assert monolithic.verdict == Verdict.UNKNOWN, conflicts
+            assert monolithic.statistics.budget_exceeded
+            assert monolithic.counterexamples == []
+
+    def test_default_budget_finds_the_factors(self):
+        pipeline = Pipeline.chain([Factor(name="factor")], name="factor")
+        result = verify_crash_freedom(pipeline, input_lengths=[8])
+        assert result.violated
+        assert not result.statistics.budget_exceeded
+        counterexample = result.counterexamples[0]
+        assert counterexample.packet.hex() == "0000fff10000ffef"
+        assert counterexample.confirmed_by_replay is True
 
 
 class TestPathScaling:
