@@ -8,10 +8,10 @@ is what you prove about.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Type
+from typing import Dict, List, Optional, Sequence, Set, Type
 
 from ..ir.interpreter import ExecutionResult, Interpreter, Outcome
-from ..ir.program import ElementProgram
+from ..ir.program import ElementProgram, structural_digest
 from ..ir.validate import validate_program
 from .errors import DataplaneError
 from .packet import Packet
@@ -19,6 +19,12 @@ from .state import ElementState
 
 #: Registry of element classes by name, used by the Click-style config parser.
 ELEMENT_REGISTRY: Dict[str, Type["Element"]] = {}
+
+#: Structural digests of the programs that passed validation in this
+#: process.  Validity depends only on what the digest covers, so a fresh
+#: instance of an already validated configuration skips the walk; an
+#: invalid program is never added, so each instance of one raises.
+_VALIDATED_PROGRAMS: Set[str] = set()
 
 
 def register_element(cls: Type["Element"]) -> Type["Element"]:
@@ -50,6 +56,7 @@ class Element:
         Element._instance_counter += 1
         self.name = name or f"{type(self).__name__}_{Element._instance_counter}"
         self._program: Optional[ElementProgram] = None
+        self._program_digest: Optional[str] = None
         self._state: Optional[ElementState] = None
         self._interpreter = Interpreter()
         # Simple built-in counters (themselves private state).
@@ -86,12 +93,32 @@ class Element:
 
     @property
     def program(self) -> ElementProgram:
-        """The element's validated IR program (built once, cached)."""
+        """The element's validated IR program (built once, cached).
+
+        Building it also fixes :attr:`program_digest`, and validates the
+        program unless a program with that digest already passed in this
+        process.  The program, and everything else an element's
+        fingerprints cover (its configuration key and static-table
+        contents), must not change once the element has been
+        fingerprinted: :mod:`repro.dataplane.fingerprint` memoises them
+        on the instance.
+        """
         if self._program is None:
             program = self.build_program()
-            validate_program(program).raise_if_invalid()
+            digest = structural_digest(program)
+            if digest not in _VALIDATED_PROGRAMS:
+                validate_program(program).raise_if_invalid()
+                _VALIDATED_PROGRAMS.add(digest)
+            self._program_digest = digest
             self._program = program
         return self._program
+
+    @property
+    def program_digest(self) -> str:
+        """The structural digest of :attr:`program`, computed when it was built."""
+        if self._program_digest is None:
+            self.program  # building the program fixes its digest
+        return self._program_digest
 
     @property
     def state(self) -> ElementState:

@@ -8,50 +8,36 @@ that, so two elements share a summary (in the in-process cache or the
 on-disk store) iff symbolic execution would produce the same result for
 both.
 
-Fingerprints are memoized per element instance: programs and static
-state are immutable once built, and the render walk is not free.
+Each identity is computed once:
+
+* the program's structural digest when :attr:`Element.program
+  <repro.dataplane.element.Element.program>` builds the program;
+* an element's :class:`ElementFingerprintParts` (and so its
+  configuration fingerprint) once per instance and static-table flag,
+  on the instance;
+* a pipeline's canonical element order, wiring digest and per-flag
+  fingerprint once per :class:`~repro.dataplane.pipeline.Pipeline`, on
+  the pipeline, until ``add_element`` or ``connect`` changes its graph.
+
+So an element's configuration must not change after its first
+fingerprint (build a new element instead), and a pipeline may change
+only through ``Pipeline.add_element`` and ``Pipeline.connect``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import uuid
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence
+from typing import TYPE_CHECKING, Dict, List, Mapping
 
-from ..ir.stmts import If, Stmt, While
 from .element import Element
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (pipeline imports element)
     from .pipeline import Pipeline
 
-_MEMO_ATTRIBUTE = "_configuration_fingerprint_memo"
-
-
-def _render_block(block: Sequence[Stmt]) -> str:
-    """Deterministic full render of a statement block.
-
-    ``repr`` alone is not enough: ``If``/``While`` abbreviate their nested
-    blocks ("then=1 stmts"), which would make programs differing only
-    inside a branch body collide.  This render recurses into every block;
-    flat statements and expressions repr themselves completely.  Nothing
-    rendered embeds the element instance name (``While.loop_id``, the one
-    name-derived field, is deliberately excluded — it only flavours crash
-    messages), so identically configured elements with different names
-    render identically.
-    """
-    parts = []
-    for stmt in block:
-        if isinstance(stmt, If):
-            parts.append(
-                f"If({stmt.cond!r},[{_render_block(stmt.then)}],[{_render_block(stmt.orelse)}])"
-            )
-        elif isinstance(stmt, While):
-            parts.append(
-                f"While({stmt.cond!r},{stmt.max_iterations},[{_render_block(stmt.body)}])"
-            )
-        else:
-            parts.append(repr(stmt))
-    return ";".join(parts)
+_PARTS_ATTRIBUTE = "_fingerprint_parts"
+_OPAQUE_ATTRIBUTE = "_opaque_fingerprint"
 
 
 def program_fingerprint(element: Element) -> str:
@@ -59,22 +45,38 @@ def program_fingerprint(element: Element) -> str:
 
     Two elements get the same fingerprint iff their programs are
     structurally identical (statements, expressions, table declarations,
-    port count) — instance names play no part.
+    port count) — instance names play no part.  The digest was fixed when
+    the element built its program (:func:`repro.ir.program.structural_digest`).
     """
-    program = element.program
-    tables = repr(sorted(program.tables.items()))
-    rendered = f"{_render_block(program.body)}|{tables}|ports={program.num_output_ports}"
-    return hashlib.sha256(rendered.encode()).hexdigest()
+    return element.program_digest
+
+
+def _opaque_fingerprint(table) -> str:
+    """An identity for a static table that cannot fingerprint its contents.
+
+    A random token, kept on the table for its lifetime, so no other
+    table — in this process, another, or one that reuses its memory once
+    it is freed — ever shares it.  A table that cannot hold the token
+    gets a new one on each call.
+    """
+    token = getattr(table, _OPAQUE_ATTRIBUTE, None)
+    if token is None:
+        token = f"opaque:{type(table).__qualname__}:{uuid.uuid4().hex}"
+        try:
+            setattr(table, _OPAQUE_ATTRIBUTE, token)
+        except (AttributeError, TypeError):
+            pass
+    return token
 
 
 def static_table_fingerprints(element: Element) -> Dict[str, str]:
     """Per-table content fingerprints of the element's *static* tables.
 
     Tables advertise their own ``fingerprint()``; an unknown static-table
-    type falls back to an identity no other element or run can share —
-    trading reuse (and diff precision: an opaque table always reads as
-    changed) for soundness.  Private tables are havoc'd, so their contents
-    are never observed and never fingerprinted.
+    type falls back to an identity no other table, process or run can
+    share — trading reuse (and diff precision: an opaque table always
+    reads as changed) for soundness.  Private tables are havoc'd, so their
+    contents are never observed and never fingerprinted.
     """
     fingerprints: Dict[str, str] = {}
     for name, table in sorted(element.state.tables().items()):
@@ -84,21 +86,8 @@ def static_table_fingerprints(element: Element) -> Dict[str, str]:
         if callable(fingerprint):
             fingerprints[name] = fingerprint()
         else:
-            fingerprints[name] = f"opaque:{type(table).__qualname__}:{id(table)}"
+            fingerprints[name] = _opaque_fingerprint(table)
     return fingerprints
-
-
-def static_state_fingerprint(element: Element) -> str:
-    """Fingerprint the contents of the element's static tables.
-
-    In concrete static-table mode the engine bakes these contents into
-    the summary (``symbolic_read`` cascades), so they are part of the
-    summary's identity.
-    """
-    return ";".join(
-        f"{name}={fingerprint}"
-        for name, fingerprint in static_table_fingerprints(element).items()
-    )
 
 
 def configuration_fingerprint(element: Element, include_static_tables: bool) -> str:
@@ -106,23 +95,10 @@ def configuration_fingerprint(element: Element, include_static_tables: bool) -> 
 
     ``include_static_tables`` should be True exactly when the engine runs
     in concrete static-table mode; under havoc'd tables the contents are
-    unobservable and hashing them would only forfeit reuse.
+    unobservable and hashing them would only forfeit reuse.  This is
+    :attr:`ElementFingerprintParts.combined` of the memoised parts.
     """
-    memo: Dict[bool, str] = getattr(element, _MEMO_ATTRIBUTE, None) or {}
-    cached = memo.get(include_static_tables)
-    if cached is not None:
-        return cached
-    material = "\x1f".join(
-        (
-            element.configuration_key(),
-            program_fingerprint(element),
-            static_state_fingerprint(element) if include_static_tables else "-",
-        )
-    )
-    digest = hashlib.sha256(material.encode()).hexdigest()
-    memo[include_static_tables] = digest
-    setattr(element, _MEMO_ATTRIBUTE, memo)
-    return digest
+    return element_fingerprint_parts(element, include_static_tables).combined
 
 
 # -- diffable decomposition (the change-impact engine's raw material) -----------------
@@ -132,10 +108,10 @@ def configuration_fingerprint(element: Element, include_static_tables: bool) -> 
 class ElementFingerprintParts:
     """One element's summary identity, decomposed into independently diffable parts.
 
-    :func:`configuration_fingerprint` collapses everything into one digest
-    — perfect for cache keys, useless for explaining *what* changed.  The
-    parts keep the axes separate, so a differ can tell "the IR program
-    changed" from "only the contents of table ``routes`` changed".
+    :attr:`combined` collapses everything into one digest — perfect for
+    cache keys, useless for explaining *what* changed.  The parts keep
+    the axes separate, so a differ can tell "the IR program changed" from
+    "only the contents of table ``routes`` changed".
     """
 
     configuration_key: str
@@ -144,14 +120,13 @@ class ElementFingerprintParts:
     #: where contents are unobservable and deliberately excluded.
     static_tables: Mapping[str, str] = field(default_factory=dict)
     #: Whether table contents participate at all (concrete static-table
-    #: mode).  Kept explicit so :attr:`combined` reproduces
-    #: :func:`configuration_fingerprint` byte-for-byte — a table-free
-    #: element in concrete mode is not the same identity as havoc mode.
+    #: mode).  Kept explicit so a table-free element in concrete mode is
+    #: not the same identity as in havoc mode.
     includes_static_tables: bool = True
+    #: The single digest over all parts (:func:`configuration_fingerprint`).
+    combined: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def combined(self) -> str:
-        """The single digest over all parts (matches :func:`configuration_fingerprint`)."""
+    def __post_init__(self) -> None:
         material = "\x1f".join(
             (
                 self.configuration_key,
@@ -161,19 +136,26 @@ class ElementFingerprintParts:
                 else "-",
             )
         )
-        return hashlib.sha256(material.encode()).hexdigest()
+        object.__setattr__(self, "combined", hashlib.sha256(material.encode()).hexdigest())
 
 
 def element_fingerprint_parts(
     element: Element, include_static_tables: bool
 ) -> ElementFingerprintParts:
-    """Decompose one element's configuration fingerprint into its diffable parts."""
-    return ElementFingerprintParts(
-        configuration_key=element.configuration_key(),
-        program=program_fingerprint(element),
-        static_tables=static_table_fingerprints(element) if include_static_tables else {},
-        includes_static_tables=include_static_tables,
-    )
+    """One element's configuration fingerprint, in its diffable parts.
+
+    Computed once per element instance and flag, and kept on the instance.
+    """
+    memo: Dict[bool, ElementFingerprintParts] = element.__dict__.setdefault(_PARTS_ATTRIBUTE, {})
+    parts = memo.get(include_static_tables)
+    if parts is None:
+        parts = memo[include_static_tables] = ElementFingerprintParts(
+            configuration_key=element.configuration_key(),
+            program=program_fingerprint(element),
+            static_tables=static_table_fingerprints(element) if include_static_tables else {},
+            includes_static_tables=include_static_tables,
+        )
+    return parts
 
 
 def canonical_elements(pipeline: "Pipeline") -> List[Element]:
@@ -184,14 +166,23 @@ def canonical_elements(pipeline: "Pipeline") -> List[Element]:
     renamed but identically configured and identically wired elements
     enumerates in the same order.  Unreachable elements (none, in a valid
     pipeline) are appended in construction order as a deterministic
-    fallback.
+    fallback.  Computed once per pipeline graph.
     """
+    memo = pipeline._fingerprint_memo
+    ordered = memo.get("order")
+    if ordered is None:
+        ordered = memo["order"] = tuple(_canonical_order(pipeline))
+    return list(ordered)
+
+
+def _canonical_order(pipeline: "Pipeline") -> List[Element]:
     ordered: List[Element] = []
     seen: set = set()
-    frontier = sorted(
-        pipeline.entry_elements(),
-        key=lambda element: configuration_fingerprint(element, include_static_tables=False),
-    )
+    frontier = pipeline.entry_elements()
+    if len(frontier) > 1:
+        frontier.sort(
+            key=lambda element: configuration_fingerprint(element, include_static_tables=False)
+        )
     while frontier:
         element = frontier.pop(0)
         if id(element) in seen:
@@ -215,8 +206,12 @@ def wiring_fingerprint(pipeline: "Pipeline") -> str:
     Covers which canonical slot connects to which through which ports (and
     each slot's port count) — but *not* the element configurations, so a
     differ can separate "the graph was rewired" from "an element changed
-    in place".
+    in place".  Computed once per pipeline graph.
     """
+    memo = pipeline._fingerprint_memo
+    digest = memo.get("wiring")
+    if digest is not None:
+        return digest
     ordered = canonical_elements(pipeline)
     slots = {id(element): index for index, element in enumerate(ordered)}
     edges = []
@@ -234,7 +229,8 @@ def wiring_fingerprint(pipeline: "Pipeline") -> str:
             ";".join(sorted(edges)),
         )
     )
-    return hashlib.sha256(rendered.encode()).hexdigest()
+    digest = memo["wiring"] = hashlib.sha256(rendered.encode()).hexdigest()
+    return digest
 
 
 def pipeline_fingerprint(pipeline: "Pipeline", include_static_tables: bool) -> str:
@@ -245,7 +241,13 @@ def pipeline_fingerprint(pipeline: "Pipeline", include_static_tables: bool) -> s
     same table contents) — names play no part, so a no-op rename keeps the
     fingerprint.  This is the content-address the verdict store keys on:
     any change that could alter a verdict changes the fingerprint.
+    Computed once per pipeline graph and flag.
     """
+    memo = pipeline._fingerprint_memo
+    key = ("fingerprint", include_static_tables)
+    digest = memo.get(key)
+    if digest is not None:
+        return digest
     material = "\x1f".join(
         [wiring_fingerprint(pipeline)]
         + [
@@ -253,4 +255,5 @@ def pipeline_fingerprint(pipeline: "Pipeline", include_static_tables: bool) -> s
             for element in canonical_elements(pipeline)
         ]
     )
-    return hashlib.sha256(material.encode()).hexdigest()
+    digest = memo[key] = hashlib.sha256(material.encode()).hexdigest()
+    return digest

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .element import Element
 from .errors import PipelineConfigurationError
@@ -39,6 +39,9 @@ class Pipeline:
         self._connections: List[Connection] = []
         # (source element name, port) -> connection, for O(1) routing.
         self._routing: Dict[Tuple[str, int], Connection] = {}
+        # Canonical order and digests, kept by repro.dataplane.fingerprint;
+        # dropped whenever add_element or connect changes the graph.
+        self._fingerprint_memo: Dict[object, Any] = {}
 
     # -- construction ---------------------------------------------------------------------
 
@@ -49,6 +52,7 @@ class Pipeline:
             raise PipelineConfigurationError(f"duplicate element name {element.name!r}")
         self._elements.append(element)
         self._by_name[element.name] = element
+        self._fingerprint_memo.clear()
         return element
 
     def connect(
@@ -74,6 +78,7 @@ class Pipeline:
         connection = Connection(source, source_port, destination, destination_port)
         self._connections.append(connection)
         self._routing[key] = connection
+        self._fingerprint_memo.clear()
         return connection
 
     @classmethod

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 from .exprs import Expr, LoadField, LoadMeta, PacketLength
 from .stmts import (
     Assign,
+    If,
     Stmt,
     TableRead,
     TableWrite,
@@ -95,8 +97,6 @@ class ElementProgram:
         branches per element, ``2^(k*n)`` for a k-element pipeline) is in
         terms of this quantity.
         """
-        from .stmts import If  # local import to avoid a cycle in type checkers
-
         count = 0
         for stmt in self.all_statements():
             if isinstance(stmt, If):
@@ -131,3 +131,44 @@ def _walk_expr(expr: Expr) -> Iterator[Expr]:
     yield expr
     for child in expr.children():
         yield from _walk_expr(child)
+
+
+def _render_block(block: Sequence[Stmt]) -> str:
+    """Deterministic full render of a statement block.
+
+    ``repr`` alone is not enough: ``If``/``While`` abbreviate their nested
+    blocks ("then=1 stmts"), which would make programs differing only
+    inside a branch body collide.  This render recurses into every block;
+    flat statements and expressions repr themselves completely.  Nothing
+    rendered embeds the element instance name (``While.loop_id``, the one
+    name-derived field, is deliberately excluded — it only flavours crash
+    messages), so identically configured elements with different names
+    render identically.
+    """
+    parts = []
+    for stmt in block:
+        if isinstance(stmt, If):
+            parts.append(
+                f"If({stmt.cond!r},[{_render_block(stmt.then)}],[{_render_block(stmt.orelse)}])"
+            )
+        elif isinstance(stmt, While):
+            parts.append(
+                f"While({stmt.cond!r},{stmt.max_iterations},[{_render_block(stmt.body)}])"
+            )
+        else:
+            parts.append(repr(stmt))
+    return ";".join(parts)
+
+
+def structural_digest(program: ElementProgram) -> str:
+    """A stable sha256 of a program's structure.
+
+    Two programs get the same digest iff they are structurally identical:
+    statements, expressions, table declarations and port count.  The
+    program's name plays no part.  Everything :func:`validate_program
+    <repro.ir.validate.validate_program>` inspects is covered, so programs
+    with one digest are either all valid or all invalid.
+    """
+    tables = repr(sorted(program.tables.items()))
+    rendered = f"{_render_block(program.body)}|{tables}|ports={program.num_output_ports}"
+    return hashlib.sha256(rendered.encode()).hexdigest()

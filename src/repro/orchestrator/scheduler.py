@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import heapq
 import os
+import pickle
 import queue as queue_module
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -297,6 +298,11 @@ def _pool_worker_loop(tasks, results, run: PoolRun) -> None:
     shard tag travels back so the parent merges exactly the shard this
     attempt flushed, even if the task was retried meanwhile.  Failures
     ship as data — one bad task must not tear the worker down.
+
+    A result is pickled here, not by the queue: the queue pickles in a
+    feeder thread that prints and drops a message it cannot pickle, and
+    the parent would wait for it forever.  So an unpicklable result
+    fails its task like any other error.
     """
     pid = os.getpid()
     while True:
@@ -308,15 +314,12 @@ def _pool_worker_loop(tasks, results, run: PoolRun) -> None:
         started = clock()
         try:
             result = fn(payload, run) if with_run else fn(payload)
+            ok, shipped = True, pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
         except BaseException as exc:  # noqa: BLE001 - shipped as data, see docstring
-            results.put(
-                (pid, task_id, shard_tag, False, started, clock(),
-                 f"{type(exc).__name__}: {exc}")
-            )
-        else:
-            results.put((pid, task_id, shard_tag, True, started, clock(), result))
+            ok, shipped = False, f"{type(exc).__name__}: {exc}"
         finally:
             set_worker_shard_tag(None)
+        results.put((pid, task_id, shard_tag, ok, started, clock(), shipped))
 
 
 class _WorkerHandle:
@@ -447,6 +450,8 @@ class PersistentPool:
                 # as stale — first completion wins, exactly once.
                 self._in_flight[task_id] = task
                 task = None
+            if task is not None and ok:
+                payload = pickle.loads(payload)
             return ("result", pid, task, shard_tag, ok, started, ended, payload)
 
     # -- teardown --------------------------------------------------------------------

@@ -12,6 +12,9 @@ call :func:`run_scheduled` directly with an explicit worker count.
 import dataclasses
 import os
 import random
+import signal
+import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -273,6 +276,13 @@ class TestSchedulerDirect:
         ]
         assert verdicts == serial.verdicts()
 
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+    def test_unpicklable_result_fails_its_task_instead_of_hanging(self, tmp_path):
+        with _deadline(30), pytest.raises(OrchestratorError, match="scale-[01].*pickle"):
+            self._run(
+                store_scale_catalog(2), SummaryStore(tmp_path), verify_worker=_lock_verify_worker
+            )
+
     def test_each_worker_decodes_each_summary_once(self, tmp_path):
         run = self._run(store_scale_catalog(20), SummaryStore(tmp_path))
         assert len(run.step2) == 20
@@ -354,3 +364,24 @@ def _crash_once_verify_worker(index, run):
     """Step-2 twin of :func:`_crash_once_worker`."""
     _crash_if_marked(run.store_root)
     return _certify_worker(index, run)
+
+
+def _lock_verify_worker(index, run):
+    """Step-2 worker whose result holds a lock, which pickle refuses."""
+    return {"index": index, "lock": threading.Lock()}
+
+
+@contextmanager
+def _deadline(seconds: int):
+    """Fail the enclosed block with ``TimeoutError`` after ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
