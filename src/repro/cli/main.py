@@ -112,12 +112,6 @@ def _build_parser() -> _Parser:
     )
     certify.add_argument("--store", metavar="DIR", help="summary store directory (L2 tier)")
     certify.add_argument(
-        "--store-backend", choices=("json", "sqlite"), default=None, metavar="NAME",
-        help="store backend for every tier: json (one file per entry) or sqlite "
-             "(batched single-file WAL database); default auto-detects from the "
-             "store layout, json for fresh roots",
-    )
-    certify.add_argument(
         "--verdict-store", metavar="DIR",
         help="verdict store directory: enables delta mode (unchanged pipelines reuse verdicts)",
     )
@@ -221,7 +215,8 @@ def _build_parser() -> _Parser:
     for verb, text in (("gc", "sweep debris and optionally evict old entries"),
                        ("stats", "print entry counts and sizes"),
                        ("migrate", "migrate store roots to the current SQLite schema "
-                                   "(JSON layout -> SQLite, or v(N) -> v(N+1) in place)")):
+                                   "(legacy JSON layout -> SQLite, or v(N) -> v(N+1) "
+                                   "in place)")):
         sub = store_commands.add_parser(verb, help=text)
         sub.add_argument("--store", metavar="DIR", help="summary store directory")
         sub.add_argument("--verdict-store", metavar="DIR", help="verdict store directory")
@@ -275,19 +270,10 @@ def _run_certify(args: argparse.Namespace) -> int:
         baseline=baseline,
         input_lengths=_parse_lengths(args.lengths),
         workers=args.workers,
-        store=SummaryStore(args.store, backend=args.store_backend) if args.store else None,
-        verdict_store=(
-            VerdictStore(args.verdict_store, backend=args.store_backend)
-            if args.verdict_store else None
-        ),
-        query_store=(
-            QueryStore(args.query_store, backend=args.store_backend)
-            if args.query_store else None
-        ),
-        risk_store=(
-            RiskStore(args.risk_store, backend=args.store_backend)
-            if args.risk_store else None
-        ),
+        store=SummaryStore(args.store) if args.store else None,
+        verdict_store=VerdictStore(args.verdict_store) if args.verdict_store else None,
+        query_store=QueryStore(args.query_store) if args.query_store else None,
+        risk_store=RiskStore(args.risk_store) if args.risk_store else None,
         options=options,
         max_counterexamples=args.max_counterexamples,
         confirm_by_replay=not args.no_replay,
@@ -501,7 +487,6 @@ def _run_store(args: argparse.Namespace) -> int:
         else:
             entry: dict = {
                 "root": str(store.root),
-                "backend": store.backend_name,
                 "entries": len(store),
                 "bytes": store.size_bytes(),
             }
@@ -512,7 +497,7 @@ def _run_store(args: argparse.Namespace) -> int:
                     entry["tier_rates"] = _query_tier_rates(metrics)
             document["stores"][label] = entry
             if not args.json:
-                print(f"{label} store {store.root} [{store.backend_name}]: "
+                print(f"{label} store {store.root}: "
                       f"{len(store)} entries, {store.size_bytes()} bytes")
                 rates = entry.get("tier_rates")
                 if rates:

@@ -7,9 +7,9 @@ mixes this in and gets, generically over :func:`dataclasses.fields`:
 * ``to_dict()`` / ``from_dict()`` — plain-JSON round-trip with exactly
   the dataclass's field names as keys (the key sets the verdict store
   already persists are unchanged, because the old hand-rolled dicts
-  enumerated exactly the fields too);
-* ``as_dict()`` — alias kept for the solver-layer callers that predate
-  the unification;
+  enumerated exactly the fields too); ``from_dict`` reads each class's
+  field layout once and builds the instance in one constructor call,
+  because the verdict store decodes one record per pipeline;
 * ``merge(other)`` — numeric fields sum, bools OR, dict fields key-sum,
   except fields named in the ``MERGE_MAX`` class var which take the max
   (high-water marks like a driver's ``max_instructions``);
@@ -25,13 +25,28 @@ OR, not sum.
 from __future__ import annotations
 
 import dataclasses
-from typing import ClassVar, Tuple, TypeVar
+from typing import ClassVar, Dict, Tuple, TypeVar
 
 from .metrics import MetricsRegistry, metrics
 
 __all__ = ["StatisticsMixin"]
 
 S = TypeVar("S", bound="StatisticsMixin")
+
+#: Per class: (field names, names of the fields whose default is a dict).
+_LAYOUTS: Dict[type, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {}
+
+
+def _layout(cls: type) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    layout = _LAYOUTS.get(cls)
+    if layout is None:
+        defaults = cls()
+        names = tuple(spec.name for spec in dataclasses.fields(cls))  # type: ignore[arg-type]
+        layout = _LAYOUTS[cls] = (
+            names,
+            tuple(name for name in names if isinstance(getattr(defaults, name), dict)),
+        )
+    return layout
 
 
 class StatisticsMixin:
@@ -51,21 +66,16 @@ class StatisticsMixin:
             payload[spec.name] = value
         return payload
 
-    def as_dict(self) -> dict:
-        """Alias for :meth:`to_dict` (pre-unification spelling)."""
-        return self.to_dict()
-
     @classmethod
     def from_dict(cls, payload: dict):
-        statistics = cls()
-        for spec in dataclasses.fields(cls):  # type: ignore[arg-type]
-            if spec.name not in payload:
-                continue
-            value = payload[spec.name]
-            if isinstance(getattr(statistics, spec.name), dict) and value is not None:
-                value = dict(value)
-            setattr(statistics, spec.name, value)
-        return statistics
+        names, dict_fields = _layout(cls)
+        # Keyed by the field names themselves, not the payload's equal
+        # strings: keyword matching in the constructor is then by identity.
+        values = {name: payload[name] for name in names if name in payload}
+        for name in dict_fields:
+            if values.get(name) is not None:
+                values[name] = dict(values[name])  # never alias the payload's dict
+        return cls(**values)
 
     def merge(self: S, other: S) -> S:
         """Fold ``other`` into ``self`` (sum/OR/key-sum; ``MERGE_MAX`` maxes)."""

@@ -25,11 +25,9 @@ Typical usage::
 from .backends import (
     SQLITE_FILENAME,
     STORE_SCHEMA_VERSION,
-    JsonFileBackend,
     MigrationResult,
     SqliteBackend,
-    detect_backend_name,
-    make_backend,
+    holds_json_layout,
     migrate_store,
 )
 from .errors import OrchestratorError, SerializationError, StoreError
@@ -73,7 +71,6 @@ from .serialize import (
 )
 from .store import (
     GcResult,
-    JsonFileStore,
     QueryStore,
     Store,
     StoreStatistics,
@@ -104,8 +101,6 @@ __all__ = [
     "FleetStatistics",
     "GcResult",
     "JobGraph",
-    "JsonFileBackend",
-    "JsonFileStore",
     "MigrationResult",
     "OrchestratorError",
     "PersistentPool",
@@ -130,14 +125,13 @@ __all__ = [
     "catalog_manifest",
     "certify_fleet",
     "decode_terms",
-    "detect_backend_name",
     "diff_catalogs",
     "diff_manifests",
     "dumps_summary",
     "element_slots",
     "encode_terms",
+    "holds_json_layout",
     "loads_summary",
-    "make_backend",
     "migrate_store",
     "pipeline_ranks",
     "program_fingerprint",

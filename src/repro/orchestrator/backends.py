@@ -1,37 +1,30 @@
-"""Pluggable entry backends for the content-addressed store tiers.
+"""The SQLite backend behind every content-addressed store tier.
 
 Every persistent tier (:class:`~repro.orchestrator.store.SummaryStore`,
 :class:`~repro.orchestrator.verdicts.VerdictStore`,
-:class:`~repro.orchestrator.store.QueryStore`) speaks one small raw-entry
-protocol — ``read`` / ``write`` / ``quarantine`` / ``gc`` over
-``digest -> text`` pairs plus a cumulative metrics sidecar — and this
-module provides the two interchangeable implementations behind it,
-mirroring the SAT-backend seam in :mod:`repro.smt.backend`:
+:class:`~repro.orchestrator.store.QueryStore`) keeps ``digest -> text``
+entries plus cumulative metrics in one ``store.sqlite`` per store root:
+WAL journal, writes buffered and flushed as ``INSERT OR REPLACE``
+batches, lock contention absorbed by a busy-timeout plus jittered-backoff
+retry.  Worker processes never write the main database at all: a *shard
+view* reads the main file and appends to a private
+``shards/<tag>.sqlite``, which the parent bulk-merges (``ATTACH`` +
+``INSERT OR REPLACE ... SELECT``) as each task's result arrives.
 
-* :class:`JsonFileBackend` — one file per entry under a two-level digest
-  fan-out, atomic temp-file + rename writes.  Simple, debuggable with
-  ``ls``, safe for any number of concurrent writers — and priced at one
-  filesystem round trip per entry, which is exactly what stops scaling
-  at fleet size.
-* :class:`SqliteBackend` — one ``store.sqlite`` per store root: WAL
-  journal, one connection per process, writes buffered and flushed as
-  ``INSERT OR REPLACE`` batches, lock contention absorbed by a
-  busy-timeout plus jittered-backoff retry.  Worker processes never
-  write the main database at all: a *shard view* reads the main file
-  and appends to a private ``shards/<tag>.sqlite``, which the parent
-  bulk-merges (``ATTACH`` + ``INSERT OR REPLACE ... SELECT``) after the
-  pool joins — merge-on-join costs one statement per shard, not one
-  rename per entry.
+Each process (and thread) keeps one main connection per database file
+open and shares it between every store it opens on that root (see
+:func:`_shared_connections`), so a certify call that opens three or four
+tiers connects once per root and process, not once per tier per call.
 
-Backends are selected per store root and **auto-detected from the disk
-layout** (a ``store.sqlite`` means SQLite, a digest fan-out means JSON
-files), so worker processes handed a bare root path always open the
-right implementation.  The SQLite schema is versioned in the database
-itself; opening a database from a *newer* repro fails loudly, an *older*
-one points at ``python -m repro store migrate``, and a file that is not
-a store at all (torn write, truncation) is quarantined aside exactly
-like a corrupt JSON entry.  :func:`migrate_store` performs the explicit
-migrations: JSON layout -> SQLite, and SQLite v(N) -> v(N+1) in place.
+The schema is versioned in the database itself; opening a database from
+a *newer* repro fails loudly, an *older* one points at ``python -m repro
+store migrate``, and a file that is not a store at all (torn write,
+truncation) is quarantined aside.  A root that still holds the legacy
+one-file-per-entry JSON layout (``<digest[:2]>/<digest>.json`` plus a
+``metrics.json`` sidecar) is read-only input: :func:`migrate_store`
+imports it into SQLite, and the store façade runs that import the first
+time it opens such a root.  :func:`migrate_store` also upgrades SQLite
+v(N) -> v(N+1) in place.
 """
 
 from __future__ import annotations
@@ -40,7 +33,9 @@ import json
 import os
 import random
 import sqlite3
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
@@ -50,24 +45,19 @@ from .errors import StoreError
 
 __all__ = [
     "GcResult",
-    "JSON_BACKEND",
-    "JsonFileBackend",
     "MigrationResult",
-    "SQLITE_BACKEND",
     "SQLITE_FILENAME",
     "STORE_SCHEMA_VERSION",
     "SqliteBackend",
-    "default_backend_name",
-    "detect_backend_name",
-    "make_backend",
+    "holds_json_layout",
     "migrate_store",
 ]
 
-JSON_BACKEND = "json"
-SQLITE_BACKEND = "sqlite"
-
 #: The single-file SQLite database holding every entry of a store root.
 SQLITE_FILENAME = "store.sqlite"
+
+#: The legacy JSON layout's cumulative-counters sidecar.
+LEGACY_METRICS_NAME = "metrics.json"
 
 #: Current SQLite store schema.  v1 was the initial prototype layout
 #: (no per-entry mtime, so ``gc --older-than-days`` could not tell warm
@@ -76,8 +66,7 @@ SQLITE_FILENAME = "store.sqlite"
 #: changes and register an upgrade in :data:`_SQLITE_MIGRATIONS`.
 STORE_SCHEMA_VERSION = 2
 
-#: Suffix given to quarantined (corrupt) entries and databases; never
-#: matches the entry glob, so quarantined garbage is invisible to reads.
+#: Suffix given to quarantined (corrupt) databases; gc sweeps them.
 QUARANTINE_SUFFIX = ".corrupt"
 
 #: Writes buffered before an automatic flush (one INSERT OR REPLACE batch).
@@ -95,6 +84,10 @@ _TOUCH_GRANULARITY_SECONDS = 3600.0
 _BUSY_TIMEOUT_SECONDS = 5.0
 _BUSY_RETRIES = 6
 _BUSY_BACKOFF_SECONDS = 0.05
+
+#: Main connections a process keeps registered for reuse (see
+#: :func:`_shared_connections`); the least recently opened goes first.
+_MAX_SHARED_CONNECTIONS = 8
 
 T = TypeVar("T")
 
@@ -125,8 +118,8 @@ def _size_of(path: Path) -> int:
 def _mtime_of(path: Path) -> Optional[float]:
     """The file's mtime, or ``None`` when it vanished under us.
 
-    Entries listed by a directory scan can be unlinked by a concurrent
-    writer (or another gc) before we stat them; a vanished entry is
+    Files listed by a directory scan can be unlinked by a concurrent
+    writer (or another gc) before we stat them; a vanished file is
     nobody's bug and must never abort the sweep.
     """
     try:
@@ -145,175 +138,70 @@ def _fold_metrics(totals: dict, counters: dict) -> dict:
     return totals
 
 
-# -- JSON-file backend ----------------------------------------------------------------
+# -- shared main connections ---------------------------------------------------------
+
+#: Per thread: ``registry``, its main connections by database path, least
+#: recently opened first; and ``pid``, the process that opened them.
+_local = threading.local()
+#: Connections inherited through ``fork``.  A child never uses its
+#: parent's connections, and keeps them referenced so it never closes
+#: them either.
+_inherited: List[object] = []
 
 
-class JsonFileBackend:
-    """One file per entry: ``<root>/<digest[:2]>/<digest>.json``.
+class _SharedConnection:
+    """A main connection, closed once neither the registry nor a store holds it.
 
-    The two-level fan-out keeps directories small for fleet-sized stores;
-    writes are atomic (temp file + rename), so any number of processes
-    can share one root without locks — the worst case under a racing
-    write is one redundant computation, never a torn read.
+    A ``sqlite3.Connection`` sits in a reference cycle with its own
+    statement cache, so an unused one would keep its page cache and file
+    descriptors until a cyclic collection; this holder closes it as soon
+    as the last reference goes.
     """
 
-    name = JSON_BACKEND
+    __slots__ = ("connection", "identity")
 
-    #: Cumulative-counters sidecar (see :meth:`record_metrics`).
-    METRICS_NAME = "metrics.json"
+    def __init__(
+        self, connection: sqlite3.Connection, identity: Optional[Tuple[int, int]]
+    ) -> None:
+        self.connection = connection
+        #: ``(st_dev, st_ino)`` of the file the connection holds open.
+        self.identity = identity
 
-    def __init__(self, root: Path, kind: str = "store") -> None:
-        self.root = root
-        self.kind = kind
-
-    def entry_path(self, digest: str) -> Path:
-        return self.root / digest[:2] / f"{digest}.json"
-
-    # -- raw entry I/O ---------------------------------------------------------------
-
-    def read(self, digest: str) -> Optional[str]:
-        path = self.entry_path(digest)
+    def __del__(self) -> None:
         try:
-            text = path.read_text()
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
-            raise StoreError(f"cannot read {self.kind} entry {path}: {exc}") from exc
-        try:
-            # A successful read refreshes the entry's mtime, so gc's age
-            # horizon means "not *touched* for N days".
-            os.utime(path, None)
-        except OSError:  # pragma: no cover - racing removal: entry already gone
+            self.connection.close()
+        except sqlite3.Error:  # dropped on another thread: GC closes it later
             pass
-        return text
 
-    def write(self, digest: str, text: str) -> None:
-        path = self.entry_path(digest)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            temp = path.parent / f".{digest}.{os.getpid()}.tmp"
-            temp.write_text(text)
-            os.replace(temp, path)
-        except OSError as exc:
-            raise StoreError(f"cannot write {self.kind} entry {path}: {exc}") from exc
 
-    def write_many(self, rows: Iterable[Tuple[str, str, float]]) -> int:
-        """Bulk insert ``(digest, text, mtime)`` rows (used by migration)."""
-        written = 0
-        for digest, text, mtime in rows:
-            self.write(digest, text)
-            try:
-                os.utime(self.entry_path(digest), (mtime, mtime))
-            except OSError:  # pragma: no cover - racing removal
-                pass
-            written += 1
-        return written
+def _file_identity(path: str) -> Optional[Tuple[int, int]]:
+    try:
+        info = os.stat(path)
+    except OSError:
+        return None
+    return info.st_dev, info.st_ino
 
-    def read_many(self, digests: Sequence[str]) -> Dict[str, str]:
-        """Bulk read: present entries by digest (files offer no batching win)."""
-        found: Dict[str, str] = {}
-        for digest in digests:
-            text = self.read(digest)
-            if text is not None:
-                found[digest] = text
-        return found
 
-    def quarantine(self, digest: str) -> None:
-        path = self.entry_path(digest)
-        try:
-            os.replace(path, path.with_name(path.name + QUARANTINE_SUFFIX))
-        except OSError:
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - racing unlink: entry already gone
-                pass
+def _shared_connections() -> "OrderedDict[str, _SharedConnection]":
+    """This thread's registry of main connections, stale entries dropped.
 
-    def contains(self, digest: str) -> bool:
-        return self.entry_path(digest).is_file()
-
-    # -- maintenance -----------------------------------------------------------------
-
-    def count(self) -> int:
-        return sum(1 for _ in self.root.glob("??/*.json"))
-
-    def size_bytes(self) -> int:
-        # _size_of (not a bare stat): entries may vanish between the
-        # directory scan and the stat — see the gc race note below.
-        return sum(_size_of(path) for path in self.root.glob("??/*.json"))
-
-    def clear(self) -> int:
-        removed = 0
-        for path in self.root.glob("??/*.json"):
-            path.unlink(missing_ok=True)
-            removed += 1
-        return removed
-
-    def gc(self, older_than_seconds: Optional[float] = None) -> GcResult:
-        result = GcResult()
-        # The one legitimate wall-clock read in the store layer: the age
-        # horizon compares against file *mtimes*, which are wall-clock
-        # timestamps — perf_counter has no defined epoch to compare them to.
-        now = wall_clock()
-        for path in self.root.glob(f"??/*{QUARANTINE_SUFFIX}"):
-            result.bytes_freed += _size_of(path)
-            path.unlink(missing_ok=True)
-            result.removed_debris += 1
-        for path in self.root.glob("??/.*.tmp"):
-            mtime = _mtime_of(path)
-            if mtime is not None and now - mtime > 60:
-                result.bytes_freed += _size_of(path)
-                path.unlink(missing_ok=True)
-                result.removed_debris += 1
-        for path in self.root.glob("??/*.json"):
-            # A concurrent writer may unlink an entry between the listing
-            # and the stat; a vanished entry is neither kept nor removed.
-            mtime = _mtime_of(path)
-            if mtime is None:
-                continue
-            if older_than_seconds is not None and now - mtime > older_than_seconds:
-                result.bytes_freed += _size_of(path)
-                path.unlink(missing_ok=True)
-                result.removed_entries += 1
-            else:
-                result.kept_entries += 1
-        return result
-
-    # -- metrics sidecar -------------------------------------------------------------
-
-    def load_metrics(self) -> dict:
-        try:
-            payload = json.loads((self.root / self.METRICS_NAME).read_text())
-        except (OSError, ValueError):
-            return {}
-        return payload if isinstance(payload, dict) else {}
-
-    def record_metrics(self, counters: dict) -> dict:
-        """Fold one run's counters into the sidecar; returns the new totals.
-
-        The write is atomic like every entry write, so concurrent
-        recorders lose at worst one run's increment, never the file.
-        """
-        totals = _fold_metrics(self.load_metrics(), counters)
-        path = self.root / self.METRICS_NAME
-        temp = self.root / f".{self.METRICS_NAME}.{os.getpid()}.tmp"
-        try:
-            temp.write_text(json.dumps(totals, sort_keys=True))
-            os.replace(temp, path)
-        except OSError as exc:
-            raise StoreError(f"cannot write {self.kind} metrics {path}: {exc}") from exc
-        return totals
-
-    # -- lifecycle / sharding (trivial for files) ------------------------------------
-
-    def flush(self) -> None:
-        """Atomic per-entry writes have nothing buffered."""
-
-    def close(self) -> None:
-        pass
-
-    def merge_shards(self, only=None) -> int:
-        """File stores never shard: workers write entries atomically in place."""
-        return 0
+    An entry is reused only while its path still names the file the
+    connection holds open.  The open descriptor pins that inode, so a
+    root that was deleted, quarantined or recreated since always shows a
+    different ``(st_dev, st_ino)`` and gets a new connection; dropping the
+    stale entry also lets the old file go once no live store holds it.
+    """
+    registry = getattr(_local, "registry", None)
+    if registry is None or _local.pid != os.getpid():
+        if registry is not None:
+            _inherited.append(registry)
+        registry = _local.registry = OrderedDict()
+        _local.pid = os.getpid()
+    for path, shared in list(registry.items()):
+        current = _file_identity(path)
+        if current is None or current != shared.identity:
+            del registry[path]
+    return registry
 
 
 # -- SQLite backend -------------------------------------------------------------------
@@ -332,14 +220,13 @@ class SqliteBackend:
 
     ``shard`` switches the backend into its worker view: reads come from
     the main database, writes land in ``shards/<shard>.sqlite`` for the
-    parent's :meth:`merge_shards` to fold in after the pool joins.  The
-    shard file is created on the view's first write, so a view that only
-    reads leaves nothing to merge.  The connection is process-private; a
-    backend inherited through ``fork`` transparently reopens on first use
-    in the child.
+    parent's :meth:`merge_shards` to fold in.  The shard file is created
+    on the view's first write, so a view that only reads leaves nothing
+    to merge.  The main connection is shared within the process and
+    thread (see :func:`_shared_connections`), the shard connection is
+    the view's own; a backend inherited through ``fork`` transparently
+    reopens on first use in the child.
     """
-
-    name = SQLITE_BACKEND
 
     def __init__(
         self,
@@ -358,6 +245,7 @@ class SqliteBackend:
         self._pid = os.getpid()
         self._pending: Dict[str, str] = {}
         self._touched: Dict[str, float] = {}
+        self._main: Optional[_SharedConnection] = None
         self._read_conn: Optional[sqlite3.Connection] = None
         self._write_conn: Optional[sqlite3.Connection] = None
         self._open()
@@ -379,17 +267,36 @@ class SqliteBackend:
         return connection
 
     def _open(self) -> None:
+        """Attach the shared main connection and check its schema.
+
+        The schema check runs on every open, reused connection or not, so
+        a database that a newer repro rewrote in between is still refused.
+        """
+        shared = _shared_connections()
+        key = str(self.path)
+        main = shared.get(key)
         try:
-            self._read_conn = self._connect(self.path)
+            self._read_conn = main.connection if main is not None else self._connect(self.path)
             self._validate_main()
         except sqlite3.DatabaseError:
             # Not a SQLite file at all (torn write, truncation, random
-            # garbage): quarantine the database exactly like a corrupt
-            # JSON entry and start fresh — the store is a cache, so the
-            # price is recomputation, never a wrong answer.
+            # garbage): quarantine the database and start fresh — the
+            # store is a cache, so the price is recomputation, never a
+            # wrong answer.
+            shared.pop(key, None)
+            main = None
             self._quarantine_database()
             self._read_conn = self._connect(self.path)
             self._initialize(self._read_conn)
+        if main is None:
+            # Dropping an entry drops the registry's reference only: a
+            # live store that holds the connection keeps it open.
+            main = shared[key] = _SharedConnection(self._read_conn, _file_identity(key))
+            while len(shared) > _MAX_SHARED_CONNECTIONS:
+                shared.popitem(last=False)
+        else:
+            shared.move_to_end(key)
+        self._main = main
         # A shard view opens its shard in _writer, on its first write.
         self._write_conn = self._read_conn if self.shard is None else None
 
@@ -458,12 +365,8 @@ class SqliteBackend:
             )
 
     def _quarantine_database(self) -> None:
-        if self._read_conn is not None:
-            try:
-                self._read_conn.close()
-            except sqlite3.Error:  # pragma: no cover - close of a broken handle
-                pass
-            self._read_conn = None
+        # Not closed: another live store may share the connection.
+        self._read_conn = None
         target = self.path.with_name(self.path.name + QUARANTINE_SUFFIX)
         try:
             os.replace(self.path, target)
@@ -494,8 +397,8 @@ class SqliteBackend:
         self._pid = os.getpid()
         self._pending.clear()
         self._touched.clear()
-        self._read_conn = None
-        self._write_conn = None
+        _inherited.append((self._main, self._write_conn))
+        self._main = self._read_conn = self._write_conn = None
         self._open()
 
     def _retry(self, operation: Callable[[], T]) -> T:
@@ -669,10 +572,8 @@ class SqliteBackend:
         )[0]
 
     def clear(self) -> int:
-        self._pending.clear()
-        self._touched.clear()
+        removed = self.count()  # flushes first, so buffered writes count too
         connection = self._writer()
-        removed = self.count()
         self._retry(lambda: connection.execute("DELETE FROM entries"))
         return removed
 
@@ -799,18 +700,21 @@ class SqliteBackend:
         self._touched.clear()
 
     def close(self) -> None:
+        """Flush, and close a shard view's shard.
+
+        The main connection stays open for the next store this process
+        opens on the root; it closes once neither the registry nor a live
+        store holds it.
+        """
         try:
             self.flush()
         finally:
-            for connection in {id(self._read_conn): self._read_conn,
-                               id(self._write_conn): self._write_conn}.values():
-                if connection is not None:
-                    try:
-                        connection.close()
-                    except sqlite3.Error:  # pragma: no cover - already broken
-                        pass
-            self._read_conn = None
-            self._write_conn = None
+            if self.shard is not None and self._write_conn is not None:
+                try:
+                    self._write_conn.close()
+                except sqlite3.Error:  # pragma: no cover - already broken
+                    pass
+                self._write_conn = None
 
     def __del__(self) -> None:  # pragma: no cover - GC-timing dependent
         try:
@@ -872,64 +776,16 @@ class SqliteBackend:
         return merged
 
 
-# -- selection and migration ----------------------------------------------------------
+# -- migration --------------------------------------------------------------------
 
 
-def default_backend_name() -> str:
-    """The backend used for brand-new store roots.
-
-    JSON files unless ``REPRO_STORE_BACKEND`` says otherwise — existing
-    deployments keep their inspectable one-file-per-entry layout until
-    they opt in (``--store-backend sqlite`` / the env var / migration).
-    """
-    name = os.environ.get("REPRO_STORE_BACKEND", JSON_BACKEND)
-    if name not in (JSON_BACKEND, SQLITE_BACKEND):
-        raise StoreError(
-            f"unknown REPRO_STORE_BACKEND {name!r} (expected {JSON_BACKEND} or {SQLITE_BACKEND})"
-        )
-    return name
-
-
-def detect_backend_name(root: Path) -> Optional[str]:
-    """What backend already lives at ``root``, or ``None`` for a fresh root."""
+def holds_json_layout(root: Path) -> bool:
+    """Whether ``root`` holds the legacy JSON layout and no SQLite store yet."""
     if (root / SQLITE_FILENAME).exists():
-        return SQLITE_BACKEND
-    if (root / JsonFileBackend.METRICS_NAME).exists():
-        return JSON_BACKEND
-    try:
-        next(root.glob("??/*.json*"))
-        return JSON_BACKEND
-    except (StopIteration, OSError):
-        return None
-
-
-def make_backend(
-    root: Path,
-    requested: Optional[str] = None,
-    kind: str = "store",
-    statistics: Optional[object] = None,
-    shard: Optional[str] = None,
-):
-    """Open the backend for a store root.
-
-    ``requested`` pins the implementation; ``None`` auto-detects from the
-    disk layout and falls back to :func:`default_backend_name` for fresh
-    roots.  Requesting a backend *different* from what is on disk is a
-    loud error pointing at migration — two half-populated layouts in one
-    root would silently split the cache.
-    """
-    detected = detect_backend_name(root)
-    name = requested or detected or default_backend_name()
-    if requested is not None and detected is not None and requested != detected:
-        raise StoreError(
-            f"{kind} at {root} holds a {detected} layout but backend {requested!r} was "
-            "requested; run `python -m repro store migrate` instead of mixing layouts"
-        )
-    if name == SQLITE_BACKEND:
-        return SqliteBackend(root, kind=kind, statistics=statistics, shard=shard)
-    if name == JSON_BACKEND:
-        return JsonFileBackend(root, kind=kind)
-    raise StoreError(f"unknown store backend {name!r}")
+        return False
+    if (root / LEGACY_METRICS_NAME).exists():
+        return True
+    return next(root.glob("??/*.json*"), None) is not None
 
 
 @dataclass
@@ -974,7 +830,13 @@ _SQLITE_MIGRATIONS: Dict[int, Callable[[sqlite3.Connection], None]] = {
 }
 
 
-def _collect_json_entries(root: Path) -> List[Tuple[str, str, float]]:
+def _import_json_layout(root: Path, kind: str) -> int:
+    """Import a legacy JSON layout into SQLite, then delete it; returns entries imported.
+
+    Entry mtimes carry over, so gc age horizons survive, and the metrics
+    sidecar moves into the ``meta`` table.  The JSON files are removed
+    only after the SQLite writes are committed.
+    """
     rows: List[Tuple[str, str, float]] = []
     for path in sorted(root.glob("??/*.json")):
         mtime = _mtime_of(path)
@@ -984,13 +846,36 @@ def _collect_json_entries(root: Path) -> List[Tuple[str, str, float]]:
             rows.append((path.stem, path.read_text(), mtime))
         except OSError:
             continue
-    return rows
+    try:
+        metrics = json.loads((root / LEGACY_METRICS_NAME).read_text())
+    except (OSError, ValueError):
+        metrics = None
+    backend = SqliteBackend(root, kind=kind)
+    backend.write_many(rows)
+    if isinstance(metrics, dict) and metrics:
+        # Seed the totals verbatim (record_metrics would add a run).
+        backend._retry(
+            lambda: backend._writer().execute(
+                "INSERT OR REPLACE INTO meta (key, value) VALUES ('metrics', ?)",
+                (json.dumps(metrics, sort_keys=True),),
+            )
+        )
+    backend.close()
+    for path in root.glob("??/*"):
+        path.unlink(missing_ok=True)
+    for bucket in root.glob("??"):
+        try:
+            bucket.rmdir()
+        except OSError:  # pragma: no cover - non-empty: a racing writer refilled it
+            pass
+    (root / LEGACY_METRICS_NAME).unlink(missing_ok=True)
+    return len(rows)
 
 
 def migrate_store(root, kind: str = "store") -> MigrationResult:
     """Migrate one store root to the current SQLite schema, in place.
 
-    * JSON layout -> SQLite: every entry is bulk-inserted (mtimes
+    * Legacy JSON layout -> SQLite: every entry is bulk-inserted (mtimes
       preserved, so gc age horizons survive), the metrics sidecar moves
       into the ``meta`` table, and the JSON files are removed only after
       the SQLite database is fully written.
@@ -1001,38 +886,12 @@ def migrate_store(root, kind: str = "store") -> MigrationResult:
     """
     root = Path(root).expanduser()
     root.mkdir(parents=True, exist_ok=True)
-    detected = detect_backend_name(root)
-
-    if detected == JSON_BACKEND:
-        json_backend = JsonFileBackend(root, kind=kind)
-        rows = _collect_json_entries(root)
-        metrics = json_backend.load_metrics()
-        sqlite_backend = SqliteBackend(root, kind=kind)
-        entries = sqlite_backend.write_many(rows)
-        if metrics:
-            # Seed the totals verbatim (record_metrics would add a run).
-            sqlite_backend._retry(
-                lambda: sqlite_backend._write_conn.execute(
-                    "INSERT OR REPLACE INTO meta (key, value) VALUES ('metrics', ?)",
-                    (json.dumps(metrics, sort_keys=True),),
-                )
-            )
-        sqlite_backend.close()
-        # The SQLite file is durable; now (and only now) drop the JSON
-        # layout so auto-detection can never see both.
-        for path in root.glob("??/*"):
-            path.unlink(missing_ok=True)
-        for bucket in root.glob("??"):
-            try:
-                bucket.rmdir()
-            except OSError:  # pragma: no cover - non-empty: a racing writer refilled it
-                pass
-        (root / JsonFileBackend.METRICS_NAME).unlink(missing_ok=True)
-        return MigrationResult(str(root), "json-to-sqlite", entries=entries)
-
-    if detected is None:
-        backend = SqliteBackend(root, kind=kind)
-        backend.close()
+    if holds_json_layout(root):
+        return MigrationResult(
+            str(root), "json-to-sqlite", entries=_import_json_layout(root, kind)
+        )
+    if not (root / SQLITE_FILENAME).exists():
+        SqliteBackend(root, kind=kind).close()
         return MigrationResult(str(root), "initialized")
 
     # SQLite already: inspect the version with a raw connection (the

@@ -25,7 +25,6 @@ both engines produce the same verdicts.
 from __future__ import annotations
 
 import contextlib
-import copy
 import dataclasses
 import os
 import tempfile
@@ -467,9 +466,9 @@ def _certify_fleet(
                 slots=element_slots(pipeline, properties),
                 property_set=property_set,
             )
-        # One bulk read instead of a round trip per pipeline: on the
-        # batched backend a warm fleet lookup is a handful of chunked
-        # queries, not len(pipelines) of them.
+        # One bulk read instead of a round trip per pipeline: a warm
+        # fleet lookup is a handful of chunked queries, not
+        # len(pipelines) of them.
         records = verdict_store.load_records(
             [key for key in record_keys if key is not None]
         )
@@ -479,8 +478,9 @@ def _certify_fleet(
             if record is not None:
                 if record_keys[index] in consumed:
                     # Identical pipelines share a digest; each index still
-                    # gets its own record object (relabel mutates it).
-                    record = copy.deepcopy(record)
+                    # gets its own record (relabel mutates it), rebuilt
+                    # from its plain form, which shares nothing mutable.
+                    record = PipelineCertification.from_dict(record.to_dict())
                 consumed.add(record_keys[index])
                 record.provenance = DELTA_REUSED
                 record.impact_causes = []
@@ -624,9 +624,9 @@ def _certify_fleet(
             merge_rejected=report.statistics.merge_rejected,
         )
         query_store.record_metrics(metrics)
-    # Deterministic durability point: push every batched write (SQLite
-    # backend) to disk before the report is returned — callers may exit,
-    # fork, or re-open the roots immediately.
+    # Deterministic durability point: push every batched write to disk
+    # before the report is returned — callers may exit, fork, or re-open
+    # the roots immediately.
     for tier in (store, verdict_store, query_store):
         if tier is not None and not isinstance(tier, str):
             tier.flush()

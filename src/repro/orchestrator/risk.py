@@ -10,7 +10,7 @@ troublesome — pipelines reach a verdict.  The fleet scheduler
 with the history this module persists, whenever one is given.
 
 The history rides the existing :class:`~repro.orchestrator.store.Store`
-facade (same backends, same quarantine/gc semantics): one entry per
+facade (same database, same quarantine/gc semantics): one entry per
 pipeline *name*, keyed by a versioned digest of the name, holding how
 often its fingerprint changed between observed runs (churn), how many
 property violations it has produced, and how many runs observed it.

@@ -15,12 +15,9 @@ static-table mode, and the serialization format version.
 
 :class:`Store` is the façade every tier shares: digest-keyed entries, a
 statistics block, corrupt-entry quarantine, garbage collection.  The
-actual bytes live behind a pluggable backend
-(:mod:`repro.orchestrator.backends`) — one-file-per-entry JSON (atomic
-temp+rename writes, safe for any number of concurrent writers) or a
-batched single-file SQLite database (WAL journal, sharded worker writes,
-merge-on-join) — selected per store root and auto-detected from the disk
-layout, so both layouts behave identically through this interface.
+bytes live in one batched SQLite database per store root
+(:mod:`repro.orchestrator.backends`: WAL journal, sharded worker writes,
+merge-on-join, one main connection per root and process).
 
 :class:`SummaryStore` specializes the façade for element summaries,
 :class:`QueryStore` for sliced solver-query verdicts (the query cache's
@@ -42,13 +39,12 @@ from ..obs.trace import clock
 from ..dataplane.fingerprint import configuration_fingerprint, program_fingerprint
 from ..symbex.engine import StaticTableMode, SymbexOptions
 from ..symbex.segment import ElementSummary
-from .backends import GcResult, make_backend
+from .backends import GcResult, SqliteBackend, holds_json_layout, migrate_store
 from .errors import StoreError
 from .serialize import FORMAT_VERSION, dumps_summary, loads_summary
 
 __all__ = [
     "GcResult",
-    "JsonFileStore",
     "QueryStore",
     "Store",
     "StoreStatistics",
@@ -96,8 +92,7 @@ class StoreStatistics(StatisticsMixin):
     like every other duration in the repo — wall clock appears in the
     store layer only where entry mtimes force it (gc age horizons).
     ``busy_retries`` counts SQLite lock collisions absorbed by the
-    jittered-backoff retry loop (always 0 on the JSON backend, whose
-    atomic renames never contend).
+    jittered-backoff retry loop.
     """
 
     hits: int = 0
@@ -118,45 +113,31 @@ class Store:
     """Shared façade for the content-addressed store tiers.
 
     Subclasses supply the digest computation and the payload
-    encode/decode; raw entry bytes go through ``self.backend``
-    (see :func:`repro.orchestrator.backends.make_backend` for how the
-    implementation is chosen).  ``shard`` opens the SQLite backend in its
-    worker view — reads from the main database, writes to a private
-    ``shards/<shard>.sqlite`` (created on the first write) that the
-    parent folds in via :meth:`merge_shards`.  The JSON backend ignores
-    ``shard``: its per-entry writes are already atomic in place.
+    encode/decode; raw entry bytes go through ``self.backend``, a
+    :class:`~repro.orchestrator.backends.SqliteBackend`.  ``shard`` opens
+    it in its worker view — reads from the main database, writes to a
+    private ``shards/<shard>.sqlite`` (created on the first write) that
+    the parent folds in via :meth:`merge_shards`.  A root that still
+    holds the legacy JSON layout is imported into SQLite the first time
+    a store opens it (:func:`~repro.orchestrator.backends.migrate_store`).
     """
 
     #: Human label used in error messages ("summary store", "verdict store").
     kind = "store"
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        backend: Optional[str] = None,
-        shard: Optional[str] = None,
-    ) -> None:
+    def __init__(self, root: Union[str, Path], shard: Optional[str] = None) -> None:
         self.root = Path(root).expanduser()
         try:
             self.root.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise StoreError(f"cannot create {self.kind} at {self.root}: {exc}") from exc
         self.statistics = StoreStatistics()
-        self.backend = make_backend(
-            self.root,
-            requested=backend,
-            kind=self.kind,
-            statistics=self.statistics,
-            shard=shard,
+        if holds_json_layout(self.root):
+            # Written before SQLite was the only backend: import it once.
+            migrate_store(self.root, kind=self.kind)
+        self.backend = SqliteBackend(
+            self.root, kind=self.kind, statistics=self.statistics, shard=shard
         )
-
-    @property
-    def backend_name(self) -> str:
-        return self.backend.name
-
-    def _path(self, digest: str) -> Path:
-        """The JSON-layout path of an entry (meaningless under SQLite)."""
-        return self.root / digest[:2] / f"{digest}.json"
 
     # -- raw entry I/O ---------------------------------------------------------------
 
@@ -178,9 +159,9 @@ class Store:
     def read_entries(self, digests) -> dict:
         """Bulk read: present entries as ``{digest: text}``; absences count as misses.
 
-        One chunked query on the SQLite backend, a plain loop on JSON
-        files — callers holding many digests (delta-mode verdict lookup)
-        should prefer this over N :meth:`read_entry` calls.
+        One chunked query per 400 digests — callers holding many digests
+        (delta-mode verdict lookup) should prefer this over N
+        :meth:`read_entry` calls.
         """
         digests = list(digests)
         started = clock()
@@ -191,7 +172,7 @@ class Store:
         return found
 
     def write_entry(self, digest: str, text: str) -> None:
-        """Persist an entry (atomically, or batched until the next flush)."""
+        """Persist an entry (batched until the next flush)."""
         started = clock()
         self.backend.write(digest, text)
         self.statistics.io_seconds += clock() - started
@@ -199,13 +180,11 @@ class Store:
         self.statistics.bytes_written += len(text)
 
     def quarantine_entry(self, digest: str) -> None:
-        """Move a corrupt entry aside so warm runs stop re-parsing garbage.
+        """Delete a corrupt entry so warm runs stop re-parsing garbage.
 
-        JSON entries are renamed to ``<digest>.json.corrupt`` (preserved
-        for post-mortem; swept by :meth:`gc`); SQLite rows are deleted —
-        the garbage payload sits inside a healthy database, so there is
-        nothing worth keeping aside.  Either way the digest reads as a
-        plain miss — and parses nothing — from now on.
+        The garbage payload sits inside a healthy database, so there is
+        nothing worth keeping aside: the digest reads as a plain miss —
+        and parses nothing — from now on.
         """
         self.backend.quarantine(digest)
         self.statistics.corrupt_entries += 1
@@ -214,13 +193,17 @@ class Store:
     # -- lifecycle -------------------------------------------------------------------
 
     def flush(self) -> None:
-        """Push any buffered writes to disk (a no-op on the JSON backend)."""
+        """Push any buffered writes to disk."""
         started = clock()
         self.backend.flush()
         self.statistics.io_seconds += clock() - started
 
     def close(self) -> None:
-        """Flush and release the backend (file handles, connections)."""
+        """Flush, and close a shard view's private shard.
+
+        The main connection stays open for the next store this process
+        opens on the same root.
+        """
         self.backend.close()
 
     def merge_shards(self, only=None) -> int:
@@ -231,8 +214,7 @@ class Store:
         sequence of shard tags), folds exactly those shards: the
         scheduler's incremental merge path, safe while *other* shards
         still have live writers because each task flushes and closes its
-        private shard before its result is reported.  The JSON backend
-        has no shards and returns 0 either way.
+        private shard before its result is reported.
         """
         started = clock()
         merged = self.backend.merge_shards(only=only)
@@ -255,14 +237,13 @@ class Store:
     def gc(self, older_than_seconds: Optional[float] = None) -> GcResult:
         """Sweep the store root.
 
-        Always removes debris — quarantined ``.corrupt`` files and
-        orphaned temp/shard files from crashed writers (only those older
-        than a minute, so in-flight writes are never torn).  With
+        Always removes debris — quarantined ``.corrupt`` databases and
+        orphaned shard files from crashed writers (only those older than
+        a minute, so in-flight writes are never torn).  With
         ``older_than_seconds``, additionally evicts live entries whose
         modification time is older than the horizon — the store is a
         cache, so eviction costs recomputation, never correctness.
-        Entries unlinked by a concurrent writer mid-sweep are tolerated
-        (neither kept nor removed).
+        Debris unlinked by a concurrent sweep is tolerated.
         """
         return self.backend.gc(older_than_seconds)
 
@@ -276,16 +257,10 @@ class Store:
         """Fold one run's counters into the store's cumulative totals.
 
         Numeric values key-sum into the stored ones (the totals are
-        cumulative across runs).  The JSON backend writes the sidecar
-        atomically (concurrent recorders lose at worst one increment);
-        the SQLite backend folds inside a transaction and loses none.
+        cumulative across runs).  The fold runs inside one transaction,
+        so concurrent recorders lose no increment.
         """
         return self.backend.record_metrics(counters)
-
-
-#: Backward-compatible alias: the pre-seam name of the base class, kept so
-#: existing imports (and pickled worker payloads from older runs) resolve.
-JsonFileStore = Store
 
 
 class SummaryStore(Store):
@@ -366,8 +341,8 @@ class QueryStore(Store):
     the same way the summary store lets it skip symbolic execution.
 
     Payload versioning lives in the qcache layer (``PAYLOAD_VERSION``
-    inside the payload); this class only guards JSON well-formedness,
-    quarantining garbage exactly like the other tiers.
+    inside the payload); this class only guards the payload's JSON
+    well-formedness, quarantining garbage exactly like the other tiers.
     """
 
     kind = "query store"

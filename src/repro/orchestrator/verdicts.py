@@ -6,7 +6,7 @@ across runs — a warm store re-executes nothing symbolically, but Step 2
 every pass.  The :class:`VerdictStore` amortizes the *whole verification*:
 a pipeline's certification against a property set is persisted under a
 content address covering everything the verdict depends on, so
-re-certifying an unchanged pipeline is one JSON read — zero symbolic
+re-certifying an unchanged pipeline is one store read — zero symbolic
 execution **and** zero solver checks.
 
 Keys are ``pipeline fingerprint x property set``: the pipeline fingerprint
@@ -221,11 +221,10 @@ class VerdictStore(Store):
     def load_records(self, digests: Sequence[str]) -> dict:
         """Bulk :meth:`load_record`: ``{digest: certification}`` for every hit.
 
-        One chunked query on the SQLite backend instead of one round trip
-        per pipeline — at fleet scale (1,000+ records) the per-call
-        overhead is the warm run.  Statistics (hits, misses, quarantines)
-        are counted per entry exactly as the one-at-a-time path would, so
-        differential backend comparisons stay exact.
+        One chunked query instead of one round trip per pipeline — at
+        fleet scale (1,000+ records) the per-call overhead is the warm
+        run.  Statistics (hits, misses, quarantines) are counted per
+        entry exactly as the one-at-a-time path would.
         """
         from .fleet import PipelineCertification
 

@@ -97,9 +97,8 @@ def worker_shard_tag() -> str:
 def worker_summary_store(store_root: Optional[str]) -> Optional[SummaryStore]:
     """Open the shared summary store the way a worker process must.
 
-    Reads hit the main store; writes land in this worker's private shard
-    (SQLite backend) or go atomically in place (JSON backend, which has
-    no shards).  The parent folds a task's shard in as soon as its result
+    Reads hit the main store; writes land in this worker's private
+    shard, which the parent folds in as soon as the task's result
     arrives — see :meth:`repro.orchestrator.store.Store.merge_shards`.
     """
     if store_root is None:

@@ -22,7 +22,7 @@ cheapest tier that can:
   with zero SAT-core calls.  The store object is duck-typed
   (``load_payload``/``save_payload``); the concrete
   :class:`repro.orchestrator.store.QueryStore` reuses the shared
-  ``JsonFileStore`` machinery.
+  :class:`repro.orchestrator.store.Store` machinery.
 
 Slices that no tier answers go to the ``solve`` callback the caller
 provides (interval quick check + CDCL), and the result — including a

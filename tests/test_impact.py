@@ -342,6 +342,43 @@ class TestDeltaRecertification:
         assert firsts and firsts == seconds
         assert second.verdicts() == first.verdicts()
 
+    def test_identical_pipelines_reuse_their_own_records(self, tmp_path):
+        """Two identically configured pipelines share one verdict key: each is
+        served from the store under its own name, sharing nothing mutable."""
+        from repro.dataplane.elements import IPOptions
+        from repro.dataplane.pipeline import Pipeline
+
+        def twins():
+            return [
+                Pipeline.chain([IPOptions(name="opts", max_options=8)], name=name)
+                for name in ("edge-a", "edge-b")
+            ]
+
+        verdict_store = VerdictStore(tmp_path / "verdicts")
+        certify_fleet(twins(), [CrashFreedom()], input_lengths=LENGTHS, verdict_store=verdict_store)
+        assert len(verdict_store) == 1  # one record serves both names
+        warm = certify_fleet(
+            twins(), [CrashFreedom()], input_lengths=LENGTHS, verdict_store=verdict_store
+        )
+        assert warm.statistics.verdicts_reused == 2
+        first, second = warm.certifications
+        assert all(c.provenance == DELTA_REUSED for c in (first, second))
+        for certification, name in ((first, "edge-a"), (second, "edge-b")):
+            assert certification.pipeline_name == name
+            assert [result.pipeline_name for result in certification.results] == [name]
+        assert second.results[0].counterexamples  # mutable parts worth checking
+
+        # Changing one leaves the other intact.
+        untouched = second.to_dict()
+        first.relabel("renamed")
+        first.impact_causes.append("changed")
+        first.results[0].notes.append("changed")
+        first.results[0].statistics.solver_checks += 1000
+        first.results[0].statistics.per_element_segments["changed"] = 1
+        first.results[0].counterexamples[0].element_path.append("changed")
+        first.results[0].counterexamples.clear()
+        assert second.to_dict() == untouched
+
 
 # -- manifest hygiene -----------------------------------------------------------------
 

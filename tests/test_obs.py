@@ -248,7 +248,6 @@ class TestStatisticsMixin:
         assert json.loads(json.dumps(payload)) == payload  # plain JSON
         assert set(payload) == {spec.name for spec in dataclasses.fields(cls)}
         assert cls.from_dict(payload) == original
-        assert original.as_dict() == payload  # pre-unification alias
 
     @pytest.mark.parametrize(
         "cls", _all_statistics_classes(), ids=lambda cls: cls.__name__

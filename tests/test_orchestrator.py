@@ -1,12 +1,15 @@
 """Tests for the fleet orchestrator: serialization, store, worker tasks, fleet API."""
 
 import json
+import sqlite3
+import time
 
 import pytest
 
 from repro import smt
 from repro.orchestrator import (
     FORMAT_VERSION,
+    SQLITE_FILENAME,
     SummaryStore,
     certify_fleet,
     decode_terms,
@@ -28,6 +31,31 @@ from repro.workloads.pipelines import SyntheticBranchyElement
 
 CONCRETE = SymbexOptions(static_table_mode="concrete")
 HAVOC = SymbexOptions(static_table_mode="havoc")
+
+
+def _set_row(store, digest, payload=None, mtime=None):
+    """Overwrite one stored row behind the store's back, as a torn or aged write would."""
+    store.flush()
+    connection = sqlite3.connect(str(store.root / SQLITE_FILENAME))
+    with connection:
+        if payload is not None:
+            connection.execute(
+                "INSERT OR REPLACE INTO entries (digest, payload, mtime) VALUES (?, ?, ?)",
+                (digest, payload, time.time()),
+            )
+        if mtime is not None:
+            connection.execute("UPDATE entries SET mtime=? WHERE digest=?", (mtime, digest))
+    connection.close()
+
+
+def _has_row(store, digest):
+    connection = sqlite3.connect(str(store.root / SQLITE_FILENAME))
+    try:
+        return connection.execute(
+            "SELECT 1 FROM entries WHERE digest=?", (digest,)
+        ).fetchone() is not None
+    finally:
+        connection.close()
 
 
 def _summarize(element, length=24, **options):
@@ -157,29 +185,27 @@ class TestSummaryStore:
         store = SummaryStore(tmp_path)
         assert store.load(element, 24, CONCRETE) is None
         digest = store.save(element, 24, CONCRETE, _summarize(element))
-        path = store._path(digest)
-        path.write_text("{not json")
+        _set_row(store, digest, "{not json")
         assert store.load(element, 24, CONCRETE) is None
         assert store.statistics.corrupt_entries == 1
         # Version-mismatched payloads are also treated as misses.
-        path.write_text(json.dumps({"version": 999}))
+        _set_row(store, digest, json.dumps({"version": 999}))
         assert store.load(element, 24, CONCRETE) is None
+        assert store.statistics.corrupt_entries == 2
 
     def test_corrupt_entries_are_quarantined_not_reparsed(self, tmp_path):
-        # The satellite fix: a corrupt entry used to stay in place, so
-        # every warm run re-read and re-parsed the same garbage.  Now the
-        # first detection moves it aside; later loads are plain misses.
+        # A corrupt entry must not stay in place, or every warm run would
+        # re-read and re-parse the same garbage: the first detection
+        # deletes the row, and later loads are plain misses.
         element = ip_router_elements(1)[0]
         store = SummaryStore(tmp_path)
         digest = store.save(element, 24, CONCRETE, _summarize(element))
-        path = store._path(digest)
-        path.write_text("{not json")
+        _set_row(store, digest, "{not json")
 
         assert store.load(element, 24, CONCRETE) is None
         assert store.statistics.corrupt_entries == 1
         assert store.statistics.quarantined == 1
-        assert not path.exists()  # moved aside: the garbage is gone
-        assert path.with_name(path.name + ".corrupt").exists()  # kept for post-mortem
+        assert not _has_row(store, digest)  # the garbage is gone
         assert len(store) == 0  # quarantined entries are not live entries
 
         # The second load never touches the garbage again: a plain miss,
@@ -188,29 +214,27 @@ class TestSummaryStore:
         assert store.statistics.corrupt_entries == 1
         assert store.statistics.misses == 2
 
-        # Recomputing overwrites the digest; gc sweeps the quarantine file.
+        # Recomputing writes the digest again; a quarantined row leaves no
+        # debris for gc to sweep.
         store.save(element, 24, CONCRETE, _summarize(element))
         assert store.load(element, 24, CONCRETE) is not None
         result = store.gc()
-        assert result.removed_debris == 1 and result.kept_entries == 1
-        assert not path.with_name(path.name + ".corrupt").exists()
+        assert result.removed_debris == 0 and result.kept_entries == 1
 
     def test_gc_evicts_old_entries(self, tmp_path):
-        import os
-        import time
-
         element = ip_router_elements(1)[0]
         store = SummaryStore(tmp_path)
         digest = store.save(element, 24, CONCRETE, _summarize(element))
-        old = time.time() - 3600
-        os.utime(store._path(digest), (old, old))
-        kept = store.gc(older_than_seconds=7200)
+        # Two hours: older than the hour-grained read-touch granularity.
+        old = time.time() - 7200
+        _set_row(store, digest, mtime=old)
+        kept = store.gc(older_than_seconds=3 * 3600)
         assert kept.removed_entries == 0 and kept.kept_entries == 1
         # A hit refreshes the mtime: entries that are *read* stay warm, so
         # "older than" means "not touched", not "not rewritten".
         assert store.load(element, 24, CONCRETE) is not None
-        assert store.gc(older_than_seconds=1800).removed_entries == 0
-        os.utime(store._path(digest), (old, old))
+        assert store.gc(older_than_seconds=3600).removed_entries == 0
+        _set_row(store, digest, mtime=old)
         swept = store.gc(older_than_seconds=60)
         assert swept.removed_entries == 1 and swept.bytes_freed > 0
         assert len(store) == 0
@@ -391,6 +415,9 @@ class TestWorkers:
         element = SyntheticBranchyElement(2, name="stored")
         payload = (element, 12, SymbexOptions(), str(tmp_path))
         first_status, first, _entries, _work, _extras = _summarize_worker(payload)
+        # The worker wrote into its shard; the scheduler folds a task's
+        # shard into the main store as the task's result arrives.
+        SummaryStore(tmp_path).merge_shards()
         second_status, second, _entries, work, _extras = _summarize_worker(payload)
         assert (first_status, second_status) == (COMPUTED, LOADED)
         assert work == (0, 0)  # a store load performs no solver work

@@ -286,6 +286,7 @@ class TestQueryStoreL3:
         )
         assert status == CheckResult.SAT and unsat_status == CheckResult.UNSAT
         assert cold_cache.statistics.l3_stores > 0
+        cold_cache.store.flush()  # writes are batched until a flush
 
         warm_store = QueryStore(tmp_path)
         warm_cache = QueryCache(store=warm_store)
@@ -318,21 +319,28 @@ class TestQueryStoreL3:
         assert _solved(merged) == 0
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
-        from repro.orchestrator.store import QueryStore
+        import sqlite3
+
+        from repro.orchestrator import SQLITE_FILENAME, QueryStore
 
         store = QueryStore(tmp_path)
         cache = QueryCache(store=store)
         checker = AssumptionChecker(query_cache=cache)
         x = BitVec("x", 8)
         checker.check([Eq(smt.UDiv(x, BitVecVal(3, 8)), BitVecVal(5, 8))])
-        for path in tmp_path.glob("??/*.json"):
-            path.write_text("{ not json")
+        store.flush()
+        connection = sqlite3.connect(str(tmp_path / SQLITE_FILENAME))
+        with connection:
+            corrupted = connection.execute("UPDATE entries SET payload='{ not json'").rowcount
+        connection.close()
+        assert corrupted > 0  # real entries were stored, and are now garbage
         warm = QueryCache(store=QueryStore(tmp_path))
         status, _ = AssumptionChecker(query_cache=warm).check(
             [Eq(smt.UDiv(x, BitVecVal(3, 8)), BitVecVal(5, 8))]
         )
         assert status == CheckResult.SAT  # re-solved, not crashed
         assert warm.statistics.l3_hits == 0
+        assert warm.store.statistics.corrupt_entries > 0
 
 
 class TestSolverContextRouting:

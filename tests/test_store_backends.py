@@ -1,16 +1,22 @@
-"""Tests for the pluggable store-backend seam: JSON files vs batched SQLite.
+"""Tests for the SQLite store backend behind every tier.
 
-Every tier (summary, verdict, query) must behave identically through the
-:class:`repro.orchestrator.store.Store` façade no matter which backend
-holds the bytes; these tests parametrize the round trips over both
-backends, exercise the SQLite-only machinery (schema versioning, whole-
-database quarantine, worker shards, write batching) and the explicit
-migrations (JSON layout -> SQLite, schema v1 -> v2).
+Every tier (summary, verdict, query) keeps its entries in one SQLite
+database per root, reached through the
+:class:`repro.orchestrator.store.Store` façade.  These tests cover the
+tier round trips, on a fresh root and on a root that still holds the
+legacy JSON layout (imported the first time a store opens it); the
+schema versioning, whole-database quarantine, worker shards and write
+batching; the explicit migrations (legacy JSON layout -> SQLite, schema
+v1 -> v2); and the main connection each process shares per root.
 """
 
+import gc
 import json
+import multiprocessing
 import os
+import shutil
 import sqlite3
+import threading
 import time
 
 import pytest
@@ -23,17 +29,24 @@ from repro.orchestrator import (
     SummaryStore,
     VerdictStore,
     certify_fleet,
-    detect_backend_name,
+    holds_json_layout,
     migrate_store,
 )
+from repro.orchestrator.backends import _MAX_SHARED_CONNECTIONS, _shared_connections
 from repro.orchestrator.errors import StoreError
 from repro.symbex import SymbexOptions
 from repro.symbex.engine import SymbolicEngine
 from repro.verify import CrashFreedom
 from repro.workloads import fleet_catalog, ip_router_elements
 
-BACKENDS = ("json", "sqlite")
+#: A root's layout before the first store opens it: the legacy JSON
+#: layout (imported on that first open) or nothing at all.
+LAYOUTS = ("json", "sqlite")
 CONCRETE = SymbexOptions(static_table_mode="concrete")
+#: The entry a legacy-layout root starts with, and its metrics sidecar.
+LEGACY_DIGEST = "ff" * 32
+LEGACY_PAYLOAD = {"legacy": True}
+LEGACY_METRICS = {"imported": 1}
 
 
 def _summarize(element, length=24):
@@ -51,28 +64,66 @@ def _digest(index):
     return f"{index:064x}"
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-class TestRoundTrip:
-    """The same tier contents must survive a close/reopen on either backend."""
+def _write_legacy_layout(root, entries, metrics=None, mtimes=None):
+    """Hand-build the legacy JSON layout: ``<dd>/<digest>.json`` plus ``metrics.json``."""
+    root.mkdir(parents=True, exist_ok=True)
+    for digest, text in entries.items():
+        path = root / digest[:2] / f"{digest}.json"
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(text)
+        if mtimes and digest in mtimes:
+            os.utime(path, (mtimes[digest], mtimes[digest]))
+    if metrics is not None:
+        (root / "metrics.json").write_text(json.dumps(metrics))
 
-    def test_summary_tier(self, backend, tmp_path):
+
+def _to_legacy_layout(root):
+    """Rewrite a SQLite store root in the legacy JSON layout; returns its entry count."""
+    connection = sqlite3.connect(str(root / SQLITE_FILENAME))
+    rows = connection.execute("SELECT digest, payload, mtime FROM entries").fetchall()
+    metrics = connection.execute("SELECT value FROM meta WHERE key='metrics'").fetchone()
+    connection.close()
+    for suffix in ("", "-wal", "-shm"):
+        (root / (SQLITE_FILENAME + suffix)).unlink(missing_ok=True)
+    _write_legacy_layout(
+        root,
+        {digest: payload for digest, payload, _mtime in rows},
+        json.loads(metrics[0]) if metrics else None,
+        {digest: mtime for digest, _payload, mtime in rows},
+    )
+    return len(rows)
+
+
+def _start(layout, root):
+    """Lay ``root`` out as ``layout``; returns the entries it starts with."""
+    if layout == "sqlite":
+        return 0
+    _write_legacy_layout(root, {LEGACY_DIGEST: json.dumps(LEGACY_PAYLOAD)}, LEGACY_METRICS)
+    return 1
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+class TestRoundTrip:
+    """The same tier contents survive a close/reopen, on a fresh or a legacy root."""
+
+    def test_summary_tier(self, layout, tmp_path):
+        legacy = _start(layout, tmp_path)
         element = ip_router_elements(1)[0]
-        store = SummaryStore(tmp_path, backend=backend)
-        assert store.backend_name == backend
+        store = SummaryStore(tmp_path)
+        assert not holds_json_layout(tmp_path)  # imported on the first open
         store.save(element, 24, CONCRETE, _summarize(element))
         store.close()
-        # Reopen with auto-detection: the layout on disk decides.
         reopened = SummaryStore(tmp_path)
-        assert reopened.backend_name == backend
         loaded = reopened.load(element, 24, CONCRETE)
         assert loaded is not None and reopened.statistics.hits == 1
-        assert len(reopened) == 1
+        assert len(reopened) == 1 + legacy
 
-    def test_verdict_tier_serves_delta_mode(self, backend, tmp_path):
+    def test_verdict_tier_serves_delta_mode(self, layout, tmp_path):
+        _start(layout, tmp_path)
         catalog = fleet_catalog(3)
         cold = certify_fleet(
             catalog, [CrashFreedom()], input_lengths=(24,),
-            verdict_store=VerdictStore(tmp_path, backend=backend),
+            verdict_store=VerdictStore(tmp_path),
         )
         warm = certify_fleet(
             fleet_catalog(3), [CrashFreedom()], input_lengths=(24,),
@@ -82,9 +133,10 @@ class TestRoundTrip:
         assert warm.statistics.summaries_computed == 0
         assert warm.verdicts() == cold.verdicts()
 
-    def test_query_tier(self, backend, tmp_path):
+    def test_query_tier(self, layout, tmp_path):
+        legacy = _start(layout, tmp_path)
         payload = {"verdict": "unsat", "core": [1, 2, 3]}
-        store = QueryStore(tmp_path, backend=backend)
+        store = QueryStore(tmp_path)
         store.save_payload(_digest(1), payload)
         store.flush()
         assert store.contains(_digest(1)) and not store.contains(_digest(2))
@@ -93,9 +145,11 @@ class TestRoundTrip:
         assert reopened.load_payload(_digest(1)) == payload
         assert reopened.load_payload(_digest(2)) is None
         assert reopened.statistics.hits == 1 and reopened.statistics.misses == 1
+        assert reopened.contains(LEGACY_DIGEST) == bool(legacy)
 
-    def test_read_entries_bulk(self, backend, tmp_path):
-        store = QueryStore(tmp_path, backend=backend)
+    def test_read_entries_bulk(self, layout, tmp_path):
+        _start(layout, tmp_path)
+        store = QueryStore(tmp_path)
         for index in range(5):
             store.write_entry(_digest(index), f"payload-{index}")
         store.flush()
@@ -104,27 +158,31 @@ class TestRoundTrip:
         assert found == {_digest(index): f"payload-{index}" for index in range(5)}
         assert store.statistics.misses == 2
 
-    def test_read_entries_sees_unflushed_writes(self, backend, tmp_path):
-        store = QueryStore(tmp_path, backend=backend)
+    def test_read_entries_sees_unflushed_writes(self, layout, tmp_path):
+        _start(layout, tmp_path)
+        store = QueryStore(tmp_path)
         store.write_entry(_digest(1), "buffered")
         assert store.read_entries([_digest(1)]) == {_digest(1): "buffered"}
 
-    def test_metrics_accumulate_across_reopen(self, backend, tmp_path):
-        store = QueryStore(tmp_path, backend=backend)
+    def test_metrics_accumulate_across_reopen(self, layout, tmp_path):
+        legacy = _start(layout, tmp_path)
+        store = QueryStore(tmp_path)
         store.record_metrics({"hits": 3, "label": "ignored-not-numeric"})
         store.close()
         reopened = QueryStore(tmp_path)
         totals = reopened.record_metrics({"hits": 4})
         assert totals["hits"] == 7 and totals["runs"] == 2
+        assert totals.get("imported", 0) == legacy  # the legacy sidecar carried over
         assert reopened.load_metrics() == totals
 
-    def test_clear_and_size(self, backend, tmp_path):
-        store = QueryStore(tmp_path, backend=backend)
+    def test_clear_and_size(self, layout, tmp_path):
+        legacy = _start(layout, tmp_path)
+        store = QueryStore(tmp_path)
         for index in range(3):
             store.write_entry(_digest(index), "x" * 10)
-        store.flush()
         assert store.size_bytes() >= 30
-        assert store.clear() == 3 and len(store) == 0
+        # Buffered writes count: clear flushes before it counts.
+        assert store.clear() == 3 + legacy and len(store) == 0
 
 
 class TestSqliteCorruption:
@@ -132,7 +190,7 @@ class TestSqliteCorruption:
 
     def test_truncated_database_is_quarantined(self, tmp_path):
         (tmp_path / SQLITE_FILENAME).write_bytes(b"SQLite format 3\x00 torn mid-write")
-        store = SummaryStore(tmp_path, backend="sqlite")
+        store = SummaryStore(tmp_path)
         # The garbage moved aside (kept for post-mortem), the store works.
         assert (tmp_path / (SQLITE_FILENAME + ".corrupt")).exists()
         assert store.statistics.corrupt_entries == 1
@@ -146,7 +204,7 @@ class TestSqliteCorruption:
 
     def test_random_garbage_is_quarantined(self, tmp_path):
         (tmp_path / SQLITE_FILENAME).write_bytes(b"\x00\x01 not a database \xff")
-        store = QueryStore(tmp_path, backend="sqlite")
+        store = QueryStore(tmp_path)
         assert store.statistics.quarantined == 1
         assert store.load_payload(_digest(1)) is None  # plain empty store
 
@@ -155,12 +213,12 @@ class TestSqliteCorruption:
         connection.execute("CREATE TABLE unrelated (x INTEGER)")
         connection.commit()
         connection.close()
-        store = QueryStore(tmp_path, backend="sqlite")
+        store = QueryStore(tmp_path)
         assert store.statistics.quarantined == 1
         assert (tmp_path / (SQLITE_FILENAME + ".corrupt")).exists()
 
     def test_future_schema_version_refuses_loudly(self, tmp_path):
-        store = QueryStore(tmp_path, backend="sqlite")
+        store = QueryStore(tmp_path)
         store.close()
         connection = sqlite3.connect(str(tmp_path / SQLITE_FILENAME))
         connection.execute(
@@ -208,7 +266,7 @@ class TestSqliteCorruption:
         assert len(store) == 1
 
     def test_garbage_row_is_quarantined_not_reparsed(self, tmp_path):
-        store = QueryStore(tmp_path, backend="sqlite")
+        store = QueryStore(tmp_path)
         store.save_payload(_digest(1), {"fine": True})
         store.close()
         connection = sqlite3.connect(str(tmp_path / SQLITE_FILENAME))
@@ -230,12 +288,11 @@ class TestSqliteCorruption:
 
 class TestShards:
     def test_shard_view_reads_main_writes_private(self, tmp_path):
-        main = QueryStore(tmp_path, backend="sqlite")
+        main = QueryStore(tmp_path)
         main.save_payload(_digest(1), {"from": "main"})
         main.flush()
 
         shard = QueryStore(tmp_path, shard="w1")
-        assert shard.backend_name == "sqlite"
         assert shard.load_payload(_digest(1)) == {"from": "main"}  # reads hit main
         shard.save_payload(_digest(2), {"from": "shard"})
         shard.close()
@@ -248,7 +305,7 @@ class TestShards:
         assert not (tmp_path / "shards" / "w1.sqlite").exists()
 
     def test_read_only_shard_view_creates_no_shard(self, tmp_path):
-        main = QueryStore(tmp_path, backend="sqlite")
+        main = QueryStore(tmp_path)
         main.save_payload(_digest(1), {"from": "main"})
         main.flush()
 
@@ -261,13 +318,13 @@ class TestShards:
         assert main.merge_shards(only=["t1a1"]) == 0
 
     def test_merge_refuses_on_shard_view(self, tmp_path):
-        QueryStore(tmp_path, backend="sqlite").close()
+        QueryStore(tmp_path).close()
         shard = QueryStore(tmp_path, shard="w1")
         with pytest.raises(StoreError, match="main store"):
             shard.merge_shards()
 
     def test_merge_tolerates_torn_shard(self, tmp_path):
-        main = QueryStore(tmp_path, backend="sqlite")
+        main = QueryStore(tmp_path)
         shard = QueryStore(tmp_path, shard="w1")
         shard.save_payload(_digest(1), {"ok": True})
         shard.close()
@@ -279,24 +336,17 @@ class TestShards:
         os.utime(tmp_path / "shards" / "w2.sqlite", (old, old))
         assert main.gc().removed_debris == 1
 
-    def test_json_backend_has_no_shards(self, tmp_path):
-        store = QueryStore(tmp_path, backend="json", shard="w1")
-        store.save_payload(_digest(1), {"ok": True})
-        # Atomic in-place writes: immediately visible, nothing to merge.
-        assert QueryStore(tmp_path).load_payload(_digest(1)) == {"ok": True}
-        assert store.merge_shards() == 0
-
 
 class TestBatching:
     def test_read_your_write_before_flush(self, tmp_path):
-        store = QueryStore(tmp_path, backend="sqlite")
+        store = QueryStore(tmp_path)
         store.save_payload(_digest(1), {"buffered": True})
         assert store.backend._pending  # still buffered ...
         assert store.load_payload(_digest(1)) == {"buffered": True}  # ... yet readable
         assert store.contains(_digest(1))
 
     def test_autoflush_at_batch_size(self, tmp_path):
-        store = QueryStore(tmp_path, backend="sqlite")
+        store = QueryStore(tmp_path)
         store.backend.batch_size = 2
         store.write_entry(_digest(1), "one")
         assert store.backend._pending
@@ -307,56 +357,52 @@ class TestBatching:
         connection.close()
 
     def test_close_flushes(self, tmp_path):
-        store = QueryStore(tmp_path, backend="sqlite")
+        store = QueryStore(tmp_path)
         store.save_payload(_digest(1), {"durable": True})
         store.close()
         assert QueryStore(tmp_path).load_payload(_digest(1)) == {"durable": True}
 
 
 class TestSelection:
+    """Only a root without ``store.sqlite`` can hold a legacy layout to import."""
+
     def test_fresh_root_detects_nothing(self, tmp_path):
-        assert detect_backend_name(tmp_path) is None
+        assert not holds_json_layout(tmp_path)
+        store = QueryStore(tmp_path)
+        assert len(store) == 0 and store.load_metrics() == {}
+        assert (tmp_path / SQLITE_FILENAME).exists()
 
     def test_layouts_detected(self, tmp_path):
         json_root, sqlite_root = tmp_path / "j", tmp_path / "s"
-        QueryStore(json_root, backend="json").save_payload(_digest(1), {})
-        QueryStore(sqlite_root, backend="sqlite").close()
-        assert detect_backend_name(json_root) == "json"
-        assert detect_backend_name(sqlite_root) == "sqlite"
-
-    def test_requesting_conflicting_backend_raises(self, tmp_path):
-        QueryStore(tmp_path, backend="json").save_payload(_digest(1), {})
-        with pytest.raises(StoreError, match="store migrate"):
-            QueryStore(tmp_path, backend="sqlite")
-
-    def test_env_default_for_fresh_roots(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_BACKEND", "sqlite")
-        assert QueryStore(tmp_path / "fresh").backend_name == "sqlite"
-        monkeypatch.setenv("REPRO_STORE_BACKEND", "postgres")
-        with pytest.raises(StoreError, match="REPRO_STORE_BACKEND"):
-            QueryStore(tmp_path / "other")
-
-    def test_existing_layout_beats_env_default(self, tmp_path, monkeypatch):
-        QueryStore(tmp_path, backend="json").save_payload(_digest(1), {"keep": 1})
-        monkeypatch.setenv("REPRO_STORE_BACKEND", "sqlite")
-        store = QueryStore(tmp_path)  # auto-detect wins over the env default
-        assert store.backend_name == "json"
-        assert store.load_payload(_digest(1)) == {"keep": 1}
+        _write_legacy_layout(json_root, {_digest(1): "{}"})
+        QueryStore(sqlite_root).close()
+        assert holds_json_layout(json_root)
+        assert not holds_json_layout(sqlite_root)
+        # A lone metrics sidecar is a legacy layout too.
+        _write_legacy_layout(tmp_path / "m", {}, metrics={"runs": 1})
+        assert holds_json_layout(tmp_path / "m")
+        QueryStore(json_root).close()
+        assert not holds_json_layout(json_root)  # imported: SQLite from now on
 
 
 class TestMigration:
     def test_json_to_sqlite_preserves_entries_metrics_and_mtimes(self, tmp_path):
-        store = QueryStore(tmp_path, backend="json")
-        store.save_payload(_digest(1), {"stale": True})
-        store.save_payload(_digest(2), {"fresh": True})
-        totals = store.record_metrics({"hits": 5})
+        """``store migrate`` imports a legacy layout: entries, metrics and mtimes."""
         old = time.time() - 10 * 24 * 3600
-        os.utime(store._path(_digest(1)), (old, old))
+        totals = {"hits": 5, "runs": 1}
+        _write_legacy_layout(
+            tmp_path,
+            {_digest(1): json.dumps({"stale": True}), _digest(2): json.dumps({"fresh": True})},
+            metrics=totals,
+            mtimes={_digest(1): old},
+        )
+        (tmp_path / "ab").mkdir()
+        (tmp_path / "ab" / (_digest(3) + ".json.corrupt")).write_text("{torn")
 
         result = migrate_store(tmp_path)
         assert result.action == "json-to-sqlite" and result.entries == 2
-        assert detect_backend_name(tmp_path) == "sqlite"
-        assert not list(tmp_path.glob("??/*.json"))  # JSON layout fully retired
+        assert not holds_json_layout(tmp_path)
+        assert not list(tmp_path.glob("??/*"))  # JSON layout fully retired
         assert not (tmp_path / "metrics.json").exists()
 
         migrated = QueryStore(tmp_path)
@@ -367,84 +413,221 @@ class TestMigration:
         swept = migrated.gc(older_than_seconds=24 * 3600)
         assert swept.removed_entries == 1 and swept.kept_entries == 1
         assert migrated.load_payload(_digest(1)) is None
+        assert migrate_store(tmp_path).action == "up-to-date"
+
+    def test_legacy_layout_is_imported_on_first_open(self, tmp_path):
+        """Opening a store on a legacy root imports it, exactly like ``store migrate``."""
+        old = time.time() - 10 * 24 * 3600
+        _write_legacy_layout(
+            tmp_path,
+            {_digest(1): json.dumps({"stale": True}), _digest(2): json.dumps({"fresh": True})},
+            metrics={"hits": 5, "runs": 1},
+            mtimes={_digest(1): old},
+        )
+        store = QueryStore(tmp_path)
+        assert not holds_json_layout(tmp_path) and not list(tmp_path.glob("??"))
+        assert len(store) == 2
+        assert store.load_metrics() == {"hits": 5, "runs": 1}
+        connection = sqlite3.connect(str(tmp_path / SQLITE_FILENAME))
+        mtimes = dict(connection.execute("SELECT digest, mtime FROM entries"))
+        connection.close()
+        assert mtimes[_digest(1)] == pytest.approx(old)
+        # Read-only input: the import ran once, later opens find SQLite.
+        assert QueryStore(tmp_path).load_payload(_digest(2)) == {"fresh": True}
+        assert migrate_store(tmp_path).action == "up-to-date"
 
     def test_migrate_is_idempotent(self, tmp_path):
-        QueryStore(tmp_path, backend="sqlite").save_payload(_digest(1), {})
+        QueryStore(tmp_path).save_payload(_digest(1), {})
         first = migrate_store(tmp_path)
         assert first.action == "up-to-date" and first.entries == 1
 
     def test_migrate_fresh_root_initializes(self, tmp_path):
         result = migrate_store(tmp_path / "new")
         assert result.action == "initialized"
-        assert detect_backend_name(tmp_path / "new") == "sqlite"
+        assert (tmp_path / "new" / SQLITE_FILENAME).exists()
 
     def test_cli_migration_smoke(self, tmp_path, capsys):
-        """The CI migration smoke, in-process: JSON certify -> migrate -> delta."""
-        summary_root = str(tmp_path / "summaries")
-        verdict_root = str(tmp_path / "verdicts")
+        """The CI migration smoke, in-process: legacy roots -> store migrate -> delta."""
+        roots = {name: tmp_path / name for name in ("summaries", "verdicts", "queries")}
         catalog = fleet_catalog(3)
         certify_fleet(
             catalog, [CrashFreedom()], input_lengths=(24,),
-            store=SummaryStore(summary_root, backend="json"),
-            verdict_store=VerdictStore(verdict_root, backend="json"),
+            store=str(roots["summaries"]), verdict_store=str(roots["verdicts"]),
+            query_store=str(roots["queries"]),
         )
+        assert all(_to_legacy_layout(root) > 0 for root in roots.values())
         code = cli_main(
-            ["store", "migrate", "--store", summary_root, "--verdict-store", verdict_root]
+            ["store", "migrate", "--store", str(roots["summaries"]),
+             "--verdict-store", str(roots["verdicts"]), "--query-store", str(roots["queries"])]
         )
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "migrated" in out and "SQLite" in out
-        assert detect_backend_name(tmp_path / "summaries") == "sqlite"
-        assert detect_backend_name(tmp_path / "verdicts") == "sqlite"
+        assert not any(holds_json_layout(root) for root in roots.values())
         delta = certify_fleet(
             fleet_catalog(3), [CrashFreedom()], input_lengths=(24,),
-            store=SummaryStore(summary_root),
-            verdict_store=VerdictStore(verdict_root),
+            store=str(roots["summaries"]), verdict_store=str(roots["verdicts"]),
+            query_store=str(roots["queries"]),
         )
         assert delta.statistics.verdicts_reused == len(catalog)
         assert delta.statistics.summaries_computed == 0
 
+    def test_legacy_tiers_are_imported_on_first_open(self, tmp_path):
+        """Legacy summary, verdict and query roots serve a delta run with no migrate step."""
+        roots = {name: tmp_path / name for name in ("summaries", "verdicts", "queries")}
+        stores = dict(
+            store=str(roots["summaries"]), verdict_store=str(roots["verdicts"]),
+            query_store=str(roots["queries"]),
+        )
+        catalog = fleet_catalog(4)
+        cold = certify_fleet(catalog, [CrashFreedom()], input_lengths=(24,), **stores)
+        counts = {name: _to_legacy_layout(root) for name, root in roots.items()}
+        assert all(counts.values())
+        delta = certify_fleet(fleet_catalog(4), [CrashFreedom()], input_lengths=(24,), **stores)
+        assert delta.statistics.verdicts_reused == len(catalog)
+        assert delta.statistics.summaries_computed == 0
+        assert delta.verdicts() == cold.verdicts()
+        assert not any(holds_json_layout(root) for root in roots.values())
+        assert len(SummaryStore(roots["summaries"])) == counts["summaries"]
+        assert len(QueryStore(roots["queries"])) == counts["queries"]
 
-class TestDifferential:
-    def test_certify_fleet_identical_across_backends(self, tmp_path):
-        runs = {}
-        for backend in BACKENDS:
-            root = tmp_path / backend
-            stores = (
-                SummaryStore(root / "summaries", backend=backend),
-                VerdictStore(root / "verdicts", backend=backend),
-                QueryStore(root / "queries", backend=backend),
-            )
-            report = certify_fleet(
-                fleet_catalog(3), [CrashFreedom()], input_lengths=(24,),
-                store=stores[0], verdict_store=stores[1], query_store=stores[2],
-            )
-            runs[backend] = (
-                report.verdicts(),
-                [
-                    (s.statistics.hits, s.statistics.misses, s.statistics.puts)
-                    for s in stores
-                ],
-            )
-        assert runs["json"] == runs["sqlite"]
+
+class TestSharedConnection:
+    """One main connection per database file, process and thread."""
+
+    def test_stores_on_one_root_share_one_connection(self, tmp_path):
+        summaries = SummaryStore(tmp_path / "a")
+        queries = QueryStore(tmp_path / "a")
+        shard = QueryStore(tmp_path / "a", shard="w1")
+        other = QueryStore(tmp_path / "b")
+        assert summaries.backend._read_conn is queries.backend._read_conn
+        assert shard.backend._read_conn is queries.backend._read_conn
+        assert other.backend._read_conn is not queries.backend._read_conn
+        shard.save_payload(_digest(1), {"from": "shard"})
+        shard.close()  # closes the shard, never the shared main connection
+        assert queries.merge_shards() == 1
+        assert summaries.read_entry(_digest(1)) is not None
+
+    def test_newer_schema_written_between_opens_is_refused(self, tmp_path):
+        first = QueryStore(tmp_path)
+        first.save_payload(_digest(1), {})
+        first.close()
+        connection = sqlite3.connect(str(tmp_path / SQLITE_FILENAME))
+        connection.execute(
+            "UPDATE meta SET value=? WHERE key='schema_version'",
+            (str(STORE_SCHEMA_VERSION + 1),),
+        )
+        connection.commit()
+        connection.close()
+        # The connection `first` holds is still registered and reused, and
+        # the schema check on this open still sees the newer version.
+        registry = _shared_connections()
+        assert any(entry.connection is first.backend._read_conn for entry in registry.values())
+        with pytest.raises(StoreError, match="newer"):
+            QueryStore(tmp_path)
+
+    def test_recreated_root_gets_a_fresh_connection(self, tmp_path):
+        root = tmp_path / "root"
+        old = QueryStore(root)
+        old.save_payload(_digest(1), {"old": True})
+        old.flush()
+        shutil.rmtree(root)
+
+        new = QueryStore(root)
+        assert new.backend._read_conn is not old.backend._read_conn
+        assert len(new) == 0 and new.load_payload(_digest(1)) is None
+        new.save_payload(_digest(2), {"new": True})
+        new.flush()
+        # The registry dropped the deleted root's connection, so it closes
+        # with the last store that holds it: no descriptor on a deleted
+        # file lingers until a cyclic collection.
+        old_connection = old.backend._read_conn
+        old_connection.execute("SELECT 1")
+        del old
+        with pytest.raises(sqlite3.ProgrammingError):
+            old_connection.execute("SELECT 1")
+        # Closing it must not touch the new database's journal files,
+        # which now have the same names.
+        gc.collect()
+        assert QueryStore(root).load_payload(_digest(2)) == {"new": True}
+        connection = sqlite3.connect(str(root / SQLITE_FILENAME))
+        rows = connection.execute("SELECT digest FROM entries").fetchall()
+        connection.close()
+        assert rows == [(_digest(2),)]
+
+    def test_registry_is_bounded_and_spares_live_stores(self, tmp_path):
+        first = QueryStore(tmp_path / "first")
+        first.save_payload(_digest(1), {"kept": True})
+        first.flush()
+        others = [QueryStore(tmp_path / f"r{index}") for index in range(_MAX_SHARED_CONNECTIONS)]
+        registry = _shared_connections()
+        assert len(registry) <= _MAX_SHARED_CONNECTIONS
+        assert all(entry.connection is not first.backend._read_conn for entry in registry.values())
+        # Dropped from the registry, not closed: the live store still works.
+        assert first.load_payload(_digest(1)) == {"kept": True}
+        assert QueryStore(tmp_path / "first").load_payload(_digest(1)) == {"kept": True}
+        assert len(others) == _MAX_SHARED_CONNECTIONS
+
+    def test_other_threads_open_their_own_connection(self, tmp_path):
+        main = QueryStore(tmp_path)
+        main.save_payload(_digest(1), {"main": True})
+        main.flush()
+        seen = {}
+
+        def _worker():
+            store = QueryStore(tmp_path)
+            seen["shared"] = store.backend._read_conn is main.backend._read_conn
+            seen["payload"] = store.load_payload(_digest(1))
+
+        thread = threading.Thread(target=_worker)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert seen == {"shared": False, "payload": {"main": True}}
+
+    def test_forked_child_never_uses_the_parent_connection(self, tmp_path):
+        parent = QueryStore(tmp_path)
+        parent.save_payload(_digest(1), {"parent": True})
+        parent.flush()
+        parent_connection = parent.backend._read_conn
+        try:
+            context = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover - non-POSIX
+            pytest.skip("fork start method unavailable")
+
+        def _child():
+            opened = QueryStore(tmp_path)
+            assert opened.backend._read_conn is not parent_connection
+            assert opened.load_payload(_digest(1)) == {"parent": True}
+            # The inherited store object reopens too, onto the child's connection.
+            assert parent.load_payload(_digest(1)) == {"parent": True}
+            assert parent.backend._read_conn is opened.backend._read_conn
+            opened.save_payload(_digest(2), {"child": True})
+            opened.close()
+
+        process = context.Process(target=_child)
+        process.start()
+        process.join(timeout=60)
+        assert process.exitcode == 0
+        assert parent.backend._read_conn is parent_connection
+        assert parent.load_payload(_digest(2)) == {"child": True}
 
 
 class TestGcRaces:
-    def test_json_gc_tolerates_vanished_entries(self, tmp_path):
-        store = QueryStore(tmp_path, backend="json")
+    def test_gc_tolerates_vanished_shards(self, tmp_path):
+        store = QueryStore(tmp_path)
         store.save_payload(_digest(1), {"ok": True})
-        # A dangling symlink stats like an entry that a concurrent writer
-        # unlinked between the directory listing and the stat call.
-        bucket = tmp_path / "ab"
-        bucket.mkdir()
-        ghost = bucket / (_digest(2) + ".json")
-        ghost.symlink_to(tmp_path / "never-existed")
+        # A dangling symlink stats like a shard file that a concurrent
+        # merge or gc unlinked between the directory listing and the stat.
+        (tmp_path / "shards").mkdir()
+        (tmp_path / "shards" / "t9a1.sqlite").symlink_to(tmp_path / "never-existed")
         result = store.gc(older_than_seconds=3600)
-        assert result.kept_entries == 1  # vanished: neither kept nor removed
-        assert store.size_bytes() > 0  # stat races tolerated here too
+        assert result.removed_debris == 0  # vanished: neither kept nor removed
+        assert result.kept_entries == 1
+        assert store.size_bytes() > 0
 
     def test_sqlite_gc_age_horizon(self, tmp_path):
-        store = QueryStore(tmp_path, backend="sqlite")
+        store = QueryStore(tmp_path)
         store.save_payload(_digest(1), {"old": True})
         store.save_payload(_digest(2), {"new": True})
         store.flush()

@@ -1,11 +1,11 @@
-"""Concurrent-writer stress for the store backends.
+"""Concurrent-writer stress for the SQLite store.
 
 The container that runs ``certify_fleet`` clamps its pool to the CPU
 count, so these tests drive :mod:`multiprocessing` directly: N real
-processes hammering one store root.  The JSON backend survives on atomic
-renames; the SQLite backend must absorb lock contention through its busy
-timeout + jittered-backoff retry (writing the main database directly)
-and must lose nothing when writers go through per-worker shards instead.
+processes hammering one store root.  The store must absorb lock
+contention through its busy timeout + jittered-backoff retry (writing
+the main database directly) and must lose nothing when writers go
+through per-worker shards instead.
 """
 
 import json
@@ -17,7 +17,9 @@ import pytest
 from repro.orchestrator import QueryStore
 from repro.orchestrator.workers import worker_shard_tag
 
-BACKENDS = ("json", "sqlite")
+#: A root's layout before the race: the legacy JSON layout (imported by
+#: the first open) or nothing at all.
+LAYOUTS = ("json", "sqlite")
 #: Scaled up by the CI store-stress job; the defaults keep the local
 #: tier-1 run fast while still forcing real lock contention.
 WRITERS = int(os.environ.get("REPRO_STRESS_WRITERS", "4"))
@@ -35,9 +37,9 @@ def _digest(writer, index):
     return f"{writer:02d}{index:062d}"
 
 
-def _hammer_main(root, backend, writer):
+def _hammer_main(root, writer):
     """Write a block of entries straight into the shared (main) store."""
-    store = QueryStore(root, backend=backend)
+    store = QueryStore(root)
     for index in range(ENTRIES_PER_WRITER):
         store.save_payload(_digest(writer, index), {"writer": writer, "index": index})
         if index % 7 == 0:
@@ -53,8 +55,8 @@ def _hammer_shard(root, writer):
     store.close()
 
 
-def _record_runs(root, backend):
-    store = QueryStore(root, backend=backend)
+def _record_runs(root):
+    store = QueryStore(root)
     for _ in range(5):
         store.record_metrics({"ticks": 1})
     store.close()
@@ -72,17 +74,19 @@ def _run_writers(target, arguments):
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_concurrent_writers_one_root(backend, tmp_path):
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_concurrent_writers_one_root(layout, tmp_path):
     """N processes appending to one store root: every entry lands, none torn."""
     root = str(tmp_path)
-    QueryStore(root, backend=backend).close()  # pin the layout before the race
-    _run_writers(
-        _hammer_main, [(root, backend, writer) for writer in range(WRITERS)]
-    )
+    legacy = 0
+    if layout == "json":
+        (tmp_path / "ff").mkdir()
+        (tmp_path / "ff" / ("ff" * 32 + ".json")).write_text(json.dumps({"legacy": True}))
+        legacy = 1
+    QueryStore(root).close()  # import any legacy layout before the race
+    _run_writers(_hammer_main, [(root, writer) for writer in range(WRITERS)])
     store = QueryStore(root)
-    assert store.backend_name == backend
-    assert len(store) == WRITERS * ENTRIES_PER_WRITER
+    assert len(store) == WRITERS * ENTRIES_PER_WRITER + legacy
     for writer in range(WRITERS):
         for index in (0, ENTRIES_PER_WRITER - 1):
             payload = store.load_payload(_digest(writer, index))
@@ -93,7 +97,7 @@ def test_concurrent_writers_one_root(backend, tmp_path):
 def test_concurrent_shard_writers_then_merge(tmp_path):
     """The fleet protocol: workers fill private shards, the parent folds them in."""
     root = str(tmp_path)
-    main = QueryStore(root, backend="sqlite")
+    main = QueryStore(root)
     _run_writers(_hammer_shard, [(root, writer) for writer in range(WRITERS)])
     # Shard tags are per-pid, so the pool left one shard file per writer.
     assert len(list((tmp_path / "shards").glob("*.sqlite"))) == WRITERS
@@ -106,27 +110,18 @@ def test_concurrent_shard_writers_then_merge(tmp_path):
 
 
 def test_concurrent_metrics_recording(tmp_path):
-    """SQLite folds metrics transactionally: concurrent recorders lose nothing."""
+    """Metrics fold transactionally: concurrent recorders lose nothing."""
     root = str(tmp_path)
-    QueryStore(root, backend="sqlite").close()
-    _run_writers(_record_runs, [(root, "sqlite") for _ in range(WRITERS)])
+    QueryStore(root).close()
+    _run_writers(_record_runs, [(root,) for _ in range(WRITERS)])
     totals = QueryStore(root).load_metrics()
     assert totals["ticks"] == WRITERS * 5
     assert totals["runs"] == WRITERS * 5
 
-    # The JSON sidecar is last-writer-wins per fold: increments may be
-    # lost under contention, but the sidecar itself must stay readable.
-    json_root = str(tmp_path / "json")
-    QueryStore(json_root, backend="json").save_payload("aa" + "0" * 62, {})
-    _run_writers(_record_runs, [(json_root, "json") for _ in range(WRITERS)])
-    json_totals = QueryStore(json_root).load_metrics()
-    assert 1 <= json_totals["ticks"] <= WRITERS * 5
-    assert isinstance(json.dumps(json_totals), str)
-
 
 def test_forked_child_reopens_connection(tmp_path):
     """A store inherited through fork must not share the parent's connection."""
-    store = QueryStore(str(tmp_path), backend="sqlite")
+    store = QueryStore(str(tmp_path))
     store.save_payload(_digest(0, 0), {"parent": True})
     store.flush()
     context = _context()
