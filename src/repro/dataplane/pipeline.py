@@ -39,8 +39,9 @@ class Pipeline:
         self._connections: List[Connection] = []
         # (source element name, port) -> connection, for O(1) routing.
         self._routing: Dict[Tuple[str, int], Connection] = {}
-        # Canonical order and digests, kept by repro.dataplane.fingerprint;
-        # dropped whenever add_element or connect changes the graph.
+        # Canonical order and digests (kept by repro.dataplane.fingerprint),
+        # a passing validation and the sole entry element; dropped whenever
+        # add_element or connect changes the graph.
         self._fingerprint_memo: Dict[object, Any] = {}
 
     # -- construction ---------------------------------------------------------------------
@@ -118,6 +119,16 @@ class Pipeline:
         destinations = {connection.destination.name for connection in self._connections}
         return [element for element in self._elements if element.name not in destinations]
 
+    def sole_entry(self) -> Optional[Element]:
+        """The only entry element, or ``None`` when there are none or several."""
+        entry = self._fingerprint_memo.get("entry")
+        if entry is None:
+            entries = self.entry_elements()
+            if len(entries) != 1:
+                return None
+            entry = self._fingerprint_memo["entry"] = entries[0]
+        return entry
+
     def exit_elements(self) -> List[Element]:
         """Elements with at least one unconnected output port."""
         exits = []
@@ -137,28 +148,39 @@ class Pipeline:
     # -- validation --------------------------------------------------------------------------
 
     def validate(self) -> None:
-        """Check that the pipeline is a DAG and that port references are sane."""
+        """Check that the pipeline is a DAG and that port references are sane.
+
+        A pass is remembered until the graph changes; a failure is not.
+        """
+        if self._fingerprint_memo.get("valid"):
+            return
         if not self._elements:
             raise PipelineConfigurationError("pipeline has no elements")
         self._check_acyclic()
+        self._fingerprint_memo["valid"] = True
 
     def _check_acyclic(self) -> None:
-        state: Dict[str, int] = {}  # 0=unvisited, 1=in progress, 2=done
-
-        def visit(element: Element, trail: List[str]) -> None:
-            status = state.get(element.name, 0)
-            if status == 1:
-                cycle = " -> ".join(trail + [element.name])
-                raise PipelineConfigurationError(f"pipeline contains a cycle: {cycle}")
-            if status == 2:
-                return
-            state[element.name] = 1
-            for successor in self.successors(element):
-                visit(successor, trail + [element.name])
-            state[element.name] = 2
-
-        for element in self._elements:
-            visit(element, [])
+        """Depth-first search without recursion, so chains of any length fit."""
+        done: set = set()
+        for root in self._elements:
+            if root.name in done:
+                continue
+            # The elements on the current path, each with its unvisited successors.
+            path: List[Tuple[Element, Iterator[Element]]] = [(root, self.successors(root))]
+            on_path = {root.name}
+            while path:
+                element, successors = path[-1]
+                successor = next(successors, None)
+                if successor is None:
+                    path.pop()
+                    on_path.discard(element.name)
+                    done.add(element.name)
+                elif successor.name in on_path:
+                    cycle = " -> ".join([e.name for e, _ in path] + [successor.name])
+                    raise PipelineConfigurationError(f"pipeline contains a cycle: {cycle}")
+                elif successor.name not in done:
+                    path.append((successor, self.successors(successor)))
+                    on_path.add(successor.name)
 
     # -- path enumeration (used by the verifier) -----------------------------------------------
 

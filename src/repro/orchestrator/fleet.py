@@ -31,23 +31,20 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from ..dataplane.element import Element
 from ..dataplane.fingerprint import pipeline_fingerprint
 from ..dataplane.pipeline import Pipeline
 from ..obs.stats import StatisticsMixin
 from ..obs.trace import NullTracer, Tracer, active, clock, enable, tracer
-from ..smt.qcache import QueryCacheStatistics
+from ..smt.qcache import QueryCache, QueryCacheStatistics
 from ..symbex.engine import StaticTableMode, SymbexOptions
 from ..verify.cache import SummaryCache
 from ..verify.pipeline_verifier import PipelineVerifier
 from ..verify.properties import Property
 from ..verify.report import InstructionBoundResult, VerificationResult
-from .errors import OrchestratorError
-from .scheduler import SchedulerStatistics, run_scheduled
-from .store import QueryStore, SummaryStore
+from .scheduler import SchedulerStatistics, entry_of, run_scheduled
+from .store import QueryStore, SummaryStore, summaries_decoded
 from .verdicts import VerdictStore, element_slots, property_set_fingerprint, verdict_key
 from .workers import (
-    MemoSummaryCache,
     PoolRun,
     drain_observability,
     merge_query_entries,
@@ -236,16 +233,6 @@ class FleetReport:
         return "\n".join(lines)
 
 
-def _entry_of(pipeline: Pipeline) -> Element:
-    entries = pipeline.entry_elements()
-    if len(entries) != 1:
-        raise OrchestratorError(
-            f"pipeline {pipeline.name!r} has {len(entries)} entry elements; "
-            "fleet certification needs exactly one"
-        )
-    return entries[0]
-
-
 def _certify_one(
     pipeline: Pipeline,
     properties: Sequence[Property],
@@ -281,11 +268,11 @@ def _certify_worker(
     """Per-pipeline Step-2 task: certify ``run.pipelines[index]`` from the shared store.
 
     Returns (certification, summaries the task computed itself, summaries
-    it loaded from the store, new query-cache entries, drained
-    observability extras).  Summaries this worker already decoded for an
-    earlier task come from its memo instead of the store (see
-    :class:`repro.orchestrator.workers.MemoSummaryCache`).  The query
-    cache is opened read-only (see
+    it decoded from store text, new query-cache entries, drained
+    observability extras).  A summary this worker decoded before, or
+    inherited decoded from the parent, is read from the store but not
+    decoded again (see :class:`repro.orchestrator.store.SummaryStore`).
+    The query cache is opened read-only (see
     :func:`repro.orchestrator.workers.worker_query_cache`); newly solved
     slice entries ride back with the result for the parent to merge.
     """
@@ -294,7 +281,8 @@ def _certify_worker(
         enable()
     query_cache = worker_query_cache(options)
     store = worker_summary_store(run.store_root)
-    cache = MemoSummaryCache(options, store, query_cache, run.decoded)
+    cache = SummaryCache(options, store=store, query_cache=query_cache)
+    decoded = summaries_decoded()
     try:
         certification = _certify_one(
             run.pipelines[index],
@@ -313,7 +301,7 @@ def _certify_worker(
     return (
         certification,
         cache.statistics.misses,
-        cache.statistics.l2_hits,
+        summaries_decoded() - decoded,
         query_cache.new_entries,
         drain_observability(query_cache),
     )
@@ -428,8 +416,9 @@ def _certify_fleet(
     # the machine, and one effective worker means the in-process loop.
     workers = max(1, min(workers, os.cpu_count() or 1))
     for pipeline in pipelines:
+        # Both memoised on the pipeline until its graph changes.
         pipeline.validate()
-        _entry_of(pipeline)  # fail fast on ambiguous catalogs, in any mode
+        entry_of(pipeline)  # fail fast on ambiguous catalogs, in any mode
     report = FleetReport()
     report.statistics.pipelines = len(pipelines)
     report.statistics.properties_checked = len(properties)
@@ -442,6 +431,9 @@ def _certify_fleet(
         verdict_store = VerdictStore(verdict_store)
     if isinstance(query_store, (str,)) or hasattr(query_store, "__fspath__"):
         query_store = QueryStore(query_store)
+    elif query_store is None and options.query_cache_dir:
+        # Each tier is opened once per call, here, and passed down.
+        query_store = QueryStore(options.query_cache_dir)
     if query_store is not None:
         # The L3 tier travels as an engine option so worker processes and
         # every engine the caches spawn see the same directory.  The key
@@ -554,17 +546,17 @@ def _certify_fleet(
                 # Step-2 misses are real symbolic executions (lengths Step 1
                 # could not discover, e.g. past an exploded element).
                 report.statistics.summaries_computed += misses
-            merge_query_entries(options.query_cache_dir, scheduled.query_entries)
+            merge_query_entries(query_store, scheduled.query_entries)
         elif fresh_pipelines:
             # In-process: one shared cache dedupes across the catalog (and
-            # through the store, when one is provided).
-            cache = SummaryCache(options, store=store)
-            if query_store is not None:
-                # Route the L3 tier through the caller's QueryStore object
-                # (not the cache's own private instance over the same
-                # directory), so its statistics see the traffic and its
-                # batched writes are the ones flushed below.
-                cache.query_cache.store = query_store
+            # through the store, when one is provided).  The L3 tier is the
+            # caller's QueryStore object, so its statistics see the traffic
+            # and its batched writes are the ones flushed below.
+            cache = SummaryCache(
+                options,
+                store=store,
+                query_cache=QueryCache(store=query_store) if query_store is not None else None,
+            )
             for pipeline in fresh_pipelines:
                 fresh_certifications.append(
                     _certify_one(

@@ -18,9 +18,11 @@ wider to :func:`run_scheduled`, a job graph over one long-lived pool:
   store root, …) travel once per worker as a
   :class:`~repro.orchestrator.workers.PoolRun`, so a Step-2 task ships
   only its catalog index, and each worker decodes each stored summary
-  once for the life of the pool.  Each Step-2 result is handed to the
-  caller's ``on_verified`` hook as it lands (the fleet layer writes its
-  verdict record there), once every idle worker has been refilled.
+  at most once for the life of the pool (the store's decode memo, which
+  the workers inherit from the parent's admission probe).  Each Step-2
+  result is handed to the caller's ``on_verified`` hook as it lands (the
+  fleet layer writes its verdict record there), once every idle worker
+  has been refilled.
 * **Incremental shard merge** — each task writes its store entries into a
   private per-attempt shard (``t<id>a<attempt>``) and flushes it before
   reporting, so the parent folds that one shard into the main store the
@@ -99,11 +101,12 @@ class SchedulerStatistics(StatisticsMixin):
     tasks_retried: int = 0
     #: Incremental per-task shard merges performed on result arrival.
     incremental_merges: int = 0
-    #: Summaries Step-2 tasks read and decoded from the store: transport,
-    #: not avoided work (an in-process run reads its shared cache
-    #: instead).  Each worker memoises what it loads for the life of the
-    #: pool, so this is at most workers x distinct digests; a memo hit
-    #: counts as an L1 hit of the task's cache, not as a load.
+    #: Summaries Step-2 tasks decoded from store text: transport, not
+    #: avoided work (an in-process run reads its shared cache instead).
+    #: Counted from the store's decode-memo misses during each task.  A
+    #: worker inherits the parent's memo at fork and keeps its own for
+    #: the life of the pool, so this is at most workers x distinct
+    #: digests, and 0 when the parent's admission probe decoded them all.
     step2_store_loads: int = 0
     max_queue_depth: int = 0
     #: Child-measured task execution time, summed across workers.
@@ -131,6 +134,17 @@ def pipeline_ranks(pipelines: Sequence[Pipeline], risk_history=None) -> List[int
 
 
 # -- the dependency graph -------------------------------------------------------------
+
+
+def entry_of(pipeline: Pipeline) -> Element:
+    """The pipeline's one entry element; fleet certification needs exactly one."""
+    entry = pipeline.sole_entry()
+    if entry is None:
+        raise OrchestratorError(
+            f"pipeline {pipeline.name!r} has {len(pipeline.entry_elements())} entry "
+            "elements; fleet certification needs exactly one"
+        )
+    return entry
 
 
 class JobGraph:
@@ -173,14 +187,9 @@ class JobGraph:
         self._verify_ready: List[int] = []
         self._verify_emitted: Set[int] = set()
         for index, pipeline in enumerate(self.pipelines):
-            entries = pipeline.entry_elements()
-            if len(entries) != 1:
-                raise OrchestratorError(
-                    f"pipeline {pipeline.name!r} has {len(entries)} entry elements; "
-                    "fleet certification needs exactly one"
-                )
+            entry = entry_of(pipeline)
             for length in input_lengths:
-                self._enqueue(index, entries[0], length)
+                self._enqueue(index, entry, length)
             self._check_ready(index)
 
     # -- internal transitions --------------------------------------------------------

@@ -19,19 +19,23 @@ bytes live in one batched SQLite database per store root
 (:mod:`repro.orchestrator.backends`: WAL journal, sharded worker writes,
 merge-on-join, one main connection per root and process).
 
-:class:`SummaryStore` specializes the façade for element summaries,
-:class:`QueryStore` for sliced solver-query verdicts (the query cache's
-L3 tier), and :class:`repro.orchestrator.verdicts.VerdictStore` for
-per-pipeline verdict records.
+:class:`SummaryStore` specializes the façade for element summaries
+(decoding each unchanged entry once per process), :class:`QueryStore`
+for sliced solver-query verdicts (the query cache's L3 tier), and
+:class:`repro.orchestrator.verdicts.VerdictStore` for per-pipeline
+verdict records.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from ..dataplane.element import Element
 from ..obs.stats import StatisticsMixin
@@ -50,6 +54,7 @@ __all__ = [
     "StoreStatistics",
     "SummaryStore",
     "program_fingerprint",  # re-exported from repro.dataplane.fingerprint
+    "summaries_decoded",
     "summary_key",
 ]
 
@@ -263,8 +268,74 @@ class Store:
         return self.backend.record_metrics(counters)
 
 
+#: How many decoded summaries a process keeps, the least recently used
+#: evicted first.  For scale: ``fleet_catalog(12)`` stores 9 summaries,
+#: of 1.5 to 20 KB of text each.
+_MAX_DECODED_SUMMARIES = 256
+
+
+class _DecodedSummaries:
+    """Summaries decoded from store text, shared by every load in the process.
+
+    Decoding re-interns each of a summary's terms, which a warm pass
+    would otherwise pay for every entry on every load.  An entry is keyed
+    by store digest and served only while the text just read from the
+    store equals the text it was decoded from, so a rewritten entry is
+    decoded again; a deleted, cleared or quarantined one reads as a miss
+    before the memo is asked.  Only store text enters: a summary computed
+    in this process carries runtime ``sat_core_calls``/``qcache_hits``
+    that a later load must not report again.  Fork children inherit the
+    memo, so pool workers start with what the parent decoded.  Every
+    later load shares the returned object: nobody may mutate it
+    (``work_counters_reported`` aside, whose counters read 0 on a loaded
+    summary).
+    """
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[str, Tuple[str, ElementSummary]]" = OrderedDict()
+        self._lock = threading.Lock()
+        #: Memo misses: summaries this process decoded.
+        self.decoded = 0
+
+    def decode(self, digest: str, text: str) -> ElementSummary:
+        """The summary ``text`` encodes; raises what :func:`loads_summary` raises."""
+        with self._lock:
+            held = self._entries.pop(digest, None)
+            if held is not None and held[0] == text:
+                summary = held[1]
+            else:
+                summary = loads_summary(text)
+                self.decoded += 1
+            if len(self._entries) >= _MAX_DECODED_SUMMARIES:
+                self._entries.popitem(last=False)
+            self._entries[digest] = (text, summary)
+            return summary
+
+    def after_fork(self) -> None:
+        # Another thread of the parent may have held the lock at the fork.
+        self._lock = threading.Lock()
+
+
+_decoded = _DecodedSummaries()
+os.register_at_fork(after_in_child=lambda: _decoded.after_fork())
+
+
+def summaries_decoded() -> int:
+    """How many summaries this process has decoded from store text.
+
+    A load the memo serves does not count, so the difference across a
+    piece of work is what it decoded.
+    """
+    return _decoded.decoded
+
+
 class SummaryStore(Store):
-    """Content-addressed persistence for element summaries."""
+    """Content-addressed persistence for element summaries.
+
+    Loads decode through the process-wide memo above: every load still
+    reads the entry (refreshing its mtime) and counts its hit, miss or
+    quarantine, but an entry whose text is unchanged is not decoded twice.
+    """
 
     kind = "summary store"
 
@@ -295,7 +366,7 @@ class SummaryStore(Store):
         if text is None:
             return None
         try:
-            summary = loads_summary(text)
+            summary = _decoded.decode(digest, text)
         except Exception:
             # A half-written or stale-format entry reads as a miss — and is
             # quarantined, so the *next* warm run doesn't re-parse the same
@@ -318,7 +389,7 @@ class SummaryStore(Store):
         summaries = {}
         for digest, text in self.read_entries(digests).items():
             try:
-                summaries[digest] = loads_summary(text)
+                summaries[digest] = _decoded.decode(digest, text)
             except Exception:
                 self.quarantine_entry(digest)
                 self.statistics.misses += 1

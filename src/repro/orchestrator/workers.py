@@ -12,8 +12,9 @@ workers:
 * **Step-2 composition checks** — ``repro.orchestrator.fleet._certify_worker``
   certifies one pipeline against every property.  Its task carries only
   the pipeline's catalog index: the rest of the request travels once per
-  worker as a :class:`PoolRun`, and a :class:`MemoSummaryCache` hydrates
-  summaries from the store, decoding each digest once per worker.
+  worker as a :class:`PoolRun`.  Summaries come from the store, whose
+  process-wide decode memo the worker inherits from the parent and keeps
+  for the life of the pool, so each is decoded at most once per worker.
 
 Both open the stores the way a worker must (per-task store shards, a
 read-only query cache) and ship their observability output back with
@@ -25,8 +26,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from ..dataplane.element import Element
 from ..dataplane.pipeline import Pipeline
@@ -35,8 +36,6 @@ from ..obs.trace import enable, tracer
 from ..smt.qcache import QueryCache, QueryCacheStatistics, build_query_cache
 from ..symbex.engine import SymbexOptions, SymbolicEngine
 from ..symbex.errors import PathExplosionError
-from ..symbex.segment import ElementSummary
-from ..verify.cache import SummaryCache
 from .serialize import dumps_summary
 from .store import QueryStore, SummaryStore, summary_key
 
@@ -114,12 +113,6 @@ class PoolRun:
     the pool starts: fork children inherit it (a replacement forked after
     a crash too), a spawn child unpickles it once.  A Step-2 task then
     ships only its index into :attr:`pipelines`.
-
-    :attr:`decoded` is the one field a worker fills: its memo of the
-    summaries it loaded from the store, keyed by store digest (see
-    :class:`MemoSummaryCache`).  Each process holds its own copy, and the
-    parent never fills its own, so the memo lives exactly as long as its
-    worker and holds at most one entry per digest of the run.
     """
 
     pipelines: Sequence[Pipeline]
@@ -130,58 +123,22 @@ class PoolRun:
     max_counterexamples: int = 3
     confirm_by_replay: bool = True
     instruction_bounds: bool = False
-    decoded: Dict[str, ElementSummary] = field(default_factory=dict)
-
-
-class MemoSummaryCache(SummaryCache):
-    """A Step-2 task's summary cache over its worker's decode memo.
-
-    Every task still starts a fresh L1 and query cache, so its counters
-    do not depend on which worker ran it.  Beneath L1 sits ``decoded``,
-    the worker's :attr:`PoolRun.decoded`: a digest found there enters L1
-    and counts as an L1 hit instead of being read and re-interned again,
-    and every real store load (an L2 hit) is added to it.  Only loaded
-    summaries go in.  A computed one carries runtime
-    ``sat_core_calls``/``qcache_hits``, which
-    :meth:`repro.verify.PipelineVerifier.verify` reports once per
-    process; reusing it in a later task would count that SAT work twice.
-    """
-
-    def __init__(
-        self,
-        options: SymbexOptions,
-        store: Optional[SummaryStore],
-        query_cache: QueryCache,
-        decoded: Dict[str, ElementSummary],
-    ) -> None:
-        super().__init__(options, store=store, query_cache=query_cache)
-        self.decoded = decoded
-
-    def summarize(self, element: Element, input_length: int) -> ElementSummary:
-        digest = summary_key(element, input_length, self.options)
-        decoded = self.decoded.get(digest)
-        if decoded is not None:
-            self.seed(element, input_length, decoded)  # the lookup below hits L1
-        loads = self.statistics.l2_hits
-        summary = super().summarize(element, input_length)
-        if self.statistics.l2_hits > loads:
-            self.decoded[digest] = summary
-        return summary
 
 
 def merge_query_entries(
-    store_root: Optional[str], entries: Sequence[Tuple[str, dict]]
+    store: Optional[QueryStore], entries: Sequence[Tuple[str, dict]]
 ) -> None:
-    """Merge worker-shipped query-cache entries into the parent's L3 store."""
-    if store_root is None or not entries:
+    """Merge worker-shipped query-cache entries into the parent's L3 store.
+
+    The writes are batched; the caller flushes ``store`` when it is done.
+    """
+    if store is None:
         return
-    store = QueryStore(store_root)
     written: set = set()
     for digest, payload in entries:
         if digest not in written:
             written.add(digest)
             store.save_payload(digest, payload)
-    store.close()  # push the batched writes before the store object goes away
 
 
 def drain_observability(query_cache: QueryCache) -> dict:

@@ -65,12 +65,12 @@ class PipelineVerifier:
         self.cache = cache if cache is not None else SummaryCache(self.options, store=store)
         self.composer = CompositionEngine(self.cache)
         if entry is None:
-            entries = pipeline.entry_elements()
-            if len(entries) != 1:
+            entry = pipeline.sole_entry()
+            if entry is None:
                 raise VerificationError(
-                    f"pipeline has {len(entries)} entry elements; pass `entry` explicitly"
+                    f"pipeline has {len(pipeline.entry_elements())} entry elements; "
+                    "pass `entry` explicitly"
                 )
-            entry = entries[0]
         self.entry = entry
 
     # -- Step 1: per-element summaries at the lengths each element actually sees -----------------

@@ -17,6 +17,27 @@ def four_cpus(monkeypatch):
     monkeypatch.setattr(fleet_mod.os, "cpu_count", lambda: 4)
 
 
+@pytest.fixture
+def summary_decodes(monkeypatch):
+    """Empty the process-wide summary decode memo; list every text decoded from here on.
+
+    The memo outlives a test, so a test that counts decodes starts from
+    a fresh one instead of whatever earlier tests left behind.
+    """
+    import repro.orchestrator.store as store_mod
+
+    decoded = []
+    real = store_mod.loads_summary
+
+    def counting(text):
+        decoded.append(text)
+        return real(text)
+
+    monkeypatch.setattr(store_mod, "_decoded", store_mod._DecodedSummaries())
+    monkeypatch.setattr(store_mod, "loads_summary", counting)
+    return decoded
+
+
 def _reference_solver(engine, options) -> smt.Solver:
     """The engine's scratch solver, built on first use with its budget and backend."""
     solver = getattr(engine, "_reference_solver", None)

@@ -156,6 +156,31 @@ class TestPipeline:
         with pytest.raises(PipelineConfigurationError):
             pipeline.validate()
 
+    def test_long_chain_validates(self):
+        # Longer than the interpreter's default recursion limit of 1,000.
+        chain = Pipeline.chain([PassThrough(name=f"e{index}") for index in range(1100)])
+        chain.validate()
+        assert chain.sole_entry() is chain.elements[0]
+
+    def test_connect_after_validation_is_checked_again(self):
+        a, b, c = PassThrough(name="a"), PassThrough(name="b"), PassThrough(name="c")
+        pipeline = Pipeline.chain([a, b, c])
+        pipeline.validate()
+        pipeline.connect(c, a)
+        for _ in range(2):  # a failure is never remembered
+            with pytest.raises(PipelineConfigurationError, match="a -> b -> c -> a"):
+                pipeline.validate()
+
+    def test_sole_entry_follows_the_graph(self):
+        a, b, sink = PassThrough(name="a"), PassThrough(name="b"), Discard(name="sink")
+        pipeline = Pipeline()
+        pipeline.connect(a, sink)
+        assert pipeline.sole_entry() is a
+        pipeline.add_element(b)
+        assert pipeline.sole_entry() is None
+        pipeline.connect(b, a)
+        assert pipeline.sole_entry() is b
+
     def test_element_paths_enumeration(self):
         classifier = Classifier(["12/0800", "-"], name="cls")
         left, right = Discard(name="left"), Discard(name="right")

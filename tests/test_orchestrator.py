@@ -361,6 +361,175 @@ class TestSummaryStore:
         assert len(store) == 0
 
 
+class TestDecodeMemo:
+    """Loads decode each unchanged entry once per process, and never serve stale text."""
+
+    def test_warm_passes_decode_each_entry_once(self, summary_decodes, tmp_path):
+        catalog = fleet_catalog(4)
+        queries = str(tmp_path / "q")
+        cold = certify_fleet(
+            catalog, [CrashFreedom()], input_lengths=(24,), store=str(tmp_path / "s"),
+            query_store=queries,
+        )
+        assert summary_decodes == []  # computed summaries are not decoded
+        entries = cold.statistics.summaries_computed
+        warm = []
+        for _ in range(2):
+            store = SummaryStore(tmp_path / "s")
+            warm.append(
+                certify_fleet(
+                    catalog, [CrashFreedom()], input_lengths=(24,), store=store,
+                    query_store=queries,
+                )
+            )
+            # Every load still reads the store and counts its hit.
+            assert store.statistics.hits == entries
+        assert len(summary_decodes) == entries
+        first, second = (report.statistics.to_dict() for report in warm)
+        first.pop("elapsed_seconds"), second.pop("elapsed_seconds")
+        assert first == second and first["store_hits"] == entries
+        assert warm[0].verdicts() == warm[1].verdicts() == cold.verdicts()
+
+    def test_memo_serves_only_the_text_it_decoded(self, summary_decodes, tmp_path):
+        import repro.orchestrator.store as store_mod
+
+        element = ip_router_elements(1)[0]
+        store = SummaryStore(tmp_path)
+        digest = store.save(element, 24, CONCRETE, _summarize(element))
+        store.flush()
+        loaded = store.load_digest(digest)
+        assert store.load_digest(digest) is loaded
+        assert store.load_digests([digest]) == {digest: loaded}
+        assert len(summary_decodes) == 1 and store.statistics.hits == 3
+
+        # Rewritten with other text: decoded again, into a new object.
+        text = summary_decodes[0]
+        _set_row(store, digest, json.dumps(json.loads(text), indent=1))
+        reloaded = store.load_digest(digest)
+        assert reloaded is not loaded and len(summary_decodes) == 2
+        assert len(reloaded.segments) == len(loaded.segments)
+
+        # Cleared, deleted or quarantined: a miss, though the memo holds the digest.
+        def absent():
+            misses = store.statistics.misses
+            assert digest in store_mod._decoded._entries
+            assert store.load_digest(digest) is None
+            assert store.load_digests([digest]) == {}
+            assert store.statistics.misses == misses + 2
+
+        store.clear()
+        absent()
+        _set_row(store, digest, text)
+        connection = sqlite3.connect(str(store.root / SQLITE_FILENAME))
+        with connection:
+            connection.execute("DELETE FROM entries WHERE digest=?", (digest,))
+        connection.close()
+        absent()
+        _set_row(store, digest, text)
+        assert store.load_digest(digest) is not None  # decoded: the memo held other text
+        _set_row(store, digest, "{not json")
+        assert store.load_digest(digest) is None
+        assert store.statistics.quarantined == 1
+        store_mod._decoded.decode(digest, text)  # the memo holds the digest again
+        absent()
+        assert len(summary_decodes) == 5  # four texts, and the garbage tried once
+
+    def test_cold_pass_after_warm_pass_computes_everything(self, summary_decodes, tmp_path):
+        catalog = fleet_catalog(4)
+        first = certify_fleet(catalog, [CrashFreedom()], input_lengths=(24,), store=tmp_path / "a")
+        warm = certify_fleet(catalog, [CrashFreedom()], input_lengths=(24,), store=tmp_path / "a")
+        assert warm.statistics.summaries_computed == 0 and summary_decodes
+        fresh = certify_fleet(catalog, [CrashFreedom()], input_lengths=(24,), store=tmp_path / "b")
+        assert fresh.statistics.summaries_computed == first.statistics.summaries_computed > 0
+        assert fresh.statistics.store_hits == 0
+        assert fresh.verdicts() == first.verdicts()
+
+    def test_computed_summaries_never_enter_the_memo(self, summary_decodes, four_cpus, tmp_path):
+        element = ip_router_elements(1)[0]
+        store = SummaryStore(tmp_path / "one")
+        computed = SummaryCache(SymbexOptions(), store=store).summarize(element, 24)
+        computed.sat_core_calls = 1  # runtime work a load must never report
+        loaded = store.load(element, 24, SymbexOptions())
+        assert loaded is not computed and loaded.sat_core_calls == 0
+
+        # A pooled run sums the Step-1 work of every summary it resolved,
+        # so a computed summary served from the memo would count twice.
+        stores = dict(store=str(tmp_path / "s"), query_store=str(tmp_path / "q"))
+        catalog = fleet_catalog(4)
+        cold = certify_fleet(catalog, [CrashFreedom()], input_lengths=(24,), **stores)
+        warm = certify_fleet(catalog, [CrashFreedom()], input_lengths=(24,), workers=2, **stores)
+        assert cold.statistics.sat_core_calls > 0
+        assert warm.scheduler is not None and warm.statistics.summaries_computed == 0
+        assert warm.statistics.sat_core_calls == 0
+        assert warm.verdicts() == cold.verdicts()
+
+    def test_concurrent_loads_stay_within_the_bound(self, summary_decodes, monkeypatch, tmp_path):
+        import random
+        import sys
+        import threading
+
+        import repro.orchestrator.store as store_mod
+
+        counting = store_mod.loads_summary
+
+        def slow(text):
+            time.sleep(0.002)  # let every other thread reach the memo meanwhile
+            return counting(text)
+
+        monkeypatch.setattr(store_mod, "loads_summary", slow)
+        summary = _summarize(ip_router_elements(1)[0])
+        store = SummaryStore(tmp_path)
+        digests = [f"{index:064x}" for index in range(8)]
+        for digest in digests:
+            store.save_digest(digest, summary)
+        store.flush()
+        failures = []
+
+        def run_threads(load):
+            def guarded(seed):
+                own = SummaryStore(tmp_path)  # each thread reads through its own connection
+                try:
+                    load(own, random.Random(seed))
+                except BaseException as exc:  # noqa: BLE001 - reported below
+                    failures.append(exc)
+
+            threads = [threading.Thread(target=guarded, args=(seed,)) for seed in range(4)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # switch threads as often as possible
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert failures == []
+
+        def load_all(own, rng):
+            for digest in rng.sample(digests, len(digests)):
+                assert own.load_digest(digest) is not None
+
+        # Room for every entry: racing threads decode each digest once.
+        run_threads(load_all)
+        assert len(summary_decodes) == len(digests)
+
+        def load_some(own, rng):
+            for _ in range(20):
+                picked = rng.sample(digests, 3)
+                assert own.load_digest(picked[0]) is not None
+                assert len(own.load_digests(picked)) == 3
+                assert len(store_mod._decoded._entries) <= 3
+
+        monkeypatch.setattr(store_mod, "_MAX_DECODED_SUMMARIES", 3)
+        monkeypatch.setattr(store_mod, "_decoded", store_mod._DecodedSummaries())
+        summary_decodes.clear()
+        run_threads(load_some)
+        assert len(store_mod._decoded._entries) <= 3
+        # No lost update: the memo counted every decode it ran.
+        assert store_mod._decoded.decoded == len(summary_decodes) > len(digests)
+
+
 class TestTieredCache:
     def test_l1_l2_miss_split_and_live_entries(self, tmp_path):
         element = ip_router_elements(1)[0]
@@ -521,3 +690,60 @@ class TestFleet:
         pipeline.connect(SyntheticBranchyElement(1, offset=2, name="b"), sink)
         with pytest.raises(OrchestratorError):
             certify_fleet([pipeline], [CrashFreedom()])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_tier_opens_once_per_call(self, workers, four_cpus, monkeypatch, tmp_path):
+        from collections import Counter
+
+        from repro.orchestrator.store import Store
+        from repro.workloads import store_scale_catalog
+
+        opens = Counter()
+        real = Store.__init__
+
+        def counting(store, root, shard=None):
+            opens[store.kind] += 1  # parent-side only: forked workers count in their copy
+            real(store, root, shard)
+
+        monkeypatch.setattr(Store, "__init__", counting)
+        build = (lambda: fleet_catalog(6)) if workers == 1 else (lambda: store_scale_catalog(20))
+        stores = dict(store=str(tmp_path / "s"), query_store=str(tmp_path / "q"))
+        # Cold; warm with fresh Step 2 (no verdict store); warm with the
+        # query root given only as an engine option.
+        calls = [
+            dict(verdict_store=str(tmp_path / "v"), **stores),
+            dict(stores),
+            dict(
+                store=stores["store"],
+                options=SymbexOptions(query_cache_dir=stores["query_store"]),
+            ),
+        ]
+        for call, kwargs in enumerate(calls):
+            opens.clear()
+            report = certify_fleet(
+                build(), [CrashFreedom()], input_lengths=(24,), workers=workers, **kwargs
+            )
+            expected = {"summary store": 1, "query store": 1}
+            if "verdict_store" in kwargs:
+                expected["verdict store"] = 1
+            assert opens == expected
+            assert (report.statistics.summaries_computed == 0) == (call > 0)
+        assert report.statistics.sat_core_calls == 0  # the option's root is the warm L3 tier
+
+    def test_each_pipeline_is_walked_for_cycles_once(self, monkeypatch):
+        from collections import Counter
+
+        from repro.dataplane import Pipeline
+
+        walks = Counter()
+        real = Pipeline._check_acyclic
+
+        def counting(pipeline):
+            walks[pipeline.name] += 1
+            real(pipeline)
+
+        monkeypatch.setattr(Pipeline, "_check_acyclic", counting)
+        catalog = fleet_catalog(4)
+        for _ in range(2):
+            certify_fleet(catalog, [CrashFreedom()], input_lengths=(24,))
+        assert walks == {pipeline.name: 1 for pipeline in catalog}

@@ -311,7 +311,8 @@ class TestQueryStoreL3:
         assert worker_cache.new_entries
         from repro.orchestrator.workers import merge_query_entries
 
-        merge_query_entries(str(tmp_path), worker_cache.new_entries)
+        merge_query_entries(store, worker_cache.new_entries)
+        store.flush()  # the merge batches its writes; the caller flushes
         assert len(store) > 0
         # A fresh cache over the merged store answers without solving.
         merged = QueryCache(store=QueryStore(tmp_path))
@@ -448,7 +449,9 @@ class TestEngineAndFleetWiring:
         assert certification.certified
         assert entries  # solved slices that could not be written in-fork
         assert len(QueryStore(tmp_path / "queries")) == 0
-        merge_query_entries(str(tmp_path / "queries"), entries)
+        queries = QueryStore(tmp_path / "queries")
+        merge_query_entries(queries, entries)
+        queries.flush()
         assert len(QueryStore(tmp_path / "queries")) > 0
         # A second worker over the merged store solves nothing new.
         _cert, _m, _l, warm_entries, _warm_extras = _certify_worker(0, worker_run())

@@ -41,6 +41,14 @@ from repro.workloads import (
 )
 
 
+def _packets(report):
+    """Each pipeline's counterexample packets, in catalog order."""
+    return [
+        [ce.packet for result in c.results for ce in result.counterexamples]
+        for c in report.certifications
+    ]
+
+
 def _serial_summaries(pipelines, lengths, options):
     """Ground truth: the digest -> summary map a serial discovery computes."""
     from repro.orchestrator import loads_summary
@@ -169,11 +177,7 @@ class TestScheduledRun:
             fleet_catalog(2), [CrashFreedom()], input_lengths=(24,),
             workers=2, store=SummaryStore(tmp_path),
         )
-        packets = lambda report: [  # noqa: E731
-            [ce.packet for result in c.results for ce in result.counterexamples]
-            for c in report.certifications
-        ]
-        assert packets(scheduled) == packets(serial)
+        assert _packets(scheduled) == _packets(serial)
 
     def test_budget_explosion_degrades_identically(self, four_cpus, tmp_path):
         # merge=off so merging cannot rescue the starved budget.
@@ -206,6 +210,23 @@ class TestScheduledRun:
         # Satellite: the bulk frontier probe costs one round trip per
         # admission batch, not one per digest.
         assert store.statistics.round_trips_saved > 0
+
+    def test_warm_pool_inherits_the_parents_decodes(self, summary_decodes, four_cpus, tmp_path):
+        runs = [
+            certify_fleet(
+                fleet_catalog(4), [CrashFreedom()], input_lengths=(24,),
+                workers=2, store=str(tmp_path),
+            )
+            for _ in range(2)
+        ]
+        assert runs[0].scheduler.step2_store_loads > 0  # cold: workers decode
+        # Warm: the admission probe decodes every summary before the pool
+        # forks, and the workers read each entry but decode none.
+        assert runs[1].scheduler.step2_store_loads == 0
+        assert len(summary_decodes) == runs[1].statistics.store_hits > 0
+        serial = certify_fleet(fleet_catalog(4), [CrashFreedom()], input_lengths=(24,))
+        assert runs[1].verdicts() == serial.verdicts()
+        assert _packets(runs[1]) == _packets(serial)
 
 
 class TestSchedulerDirect:
