@@ -9,7 +9,7 @@ standard fleet catalog:
   same pipeline under the identical budget;
 * **path/work ratio** — on the fleet catalog, conservative merging
   explores >= 3x fewer Step-1 paths and issues no more SAT-core calls
-  than ``off``, with verdict parity (including the ``array`` backend);
+  than ``off``, with verdict parity;
 * **batched slice solving** — variable-disjoint slices of one query are
   solved in a single arena: strictly fewer encode sweeps than slices
   solved, with shared-subterm blast-cache hits.
@@ -57,14 +57,12 @@ def _catalog():
     return fleet_catalog(CATALOG_SIZE) + heavies
 
 
-def _certify(merge, **kwargs):
-    options = SymbexOptions(merge=merge, **kwargs.pop("options", {}))
+def _certify(merge):
     return certify_fleet(
         _catalog(),
         [CrashFreedom()],
         input_lengths=INPUT_LENGTHS,
-        options=options,
-        **kwargs,
+        options=SymbexOptions(merge=merge),
     )
 
 
@@ -145,16 +143,15 @@ def run_path_merge():
     rescued = _explosion_run("conservative")
     off = _certify("off")
     conservative = _certify("conservative")
-    array_parity = _certify("conservative", options={"sat_backend": "array"})
     _summary, checker_stats = _summarize_sliced("off")
     arena_stats = _arena_microbench()
     fork_paged, fork_flat = _fork_cost_microbench()
-    return (exploded, rescued, off, conservative, array_parity, checker_stats,
+    return (exploded, rescued, off, conservative, checker_stats,
             arena_stats, fork_paged, fork_flat)
 
 
 def test_path_merge(benchmark, bench_json):
-    (exploded, rescued, off, conservative, array_parity, checker_stats,
+    (exploded, rescued, off, conservative, checker_stats,
      arena_stats, fork_paged, fork_flat) = benchmark.pedantic(
         run_path_merge, rounds=1, iterations=1
     )
@@ -206,9 +203,7 @@ def test_path_merge(benchmark, bench_json):
             "sat_core_ratio": sat_ratio,
             "paths_merged": conservative.statistics.paths_merged,
             "ites_introduced": conservative.statistics.ites_introduced,
-            "verdicts_match": int(
-                off.verdicts() == conservative.verdicts() == array_parity.verdicts()
-            ),
+            "verdicts_match": int(off.verdicts() == conservative.verdicts()),
             "element_slices_solved": checker_stats.slices_solved,
             "element_encode_passes": checker_stats.encode_passes,
             "element_blast_cache_hits": checker_stats.blast_cache_hits,
@@ -227,7 +222,6 @@ def test_path_merge(benchmark, bench_json):
 
     # Merging is an optimization, never a semantic change.
     assert off.verdicts() == conservative.verdicts()
-    assert array_parity.verdicts() == conservative.verdicts()
 
     assert paths_ratio >= PATHS_RATIO_FLOOR, (
         f"conservative merging only cut Step-1 paths by {paths_ratio:.2f}x "

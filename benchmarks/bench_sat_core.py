@@ -1,53 +1,52 @@
 """E13 — the flat-array CDCL core against the reference solver.
 
 Certifies the checksum-heavy 8-pipeline fleet catalog — whose checksum
-constraints give the CDCL core its hardest searches — once per SAT
-backend, on the production solve path (query cache and all), and checks
-the three claims the backend seam is built on:
+constraints give the CDCL core its hardest searches — once per core, on
+the production solve path (query cache and all).  Each run swaps its
+core in at :func:`repro.smt.backend.new_sat_core`, the one place
+production builds one, and the bench checks three claims:
 
-* **speedup** — the ``array`` backend spends >= 5x (quick: >= 4x) less
-  CPU time inside ``solve`` than ``reference`` on the identical
-  workload.  Both cores run in the same process on the same machine, so
-  the ratio is runner-relative and far more stable than wall-clock;
-* **verdict parity** — every backend (including ``external`` when a
-  DIMACS solver binary is installed) certifies the same verdicts on the
-  full catalog;
-* **determinism** — the in-process cores are deterministic for the
-  fixed catalog, so each core's SAT-core call count is pinned exactly.
-  The counts differ by core: the query cache reuses the models a search
-  returns, and two cores may return different models of the same slice.
+* **speedup** — the ``array`` core (production's) spends >= 5x
+  (quick: >= 4x) less CPU time inside ``solve`` than ``reference`` on
+  the identical workload.  Both cores run in the same process on the
+  same machine, so the ratio is runner-relative and far more stable than
+  wall-clock;
+* **verdict parity** — both cores certify the same verdicts on the full
+  catalog;
+* **determinism** — both cores are deterministic for the fixed catalog,
+  so each core's SAT-core call count is pinned exactly.  The counts
+  differ by core: the query cache reuses the models a search returns,
+  and two cores may return different models of the same slice.
 
 Set ``REPRO_BENCH_QUICK=1`` for the CI-smoke-sized run (same catalog,
-single property — the quick numbers are the pinned ones).  Set
-``REPRO_REQUIRE_EXTERNAL=1`` to fail instead of skip when no external
-solver is installed (used by the optional CI solver job).
+single property — the quick numbers are the pinned ones).
 """
 
 import os
 import time
 
+import pytest
+
 from repro.orchestrator import certify_fleet
-from repro.smt.backend import find_external_solver
+from repro.smt import backend
 from repro.smt.sat import SATSolver
 from repro.smt.satcore import ArraySolver
-from repro.symbex.engine import SymbexOptions
 from repro.verify import CrashFreedom, destination_reachability
 from repro.workloads import fleet_catalog
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
-REQUIRE_EXTERNAL = os.environ.get("REPRO_REQUIRE_EXTERNAL", "") not in ("", "0")
 
 #: The tentpole claim is stated for the 8-pipeline checksum catalog.
 CATALOG_SIZE = 8
 INPUT_LENGTHS = (24,)
 
-#: Solver-core CPU-seconds speedup the array backend must clear.  The
+#: Solver-core CPU-seconds speedup the array core must clear.  The
 #: full-mode floor is the acceptance criterion; the quick floor sits
 #: below the 4.6-6.4x observed at baseline-refresh time because the quick
 #: workload is lighter and per-call overhead weighs more.
 SPEEDUP_FLOOR = 4.0 if QUICK else 5.0
 
-#: Measured runs per backend (after one warmup); the minimum is scored.
+#: Measured runs per core (after one warmup); the minimum is scored.
 MEASURED_RUNS = 1 if QUICK else 2
 
 
@@ -62,26 +61,26 @@ def _properties():
     ]
 
 
-def _certify(backend):
+def _certify():
     return certify_fleet(
         fleet_catalog(CATALOG_SIZE, verify_checksum=True),
         _properties(),
         input_lengths=INPUT_LENGTHS,
-        options=SymbexOptions(sat_backend=backend),
     )
 
 
-def _timed_certify(backend, solver_class):
-    """Certify with ``backend``, measuring CPU seconds inside ``solve``.
+def _timed_certify(core):
+    """Certify with every CDCL core built as ``core``, measuring CPU seconds
+    inside its ``solve``.
 
-    The solver class's ``solve`` is wrapped with a ``process_time``
-    accumulator for the duration, so the score counts exactly the CDCL
-    core (not symbolic execution, composition, or clause feeding), and
-    is immune to wall-clock noise from other processes.  One warmup run
-    absorbs import/JIT-warming effects; the minimum over the measured
-    runs is scored.
+    ``core``'s ``solve`` is wrapped with a ``process_time`` accumulator
+    for the duration, so the score counts exactly the CDCL core (not
+    symbolic execution, composition, or clause feeding), and is immune
+    to wall-clock noise from other processes.  One warmup run absorbs
+    import/JIT-warming effects; the minimum over the measured runs is
+    scored.
     """
-    unbound_solve = solver_class.__dict__["solve"]
+    unbound_solve = core.__dict__["solve"]
     clock = time.process_time
     accumulator = {"seconds": 0.0}
 
@@ -92,44 +91,36 @@ def _timed_certify(backend, solver_class):
         finally:
             accumulator["seconds"] += clock() - started
 
-    solver_class.solve = timed_solve
-    try:
-        report = _certify(backend)  # warmup; report reused for verdicts
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(backend, "new_sat_core", core)
+        patch.setattr(core, "solve", timed_solve)
+        report = _certify()  # warmup; report reused for verdicts
         samples = []
         for _ in range(MEASURED_RUNS):
             accumulator["seconds"] = 0.0
-            report = _certify(backend)
+            report = _certify()
             samples.append(accumulator["seconds"])
-    finally:
-        solver_class.solve = unbound_solve
     return report, min(samples)
 
 
 def run_sat_core_comparison():
-    reference_report, reference_seconds = _timed_certify("reference", SATSolver)
-    array_report, array_seconds = _timed_certify("array", ArraySolver)
-    external_report = None
-    if find_external_solver() is not None or REQUIRE_EXTERNAL:
-        # Parity only: subprocess round-trips dominate external timing,
-        # so its seconds say nothing about the core being bridged to.
-        external_report = _certify("external")
-    return (reference_report, reference_seconds, array_report, array_seconds,
-            external_report)
+    reference_report, reference_seconds = _timed_certify(SATSolver)
+    array_report, array_seconds = _timed_certify(ArraySolver)
+    return reference_report, reference_seconds, array_report, array_seconds
 
 
 def test_sat_core(benchmark, bench_json):
-    (reference_report, reference_seconds, array_report, array_seconds,
-     external_report) = benchmark.pedantic(run_sat_core_comparison, rounds=1, iterations=1)
+    reference_report, reference_seconds, array_report, array_seconds = benchmark.pedantic(
+        run_sat_core_comparison, rounds=1, iterations=1
+    )
 
     speedup = reference_seconds / max(array_seconds, 1e-9)
     rows = [("reference", reference_report, reference_seconds),
             ("array", array_report, array_seconds)]
-    if external_report is not None:
-        rows.append(("external", external_report, float("nan")))
 
-    print(f"\n--- E13: SAT-core backends ({CATALOG_SIZE} checksum pipelines, "
+    print(f"\n--- E13: SAT cores ({CATALOG_SIZE} checksum pipelines, "
           f"{len(_properties())} properties) ---")
-    print(f"{'backend':>10} | {'SAT-core calls':>14} | {'solve CPU (s)':>13} | "
+    print(f"{'core':>10} | {'SAT-core calls':>14} | {'solve CPU (s)':>13} | "
           f"{'total (s)':>9}")
     for label, report, seconds in rows:
         stats = report.statistics
@@ -137,10 +128,7 @@ def test_sat_core(benchmark, bench_json):
               f"{stats.elapsed_seconds:>9.2f}")
     print(f"{'speedup':>10} | {speedup:>13.2f}x (floor {SPEEDUP_FLOOR:.1f}x)")
 
-    verdicts_match = reference_report.verdicts() == array_report.verdicts() and (
-        external_report is None
-        or external_report.verdicts() == reference_report.verdicts()
-    )
+    verdicts_match = reference_report.verdicts() == array_report.verdicts()
     bench_json(
         "sat_core",
         {
@@ -151,17 +139,14 @@ def test_sat_core(benchmark, bench_json):
             "solver_speedup": speedup,
             "reference_sat_core_calls": reference_report.statistics.sat_core_calls,
             "array_sat_core_calls": array_report.statistics.sat_core_calls,
-            "external_checked": int(external_report is not None),
             "verdicts_match": int(verdicts_match),
         },
     )
 
     # A faster core may never change what is proved — only how fast.
     assert array_report.verdicts() == reference_report.verdicts()
-    if external_report is not None:
-        assert external_report.verdicts() == reference_report.verdicts()
 
     assert speedup >= SPEEDUP_FLOOR, (
-        f"array backend only {speedup:.2f}x faster than reference "
+        f"array core only {speedup:.2f}x faster than reference "
         f"({reference_seconds:.3f}s -> {array_seconds:.3f}s solver CPU)"
     )

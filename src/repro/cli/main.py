@@ -158,12 +158,6 @@ def _build_parser() -> _Parser:
         help="havoc static tables (prove for any table contents, not the configured ones)",
     )
     certify.add_argument(
-        "--sat-backend", choices=("reference", "array", "external"), default=None,
-        metavar="NAME",
-        help="SAT core: array (flat-arena CDCL, default), reference (from-scratch "
-             "oracle), or external (installed DIMACS solver, e.g. minisat/kissat)",
-    )
-    certify.add_argument(
         "--trace", metavar="PATH", default=None,
         help="record a span trace of the run and write it to PATH "
              "(inspect with 'trace summary', or load chrome format in Perfetto)",
@@ -255,7 +249,6 @@ def _run_certify(args: argparse.Namespace) -> int:
     properties = parse_properties(args.properties)
     options = SymbexOptions(
         static_table_mode=StaticTableMode.HAVOC if args.havoc_tables else StaticTableMode.CONCRETE,
-        sat_backend=args.sat_backend,
     )
     if args.max_paths is not None:
         options.max_paths = args.max_paths

@@ -1,10 +1,10 @@
 """Named metrics: counters, gauges, and histograms behind one registry.
 
-The nine ``*Statistics`` dataclasses stay the source of truth for their
+The ten ``*Statistics`` dataclasses stay the source of truth for their
 own layer; the registry is the *fleet-facing* aggregation point they
 publish into (via :meth:`repro.obs.stats.StatisticsMixin.publish`), so a
 service-mode exporter — or ``repro store stats`` — reads one namespace
-(``solver.checks``, ``qcache.exact_hits``, ...) instead of walking nine
+(``solver.checks``, ``qcache.exact_hits``, ...) instead of walking ten
 objects.  Thread-safe; cheap enough to update from hot paths, but the
 expected pattern is publish-once at the end of a run.
 """

@@ -1,8 +1,8 @@
 """The slow-solve log: every SAT-core call over a threshold, with context.
 
-Set ``REPRO_SLOW_SOLVE_MS`` to a millisecond threshold and every
-:meth:`SatBackend.solve` call that exceeds it is recorded with the
-work it did (conflict/decision/restart deltas), the backend that did it,
+Set ``REPRO_SLOW_SOLVE_MS`` to a millisecond threshold and every SAT-core
+``solve`` call that exceeds it is recorded with the
+work it did (conflict/decision/restart deltas), the core that did it,
 and — when the query-cache layer is on — the structural fingerprint of
 the slice being solved, so a pathological query can be replayed against
 ``repro store`` tooling.

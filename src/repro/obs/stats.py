@@ -1,7 +1,8 @@
-"""One statistics protocol instead of nine hand-rolled variants.
+"""One statistics protocol instead of ten hand-rolled variants.
 
 Every ``*Statistics`` dataclass in the repo (solver, context, query
-cache, summary cache, store, verification, fleet, driver, monolithic)
+cache, summary cache, store, verification, fleet, scheduler, driver,
+monolithic)
 mixes this in and gets, generically over :func:`dataclasses.fields`:
 
 * ``to_dict()`` / ``from_dict()`` — plain-JSON round-trip with exactly

@@ -534,12 +534,10 @@ def _certify_fleet(
             report.statistics.distinct_summary_jobs = len(scheduled.summaries)
             report.statistics.summaries_computed = scheduled.computed
             report.statistics.store_hits = scheduled.loaded
-            # Step-1 solver work happened in worker forks; the counters
-            # ride back on the computed summaries (store-loaded ones are
-            # rightly zero), so pooled runs account like in-process ones.
-            for summary in scheduled.summaries.values():
-                report.statistics.sat_core_calls += getattr(summary, "sat_core_calls", 0)
-                report.statistics.qcache_hits += getattr(summary, "qcache_hits", 0)
+            # Step-1 solver work happened in worker forks, which report it
+            # per computed job, so pooled runs account like in-process ones.
+            report.statistics.sat_core_calls += scheduled.sat_core_calls
+            report.statistics.qcache_hits += scheduled.qcache_hits
             for position in range(len(fresh_pipelines)):
                 certification, misses = scheduled.step2[position]
                 fresh_certifications.append(certification)

@@ -57,7 +57,7 @@ from ..obs.trace import clock, tracer
 from ..smt.qcache import QueryCacheStatistics
 from ..symbex.engine import SymbexOptions
 from .errors import OrchestratorError
-from .serialize import loads_summary
+from . import store as store_module
 from .store import SummaryStore
 from .workers import (
     EXPLODED,
@@ -505,11 +505,14 @@ class ScheduledRun:
     """What a scheduled pass produced, in the shape the fleet layer folds."""
 
     #: Resolved summaries by digest (exploded digests excluded) — the
-    #: ``distinct_summary_jobs`` population, with Step-1 work counters
-    #: restored on computed entries.
+    #: ``distinct_summary_jobs`` population.
     summaries: Dict[str, object] = field(default_factory=dict)
     computed: int = 0
     loaded: int = 0
+    #: Step-1 solver work the workers performed computing summaries:
+    #: CDCL searches and query-cache hits (store-loaded jobs add nothing).
+    sat_core_calls: int = 0
+    qcache_hits: int = 0
     #: Step-2 results by catalog index: ``(certification, misses)``, where
     #: ``misses`` counts summaries the task had to compute itself.
     step2: Dict[int, tuple] = field(default_factory=dict)
@@ -662,13 +665,15 @@ def run_scheduled(
         if status == EXPLODED:
             graph.explode(task.key)
             return
-        summary = loads_summary(text)
         if status == LOADED:
             run.loaded += 1
         else:
-            summary.sat_core_calls, summary.qcache_hits = work
             run.computed += 1
-        graph.resolve(task.key, summary)
+            run.sat_core_calls += work[0]
+            run.qcache_hits += work[1]
+        # The worker stored this same text under this digest, so the next
+        # run's admission probe finds it in the decode memo.
+        graph.resolve(task.key, store_module._decoded.decode(task.key, text))
 
     def _finish_verify(task: _Task, payload) -> None:
         certification, misses, store_loads, entries, extras = payload

@@ -67,10 +67,8 @@ def summary_key(element: Element, input_length: int, options: SymbexOptions) -> 
     the solver conflict budget (a starved budget keeps branches a roomier
     one prunes), and the state-merging policy (merged summaries carry
     ite-lifted segments and upper-bound instruction counts, so modes must
-    not share entries).  ``sat_backend`` is deliberately excluded — the
-    SAT backends are differentially tested to produce identical
-    summaries, so they may share entries.
-    Path/time budgets are also excluded: blowing one raises instead of
+    not share entries).
+    Path/time budgets are excluded: blowing one raises instead of
     producing a summary, so it can never poison the store.
     """
     material = "\x1f".join(
@@ -282,11 +280,13 @@ class _DecodedSummaries:
     by store digest and served only while the text just read from the
     store equals the text it was decoded from, so a rewritten entry is
     decoded again; a deleted, cleared or quarantined one reads as a miss
-    before the memo is asked.  Only store text enters: a summary computed
-    in this process carries runtime ``sat_core_calls``/``qcache_hits``
-    that a later load must not report again.  Fork children inherit the
-    memo, so pool workers start with what the parent decoded.  Every
-    later load shares the returned object: nobody may mutate it
+    before the memo is asked.  Only store text enters, including the text
+    a pool worker stored, which the scheduler decodes as it arrives: a
+    summary computed in this process carries runtime
+    ``sat_core_calls``/``qcache_hits`` that a later load must not report
+    again.  Fork children inherit the memo, so pool workers start with
+    what the parent decoded.  Every later load shares the returned
+    object: nobody may mutate it
     (``work_counters_reported`` aside, whose counters read 0 on a loaded
     summary).
     """

@@ -193,8 +193,8 @@ def merge_observability(
 
 #: (sat_core_calls, qcache_hits) a worker performed for one job.  The
 #: counters are runtime accounting and deliberately not serialized with
-#: the summary, so they travel alongside it and are restored on arrival —
-#: pooled runs then account Step-1 solver work like in-process ones.
+#: the summary, so they travel alongside it and the scheduler adds them
+#: up — pooled runs then account Step-1 solver work like in-process ones.
 WorkerWork = Tuple[int, int]
 
 

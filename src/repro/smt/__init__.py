@@ -6,11 +6,10 @@ term language and decide every feasibility question through one
 :class:`SolverContext`, which slices each query and answers it from the
 tiered :class:`QueryCache` or one assumption solve on its retained CNF.
 The implementation consists of an immutable term DAG, an algebraic
-simplifier, an interval-domain quick check, a Tseitin bit-blaster, and a
-CDCL SAT core selected through the pluggable backend seam
-(:mod:`repro.smt.backend`): the flat-array :class:`ArraySolver` by
-default, the reference :class:`SATSolver` oracle, or an external DIMACS
-solver subprocess.
+simplifier, an interval-domain quick check, a Tseitin bit-blaster, and the
+flat-array CDCL core :class:`ArraySolver`, built in one place
+(:mod:`repro.smt.backend`).  The clarity-first :class:`SATSolver` is the
+tests' reference core.
 
 The scratch :class:`Solver` re-decides each query from nothing (fresh
 CNF, no slicing or cache tiers).  It is the reference the tests hold the
@@ -25,17 +24,7 @@ production path to, and the simplest way to ask one question::
     print(solver.model()["x"])
 """
 
-from .backend import (
-    DEFAULT_BACKEND,
-    ExternalSolver,
-    SatBackend,
-    available_backends,
-    find_external_solver,
-    make_sat_solver,
-    parse_dimacs,
-    parse_solver_output,
-    to_dimacs,
-)
+from .backend import SatBackend
 from .builder import (
     AShR,
     And,
@@ -102,8 +91,6 @@ __all__ = [
     "And",
     "ArraySolver",
     "AssumptionChecker",
-    "DEFAULT_BACKEND",
-    "ExternalSolver",
     "SATSolver",
     "SatBackend",
     "SatResult",
@@ -157,14 +144,8 @@ __all__ = [
     "URem",
     "Xor",
     "ZeroExt",
-    "available_backends",
     "bitvec",
     "build_query_cache",
-    "find_external_solver",
-    "make_sat_solver",
-    "parse_dimacs",
-    "parse_solver_output",
-    "to_dimacs",
     "conjoin",
     "disjoin",
     "evaluate",

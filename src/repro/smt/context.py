@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.stats import StatisticsMixin
 from ..obs.trace import clock
-from .backend import make_sat_solver
+from . import backend
 from .bitblast import BitBlaster
 from .cnf import CNFBuilder
 from .errors import SolverError
@@ -98,16 +98,12 @@ class SolverContext:
         self,
         max_conflicts: Optional[int] = 200_000,
         query_cache: Optional[QueryCache] = None,
-        sat_backend: Optional[str] = None,
     ) -> None:
         """``query_cache`` may be shared between contexts (slice verdicts
-        then cross them); ``None`` gives this context a fresh one.
-        ``sat_backend`` names the CDCL core (see :mod:`repro.smt.backend`);
-        ``None`` takes the default."""
+        then cross them); ``None`` gives this context a fresh one."""
         self._cnf = CNFBuilder()
         self._blaster = BitBlaster(self._cnf)
-        self.sat_backend = sat_backend
-        self._sat = make_sat_solver(sat_backend, self._cnf.num_vars)
+        self._sat = backend.new_sat_core(self._cnf.num_vars)
         self._clauses_fed = 0
         self._flat_fed = 0
         self._max_conflicts = max_conflicts
@@ -318,15 +314,11 @@ class AssumptionChecker:
         self,
         max_conflicts: Optional[int] = 200_000,
         query_cache: Optional[QueryCache] = None,
-        sat_backend: Optional[str] = None,
     ) -> None:
         """``query_cache`` (shared freely between checkers) slices every
         query and reuses verdicts/models/cores across them; ``None`` gives
-        the checker its own.  ``sat_backend`` picks the CDCL core backing
-        the shared context."""
-        self.context = SolverContext(
-            max_conflicts=max_conflicts, query_cache=query_cache, sat_backend=sat_backend
-        )
+        the checker its own."""
+        self.context = SolverContext(max_conflicts=max_conflicts, query_cache=query_cache)
         self.query_cache = self.context.query_cache
         # Verdicts only — models are not pinned here; a SAT repeat that
         # needs one re-solves on the warm context (or its cache) instead.

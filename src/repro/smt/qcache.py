@@ -207,9 +207,6 @@ class QueryCache:
 
     store: Optional[object] = None
     readonly: bool = False
-    model_pool: int = 32
-    minimize_limit: int = 12
-    minimize_tests: int = 6
     statistics: QueryCacheStatistics = field(default_factory=QueryCacheStatistics)
     #: (digest, payload) pairs a read-only cache could not persist itself.
     new_entries: List[Tuple[str, dict]] = field(default_factory=list)
@@ -217,12 +214,18 @@ class QueryCache:
     #: L1 size bound; the whole tier is dropped past it (uids are never
     #: reused, so no entry can become wrong — only unreachable).
     L1_LIMIT = 200_000
+    #: Recent SAT models kept for the model-reuse tier.
+    MODEL_POOL = 32
+    #: Unsat cores are minimized only for slices of at most this many
+    #: terms, with at most this many interval deletion tests each.
+    MINIMIZE_LIMIT = 12
+    MINIMIZE_TESTS = 6
 
     def __post_init__(self) -> None:
         self._exact: Dict[Tuple[int, ...], _Entry] = {}
         self._sat_by_uid: Dict[int, List[_Entry]] = {}
         self._cores_by_uid: Dict[int, List[FrozenSet[int]]] = {}
-        self._models: Deque[Tuple[Model, FrozenSet[str]]] = deque(maxlen=self.model_pool)
+        self._models: Deque[Tuple[Model, FrozenSet[str]]] = deque(maxlen=self.MODEL_POOL)
         # The two canned probes live as long as the cache (an L1 reset
         # drops them with the rest), so their per-term verdict memos
         # carry across slices.
@@ -460,11 +463,11 @@ class QueryCache:
         retained core is a genuine unsatisfiable subset.
         """
         terms = list(query_slice.terms)
-        if len(terms) <= 1 or len(terms) > self.minimize_limit:
+        if len(terms) <= 1 or len(terms) > self.MINIMIZE_LIMIT:
             return frozenset(term.uid for term in terms)
         tests = 0
         index = 0
-        while index < len(terms) and len(terms) > 1 and tests < self.minimize_tests:
+        while index < len(terms) and len(terms) > 1 and tests < self.MINIMIZE_TESTS:
             candidate = terms[:index] + terms[index + 1 :]
             goal = candidate[0] if len(candidate) == 1 else mk_and(*candidate)
             tests += 1

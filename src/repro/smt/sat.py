@@ -1,13 +1,13 @@
-"""A CDCL SAT solver.
+"""The reference CDCL SAT solver.
 
-This is the decision backend of the bitvector solver: conflict-driven
-clause learning with two-watched-literal propagation, VSIDS-style
-activity-based branching, first-UIP conflict analysis, non-chronological
-backjumping, phase saving, and Luby-sequence restarts.
+Conflict-driven clause learning with two-watched-literal propagation,
+VSIDS-style activity-based branching, first-UIP conflict analysis,
+non-chronological backjumping, phase saving, and Luby-sequence restarts.
 
-The implementation favours clarity over raw speed — the formulas produced
-by bit-blasting dataplane constraints are small (thousands of variables),
-so a straightforward CDCL loop is more than adequate.
+The implementation favours clarity over raw speed.  Production runs the
+flat-array :class:`repro.smt.satcore.ArraySolver`, the same algorithm
+restructured for CPython; this core is the tests' oracle for it, swapped
+in at :func:`repro.smt.backend.new_sat_core`.
 """
 
 from __future__ import annotations

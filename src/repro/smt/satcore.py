@@ -48,8 +48,8 @@ than the inlined loops below.
 
 The public surface mirrors :class:`repro.smt.sat.SATSolver` (DIMACS
 integer literals in, tri-state :class:`~repro.smt.sat.SatResult` out), so
-the two cores are interchangeable behind
-:func:`repro.smt.backend.make_sat_solver` and differentially testable.
+the tests can swap the reference core in at
+:func:`repro.smt.backend.new_sat_core` and hold the two against each other.
 """
 
 from __future__ import annotations

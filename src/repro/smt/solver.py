@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 
 from ..obs.stats import StatisticsMixin
 from ..obs.trace import clock
-from .backend import make_sat_solver
+from . import backend
 from .bitblast import BitBlaster
 from .builder import And
 from .errors import SolverError
@@ -91,14 +91,12 @@ class Solver:
         self,
         max_conflicts: Optional[int] = 200_000,
         enable_cache: bool = True,
-        sat_backend: Optional[str] = None,
     ) -> None:
         self._assertions: List[Term] = []
         self._scopes: List[int] = []
         self._model: Optional[Model] = None
         self._max_conflicts = max_conflicts
         self._enable_cache = enable_cache
-        self.sat_backend = sat_backend
         # Keyed by the simplified goal's interned uid: uids are never
         # reused, so a key can go stale (unreachable) but never collide.
         self._cache: Dict[int, _CachedAnswer] = {}
@@ -203,7 +201,7 @@ class Solver:
         blaster.assert_term(goal)
         self.statistics.blast_passes += blaster.passes
         self.statistics.blast_cache_hits += blaster.cache_hits
-        sat_solver = make_sat_solver(self.sat_backend, blaster.cnf.num_vars)
+        sat_solver = backend.new_sat_core(blaster.cnf.num_vars)
         if not _feed_cnf(sat_solver, blaster.cnf):
             return CheckResult.UNSAT, None
         self.statistics.sat_core_calls += 1
@@ -223,7 +221,7 @@ class Solver:
 def _feed_cnf(sat_solver, cnf) -> bool:
     """Feed a whole CNF to a fresh SAT core; False on a trivially false clause.
 
-    Uses the backend's bulk ``add_clause_stream`` (one call for the whole
+    Uses the core's bulk ``add_clause_stream`` (one call for the whole
     0-terminated flat buffer) when it has one, the per-clause loop
     otherwise.
     """

@@ -85,12 +85,6 @@ class SymbexOptions:
     #: in-memory tiers only).  Excluded from summary/verdict store keys:
     #: the cache changes how queries are answered, never what they answer.
     query_cache_dir: Optional[str] = None
-    #: SAT core behind every solver this run constructs
-    #: (:mod:`repro.smt.backend`): ``array`` (flat-arena CDCL, default),
-    #: ``reference`` (the from-scratch oracle), or ``external`` (installed
-    #: DIMACS solver).  Backends are differentially tested to agree, so —
-    #: like the caches — this is excluded from summary/verdict store keys.
-    sat_backend: Optional[str] = None
     #: Enable span tracing (:mod:`repro.obs`) in whatever process runs the
     #: engine — how fork workers learn the parent is tracing.  Purely
     #: observational, so it is excluded from summary/verdict store keys.
@@ -129,7 +123,6 @@ class SymbolicEngine:
         self.checker = smt.AssumptionChecker(
             max_conflicts=self.options.solver_max_conflicts,
             query_cache=query_cache or smt.build_query_cache(self.options.query_cache_dir),
-            sat_backend=self.options.sat_backend,
         )
         if self.options.merge not in MergeMode.ALL:
             raise ValueError(

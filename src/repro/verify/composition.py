@@ -94,7 +94,6 @@ class CompositionEngine:
         self.checker = smt.AssumptionChecker(
             max_conflicts=cache.options.solver_max_conflicts,
             query_cache=cache.query_cache,
-            sat_backend=cache.options.sat_backend,
         )
         self.paths_checked = 0
         self.paths_feasible = 0

@@ -49,20 +49,15 @@ class PipelineVerifier:
         entry: Optional[Element] = None,
         options: Optional[SymbexOptions] = None,
         cache: Optional[SummaryCache] = None,
-        store: Optional[object] = None,
     ) -> None:
-        """``store`` backs the summary cache with an on-disk L2 tier
-        (:class:`repro.orchestrator.store.SummaryStore`).
-        """
+        """``cache`` (shared freely between verifiers) supplies Step-1
+        summaries; an on-disk tier attaches to it, as
+        ``SummaryCache(options, store=...)``.  ``None`` gives the verifier
+        its own in-memory cache."""
         pipeline.validate()
         self.pipeline = pipeline
         self.options = options or SymbexOptions()
-        if cache is not None and store is not None:
-            raise VerificationError(
-                "pass either `cache` or `store`: attach the store to the cache "
-                "(SummaryCache(options, store=...)) when you need both"
-            )
-        self.cache = cache if cache is not None else SummaryCache(self.options, store=store)
+        self.cache = cache if cache is not None else SummaryCache(self.options)
         self.composer = CompositionEngine(self.cache)
         if entry is None:
             entry = pipeline.sole_entry()

@@ -5,6 +5,8 @@ from contextlib import contextmanager
 import pytest
 
 from repro import smt
+from repro.smt import backend
+from repro.smt.sat import SATSolver
 from repro.symbex.engine import SymbolicEngine
 from repro.verify.composition import CompositionEngine
 
@@ -39,12 +41,10 @@ def summary_decodes(monkeypatch):
 
 
 def _reference_solver(engine, options) -> smt.Solver:
-    """The engine's scratch solver, built on first use with its budget and backend."""
+    """The engine's scratch solver, built on first use with its conflict budget."""
     solver = getattr(engine, "_reference_solver", None)
     if solver is None:
-        solver = smt.Solver(
-            max_conflicts=options.solver_max_conflicts, sat_backend=options.sat_backend
-        )
+        solver = smt.Solver(max_conflicts=options.solver_max_conflicts)
         engine._reference_solver = solver
     return solver
 
@@ -75,8 +75,8 @@ def scratch_reference():
     """A context manager under which a scratch :class:`repro.smt.Solver` decides
     every Step-1 and Step-2 feasibility question.
 
-    Each engine gets one scratch solver with its own conflict budget and
-    SAT backend, which re-solves every conjunction from a fresh CNF: no
+    Each engine gets one scratch solver with its own conflict budget,
+    which re-solves every conjunction from a fresh CNF: no
     slicing, query cache, feasibility memo or persistent context.  Run a
     workload once as is and once inside the context, and compare: the
     production solve path must agree with this reference.
@@ -87,6 +87,28 @@ def scratch_reference():
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(SymbolicEngine, "_is_feasible", _reference_is_feasible)
             patch.setattr(CompositionEngine, "check", _reference_check)
+            yield
+
+    return reference
+
+
+@pytest.fixture(scope="session")
+def reference_core():
+    """A context manager under which every CDCL core is the reference
+    :class:`repro.smt.sat.SATSolver`.
+
+    It replaces :func:`repro.smt.backend.new_sat_core`, the one place
+    production builds its core, so persistent contexts and scratch
+    solvers built inside the context search with the clarity-first core
+    instead of the flat-arena one.  Run a workload once as is and once
+    inside the context, and compare.  The fixture holds no state, so
+    hypothesis tests may take it too.
+    """
+
+    @contextmanager
+    def reference():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(backend, "new_sat_core", SATSolver)
             yield
 
     return reference

@@ -261,16 +261,6 @@ class TestSummaryStore:
             "0eeca2c19f67c25c2bb132ce41aeb8b3fe1a1615426093e20d6420a4232bb456"
         )
 
-    def test_verifier_rejects_cache_plus_store(self, tmp_path):
-        from repro.verify import VerificationError
-
-        with pytest.raises(VerificationError):
-            PipelineVerifier(
-                ip_router_pipeline(length=1),
-                cache=SummaryCache(SymbexOptions()),
-                store=SummaryStore(tmp_path),
-            )
-
     def test_key_covers_static_table_contents(self, tmp_path):
         # Two elements with identical programs and default configuration
         # keys but different *static table contents* must not share a

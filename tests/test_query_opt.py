@@ -458,8 +458,9 @@ class TestEngineAndFleetWiring:
         assert warm_entries == []
 
     def test_parallel_summarize_jobs_preserve_work_counters(self, tmp_path):
-        """Worker-computed summaries arrive with their solver-work counters
-        restored (serialization drops them), matching a serial engine."""
+        """The scheduler adds up the solver work each worker reports with a
+        computed summary (serialization drops the counters), matching
+        serial engines, and leaves the decoded summaries untouched."""
         from repro.orchestrator import SummaryStore, run_scheduled
         from repro.orchestrator.workers import job_digest
         from repro.symbex.engine import SymbexOptions, SymbolicEngine
@@ -472,7 +473,11 @@ class TestEngineAndFleetWiring:
             [pipeline], [CrashFreedom()], (24,), options,
             workers=2, store=SummaryStore(tmp_path),
         )
-        assert run.computed == len(run.summaries)
+        assert run.computed == len(run.summaries) == len(pipeline.elements)
+        assert set(run.summaries) == {
+            job_digest(element, 24, options) for element in pipeline.elements
+        }
+        serial_work = [0, 0]
         for element in pipeline.elements:
             serial = SymbolicEngine(options).summarize_element(
                 element.program, 24,
@@ -480,9 +485,14 @@ class TestEngineAndFleetWiring:
                 element_name=element.name,
                 configuration_key=element.configuration_key(),
             )
-            shipped = run.summaries[job_digest(element, 24, options)]
-            assert shipped.sat_core_calls == serial.sat_core_calls
-            assert shipped.qcache_hits == serial.qcache_hits
+            serial_work[0] += serial.sat_core_calls
+            serial_work[1] += serial.qcache_hits
+        assert [run.sat_core_calls, run.qcache_hits] == serial_work
+        assert run.sat_core_calls > 0
+        assert all(
+            summary.sat_core_calls == summary.qcache_hits == 0
+            for summary in run.summaries.values()
+        )
 
     def test_workers_clamped_to_cpu_count(self):
         import os

@@ -1,37 +1,27 @@
-"""Differential tests across the pluggable SAT backends.
+"""The one production SAT core against the reference core.
 
-The reference solver is the oracle: every other backend must agree with
-it on sat/unsat for random CNF instances and random bitvector goals, and
-every SAT model must evaluate the instance to true.  DIMACS emit/parse
-round-trips (including assumption handling) and the subprocess bridge
-are covered here too; the external-binary suite skips cleanly when no
-solver is installed.
+Production builds every CDCL core through :func:`repro.smt.backend.new_sat_core`,
+which returns the flat-arena :class:`ArraySolver`.  The clarity-first
+:class:`SATSolver` is the oracle: the two must agree on sat/unsat for
+random CNF instances and random bitvector goals, and every SAT model must
+evaluate the instance to true.  CNF-level tests build both cores
+directly; tests above the CNF level run once as is and once under the
+``reference_core`` fixture (``tests/conftest.py``), which swaps the
+reference core in at that one construction site.
 """
 
-import os
 import random
-import stat
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.smt import And, AssumptionChecker, BitVec, Eq, Not, Or, Solver, ULE, ULT
-from repro.smt.backend import (
-    ARRAY,
-    EXTERNAL,
-    REFERENCE,
-    ExternalSolver,
-    available_backends,
-    find_external_solver,
-    make_sat_solver,
-    parse_dimacs,
-    parse_solver_output,
-    to_dimacs,
-)
-from repro.smt.errors import SolverError
+from repro.orchestrator import certify_fleet
+from repro.smt import And, AssumptionChecker, BitVec, Eq, Not, Or, Solver, ULE, ULT, backend
 from repro.smt.sat import SATSolver, SatResult
 from repro.smt.satcore import ArraySolver, solve_clauses
+from repro.verify import CrashFreedom, destination_reachability
+from repro.workloads import fleet_catalog
 
 
 def random_cnf(rng, num_vars, num_clauses, width=4):
@@ -51,10 +41,6 @@ def assignment_satisfies(model, clauses):
     )
 
 
-def local_backends():
-    return [name for name in available_backends() if name != EXTERNAL]
-
-
 class TestDifferentialCnf:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)
@@ -67,17 +53,17 @@ class TestDifferentialCnf:
             for _ in range(rng.randint(0, 3))
         ]
         verdicts = {}
-        for name in local_backends():
-            solver = make_sat_solver(name, num_vars)
+        for core in (SATSolver, ArraySolver):
+            solver = core(num_vars)
             for clause in clauses:
                 solver.add_clause(clause)
             status = solver.solve(assumptions)
-            verdicts[name] = status
+            verdicts[core.__name__] = status
             if status == SatResult.SAT:
                 model = solver.model()
-                assert assignment_satisfies(model, clauses), (name, clauses, model)
+                assert assignment_satisfies(model, clauses), (core, clauses, model)
                 for lit in assumptions:
-                    assert model[abs(lit)] is (lit > 0), (name, lit, model)
+                    assert model[abs(lit)] is (lit > 0), (core, lit, model)
         assert len(set(verdicts.values())) == 1, verdicts
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -125,26 +111,28 @@ def random_goal(rng):
 class TestDifferentialBitvector:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
-    def test_backends_agree_on_random_goals(self, seed):
+    def test_backends_agree_on_random_goals(self, seed, reference_core):
         rng = random.Random(seed)
         goal = random_goal(rng)
-        verdicts = {}
-        for name in local_backends():
-            solver = Solver(sat_backend=name, enable_cache=False)
+
+        def decide():
+            solver = Solver(enable_cache=False)
             solver.add(goal)
             status = solver.check()
-            verdicts[name] = status
             if status == "sat":
                 assert solver.model().satisfies(goal)
-        assert len(set(verdicts.values())) == 1, verdicts
+            return status
+
+        array_status = decide()
+        with reference_core():
+            assert decide() == array_status
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)
-    def test_batched_arena_matches_sequential(self, seed):
+    def test_batched_arena_matches_sequential(self, seed, reference_core):
         """Multi-slice queries through the production checker (the query
-        cache's batched arena) agree with the scratch solver on every
-        available backend — the external one too, where a solver binary
-        is installed."""
+        cache's batched arena) agree with the scratch solver, on the
+        production core and on the reference one."""
         rng = random.Random(seed)
         # Disjoint variable groups force multiple slices.
         groups = []
@@ -157,13 +145,18 @@ class TestDifferentialBitvector:
                 )
             )
         goal = And(*groups)
-        for name in available_backends():
-            scratch = Solver(sat_backend=name, enable_cache=False)
+
+        def agree():
+            scratch = Solver(enable_cache=False)
             scratch.add(goal)
-            status, model = AssumptionChecker(sat_backend=name).check(groups, need_model=True)
+            status, model = AssumptionChecker().check(groups, need_model=True)
             assert status == scratch.check()
             if status == "sat":
                 assert model.satisfies(goal)
+
+        agree()
+        with reference_core():
+            agree()
 
 
 class TestLearnedClauseBounds:
@@ -174,12 +167,12 @@ class TestLearnedClauseBounds:
             clauses.append([v if rng.random() < 0.5 else -v for v in chosen])
         return clauses
 
-    @pytest.mark.parametrize("backend", [REFERENCE, ARRAY])
-    def test_max_learned_bounds_database(self, backend):
+    @pytest.mark.parametrize("core", [SATSolver, ArraySolver], ids=["reference", "array"])
+    def test_max_learned_bounds_database(self, core):
         rng = random.Random(5)
         clauses = self._hard_instance(rng)
-        bounded = make_sat_solver(backend, 70, max_learned=25)
-        unbounded = make_sat_solver(backend, 70)
+        bounded = core(70, max_learned=25)
+        unbounded = core(70)
         for clause in clauses:
             bounded.add_clause(clause)
             unbounded.add_clause(clause)
@@ -204,157 +197,41 @@ class TestLearnedClauseBounds:
             assert solver.solve() == oracle.solve()
 
 
-class TestDimacs:
-    def test_round_trip(self):
-        clauses = [[1, -2, 3], [-1], [2, 3, -4, 4]]
-        text = to_dimacs(clauses, num_vars=4)
-        num_vars, parsed = parse_dimacs(text)
-        assert num_vars == 4
-        assert parsed == clauses
-
-    def test_round_trip_with_assumptions(self):
-        clauses = [[1, 2], [-2, 3]]
-        text = to_dimacs(clauses, num_vars=3, assumptions=[-1, 3])
-        num_vars, parsed = parse_dimacs(text)
-        assert num_vars == 3
-        assert parsed == clauses + [[-1], [3]]
-
-    def test_parse_tolerates_comments_and_multiline_clauses(self):
-        text = "c a comment\np cnf 3 2\n1 2\n3 0\nc mid\n-1 -3 0\n"
-        num_vars, parsed = parse_dimacs(text)
-        assert num_vars == 3
-        assert parsed == [[1, 2, 3], [-1, -3]]
-
-    def test_parse_rejects_malformed(self):
-        with pytest.raises(SolverError):
-            parse_dimacs("p cnf oops\n")
-        with pytest.raises(SolverError):
-            parse_dimacs("p cnf 2 1\n1 2\n")  # missing terminating 0
-
-    def test_parse_solver_output_competition_format(self):
-        status, lits = parse_solver_output("c banner\ns SATISFIABLE\nv 1 -2 3\nv 0\n")
-        assert status == SatResult.SAT
-        assert lits == [1, -2, 3]
-
-    def test_parse_solver_output_minisat_result_file(self):
-        status, lits = parse_solver_output("SAT\n1 -2 3 0\n")
-        assert status == SatResult.SAT
-        assert lits == [1, -2, 3]
-        status, lits = parse_solver_output("UNSAT\n")
-        assert status == SatResult.UNSAT
-        assert lits == []
-
-
 class TestBackendSelection:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SolverError):
-            make_sat_solver("quantum")
+    def test_default_is_array(self, reference_core):
+        assert isinstance(backend.new_sat_core(), ArraySolver)
+        with reference_core():
+            assert isinstance(backend.new_sat_core(), SATSolver)
+        assert isinstance(backend.new_sat_core(), ArraySolver)
 
-    def test_default_is_array(self):
-        assert isinstance(make_sat_solver(None), ArraySolver)
-        assert isinstance(make_sat_solver(REFERENCE), SATSolver)
+    def test_fleet_runs_the_array_core_and_the_reference_agrees(
+        self, reference_core, monkeypatch
+    ):
+        constructed, searches = [], []
+        real_init, real_solve = SATSolver.__init__, SATSolver.solve
 
-    def test_missing_external_binary_is_loud(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SAT_SOLVER", "/nonexistent/sat-solver")
-        assert find_external_solver() is None
-        with pytest.raises(SolverError):
-            make_sat_solver(EXTERNAL)
+        def counting_init(self, *args, **kwargs):
+            constructed.append(self)
+            real_init(self, *args, **kwargs)
 
-    def test_available_backends_always_has_local_cores(self):
-        names = available_backends()
-        assert REFERENCE in names and ARRAY in names
+        def counting_solve(self, *args, **kwargs):
+            searches.append(self)
+            return real_solve(self, *args, **kwargs)
 
+        monkeypatch.setattr(SATSolver, "__init__", counting_init)
+        monkeypatch.setattr(SATSolver, "solve", counting_solve)
+        properties = [CrashFreedom(), destination_reachability(0x0A000001)]
 
-def _fake_solver(tmp_path, script_body):
-    path = tmp_path / "fake-solver"
-    path.write_text("#!/bin/sh\n" + script_body)
-    path.chmod(path.stat().st_mode | stat.S_IXUSR)
-    return str(path)
+        def certify():
+            report = certify_fleet(fleet_catalog(2), properties, input_lengths=(24,))
+            packets = [
+                [ce.packet for result in c.results for ce in result.counterexamples]
+                for c in report.certifications
+            ]
+            return report.verdicts(), packets
 
-
-class TestExternalBridge:
-    def test_scripted_sat(self, tmp_path, monkeypatch):
-        command = _fake_solver(tmp_path, 'echo "s SATISFIABLE"; echo "v 1 -2 0"\n')
-        solver = ExternalSolver(2, command=command)
-        solver.add_clause([1, -2])
-        assert solver.solve() == SatResult.SAT
-        assert solver.model()[1] is True and solver.model()[2] is False
-
-    def test_scripted_unsat(self, tmp_path):
-        command = _fake_solver(tmp_path, 'echo "s UNSATISFIABLE"\n')
-        solver = ExternalSolver(1, command=command)
-        solver.add_clause([1])
-        solver.add_clause([-1])
-        assert solver.solve() == SatResult.UNSAT
-
-    def test_crash_degrades_to_unknown(self, tmp_path):
-        command = _fake_solver(tmp_path, 'echo "segfault haiku"; exit 1\n')
-        solver = ExternalSolver(1, command=command)
-        solver.add_clause([1])
-        assert solver.solve() == SatResult.UNKNOWN
-
-    def test_empty_clause_short_circuits(self, tmp_path):
-        command = _fake_solver(tmp_path, 'echo "s SATISFIABLE"\n')
-        solver = ExternalSolver(1, command=command)
-        assert solver.add_clause([]) is False
-        assert solver.solve() == SatResult.UNSAT
-
-
-# REPRO_REQUIRE_EXTERNAL turns the graceful skip into a loud failure:
-# the CI external-solver job sets it so a broken solver install reads as
-# red, never as silently-skipped coverage.
-needs_external = pytest.mark.skipif(
-    find_external_solver() is None
-    and os.environ.get("REPRO_REQUIRE_EXTERNAL", "") in ("", "0"),
-    reason="no external DIMACS solver installed",
-)
-
-
-@needs_external
-class TestExternalDifferential:
-    """Runs only where a real DIMACS solver binary is installed (CI job)."""
-
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=25, deadline=None)
-    def test_external_agrees_on_random_cnf(self, seed):
-        rng = random.Random(seed)
-        num_vars = rng.randint(1, 12)
-        clauses = random_cnf(rng, num_vars, rng.randint(1, 40))
-        oracle = SATSolver(num_vars)
-        external = make_sat_solver(EXTERNAL, num_vars)
-        for clause in clauses:
-            oracle.add_clause(clause)
-            external.add_clause(clause)
-        expected = oracle.solve()
-        status = external.solve()
-        assert status == expected
-        if status == SatResult.SAT:
-            assert assignment_satisfies(external.model(), clauses)
-
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=10, deadline=None)
-    def test_external_agrees_on_random_goals(self, seed):
-        rng = random.Random(seed)
-        goal = random_goal(rng)
-        oracle = Solver(sat_backend=REFERENCE, enable_cache=False)
-        oracle.add(goal)
-        external = Solver(sat_backend=EXTERNAL, enable_cache=False)
-        external.add(goal)
-        expected = oracle.check()
-        status = external.check()
-        assert status == expected
-        if status == "sat":
-            assert external.model().satisfies(goal)
-
-    def test_external_assumptions(self):
-        external = make_sat_solver(EXTERNAL, 2)
-        external.add_clause([1, 2])
-        assert external.solve([-1, -2]) == SatResult.UNSAT
-        assert external.solve([-1]) == SatResult.SAT
-        assert external.model()[2] is True
-
-
-if os.environ.get("REPRO_REQUIRE_EXTERNAL"):
-    # The dedicated CI job sets this so a broken install fails loudly
-    # instead of skipping the whole differential suite.
-    assert find_external_solver() is not None, "REPRO_REQUIRE_EXTERNAL set but no solver found"
+        production = certify()
+        assert constructed == [] and searches == []
+        with reference_core():
+            assert certify() == production
+        assert searches

@@ -212,21 +212,28 @@ class TestScheduledRun:
         assert store.statistics.round_trips_saved > 0
 
     def test_warm_pool_inherits_the_parents_decodes(self, summary_decodes, four_cpus, tmp_path):
-        runs = [
-            certify_fleet(
+        def pooled():
+            return certify_fleet(
                 fleet_catalog(4), [CrashFreedom()], input_lengths=(24,),
                 workers=2, store=str(tmp_path),
             )
-            for _ in range(2)
-        ]
-        assert runs[0].scheduler.step2_store_loads > 0  # cold: workers decode
-        # Warm: the admission probe decodes every summary before the pool
-        # forks, and the workers read each entry but decode none.
-        assert runs[1].scheduler.step2_store_loads == 0
-        assert len(summary_decodes) == runs[1].statistics.store_hits > 0
+
+        cold = pooled()
+        assert cold.scheduler.step2_store_loads > 0  # cold: workers decode
+        # The parent decodes each summary a worker computed once, as it
+        # lands, into the memo under the digest the worker stored it at.
+        jobs = cold.statistics.distinct_summary_jobs
+        assert len(summary_decodes) == jobs > 0
+        warm = pooled()
+        # Warm: the admission probe finds every summary in that memo, so
+        # the parent decodes none, and the workers forked after it read
+        # each entry but decode none either.
+        assert warm.statistics.store_hits == jobs
+        assert len(summary_decodes) == jobs
+        assert warm.scheduler.step2_store_loads == 0
         serial = certify_fleet(fleet_catalog(4), [CrashFreedom()], input_lengths=(24,))
-        assert runs[1].verdicts() == serial.verdicts()
-        assert _packets(runs[1]) == _packets(serial)
+        assert warm.verdicts() == serial.verdicts()
+        assert _packets(warm) == _packets(serial)
 
 
 class TestSchedulerDirect:
