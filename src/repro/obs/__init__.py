@@ -1,4 +1,4 @@
-"""Unified observability: span tracing, metrics, statistics, slow-solve log.
+"""Unified observability: span tracing, statistics, slow-solve log.
 
 The certification stack answers *what* it proved via verdicts and *how
 much* work it did via per-layer statistics; this package answers *where
@@ -26,15 +26,11 @@ qcache      ``qcache.hit`` / ``qcache.miss`` events (``tier`` arg)
 cache       ``cache.hit`` / ``cache.miss`` events (``tier`` arg)
 ==========  =====================================================
 
-The fleet scheduler additionally publishes ``scheduler.queue_depth``
-and ``scheduler.worker_idle_ms`` gauges via :data:`metrics`.
-
 Timing discipline: durations use :func:`clock` (monotonic,
 ``time.perf_counter``); :func:`wall_clock` exists solely for comparisons
 against external wall-clock timestamps (file mtimes in store GC).
 """
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, metrics
 from .slowlog import (
     sat_observer,
     set_slow_threshold_ms,
@@ -57,10 +53,6 @@ from .trace import (
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "NULL_TRACER",
     "Span",
     "StatisticsMixin",
@@ -70,7 +62,6 @@ __all__ = [
     "enable",
     "install",
     "load_trace",
-    "metrics",
     "sat_observer",
     "set_slow_threshold_ms",
     "slice_context",

@@ -9,9 +9,9 @@ the slice being solved, so a pathological query can be replayed against
 
 Fingerprints are expensive (a SHA-256 walk over the slice's term DAG),
 so they are never computed up front: the layer that *has* the terms in
-scope (``SolverContext._solve_slice`` / the query cache) parks a
-zero-argument provider in a thread-local slot, and the log calls it only
-when a solve actually crossed the threshold.
+scope (the query cache) parks a zero-argument provider in a thread-local
+slot, and the log calls it only when a solve actually crossed the
+threshold.
 
 The :func:`sat_observer` accessor is the single gate the SAT cores pay
 when idle: it returns ``None`` unless tracing is enabled or a threshold

@@ -13,10 +13,12 @@ mixes this in and gets, generically over :func:`dataclasses.fields`:
   because the verdict store decodes one record per pipeline;
 * ``merge(other)`` — numeric fields sum, bools OR, dict fields key-sum,
   except fields named in the ``MERGE_MAX`` class var which take the max
-  (high-water marks like a driver's ``max_instructions``);
-* ``publish(prefix)`` — push every scalar field into the process-wide
-  :func:`repro.obs.metrics.metrics` registry as ``<prefix>.<field>``
-  gauges.
+  (high-water marks like a driver's ``max_instructions``).
+
+Each counter has one owner: a report copies or takes a delta of the
+statistics object that counted the work (solver work, for example, is
+always read off a :class:`repro.smt.qcache.QueryCacheStatistics`), never
+a second running total.
 
 Field-type dispatch checks ``bool`` before ``int``/``float`` because
 ``bool`` subclasses ``int`` — merging two ``budget_exceeded`` flags must
@@ -27,8 +29,6 @@ from __future__ import annotations
 
 import dataclasses
 from typing import ClassVar, Dict, Tuple, TypeVar
-
-from .metrics import MetricsRegistry, metrics
 
 __all__ = ["StatisticsMixin"]
 
@@ -51,7 +51,7 @@ def _layout(cls: type) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
 
 
 class StatisticsMixin:
-    """Shared ``to_dict``/``from_dict``/``merge``/``publish`` for stats dataclasses."""
+    """Shared ``to_dict``/``from_dict``/``merge`` for stats dataclasses."""
 
     #: Field names merged by ``max`` instead of ``+`` (high-water marks).
     MERGE_MAX: ClassVar[Tuple[str, ...]] = ()
@@ -99,13 +99,3 @@ class StatisticsMixin:
                         mine[key] = value
             # Non-numeric scalars (strings, None) keep self's value.
         return self
-
-    def publish(self, prefix: str, registry: MetricsRegistry = None) -> None:  # type: ignore[assignment]
-        """Publish every scalar field as a ``<prefix>.<field>`` gauge."""
-        target = registry if registry is not None else metrics()
-        for spec in dataclasses.fields(self):  # type: ignore[arg-type]
-            value = getattr(self, spec.name)
-            if isinstance(value, bool):
-                target.gauge(f"{prefix}.{spec.name}").set(int(value))
-            elif isinstance(value, (int, float)):
-                target.gauge(f"{prefix}.{spec.name}").set(value)

@@ -144,10 +144,11 @@ class FleetStatistics(StatisticsMixin):
     #: computed — the work a warm store *avoided*.
     store_hits: int = 0
     solver_checks: int = 0
-    #: Times a CDCL search actually ran across the whole (fresh) fleet
-    #: run — 0 on a warm run backed by the persistent L3 query cache.
+    #: CDCL searches across the whole run (0 on a warm run backed by the
+    #: persistent L3 query cache), and slice questions the query cache's
+    #: tiers answered — both read once from the run's folded query-cache
+    #: statistics, Step 1 and Step 2 alike.
     sat_core_calls: int = 0
-    #: Slice questions the query-optimization layer answered from cache.
     qcache_hits: int = 0
     #: Step-1 path accounting: terminal states reached, sibling pairs
     #: collapsed by the ite-lifting merge pass, ite terms that lifting
@@ -503,9 +504,9 @@ def _certify_fleet(
             recorded[key] = index
 
     fresh_certifications: List[PipelineCertification] = []
-    # Fleet-wide per-tier query-cache counters: the in-process loop reads
-    # them off the shared cache, the scheduler folds in what each task
-    # shipped.
+    # Fleet-wide per-tier query-cache counters, the run's one count of
+    # solver work: the in-process loop reads them off the shared cache,
+    # the scheduler folds in what each task shipped.
     fleet_qstats = QueryCacheStatistics()
     try:
         if workers > 1 and fresh_pipelines:
@@ -534,10 +535,6 @@ def _certify_fleet(
             report.statistics.distinct_summary_jobs = len(scheduled.summaries)
             report.statistics.summaries_computed = scheduled.computed
             report.statistics.store_hits = scheduled.loaded
-            # Step-1 solver work happened in worker forks, which report it
-            # per computed job, so pooled runs account like in-process ones.
-            report.statistics.sat_core_calls += scheduled.sat_core_calls
-            report.statistics.qcache_hits += scheduled.qcache_hits
             for position in range(len(fresh_pipelines)):
                 certification, misses = scheduled.step2[position]
                 fresh_certifications.append(certification)
@@ -579,6 +576,8 @@ def _certify_fleet(
 
     merged.update(zip(fresh_indices, fresh_certifications))
     report.certifications = [merged[index] for index in range(len(pipelines))]
+    report.statistics.sat_core_calls = fleet_qstats.sat_core_calls
+    report.statistics.qcache_hits = fleet_qstats.hits
 
     for certification in report.certifications:
         if certification.reused:
@@ -587,21 +586,12 @@ def _certify_fleet(
             continue
         for result in certification.results:
             report.statistics.solver_checks += result.statistics.solver_checks
-            report.statistics.sat_core_calls += result.statistics.sat_core_calls
-            report.statistics.qcache_hits += result.statistics.qcache_hits
             report.statistics.paths_explored += result.statistics.paths_explored
             report.statistics.paths_merged += result.statistics.paths_merged
             report.statistics.ites_introduced += result.statistics.ites_introduced
             report.statistics.merge_rejected += result.statistics.merge_rejected
             report.statistics.composed_paths_checked += result.statistics.composed_paths_checked
             report.statistics.counterexamples += len(result.counterexamples)
-        if certification.instruction_bound is not None:
-            report.statistics.sat_core_calls += (
-                certification.instruction_bound.statistics.sat_core_calls
-            )
-            report.statistics.qcache_hits += (
-                certification.instruction_bound.statistics.qcache_hits
-            )
     if query_store is not None and (fleet_qstats.checks or fleet_qstats.slices):
         # Persist the per-tier counters so hit rates accumulate across
         # runs (`repro store stats` reads them back).  The merge pass's

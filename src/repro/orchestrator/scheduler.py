@@ -35,9 +35,9 @@ wider to :func:`run_scheduled`, a job graph over one long-lived pool:
 
 Differential guarantee: verdicts equal the in-process loop's — the
 scheduler reorders work, it never changes it.
-Observability: per-task ``scheduler.task`` spans, plus
-``scheduler.queue_depth`` and ``scheduler.worker_idle_ms`` gauges in the
-process metrics registry.
+Observability: per-task ``scheduler.task`` spans, :class:`SchedulerStatistics`,
+and the query-cache counters every task ships back (folded into the
+caller's ``qstats``), which are the run's solver work.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..dataplane.element import Element
 from ..dataplane.pipeline import Pipeline
-from ..obs.metrics import metrics
 from ..obs.stats import StatisticsMixin
 from ..obs.trace import clock, tracer
 from ..smt.qcache import QueryCacheStatistics
@@ -509,10 +508,6 @@ class ScheduledRun:
     summaries: Dict[str, object] = field(default_factory=dict)
     computed: int = 0
     loaded: int = 0
-    #: Step-1 solver work the workers performed computing summaries:
-    #: CDCL searches and query-cache hits (store-loaded jobs add nothing).
-    sat_core_calls: int = 0
-    qcache_hits: int = 0
     #: Step-2 results by catalog index: ``(certification, misses)``, where
     #: ``misses`` counts summaries the task had to compute itself.
     step2: Dict[int, tuple] = field(default_factory=dict)
@@ -549,6 +544,9 @@ def run_scheduled(
     picklable; a verify callable takes ``(index, run)``) — the crash
     tests inject a self-killing wrapper this way.
 
+    ``qstats`` (optional) accumulates the query-cache counters each task
+    ships back, Step-1 and Step-2 alike: the run's solver work.
+
     ``on_verified(index, certification)`` is called once per pipeline as
     its Step-2 result lands, after every idle worker has been refilled
     and before the driver blocks on the next event, so work done there
@@ -569,9 +567,6 @@ def run_scheduled(
     run = ScheduledRun()
     stats = run.statistics
     trace = tracer()
-    registry = metrics()
-    depth_gauge = registry.gauge("scheduler.queue_depth")
-    idle_gauge = registry.gauge("scheduler.worker_idle_ms")
     store_root = str(store.root)
     constants = PoolRun(
         pipelines=list(pipelines),
@@ -658,7 +653,7 @@ def run_scheduled(
 
     def _finish_summary(task: _Task, payload) -> None:
         nonlocal last_summary_end
-        status, text, entries, work, extras = payload
+        status, text, entries, extras = payload
         merge_observability(extras, qstats)
         run.query_entries.extend(entries)
         last_summary_end = clock()
@@ -669,8 +664,6 @@ def run_scheduled(
             run.loaded += 1
         else:
             run.computed += 1
-            run.sat_core_calls += work[0]
-            run.qcache_hits += work[1]
         # The worker stored this same text under this digest, so the next
         # run's admission probe finds it in the decode memo.
         graph.resolve(task.key, store_module._decoded.decode(task.key, text))
@@ -705,7 +698,6 @@ def run_scheduled(
                 else:
                     stats.verify_tasks += 1
                 pool.dispatch(task)
-            depth_gauge.set(queued)
             _report_landed()  # every idle worker is busy again: write now
             if not pool.busy_count:
                 if queued:  # pragma: no cover - every worker died and respawn failed
@@ -759,8 +751,6 @@ def run_scheduled(
     if not graph.settled or len(run.step2) != len(pipelines):  # pragma: no cover
         raise OrchestratorError("scheduler finished with unresolved work")
     run.summaries = graph.summaries
-    idle_gauge.set(stats.worker_idle_seconds * 1000.0)
-    depth_gauge.set(0)
     if trace.enabled and (run.computed or run.loaded):
         # One fleet.summarize span over Step 1: admission to the last
         # Step-1 resolution (Step 2 overlaps it — that is the point).

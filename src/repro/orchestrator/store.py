@@ -281,14 +281,11 @@ class _DecodedSummaries:
     store equals the text it was decoded from, so a rewritten entry is
     decoded again; a deleted, cleared or quarantined one reads as a miss
     before the memo is asked.  Only store text enters, including the text
-    a pool worker stored, which the scheduler decodes as it arrives: a
-    summary computed in this process carries runtime
-    ``sat_core_calls``/``qcache_hits`` that a later load must not report
-    again.  Fork children inherit the memo, so pool workers start with
-    what the parent decoded.  Every later load shares the returned
-    object: nobody may mutate it
-    (``work_counters_reported`` aside, whose counters read 0 on a loaded
-    summary).
+    a pool worker stored, which the scheduler decodes as it arrives, so a
+    load never hands out the object a cache in this process computed.
+    Fork children inherit the memo, so pool workers start with what the
+    parent decoded.  Every later load shares the returned object: nobody
+    may mutate it.
     """
 
     def __init__(self) -> None:

@@ -247,9 +247,13 @@ class VerdictStore(Store):
 
         An unknown verdict is a budget artifact: storing it would pin the
         failure and rob a future (possibly better-budgeted) run of the
-        chance to resolve it.
+        chance to resolve it.  An instruction bound the budget left
+        unfound (``bound is None``) is refused for the same reason.
         """
         if any(result.verdict == Verdict.UNKNOWN for result in certification.results):
+            return False
+        bound = certification.instruction_bound
+        if bound is not None and bound.bound is None:
             return False
         payload = {"version": RECORD_VERSION, "certification": certification.to_dict()}
         self.write_entry(digest, json.dumps(payload, separators=(",", ":")))

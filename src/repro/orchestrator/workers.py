@@ -146,7 +146,9 @@ def drain_observability(query_cache: QueryCache) -> dict:
 
     Returns a JSON-able dict with up to three keys: ``spans`` (the
     tracer's drained ring buffer), ``slow`` (drained slow-solve records)
-    and ``qstats`` (the worker query cache's per-tier counters).  Keys
+    and ``qstats`` (the worker query cache's per-tier counters, which
+    are the task's solver work: the parent folds them into the run's
+    totals).  Keys
     are omitted when empty, so a disabled run ships ``{}`` — the merged
     result payload gains no observability weight unless something was
     observed.  Fork workers call this right before returning; the spans
@@ -191,21 +193,15 @@ def merge_observability(
         qstats.merge(QueryCacheStatistics.from_dict(extras["qstats"]))
 
 
-#: (sat_core_calls, qcache_hits) a worker performed for one job.  The
-#: counters are runtime accounting and deliberately not serialized with
-#: the summary, so they travel alongside it and the scheduler adds them
-#: up — pooled runs then account Step-1 solver work like in-process ones.
-WorkerWork = Tuple[int, int]
-
-
 def _summarize_worker(
     payload: Tuple[Element, int, SymbexOptions, Optional[str]],
-) -> Tuple[str, str, List[Tuple[str, dict]], WorkerWork, dict]:
+) -> Tuple[str, str, List[Tuple[str, dict]], dict]:
     """Compute (or fetch) one summary.
 
     Returns (status, serialized summary | message, new query-cache
-    entries the parent should merge, solver work performed, drained
-    observability extras — see :func:`drain_observability`).
+    entries the parent should merge, drained observability extras — see
+    :func:`drain_observability`, whose query-cache counters carry the
+    job's solver work).
     """
     element, input_length, options, store_root = payload
     if options.trace:
@@ -215,7 +211,7 @@ def _summarize_worker(
         if store is not None:
             stored = store.load(element, input_length, options)
             if stored is not None:
-                return LOADED, dumps_summary(stored), [], (0, 0), {}
+                return LOADED, dumps_summary(stored), [], {}
         query_cache = worker_query_cache(options)
         engine = SymbolicEngine(options, query_cache=query_cache)
         try:
@@ -227,22 +223,16 @@ def _summarize_worker(
                 configuration_key=element.configuration_key(),
             )
         except PathExplosionError as exc:
-            # A blown budget yields no summary; its partial solver work is
-            # uncounted, matching the in-process loop (which raises the same way).
-            return (
-                EXPLODED,
-                str(exc),
-                query_cache.new_entries,
-                (0, 0),
-                drain_observability(query_cache),
-            )
+            # A blown budget yields no summary; the solver work it did
+            # still ships in the query-cache counters, as the in-process
+            # loop's shared cache counts it too.
+            return EXPLODED, str(exc), query_cache.new_entries, drain_observability(query_cache)
         if store is not None:
             store.save(element, input_length, options, summary)
         return (
             COMPUTED,
             dumps_summary(summary),
             query_cache.new_entries,
-            (summary.sat_core_calls, summary.qcache_hits),
             drain_observability(query_cache),
         )
     finally:

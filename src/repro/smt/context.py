@@ -6,10 +6,10 @@ solver alive for its whole lifetime, and decides every query through the
 
 * the query is partitioned into variable-independent slices, and each
   slice is answered by the cheapest cache tier that can (exact verdict,
-  unsat-core subset, SAT superset, model reuse, persistent L3);
-* only unseen slices reach this context's CDCL core — tried first with
-  the interval quick check, since slices are small enough for it to
-  succeed where whole conjunctions are not;
+  unsat-core subset, SAT superset, model reuse, persistent L3, and last
+  the interval quick check);
+* only the slices no tier answers reach this context's CDCL core, one
+  assumption solve each;
 * every distinct (hash-consed) boolean term is Tseitin-encoded **once**,
   the first time a slice needs it, and a solve passes the root literals
   of its slice as CDCL assumptions instead of asserting unit clauses, so
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs.stats import StatisticsMixin
 from ..obs.trace import clock
@@ -34,18 +34,23 @@ from . import backend
 from .bitblast import BitBlaster
 from .cnf import CNFBuilder
 from .errors import SolverError
-from .interval import QuickCheckResult, quick_check
 from .model import Model, model_from_bits
 from .qcache import QueryCache
 from .sat import SatResult
 from .simplify import simplify
 from .solver import CheckResult
-from .terms import Term, intern_term, mk_and
+from .terms import Term, intern_term
 
 
 @dataclass
 class ContextStatistics(StatisticsMixin):
-    """Counters describing the work of one :class:`SolverContext`."""
+    """Counters describing the work of one :class:`SolverContext`.
+
+    Solver work (CDCL searches, cache hits, slices solved) is counted by
+    the context's :class:`~repro.smt.qcache.QueryCache`, which may be
+    shared between contexts; these are the context's own encoding and
+    search internals.
+    """
 
     checks: int = 0
     sat: int = 0
@@ -53,16 +58,6 @@ class ContextStatistics(StatisticsMixin):
     unknown: int = 0
     terms_encoded: int = 0
     literals_reused: int = 0
-    #: Times the CDCL core actually ran a search, one per slice solve;
-    #: cache and quick-check answers never reach it — the counter the
-    #: optimization layer is judged by.
-    sat_core_calls: int = 0
-    #: Slice sub-queries handed to this context by the query cache.
-    slices_solved: int = 0
-    #: Slice sub-queries the interval quick check decided (no SAT call).
-    quick_check_hits: int = 0
-    #: Slice questions answered by the query cache without solving.
-    qcache_hits: int = 0
     sat_conflicts: int = 0
     sat_decisions: int = 0
     learned_clauses: int = 0
@@ -73,7 +68,7 @@ class ContextStatistics(StatisticsMixin):
     blast_cache_hits: int = 0
     #: Encode *sweeps* over slice sets: the unbatched path pays one per
     #: core-reaching slice, the batched arena one per whole slice set —
-    #: so with batching this stays below ``slices_solved``.
+    #: so with batching this stays below the query cache's ``solved``.
     encode_passes: int = 0
     encode_seconds: float = 0.0
     solve_seconds: float = 0.0
@@ -144,44 +139,18 @@ class SolverContext:
         self.statistics.encode_seconds += clock() - started
 
         solve_started = clock()
-        hits_before = self.query_cache.statistics.hits
         status, model = self.query_cache.check(
             reduced_terms, self._solve_slice, make_batch=self._make_batch
         )
-        self.statistics.qcache_hits += self.query_cache.statistics.hits - hits_before
         self.statistics.solve_seconds += clock() - solve_started
         if status == CheckResult.SAT:
             self._model = model if model is not None else Model({})
         return self._finish(status)
 
-    def _decide_slice(
-        self, terms: Sequence[Term], literals: Callable[[], List[int]]
-    ) -> Tuple[str, Optional[Model]]:
-        """Decide one variable-independent slice: quick check, then the core.
-
-        Slices are small, so the interval quick check — useless on whole
-        path conjunctions — resolves most of them outright; the rest are
-        one assumption solve under ``literals()`` on the retained CNF.
-        """
-        self.statistics.slices_solved += 1
-        goal = terms[0] if len(terms) == 1 else mk_and(*terms)
-        quick = quick_check(goal)
-        if quick.status == QuickCheckResult.UNSAT:
-            self.statistics.quick_check_hits += 1
-            return CheckResult.UNSAT, None
-        if quick.status == QuickCheckResult.SAT:
-            self.statistics.quick_check_hits += 1
-            return CheckResult.SAT, Model(quick.model)
-        return self._solve_assumptions(literals())
-
     def _solve_slice(self, terms: Sequence[Term]) -> Tuple[str, Optional[Model]]:
-        """The query cache's per-slice callback: one encode sweep per core-reaching slice."""
-
-        def encode() -> List[int]:
-            self.statistics.encode_passes += 1
-            return [self._literal(term) for term in terms]
-
-        return self._decide_slice(terms, encode)
+        """The query cache's per-slice callback: one encode sweep, one search."""
+        self.statistics.encode_passes += 1
+        return self._solve_assumptions([self._literal(term) for term in terms])
 
     def _make_batch(self, groups: Sequence[Sequence[Term]]) -> List:
         """Batched slice solving on the persistent core: one encode, N solves.
@@ -200,30 +169,25 @@ class SolverContext:
         """
         encoded: List[List[int]] = []
 
-        def literals(index: int) -> List[int]:
+        def solve(index: int, _terms: Sequence[Term]) -> Tuple[str, Optional[Model]]:
             if not encoded:
                 # One encode sweep covers every slice of the arena.
                 self.statistics.encode_passes += 1
                 encoded.extend([self._literal(term) for term in terms] for terms in groups)
-                self._feed_clauses()
-            return encoded[index]
+            return self._solve_assumptions(encoded[index])
 
-        return [
-            partial(self._decide_slice, literals=partial(literals, index))
-            for index in range(len(groups))
-        ]
+        return [partial(solve, index) for index in range(len(groups))]
 
     def _solve_assumptions(self, literals: List[int]) -> Tuple[str, Optional[Model]]:
-        """Run one CDCL search under ``literals``, with the work bookkeeping.
+        """Run one CDCL search under ``literals`` on the retained CNF.
 
-        The shared tail of both slice paths; ``solve_seconds`` is the
-        caller's concern (``check_assumptions`` times the whole cache
-        interaction instead).
+        The shared tail of both slice paths; the query cache counts the
+        search, and ``solve_seconds`` is the caller's concern
+        (``check_assumptions`` times the whole cache interaction instead).
         """
         self._feed_clauses()
         conflicts_before = self._sat.conflicts
         decisions_before = self._sat.decisions
-        self.statistics.sat_core_calls += 1
         outcome = self._sat.solve(assumptions=literals, max_conflicts=self._max_conflicts)
         self.statistics.sat_conflicts += self._sat.conflicts - conflicts_before
         self.statistics.sat_decisions += self._sat.decisions - decisions_before

@@ -24,11 +24,14 @@ cheapest tier that can:
   :class:`repro.orchestrator.store.QueryStore` reuses the shared
   :class:`repro.orchestrator.store.Store` machinery.
 
-Slices that no tier answers go to the ``solve`` callback the caller
-provides (interval quick check + CDCL), and the result — including a
-greedily minimized unsat core for UNSAT slices — is installed in every
-tier.  ``unknown`` results (conflict-budget exhaustion) are never
-cached.
+Slices that no tier answers are tried with the interval quick check,
+and only the rest reach the ``solve`` callback the caller provides (one
+CDCL search each).  The result — including a greedily minimized unsat
+core for UNSAT slices — is installed in every tier.  ``unknown`` results
+(conflict-budget exhaustion) are never cached.  The cache is therefore
+the one place that sees every slice question and every CDCL search, and
+its :class:`QueryCacheStatistics` are the solver-work counts every
+report reads.
 
 Verdicts compose soundly because slices share no variables: SAT models
 union into a model of the whole query, and one UNSAT slice refutes it.
@@ -68,7 +71,7 @@ SAT = "sat"
 UNSAT = "unsat"
 UNKNOWN = "unknown"
 
-#: A per-slice decision procedure: terms -> (status, model-or-None).
+#: A per-slice CDCL search: terms -> (status, model-or-None).
 SolveFn = Callable[[Sequence[Term]], Tuple[str, Optional[Model]]]
 
 #: Batched-encoding hook: given every slice's term list, return one
@@ -133,7 +136,13 @@ def slice_fingerprint(terms: Sequence[Term]) -> str:
 
 @dataclass
 class QueryCacheStatistics(StatisticsMixin):
-    """Per-tier traffic counters for one :class:`QueryCache`."""
+    """Per-tier traffic counters for one :class:`QueryCache`.
+
+    The one count of solver work: reports take deltas of these across
+    the call they describe (``sat_core_calls``, ``hits`` and ``solved``
+    become a result's ``sat_core_calls``, ``qcache_hits`` and
+    ``slices_solved``).
+    """
 
     checks: int = 0
     slices: int = 0
@@ -143,13 +152,18 @@ class QueryCacheStatistics(StatisticsMixin):
     model_reuse_hits: int = 0
     l3_hits: int = 0
     l3_stores: int = 0
+    #: Slices no cache tier answered: the interval quick check decided
+    #: them, or the solve callback ran a CDCL search.
     solved: int = 0
+    #: CDCL searches the solve callback ran, one per slice the quick
+    #: check left undecided.  0 on a run the L3 tier answers in full.
+    sat_core_calls: int = 0
     unknown_results: int = 0
     minimization_tests: int = 0
 
     @property
     def hits(self) -> int:
-        """Slice questions answered without invoking the solve callback."""
+        """Slice questions the five cache tiers answered (quick check excluded)."""
         return (
             self.exact_hits
             + self.unsat_core_hits
@@ -243,7 +257,8 @@ class QueryCache:
         """Decide the conjunction of ``terms`` (simplified, interned booleans).
 
         Returns ``(status, model)``; SAT always comes with a composed
-        model.  ``solve`` is invoked once per slice no tier could answer.
+        model.  ``solve`` is invoked once per slice no tier, the quick check
+        included, could answer.
         ``make_batch`` (optional) replaces the per-slice ``solve`` with
         callbacks sharing one batched encoding; slices are still decided
         sequentially, so cache-tier traffic and the one-UNSAT-slice
@@ -352,10 +367,20 @@ class QueryCache:
 
         if trace.enabled:
             trace.event("qcache.miss", "qcache", slice_terms=len(query_slice.terms))
-        # Park a lazy fingerprint for the slow-solve log: computed only if
-        # the solve below actually crosses the threshold.
-        with slice_context(lambda: digest or slice_fingerprint(query_slice.terms)):
-            status, model = solve(query_slice.terms)
+        # The last tier: the interval quick check, cheap on a slice though
+        # useless on whole path conjunctions.
+        terms = query_slice.terms
+        quick = quick_check(terms[0] if len(terms) == 1 else mk_and(*terms))
+        if quick.status == QuickCheckResult.UNSAT:
+            status, model = UNSAT, None
+        elif quick.status == QuickCheckResult.SAT:
+            status, model = SAT, Model(quick.model)
+        else:
+            self.statistics.sat_core_calls += 1
+            # Park a lazy fingerprint for the slow-solve log: computed only
+            # if the search below actually crosses the threshold.
+            with slice_context(lambda: digest or slice_fingerprint(terms)):
+                status, model = solve(terms)
         self.statistics.solved += 1
         if status == UNKNOWN:
             # Budget artifact, not a fact about the slice: never cached.

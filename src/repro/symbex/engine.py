@@ -181,9 +181,8 @@ class SymbolicEngine:
     ) -> ElementSummary:
         """Step-1 primitive: symbex an element on a fresh symbolic packet and summarise it."""
         started = clock()
-        query_cache = self.checker.query_cache
-        qcache_hits_before = query_cache.statistics.hits
-        sat_core_before = self.checker.statistics.sat_core_calls
+        queries = self.checker.query_cache.statistics
+        sat_core_before = queries.sat_core_calls
         merged_before = self.merge_counters.paths_merged
         ites_before = self.merge_counters.ites_introduced
         rejected_before = self.merge_counters.merge_rejected
@@ -200,8 +199,6 @@ class SymbolicEngine:
         summary.paths_explored = len(states)
         summary.solver_checks = self.solver_checks
         summary.feasibility_memo_hits = self.checker.memo_hits
-        summary.sat_core_calls = self.checker.statistics.sat_core_calls - sat_core_before
-        summary.qcache_hits = query_cache.statistics.hits - qcache_hits_before
         summary.merge_mode = self.options.merge
         summary.paths_merged = self.merge_counters.paths_merged - merged_before
         summary.ites_introduced = self.merge_counters.ites_introduced - ites_before
@@ -218,7 +215,7 @@ class SymbolicEngine:
                 input_length=input_length,
                 segments=len(summary.segments),
                 paths=summary.paths_explored,
-                sat_core_calls=summary.sat_core_calls,
+                sat_core_calls=queries.sat_core_calls - sat_core_before,
                 paths_merged=summary.paths_merged,
             )
         return summary

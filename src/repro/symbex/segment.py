@@ -200,17 +200,6 @@ class ElementSummary:
     solver_checks: int = 0
     #: Feasibility queries answered from the interned-constraint-set memo.
     feasibility_memo_hits: int = 0
-    #: Times the CDCL core ran for this summary, and slice questions the
-    #: query cache answered without it.  Runtime accounting, deliberately
-    #: *not* serialized: a store-loaded summary did no solver work in the
-    #: run that loaded it, so these read 0 after a round trip.
-    sat_core_calls: int = 0
-    qcache_hits: int = 0
-    #: Set by the first verifier that folds the two counters above into a
-    #: report, so a summary shared across properties and pipelines (the
-    #: cache hands out one object) contributes its work exactly once per
-    #: process.  Not serialized, like the counters it guards.
-    work_counters_reported: bool = False
     elapsed_seconds: float = 0.0
 
     def segments_with_outcome(self, outcome: str) -> List[SegmentSummary]:

@@ -12,6 +12,7 @@ within 12 hours" data point as a ``budget exceeded`` verdict.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -78,6 +79,8 @@ class MonolithicVerifier:
             started + self.options.max_seconds if self.options.max_seconds is not None else None
         )
         engine = SymbolicEngine(self.options)
+        queries = engine.checker.query_cache.statistics
+        queries_before = dataclasses.replace(queries)
 
         terminal_paths: List[Tuple[Element, PathState, List[str]]] = []
 
@@ -143,6 +146,7 @@ class MonolithicVerifier:
             notes.append(f"did not complete within budget: {exc}")
 
         statistics.count_solver_checks(engine.solver_checks, memo_hits=engine.checker.memo_hits)
+        statistics.count_query_work(queries_before, queries)
         statistics.elapsed_seconds = clock() - started
         return VerificationResult(
             property_name=target_property.describe(),

@@ -14,6 +14,7 @@ verdict ``unknown``, unless another path already violates the property.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -95,12 +96,6 @@ class PipelineVerifier:
 
     # -- main verification entry point --------------------------------------------------------------
 
-    def _composer_work(self) -> Tuple[int, int, int]:
-        """Snapshot of the composition engine's (sat-core calls, query-cache
-        hits, slices solved) — cumulative, so callers take deltas."""
-        stats = self.composer.checker.statistics
-        return stats.sat_core_calls, stats.qcache_hits, stats.slices_solved
-
     def verify(
         self,
         target_property: Property,
@@ -123,7 +118,10 @@ class PipelineVerifier:
         # element position — so statistics for a given summary object must be
         # merged exactly once, or the reported work inflates with every revisit.
         counted_summaries: Set[int] = set()
-        core_before, qcache_before, slices_before = self._composer_work()
+        # Step 1 and Step 2 share one query cache, so its delta over this
+        # call is all the solver work the call did, each search counted once.
+        queries = self.cache.query_cache.statistics
+        queries_before = dataclasses.replace(queries)
         undecided_before = len(self.composer.undecided)
 
         try:
@@ -148,13 +146,6 @@ class PipelineVerifier:
                         statistics.paths_merged += summary.paths_merged
                         statistics.ites_introduced += summary.ites_introduced
                         statistics.merge_rejected += summary.merge_rejected
-                        if not summary.work_counters_reported:
-                            # Once per process, not per property/pipeline:
-                            # the CDCL searches happened once, and fleet
-                            # reports sum these per-result counters.
-                            summary.work_counters_reported = True
-                            statistics.sat_core_calls += summary.sat_core_calls
-                            statistics.qcache_hits += summary.qcache_hits
                     for segment in summary.segments:
                         if target_property.is_suspect(element.name, segment):
                             suspects.append((element, length, segment))
@@ -211,10 +202,7 @@ class PipelineVerifier:
         statistics.count_solver_checks(
             self.composer.solver_checks, memo_hits=self.composer.checker.memo_hits
         )
-        core_after, qcache_after, slices_after = self._composer_work()
-        statistics.sat_core_calls += core_after - core_before
-        statistics.qcache_hits += qcache_after - qcache_before
-        statistics.slices_solved += slices_after - slices_before
+        statistics.count_query_work(queries_before, queries)
         statistics.summary_cache_hits = self.cache.statistics.hits
         statistics.elapsed_seconds = clock() - started
         trace = tracer()
@@ -255,21 +243,30 @@ class PipelineVerifier:
         without re-executing anything.  When ``find_witness`` is set, the
         arg-max chain of segments is composed and solved to produce the
         packet that attains the bound (the paper reports both the ~3600
-        instruction bound and the packet that yields it).
+        instruction bound and the packet that yields it).  An element that
+        blows its symbolic-execution budget leaves no bound: the result
+        reports ``bound=None`` with ``budget_exceeded`` set, as
+        :meth:`verify` reports ``unknown``.
         """
         started = clock()
         statistics = VerificationStatistics()
-        core_before, qcache_before, slices_before = self._composer_work()
+        queries = self.cache.query_cache.statistics
+        queries_before = dataclasses.replace(queries)
         best_total = 0
         best_chain: Optional[List[Tuple[Element, SegmentSummary]]] = None
         best_length = 0
 
-        for input_length in input_lengths:
-            total, chain = self._max_instructions(self.entry, input_length, {})
-            if total > best_total:
-                best_total = total
-                best_chain = chain
-                best_length = input_length
+        try:
+            for input_length in input_lengths:
+                total, chain = self._max_instructions(self.entry, input_length, {})
+                if total > best_total:
+                    best_total = total
+                    best_chain = chain
+                    best_length = input_length
+        except PathExplosionError:
+            statistics.budget_exceeded = True
+            best_chain = None
+        bound = None if statistics.budget_exceeded else best_total
 
         witness_packet: Optional[bytes] = None
         witness_instructions: Optional[int] = None
@@ -286,10 +283,7 @@ class PipelineVerifier:
         statistics.count_solver_checks(
             self.composer.solver_checks, memo_hits=self.composer.checker.memo_hits
         )
-        core_after, qcache_after, slices_after = self._composer_work()
-        statistics.sat_core_calls += core_after - core_before
-        statistics.qcache_hits += qcache_after - qcache_before
-        statistics.slices_solved += slices_after - slices_before
+        statistics.count_query_work(queries_before, queries)
         statistics.summary_cache_hits = self.cache.statistics.hits
         statistics.elapsed_seconds = clock() - started
         trace = tracer()
@@ -300,12 +294,12 @@ class PipelineVerifier:
                 started,
                 started + statistics.elapsed_seconds,
                 pipeline=self.pipeline.name,
-                bound=best_total,
+                bound=bound,
             )
         return InstructionBoundResult(
             pipeline_name=self.pipeline.name,
             input_lengths=tuple(input_lengths),
-            bound=best_total,
+            bound=bound,
             witness_packet=witness_packet,
             witness_instructions=witness_instructions,
             witness_confirmed=witness_confirmed,

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..obs.stats import StatisticsMixin
+from ..smt.qcache import QueryCacheStatistics
 
 
 class Verdict:
@@ -91,14 +92,13 @@ class VerificationStatistics(StatisticsMixin):
     composed_paths_feasible: int = 0
     solver_checks: int = 0
     feasibility_memo_hits: int = 0
-    #: Times the CDCL core actually searched during this run (slice-level;
-    #: quick-check and query-cache answers excluded).  0 on a warm run
-    #: backed by the persistent L3 query cache.
+    #: Solver work: CDCL searches (0 on a warm run backed by the
+    #: persistent L3 query cache), slice questions the cache tiers
+    #: answered, and slices no cache tier answered.  Each is a delta of
+    #: the query cache the run went through (:meth:`count_query_work`),
+    #: so it includes the Step-1 work done during the run.
     sat_core_calls: int = 0
-    #: Slice questions the query-optimization layer answered from its
-    #: tiers (exact, unsat-core subset, SAT superset, model reuse, L3).
     qcache_hits: int = 0
-    #: Slice sub-queries that reached a solving core at all.
     slices_solved: int = 0
     #: Step-1 path statistics: states that reached a terminal outcome plus
     #: the merge pass's work (pairs collapsed into ite-lifted states, ite
@@ -123,6 +123,14 @@ class VerificationStatistics(StatisticsMixin):
         """Add ``checks`` solver questions, ``memo_hits`` of them memo answers."""
         self.solver_checks += checks
         self.feasibility_memo_hits += memo_hits
+
+    def count_query_work(
+        self, before: QueryCacheStatistics, after: QueryCacheStatistics
+    ) -> None:
+        """Add the solver work a query cache counted between two snapshots."""
+        self.sat_core_calls += after.sat_core_calls - before.sat_core_calls
+        self.qcache_hits += after.hits - before.hits
+        self.slices_solved += after.solved - before.solved
 
 
 @dataclass
@@ -210,7 +218,9 @@ class InstructionBoundResult:
 
     pipeline_name: str
     input_lengths: Tuple[int, ...]
-    bound: int
+    #: ``None`` when Step 1 blew its budget (``statistics.budget_exceeded``):
+    #: no bound was found, and there is no witness.
+    bound: Optional[int]
     witness_packet: Optional[bytes] = None
     witness_instructions: Optional[int] = None
     witness_confirmed: Optional[bool] = None
@@ -218,9 +228,10 @@ class InstructionBoundResult:
     statistics: VerificationStatistics = field(default_factory=VerificationStatistics)
 
     def summary(self) -> str:
+        bound = "none found (budget exceeded)" if self.bound is None else self.bound
         lines = [
             f"pipeline            : {self.pipeline_name}",
-            f"instruction bound   : {self.bound}",
+            f"instruction bound   : {bound}",
             f"witness instructions: {self.witness_instructions}",
             f"witness confirmed   : {self.witness_confirmed}",
         ]

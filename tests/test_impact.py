@@ -319,6 +319,22 @@ class TestDeltaRecertification:
         )
         assert second.statistics.verdicts_reused == 0  # retried, not pinned
 
+    def test_unfound_instruction_bounds_are_never_stored(self, tmp_path):
+        from repro.workloads import synthetic_pipeline
+
+        verdict_store = VerdictStore(tmp_path / "verdicts")
+        starved = SymbexOptions(max_paths=4, merge="off")
+        # No property to turn unknown: only the instruction bound sees the
+        # blown budget, and a bound it could not find is no record either.
+        report = certify_fleet(
+            [synthetic_pipeline(4, 3, name="boom")], [], input_lengths=(12,),
+            options=starved, instruction_bounds=True, verdict_store=verdict_store,
+        )
+        bound = report.certifications[0].instruction_bound
+        assert bound.bound is None and bound.statistics.budget_exceeded
+        assert "none found" in bound.summary()
+        assert len(verdict_store) == 0
+
     def test_violated_verdicts_round_trip_with_counterexamples(self, tmp_path):
         from repro.dataplane.elements import IPOptions
         from repro.dataplane.pipeline import Pipeline

@@ -1,10 +1,10 @@
-"""The observability layer: span tracing, metrics, unified statistics.
+"""The observability layer: span tracing, unified statistics.
 
 Covers the :mod:`repro.obs` package itself (tracer semantics, export
-round-trips, the statistics mixin, the slow-solve log, the metrics
-registry) and its integration with the certification stack: SAT-core
-solve spans, fork-worker span shipping, traced fleet certification, the
-persisted query-store metrics, and the CLI surfaces (``certify --trace``,
+round-trips, the statistics mixin, the slow-solve log) and its
+integration with the certification stack: SAT-core solve spans,
+fork-worker span shipping, traced fleet certification, the persisted
+query-store metrics, and the CLI surfaces (``certify --trace``,
 ``trace summary``, ``store stats``).
 """
 
@@ -16,8 +16,6 @@ import os
 
 import pytest
 
-from repro.obs import metrics as obs_metrics
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.slowlog import (
     sat_observer,
     set_slow_threshold_ms,
@@ -170,31 +168,6 @@ class TestExport:
         assert summary["elements"] == {"e0": pytest.approx(0.5)}
 
 
-class TestMetricsRegistry:
-    def test_instruments_get_or_create(self):
-        registry = MetricsRegistry()
-        registry.counter("solves").inc()
-        registry.counter("solves").inc(2)
-        registry.gauge("depth").set(7)
-        registry.histogram("latency").observe(0.005)
-        assert registry.counter("solves").value == 3
-        document = registry.to_dict()
-        assert list(document) == ["depth", "latency", "solves"]  # name-sorted
-        assert document["solves"] == {"type": "counter", "value": 3}
-        assert document["latency"]["count"] == 1
-        assert document["latency"]["buckets"]["0.01"] == 1
-
-    def test_counters_never_decrease_and_kinds_never_mix(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError):
-            registry.counter("c").inc(-1)
-        with pytest.raises(TypeError):
-            registry.gauge("c")
-
-    def test_process_registry_is_a_singleton(self):
-        assert obs_metrics() is obs_metrics()
-
-
 def _all_statistics_classes():
     from repro.dataplane.driver import DriverStatistics
     from repro.orchestrator.fleet import FleetStatistics
@@ -290,14 +263,6 @@ class TestStatisticsMixin:
         fleet = FleetStatistics(pipelines=2, workers=4)
         fleet.merge(FleetStatistics(pipelines=3, workers=2))
         assert fleet.pipelines == 5 and fleet.workers == 4
-
-    def test_publish_pushes_scalar_gauges(self):
-        from repro.smt.qcache import QueryCacheStatistics
-
-        registry = MetricsRegistry()
-        QueryCacheStatistics(checks=9, exact_hits=4).publish("qcache", registry)
-        assert registry.gauge("qcache.checks").value == 9
-        assert registry.gauge("qcache.exact_hits").value == 4
 
 
 class TestSlowSolveLog:
@@ -426,7 +391,7 @@ class TestWorkerShipping:
         from repro.workloads import fleet_catalog
 
         element = fleet_catalog(1)[0].elements[0]
-        status, _text, _entries, _work, extras = _summarize_worker(
+        status, _text, _entries, extras = _summarize_worker(
             (element, 24, SymbexOptions(), None)
         )
         assert status == "computed"
@@ -520,20 +485,45 @@ class TestQueryStoreMetrics:
         assert store.load_metrics() == totals
 
     def test_certify_fleet_persists_tier_counters(self, tmp_path):
+        """The persisted tier counters and the report's solver work have
+        one owner, the run's query caches — also when an element blows
+        its budget and leaves no summary behind."""
         from repro.orchestrator import certify_fleet
         from repro.orchestrator.store import QueryStore
+        from repro.symbex.engine import SymbexOptions
         from repro.verify import CrashFreedom
-        from repro.workloads import fleet_catalog
+        from repro.workloads import fleet_catalog, synthetic_pipeline
 
-        certify_fleet(
-            fleet_catalog(2),
-            [CrashFreedom()],
-            input_lengths=(24,),
-            query_store=str(tmp_path),
+        tiers = (
+            "exact_hits", "unsat_core_hits", "superset_sat_hits", "model_reuse_hits", "l3_hits"
         )
-        metrics = QueryStore(tmp_path).load_metrics()
-        assert metrics["runs"] == 1
-        assert metrics["slices"] > 0 and metrics["checks"] > 0
+        inputs = {
+            # The interval quick check decides one of this catalog's slices,
+            # so its cache counts more slices solved than CDCL searches.
+            "fleet": (fleet_catalog(3), (24,), SymbexOptions()),
+            "exploded": (
+                [synthetic_pipeline(4, 3)], (12,), SymbexOptions(max_paths=4, merge="off")
+            ),
+        }
+        for name, (catalog, lengths, options) in inputs.items():
+            report = certify_fleet(
+                catalog,
+                [CrashFreedom()],
+                input_lengths=lengths,
+                options=options,
+                query_store=str(tmp_path / name),
+            )
+            metrics = QueryStore(tmp_path / name).load_metrics()
+            assert metrics["runs"] == 1
+            assert metrics["slices"] > 0 and metrics["checks"] > 0
+            assert metrics["sat_core_calls"] == report.statistics.sat_core_calls, name
+            assert sum(metrics[tier] for tier in tiers) == report.statistics.qcache_hits > 0, name
+            # On one worker every search runs inside some verify call, so
+            # the results' query-cache deltas partition the run's count.
+            results = [r.statistics for c in report.certifications for r in c.results]
+            assert sum(r.sat_core_calls for r in results) == report.statistics.sat_core_calls
+            assert sum(r.qcache_hits for r in results) == report.statistics.qcache_hits
+        assert report.verdicts()[0][2] == "unknown"  # the budget really blew
 
     def test_store_io_uses_monotonic_clock(self, tmp_path):
         from repro.orchestrator.store import QueryStore

@@ -135,6 +135,20 @@ class TestQueryCacheTiers:
         assert _solved(cache) == solved
         assert cache.statistics.superset_sat_hits >= 1
 
+    def test_quick_check_is_the_last_tier(self):
+        """Interval-decidable slices no cache tier answers are solved by the
+        quick check: counted in ``solved``, never a CDCL search."""
+        x = BitVec("x", 8)
+        cache = QueryCache()
+        checker = AssumptionChecker(query_cache=cache)
+        # Neither canned probe (x=0, x=255) satisfies either query.
+        assert checker.check([ULT(x, 3), UGT(x, 10)])[0] == CheckResult.UNSAT
+        status, model = checker.check([UGT(x, 3), ULT(x, 10)], need_model=True)
+        assert status == CheckResult.SAT and 3 < int(model["x"]) < 10
+        stats = cache.statistics
+        assert (stats.solved, stats.sat_core_calls, stats.hits) == (2, 0, 0)
+        assert checker.statistics.encode_passes == 0  # the core never saw them
+
     def test_shortcut_verdicts_match_scratch(self):
         """Random growing/shrinking uid-overlapping queries: every cache
         answer equals a from-scratch solve of the same conjunction."""
@@ -458,41 +472,43 @@ class TestEngineAndFleetWiring:
         assert warm_entries == []
 
     def test_parallel_summarize_jobs_preserve_work_counters(self, tmp_path):
-        """The scheduler adds up the solver work each worker reports with a
-        computed summary (serialization drops the counters), matching
-        serial engines, and leaves the decoded summaries untouched."""
+        """The query-cache counters the Step-1 tasks ship back, folded by
+        the scheduler, equal the query-cache totals of serial engines: the
+        caches that did the work are the only count of it."""
         from repro.orchestrator import SummaryStore, run_scheduled
         from repro.orchestrator.workers import job_digest
+        from repro.smt.qcache import QueryCacheStatistics
         from repro.symbex.engine import SymbexOptions, SymbolicEngine
-        from repro.verify import CrashFreedom
         from repro.workloads import fleet_catalog
+
+        def work(stats):
+            return stats.sat_core_calls, stats.hits, stats.solved
 
         pipeline = fleet_catalog(1)[0]
         options = SymbexOptions()
+        qstats = QueryCacheStatistics()
+        # No properties: the Step-2 task asks the solver nothing, so all
+        # the run folds into ``qstats`` comes from the Step-1 tasks.
         run = run_scheduled(
-            [pipeline], [CrashFreedom()], (24,), options,
-            workers=2, store=SummaryStore(tmp_path),
+            [pipeline], [], (24,), options,
+            workers=2, store=SummaryStore(tmp_path), qstats=qstats,
         )
         assert run.computed == len(run.summaries) == len(pipeline.elements)
         assert set(run.summaries) == {
             job_digest(element, 24, options) for element in pipeline.elements
         }
-        serial_work = [0, 0]
+        serial = QueryCacheStatistics()
         for element in pipeline.elements:
-            serial = SymbolicEngine(options).summarize_element(
+            engine = SymbolicEngine(options)
+            engine.summarize_element(
                 element.program, 24,
                 tables=element.state.tables(),
                 element_name=element.name,
                 configuration_key=element.configuration_key(),
             )
-            serial_work[0] += serial.sat_core_calls
-            serial_work[1] += serial.qcache_hits
-        assert [run.sat_core_calls, run.qcache_hits] == serial_work
-        assert run.sat_core_calls > 0
-        assert all(
-            summary.sat_core_calls == summary.qcache_hits == 0
-            for summary in run.summaries.values()
-        )
+            serial.merge(engine.checker.query_cache.statistics)
+        assert work(qstats) == work(serial)
+        assert qstats.sat_core_calls > 0
 
     def test_workers_clamped_to_cpu_count(self):
         import os

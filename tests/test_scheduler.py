@@ -59,7 +59,7 @@ def _serial_summaries(pipelines, lengths, options):
         if not jobs:
             break
         for digest, element, length in jobs:
-            status, text, _e, _w, _x = _summarize_worker((element, length, options, None))
+            status, text, _e, _x = _summarize_worker((element, length, options, None))
             assert status == "computed"
             graph.resolve(digest, loads_summary(text))
     return graph
@@ -179,20 +179,31 @@ class TestScheduledRun:
         )
         assert _packets(scheduled) == _packets(serial)
 
-    def test_budget_explosion_degrades_identically(self, four_cpus, tmp_path):
+    @pytest.mark.parametrize("instruction_bounds", [False, True])
+    def test_budget_explosion_degrades_identically(
+        self, four_cpus, tmp_path, instruction_bounds
+    ):
         # merge=off so merging cannot rescue the starved budget.
         options = SymbexOptions(max_paths=4, merge="off")  # starves Step-1
         serial = certify_fleet(
             [synthetic_pipeline(4, 3, name="boom")], [CrashFreedom()],
-            input_lengths=(12,), options=options,
+            input_lengths=(12,), options=options, instruction_bounds=instruction_bounds,
         )
         scheduled = certify_fleet(
             [synthetic_pipeline(4, 3, name="boom")], [CrashFreedom()],
             input_lengths=(12,), workers=2, store=SummaryStore(tmp_path),
-            options=options,
+            options=options, instruction_bounds=instruction_bounds,
         )
         assert scheduled.verdicts() == serial.verdicts()
         assert scheduled.verdicts()[0][2] == "unknown"
+        for report in (serial, scheduled):
+            bound = report.certifications[0].instruction_bound
+            if instruction_bounds:
+                # The blown budget leaves no bound (and no witness), not an error.
+                assert bound.bound is None and bound.witness_packet is None
+                assert bound.statistics.budget_exceeded
+            else:
+                assert bound is None
 
     def test_warm_store_serves_whole_run(self, four_cpus, tmp_path):
         store = SummaryStore(tmp_path)
@@ -352,16 +363,6 @@ class TestSchedulerDirect:
             (s.name, s.args.get("element")) for s in serial_spans if s.category == "symbex"
         )
         assert symbex == serial_symbex
-
-    def test_queue_and_idle_gauges_published(self, tmp_path):
-        from repro.obs.metrics import metrics
-
-        run = self._run(store_scale_catalog(3), SummaryStore(tmp_path))
-        registry = metrics()
-        assert registry.gauge("scheduler.queue_depth").value == 0
-        assert registry.gauge("scheduler.worker_idle_ms").value == pytest.approx(
-            run.statistics.worker_idle_seconds * 1000.0
-        )
 
 
 def _crash_if_marked(store_root):

@@ -98,7 +98,7 @@ class TestSolverContextScoping:
         encoded_once = context.statistics.terms_encoded
         other = Not(Eq(x, BitVecVal(int(context.model()["x"]), 8)))
         assert context.check_assumptions(product, other) == CheckResult.SAT
-        assert context.statistics.sat_core_calls == 2
+        assert context.query_cache.statistics.sat_core_calls == 2
         assert context.statistics.terms_encoded == encoded_once + 1
         assert context.statistics.literals_reused >= 1
 

@@ -264,6 +264,31 @@ class TestMonolithicBaseline:
         assert monolithic.violated
         assert monolithic.counterexamples[0].packet[0] >= 0x80
 
+    def test_reports_the_solver_work_it_did(self, monkeypatch):
+        """The baseline's solver-work counters are its engine's query-cache
+        delta: one ``sat_core_calls`` per search the CDCL core really ran."""
+        from repro.smt.satcore import ArraySolver
+        from repro.workloads import fleet_catalog
+
+        searches = []
+        solve = ArraySolver.solve
+
+        def counted(self, *args, **kwargs):
+            searches.append(self)
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(ArraySolver, "solve", counted)
+        work = {}
+        for pipeline in fleet_catalog(4):
+            searches.clear()
+            statistics = MonolithicVerifier(pipeline).verify(
+                CrashFreedom(), input_length=INPUT_LENGTH
+            ).statistics
+            assert statistics.sat_core_calls == len(searches), pipeline.name
+            assert statistics.slices_solved >= statistics.sat_core_calls
+            work[pipeline.name] = statistics.sat_core_calls
+        assert work["fleet-2-router-4"] > 0
+
 
 class TestSolverBudget:
     """A spent conflict budget yields ``unknown``, never ``proved``."""
