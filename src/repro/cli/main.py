@@ -33,7 +33,6 @@ from ..orchestrator import (
     SummaryStore,
     VerdictStore,
     diff_manifests,
-    migrate_store,
     recertify,
 )
 from ..obs.trace import Tracer, load_trace, summarize_spans
@@ -137,11 +136,10 @@ def _build_parser() -> _Parser:
         help="per-element symbolic path budget (blown budgets yield verdict 'unknown')",
     )
     certify.add_argument(
-        "--merge", choices=("off", "conservative", "aggressive"), default=None,
+        "--merge", choices=("off", "conservative"), default=None,
         metavar="MODE",
         help="path merging at branch joins: conservative (ite-lift sibling states "
-             "within the ite budget, default), aggressive (also merge matching "
-             "terminated states, no budget), or off (fork everything; the "
+             "within the ite budget, default) or off (fork everything; the "
              "differential-testing reference)",
     )
     certify.add_argument("--max-counterexamples", type=int, default=3, metavar="N")
@@ -207,10 +205,7 @@ def _build_parser() -> _Parser:
     store = commands.add_parser("store", help="maintain the on-disk store tiers")
     store_commands = store.add_subparsers(dest="store_command", required=True)
     for verb, text in (("gc", "sweep debris and optionally evict old entries"),
-                       ("stats", "print entry counts and sizes"),
-                       ("migrate", "migrate store roots to the current SQLite schema "
-                                   "(legacy JSON layout -> SQLite, or v(N) -> v(N+1) "
-                                   "in place)")):
+                       ("stats", "print entry counts and sizes")):
         sub = store_commands.add_parser(verb, help=text)
         sub.add_argument("--store", metavar="DIR", help="summary store directory")
         sub.add_argument("--verdict-store", metavar="DIR", help="verdict store directory")
@@ -318,6 +313,10 @@ def _run_certify(args: argparse.Namespace) -> int:
                 + ", ".join(f"{r.property_name}={r.verdict}" for r in certification.results)
                 + f" ({certification.provenance})" + causes
             )
+            bound = certification.instruction_bound
+            if bound is not None:
+                found = "unknown (budget exceeded)" if bound.bound is None else bound.bound
+                print(f"    instruction bound: {found}")
     return exit_code
 
 
@@ -438,34 +437,7 @@ def _query_tier_rates(metrics: dict) -> dict:
     return rates
 
 
-def _run_store_migrate(args: argparse.Namespace) -> int:
-    """``store migrate``: bring each named root to the current SQLite schema.
-
-    Works on the raw roots (not opened :class:`Store` objects — opening
-    an outdated SQLite store is exactly the loud error that sends people
-    here).  Unknown *future* schema versions refuse with
-    :data:`EXIT_USAGE` via :class:`StoreError`.
-    """
-    roots = [("summary", args.store, "summary store"),
-             ("verdict", args.verdict_store, "verdict store"),
-             ("query", args.query_store, "query store")]
-    roots = [(label, root, kind) for label, root, kind in roots if root]
-    if not roots:
-        raise _UsageError("pass --store, --verdict-store and/or --query-store")
-    document: dict = {"command": "store migrate", "stores": {}}
-    for label, root, kind in roots:
-        result = migrate_store(root, kind=kind)
-        document["stores"][label] = dataclasses.asdict(result)
-        if not args.json:
-            print(f"{label} store {result.root}: {result.summary()}")
-    if args.json:
-        print(json.dumps(document, indent=2))
-    return EXIT_OK
-
-
 def _run_store(args: argparse.Namespace) -> int:
-    if args.store_command == "migrate":
-        return _run_store_migrate(args)
     stores = _open_stores(args)
     document: dict = {"command": f"store {args.store_command}", "stores": {}}
     for label, store in stores:

@@ -1,13 +1,19 @@
 """``repro.orchestrator`` — fleet-scale verification on top of the two-step verifier.
 
-The sixth architectural layer: stable DAG serialization for hash-consed
-summaries (:mod:`serialize`), content-addressed on-disk stores shared
-across processes and runs (:mod:`store` for Step-1 summaries,
-:mod:`verdicts` for whole per-pipeline certification records),
-the persistent worker pool that runs wide fleets (:mod:`scheduler`, with
-task bodies in :mod:`workers`), the batch certification API
-(:mod:`fleet`), and the change-impact engine that makes
-re-certification proportional to a configuration diff (:mod:`impact`).
+The sixth architectural layer:
+
+* stable DAG serialization for hash-consed summaries (:mod:`serialize`);
+* content-addressed on-disk stores shared across processes and runs.
+  Every tier is a subclass of :class:`Store`, which keeps one SQLite
+  database per root (:mod:`store`; :mod:`backends` keeps each process's
+  shared connections).  The tiers hold Step-1 summaries and solver-query
+  answers (:mod:`store`), per-pipeline certification records
+  (:mod:`verdicts`) and the scheduler's risk history (:mod:`risk`);
+* the persistent worker pool that runs wide fleets (:mod:`scheduler`,
+  with task bodies in :mod:`workers`);
+* the batch certification API (:mod:`fleet`);
+* the change-impact engine that makes re-certification proportional to
+  a configuration diff (:mod:`impact`).
 
 Typical usage::
 
@@ -22,14 +28,6 @@ Typical usage::
     print(report.summary())   # unchanged pipelines: delta-reused, zero work
 """
 
-from .backends import (
-    SQLITE_FILENAME,
-    STORE_SCHEMA_VERSION,
-    MigrationResult,
-    SqliteBackend,
-    holds_json_layout,
-    migrate_store,
-)
 from .errors import OrchestratorError, SerializationError, StoreError
 from .fleet import (
     DELTA_REUSED,
@@ -70,6 +68,8 @@ from .serialize import (
     summary_to_payload,
 )
 from .store import (
+    SQLITE_FILENAME,
+    STORE_SCHEMA_VERSION,
     GcResult,
     QueryStore,
     Store,
@@ -101,7 +101,6 @@ __all__ = [
     "FleetStatistics",
     "GcResult",
     "JobGraph",
-    "MigrationResult",
     "OrchestratorError",
     "PersistentPool",
     "PipelineCertification",
@@ -114,7 +113,6 @@ __all__ = [
     "ScheduledRun",
     "SchedulerStatistics",
     "SerializationError",
-    "SqliteBackend",
     "Store",
     "StoreError",
     "StoreStatistics",
@@ -130,9 +128,7 @@ __all__ = [
     "dumps_summary",
     "element_slots",
     "encode_terms",
-    "holds_json_layout",
     "loads_summary",
-    "migrate_store",
     "pipeline_ranks",
     "program_fingerprint",
     "property_fingerprint",

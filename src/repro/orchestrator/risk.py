@@ -9,8 +9,8 @@ troublesome — pipelines reach a verdict.  The fleet scheduler
 (:mod:`repro.orchestrator.scheduler`) answers it by ranking the catalog
 with the history this module persists, whenever one is given.
 
-The history rides the existing :class:`~repro.orchestrator.store.Store`
-facade (same database, same quarantine/gc semantics): one entry per
+The history is one more :class:`~repro.orchestrator.store.Store` tier
+(same database, same decode-or-quarantine path and gc): one entry per
 pipeline *name*, keyed by a versioned digest of the name, holding how
 often its fingerprint changed between observed runs (churn), how many
 property violations it has produced, and how many runs observed it.
@@ -85,6 +85,13 @@ class RiskProfile:
         )
 
 
+def _profile_from_text(digest: str, text: str) -> RiskProfile:
+    payload = json.loads(text)
+    if payload.get("version") != RISK_VERSION:
+        raise ValueError(f"unsupported risk version {payload.get('version')!r}")
+    return RiskProfile.from_dict(payload["profile"])
+
+
 class RiskStore(Store):
     """Content-addressed persistence for per-pipeline risk profiles."""
 
@@ -93,19 +100,8 @@ class RiskStore(Store):
     def load_profiles(self, names: Sequence[str]) -> Dict[str, RiskProfile]:
         """Bulk-load profiles by pipeline name; absent names are omitted."""
         keys = {risk_key(name): name for name in names}
-        profiles: Dict[str, RiskProfile] = {}
-        for digest, text in self.read_entries(list(keys)).items():
-            try:
-                payload = json.loads(text)
-                if payload.get("version") != RISK_VERSION:
-                    raise ValueError(f"unsupported risk version {payload.get('version')!r}")
-                profiles[keys[digest]] = RiskProfile.from_dict(payload["profile"])
-            except Exception:
-                self.quarantine_entry(digest)
-                self.statistics.misses += 1
-                continue
-            self.statistics.hits += 1
-        return profiles
+        loaded = self._load_many(list(keys), _profile_from_text)
+        return {keys[digest]: profile for digest, profile in loaded.items()}
 
     def save_profile(self, name: str, profile: RiskProfile) -> None:
         payload = {"version": RISK_VERSION, "name": name, "profile": profile.to_dict()}

@@ -13,17 +13,31 @@ contents of its static tables (in concrete static-table mode, where they
 are baked into the summary terms), the input packet length, the
 static-table mode, and the serialization format version.
 
-:class:`Store` is the façade every tier shares: digest-keyed entries, a
-statistics block, corrupt-entry quarantine, garbage collection.  The
-bytes live in one batched SQLite database per store root
-(:mod:`repro.orchestrator.backends`: WAL journal, sharded worker writes,
-merge-on-join, one main connection per root and process).
+:class:`Store` is the one class behind every tier.  It keeps
+``digest -> text`` entries plus cumulative metrics in one SQLite
+database per root, ``<root>/store.sqlite``: WAL journal, writes buffered
+and flushed as ``INSERT OR REPLACE`` batches, lock contention absorbed
+by a busy timeout plus a jittered-backoff retry.  Worker processes never
+write the main database: a *shard view* reads the main file and appends
+to a private ``shards/<tag>.sqlite``, which the parent bulk-merges
+(``ATTACH`` + ``INSERT OR REPLACE ... SELECT``) as each task's result
+arrives.  A process shares one main connection per database file
+between every store it opens on that root
+(:mod:`repro.orchestrator.backends`).  Every tier decodes entry text
+through one path, :meth:`Store._decode`: an entry that does not decode
+is deleted and read as a miss.
 
-:class:`SummaryStore` specializes the façade for element summaries
+The schema is versioned in the database itself.  A database this code
+cannot read (a torn write, a file that is not a store, or an older
+schema) is quarantined aside and the root starts empty; a database from
+a *newer* repro is refused loudly.
+
+:class:`SummaryStore` specializes the store for element summaries
 (decoding each unchanged entry once per process), :class:`QueryStore`
-for sliced solver-query verdicts (the query cache's L3 tier), and
+for sliced solver-query verdicts (the query cache's L3 tier),
 :class:`repro.orchestrator.verdicts.VerdictStore` for per-pipeline
-verdict records.
+verdict records and :class:`repro.orchestrator.risk.RiskStore` for the
+scheduler's risk history.
 """
 
 from __future__ import annotations
@@ -31,25 +45,36 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
+import sqlite3
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from ..dataplane.element import Element
 from ..obs.stats import StatisticsMixin
-from ..obs.trace import clock
+from ..obs.trace import clock, wall_clock
 from ..dataplane.fingerprint import configuration_fingerprint, program_fingerprint
 from ..symbex.engine import StaticTableMode, SymbexOptions
 from ..symbex.segment import ElementSummary
-from .backends import GcResult, SqliteBackend, holds_json_layout, migrate_store
+from .backends import (
+    _MAX_SHARED_CONNECTIONS,
+    _SharedConnection,
+    _file_identity,
+    _inherited,
+    _shared_connections,
+)
 from .errors import StoreError
 from .serialize import FORMAT_VERSION, dumps_summary, loads_summary
 
 __all__ = [
     "GcResult",
     "QueryStore",
+    "SQLITE_FILENAME",
+    "STORE_SCHEMA_VERSION",
     "Store",
     "StoreStatistics",
     "SummaryStore",
@@ -57,6 +82,43 @@ __all__ = [
     "summaries_decoded",
     "summary_key",
 ]
+
+#: The single-file SQLite database holding every entry of a store root.
+SQLITE_FILENAME = "store.sqlite"
+
+#: Current SQLite store schema: ``entries`` rows carry a per-entry mtime
+#: (gc age horizons) and ``meta`` holds the cumulative metrics.  A
+#: database with any other version is not read (see :class:`Store`).
+STORE_SCHEMA_VERSION = 2
+
+#: Suffix given to quarantined (unreadable) databases; gc sweeps them.
+QUARANTINE_SUFFIX = ".corrupt"
+
+#: Writes buffered before an automatic flush (one INSERT OR REPLACE batch).
+DEFAULT_BATCH_SIZE = 256
+
+#: Read-touch granularity: an entry's mtime is only refreshed when it is
+#: staler than this.  Gc age horizons are measured in days, so
+#: hour-level precision loses nothing — and it keeps warm re-reads of
+#: recently-touched entries from queueing mtime UPDATEs at all, which
+#: would otherwise cost more than the reads themselves.
+_TOUCH_GRANULARITY_SECONDS = 3600.0
+
+#: Seconds SQLite itself blocks on a locked database before returning
+#: SQLITE_BUSY; the jittered retry loop sits on top of this.
+_BUSY_TIMEOUT_SECONDS = 5.0
+_BUSY_RETRIES = 6
+_BUSY_BACKOFF_SECONDS = 0.05
+
+_SCHEMA_STATEMENTS = (
+    "CREATE TABLE IF NOT EXISTS entries ("
+    " digest TEXT PRIMARY KEY,"
+    " payload TEXT NOT NULL,"
+    " mtime REAL NOT NULL)",
+    "CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT NOT NULL)",
+)
+
+T = TypeVar("T")
 
 
 def summary_key(element: Element, input_length: int, options: SymbexOptions) -> str:
@@ -94,14 +156,14 @@ class StoreStatistics(StatisticsMixin):
     ``io_seconds`` is measured with the monotonic :func:`repro.obs.clock`
     like every other duration in the repo — wall clock appears in the
     store layer only where entry mtimes force it (gc age horizons).
-    ``busy_retries`` counts SQLite lock collisions absorbed by the
-    jittered-backoff retry loop.
+    ``quarantined`` counts entries that did not decode and databases that
+    could not be read, each removed once.  ``busy_retries`` counts SQLite
+    lock collisions absorbed by the jittered-backoff retry loop.
     """
 
     hits: int = 0
     misses: int = 0
     puts: int = 0
-    corrupt_entries: int = 0
     quarantined: int = 0
     bytes_written: int = 0
     busy_retries: int = 0
@@ -112,17 +174,76 @@ class StoreStatistics(StatisticsMixin):
     io_seconds: float = 0.0
 
 
-class Store:
-    """Shared façade for the content-addressed store tiers.
+@dataclass
+class GcResult:
+    """What one store ``gc`` sweep did."""
 
-    Subclasses supply the digest computation and the payload
-    encode/decode; raw entry bytes go through ``self.backend``, a
-    :class:`~repro.orchestrator.backends.SqliteBackend`.  ``shard`` opens
-    it in its worker view — reads from the main database, writes to a
-    private ``shards/<shard>.sqlite`` (created on the first write) that
-    the parent folds in via :meth:`merge_shards`.  A root that still
-    holds the legacy JSON layout is imported into SQLite the first time
-    a store opens it (:func:`~repro.orchestrator.backends.migrate_store`).
+    removed_entries: int = 0
+    removed_debris: int = 0
+    kept_entries: int = 0
+    bytes_freed: int = 0
+
+    def summary(self) -> str:
+        return (
+            f"removed {self.removed_entries} entries and {self.removed_debris} debris files "
+            f"({self.bytes_freed} bytes), kept {self.kept_entries} entries"
+        )
+
+
+def _size_of(path: Path) -> int:
+    try:
+        return path.stat().st_size
+    except OSError:  # racing removal: a concurrent writer/gc got there first
+        return 0
+
+
+def _mtime_of(path: Path) -> Optional[float]:
+    """The file's mtime, or ``None`` when it vanished under us.
+
+    Files listed by a directory scan can be unlinked by a concurrent
+    writer (or another gc) before we stat them; a vanished file is
+    nobody's bug and must never abort the sweep.
+    """
+    try:
+        return path.stat().st_mtime
+    except OSError:
+        return None
+
+
+def _fold_metrics(totals: dict, counters: dict) -> dict:
+    """Key-sum one run's numeric counters into the cumulative totals."""
+    for key, value in counters.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            continue
+        totals[key] = totals.get(key, 0) + value
+    totals["runs"] = int(totals.get("runs", 0)) + 1
+    return totals
+
+
+def _connect(path: Path) -> sqlite3.Connection:
+    connection = sqlite3.connect(str(path), timeout=_BUSY_TIMEOUT_SECONDS, isolation_level=None)
+    connection.execute("PRAGMA journal_mode=WAL")
+    connection.execute("PRAGMA synchronous=NORMAL")
+    return connection
+
+
+class Store:
+    """One content-addressed store tier over ``<root>/store.sqlite``.
+
+    Subclasses supply the digest computation, the payload encoding and
+    the decoder their loaders hand to :meth:`_load`; this class runs the
+    SQL.  ``shard`` opens the store in its worker view: reads come from
+    the main database, writes land in a private ``shards/<shard>.sqlite``
+    (created on the first write) that the parent folds in via
+    :meth:`merge_shards`.  The main connection is shared within the
+    process and thread (see :mod:`repro.orchestrator.backends`), the
+    shard connection is the view's own; a store inherited through
+    ``fork`` transparently reopens on first use in the child.
+
+    Internal flushes (at the batch size, and before a count, merge or
+    gc) and the finalizer call the private ``_flush`` and ``_close``:
+    perfbench's ledger wraps the public methods by name, and so charges
+    that time to the call that caused it.
     """
 
     #: Human label used in error messages ("summary store", "verdict store").
@@ -135,12 +256,184 @@ class Store:
         except OSError as exc:
             raise StoreError(f"cannot create {self.kind} at {self.root}: {exc}") from exc
         self.statistics = StoreStatistics()
-        if holds_json_layout(self.root):
-            # Written before SQLite was the only backend: import it once.
-            migrate_store(self.root, kind=self.kind)
-        self.backend = SqliteBackend(
-            self.root, kind=self.kind, statistics=self.statistics, shard=shard
-        )
+        self.shard = shard
+        self.batch_size = DEFAULT_BATCH_SIZE
+        self.path = self.root / SQLITE_FILENAME
+        self._pid = os.getpid()
+        self._pending: Dict[str, str] = {}
+        self._touched: Dict[str, float] = {}
+        self._main: Optional[_SharedConnection] = None
+        self._read_conn: Optional[sqlite3.Connection] = None
+        self._write_conn: Optional[sqlite3.Connection] = None
+        self._open()
+
+    # -- connections -----------------------------------------------------------------
+
+    def _open(self) -> None:
+        """Attach the shared main connection and check its schema.
+
+        The schema check runs on every open, reused connection or not, so
+        a database that a newer repro rewrote in between is still refused.
+        """
+        shared = _shared_connections()
+        key = str(self.path)
+        main = shared.get(key)
+        try:
+            self._read_conn = main.connection if main is not None else _connect(self.path)
+            self._validate_main()
+        except sqlite3.DatabaseError:
+            # Torn, foreign or older than this schema: quarantine the
+            # database and start fresh — the store is a cache, so the
+            # price is recomputation, never a wrong answer.
+            shared.pop(key, None)
+            main = None
+            self._quarantine_database()
+            self._read_conn = _connect(self.path)
+            self._initialize(self._read_conn)
+        if main is None:
+            # Dropping an entry drops the registry's reference only: a
+            # live store that holds the connection keeps it open.
+            main = shared[key] = _SharedConnection(self._read_conn, _file_identity(key))
+            while len(shared) > _MAX_SHARED_CONNECTIONS:
+                shared.popitem(last=False)
+        else:
+            shared.move_to_end(key)
+        self._main = main
+        # A shard view opens its shard in _writer, on its first write.
+        self._write_conn = self._read_conn if self.shard is None else None
+
+    def _writer(self) -> sqlite3.Connection:
+        """The write connection, creating a shard view's shard on first use."""
+        self._ensure_process()
+        if self._write_conn is None:
+            shard_path = self.root / "shards" / f"{self.shard}.sqlite"
+            shard_path.parent.mkdir(parents=True, exist_ok=True)
+            self._write_conn = _connect(shard_path)
+            self._initialize(self._write_conn)
+        return self._write_conn
+
+    def _initialize(self, connection: sqlite3.Connection) -> None:
+        for statement in _SCHEMA_STATEMENTS:
+            self._retry(lambda s=statement: connection.execute(s))
+        for key, value in (("schema_version", str(STORE_SCHEMA_VERSION)), ("kind", self.kind)):
+            self._retry(
+                lambda k=key, v=value: connection.execute(
+                    "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)", (k, v)
+                )
+            )
+
+    def _validate_main(self) -> None:
+        """Create a fresh schema, or check the version of an existing one.
+
+        Raises ``sqlite3.DatabaseError`` for a database to quarantine and
+        :class:`StoreError` for one to refuse.
+        """
+        assert self._read_conn is not None
+        tables = {
+            row[0]
+            for row in self._read_conn.execute(
+                "SELECT name FROM sqlite_master WHERE type='table'"
+            )
+        }
+        if not tables:
+            self._initialize(self._read_conn)
+            return
+        if "meta" not in tables or "entries" not in tables:
+            raise sqlite3.DatabaseError("not a repro store database")
+        row = self._read_conn.execute(
+            "SELECT value FROM meta WHERE key='schema_version'"
+        ).fetchone()
+        try:
+            version = int(row[0]) if row is not None else None
+        except (TypeError, ValueError):
+            version = None
+        if version is None:
+            raise sqlite3.DatabaseError("store database has no readable schema version")
+        if version > STORE_SCHEMA_VERSION:
+            # Never quarantine data from the future: refusing loudly is
+            # the only safe answer to a database a newer repro wrote.
+            raise StoreError(
+                f"{self.kind} at {self.path} has schema v{version}, newer than this "
+                f"repro's v{STORE_SCHEMA_VERSION}; refusing to open it"
+            )
+        if version < STORE_SCHEMA_VERSION:
+            raise sqlite3.DatabaseError(f"store database has older schema v{version}")
+
+    def _quarantine_database(self) -> None:
+        # Not closed: another live store may share the connection.
+        self._read_conn = None
+        target = self.path.with_name(self.path.name + QUARANTINE_SUFFIX)
+        try:
+            os.replace(self.path, target)
+        except OSError:
+            try:
+                self.path.unlink()
+            except OSError:  # pragma: no cover - racing unlink
+                pass
+        for suffix in ("-wal", "-shm"):
+            sidecar = self.path.with_name(self.path.name + suffix)
+            try:
+                sidecar.unlink()
+            except OSError:
+                pass
+        self.statistics.quarantined += 1
+
+    def _ensure_process(self) -> None:
+        """Reopen after a fork: SQLite connections must not cross processes.
+
+        The forked child drops the parent's buffered writes — the parent
+        still holds (and will flush) its own copy, and replaying them from
+        the child would at best be redundant ``INSERT OR REPLACE`` traffic.
+        """
+        if os.getpid() == self._pid:
+            return
+        self._pid = os.getpid()
+        self._pending.clear()
+        self._touched.clear()
+        _inherited.append((self._main, self._write_conn))
+        self._main = self._read_conn = self._write_conn = None
+        self._open()
+
+    def _retry(self, operation: Callable[[], T]) -> T:
+        """Run one statement, absorbing SQLITE_BUSY with jittered backoff.
+
+        The built-in busy timeout already blocks for
+        :data:`_BUSY_TIMEOUT_SECONDS`; the loop on top spreads N
+        colliding writers out instead of letting them re-stampede the
+        lock in sync.
+        """
+        attempt = 0
+        while True:
+            try:
+                return operation()
+            except sqlite3.OperationalError as exc:
+                message = str(exc).lower()
+                if "locked" not in message and "busy" not in message:
+                    raise StoreError(f"{self.kind} at {self.path}: {exc}") from exc
+                if attempt >= _BUSY_RETRIES:
+                    raise StoreError(
+                        f"{self.kind} at {self.path} is locked after "
+                        f"{attempt} retries: {exc}"
+                    ) from exc
+                self.statistics.busy_retries += 1
+                delay = _BUSY_BACKOFF_SECONDS * (2**attempt) * (0.5 + random.random())
+                time.sleep(delay)
+                attempt += 1
+
+    def _rows(self, sql: str, parameters: Sequence = ()) -> list:
+        """Every row one read returns from the main database.
+
+        Happy path first, with no retry closure: warm fleet runs are
+        read-dominated, and WAL readers essentially never block.
+        """
+        if os.getpid() != self._pid:
+            self._ensure_process()
+        connection = self._read_conn
+        assert connection is not None
+        try:
+            return connection.execute(sql, parameters).fetchall()
+        except sqlite3.OperationalError:
+            return self._retry(lambda: connection.execute(sql, parameters).fetchall())
 
     # -- raw entry I/O ---------------------------------------------------------------
 
@@ -152,90 +445,263 @@ class Store:
         read every night never loses its warm entries to eviction.
         """
         started = clock()
-        text = self.backend.read(digest)
+        text = self._pending.get(digest)
+        if text is None:
+            rows = self._rows("SELECT payload, mtime FROM entries WHERE digest=?", (digest,))
+            if rows:
+                text, mtime = rows[0]
+                self._touch(digest, mtime, wall_clock())
+                if len(self._touched) >= self.batch_size:
+                    self._flush()
         self.statistics.io_seconds += clock() - started
         if text is None:
             self.statistics.misses += 1
-            return None
         return text
 
     def read_entries(self, digests) -> dict:
         """Bulk read: present entries as ``{digest: text}``; absences count as misses.
 
-        One chunked query per 400 digests — callers holding many digests
-        (delta-mode verdict lookup) should prefer this over N
-        :meth:`read_entry` calls.
+        One chunked ``SELECT ... IN`` per 400 digests instead of N round
+        trips — a delta re-certification probes one verdict record per
+        pipeline, and fetching them hundreds at a time costs one
+        statement per chunk.
         """
         digests = list(digests)
         started = clock()
-        found = self.backend.read_many(digests)
+        found: Dict[str, str] = {}
+        remaining: List[str] = []
+        for digest in digests:
+            pending = self._pending.get(digest)
+            if pending is not None:
+                found[digest] = pending
+            else:
+                remaining.append(digest)
+        now = wall_clock()
+        # Stay well under SQLite's default 999-parameter limit per statement.
+        for start in range(0, len(remaining), 400):
+            chunk = remaining[start:start + 400]
+            marks = ",".join("?" * len(chunk))
+            for digest, payload, mtime in self._rows(
+                f"SELECT digest, payload, mtime FROM entries WHERE digest IN ({marks})", chunk
+            ):
+                found[digest] = payload
+                self._touch(digest, mtime, now)
+        if len(self._touched) >= self.batch_size:
+            self._flush()
         self.statistics.io_seconds += clock() - started
         self.statistics.misses += sum(1 for digest in digests if digest not in found)
         self.statistics.round_trips_saved += max(0, len(digests) - 1)
         return found
 
+    def _touch(self, digest: str, mtime: float, now: float) -> None:
+        # Touches batch with the writes: gc's age horizon only needs the
+        # mtime eventually, and a per-read UPDATE would turn every warm
+        # read into a write lock.  Fresh entries skip the queue entirely
+        # (see _TOUCH_GRANULARITY_SECONDS).
+        if now - mtime > _TOUCH_GRANULARITY_SECONDS:
+            self._touched[digest] = now
+
     def write_entry(self, digest: str, text: str) -> None:
         """Persist an entry (batched until the next flush)."""
         started = clock()
-        self.backend.write(digest, text)
+        if os.getpid() != self._pid:
+            self._ensure_process()
+        self._pending[digest] = text
+        self._touched.pop(digest, None)
+        if len(self._pending) >= self.batch_size:
+            self._flush()
         self.statistics.io_seconds += clock() - started
         self.statistics.puts += 1
         self.statistics.bytes_written += len(text)
 
     def quarantine_entry(self, digest: str) -> None:
-        """Delete a corrupt entry so warm runs stop re-parsing garbage.
+        """Delete an entry that does not decode, so warm runs stop re-parsing it.
 
         The garbage payload sits inside a healthy database, so there is
         nothing worth keeping aside: the digest reads as a plain miss —
         and parses nothing — from now on.
         """
-        self.backend.quarantine(digest)
-        self.statistics.corrupt_entries += 1
+        self._pending.pop(digest, None)
+        self._touched.pop(digest, None)
+        connection = self._writer()
+        self._retry(lambda: connection.execute("DELETE FROM entries WHERE digest=?", (digest,)))
         self.statistics.quarantined += 1
+
+    # -- decoding --------------------------------------------------------------------
+
+    def _decode(self, digest: str, text: str, decode: Callable[[str, str], T]) -> Optional[T]:
+        """``decode(digest, text)``, or ``None`` for an entry it cannot read.
+
+        Every tier's loaders come through here.  A half-written or
+        stale-format entry counts as a miss and is quarantined, so the
+        next warm run does not parse the same garbage again; the
+        recompute overwrites the digest with a good entry.
+        """
+        try:
+            value = decode(digest, text)
+        except Exception:
+            self.quarantine_entry(digest)
+            self.statistics.misses += 1
+            return None
+        self.statistics.hits += 1
+        return value
+
+    def _load(self, digest: str, decode: Callable[[str, str], T]) -> Optional[T]:
+        """The decoded entry, or ``None`` when it is absent or does not decode."""
+        text = self.read_entry(digest)
+        if text is None:
+            return None
+        return self._decode(digest, text, decode)
+
+    def _load_many(self, digests, decode: Callable[[str, str], T]) -> Dict[str, T]:
+        """Bulk :meth:`_load`: ``{digest: value}`` for every entry that decodes.
+
+        One chunked read instead of a round trip per entry; hits, misses
+        and quarantines are counted per entry exactly as :meth:`_load`
+        counts them.
+        """
+        values: Dict[str, T] = {}
+        for digest, text in self.read_entries(digests).items():
+            value = self._decode(digest, text, decode)
+            if value is not None:
+                values[digest] = value
+        return values
 
     # -- lifecycle -------------------------------------------------------------------
 
     def flush(self) -> None:
         """Push any buffered writes to disk."""
         started = clock()
-        self.backend.flush()
+        self._flush()
         self.statistics.io_seconds += clock() - started
+
+    def _flush(self) -> None:
+        """Push buffered writes and mtime touches in two batched statements."""
+        self._ensure_process()
+        if self._pending:
+            connection = self._writer()
+            now = wall_clock()
+            rows = [(digest, text, now) for digest, text in self._pending.items()]
+            self._retry(
+                lambda: connection.executemany(
+                    "INSERT OR REPLACE INTO entries (digest, payload, mtime) "
+                    "VALUES (?, ?, ?)",
+                    rows,
+                )
+            )
+            self._pending.clear()
+        if self._touched and self.shard is None:
+            # Touch refreshes only make sense against the main database
+            # (a shard view's reads came from main, which it must not
+            # write); shard-view touches are simply dropped.
+            connection = self._writer()
+            touches = [(mtime, digest) for digest, mtime in self._touched.items()]
+            self._retry(
+                lambda: connection.executemany(
+                    "UPDATE entries SET mtime=? WHERE digest=?", touches
+                )
+            )
+        self._touched.clear()
 
     def close(self) -> None:
         """Flush, and close a shard view's private shard.
 
         The main connection stays open for the next store this process
-        opens on the same root.
+        opens on the same root; it closes once neither the registry nor
+        a live store holds it.
         """
-        self.backend.close()
+        self._close()
+
+    def _close(self) -> None:
+        try:
+            self._flush()
+        finally:
+            if self.shard is not None and self._write_conn is not None:
+                try:
+                    self._write_conn.close()
+                except sqlite3.Error:  # pragma: no cover - already broken
+                    pass
+                self._write_conn = None
+
+    def __del__(self) -> None:  # pragma: no cover - GC-timing dependent
+        try:
+            if os.getpid() == self._pid:
+                self._close()
+        except Exception:
+            pass
 
     def merge_shards(self, only=None) -> int:
-        """Fold worker shards into the main store; returns entries merged.
+        """Fold worker shards into the main store, delete them; returns entries merged.
 
-        Without ``only``, folds every shard — which must run after the
-        worker pool has joined (no live shard writers).  With ``only`` (a
+        One ``ATTACH`` + ``INSERT OR REPLACE ... SELECT`` per shard — the
+        whole shard lands in a single statement, so merge-on-join scales
+        with the number of *workers*, not the number of entries.  Without
+        ``only``, folds every shard — which must run after the worker
+        pool has joined (no live shard writers).  With ``only`` (a
         sequence of shard tags), folds exactly those shards: the
         scheduler's incremental merge path, safe while *other* shards
         still have live writers because each task flushes and closes its
-        private shard before its result is reported.
+        private shard before its result is reported.  Missing shards — a
+        task that wrote nothing never creates its file — are skipped.
         """
+        if self.shard is not None:
+            raise StoreError("merge_shards must run on the main store, not a shard view")
         started = clock()
-        merged = self.backend.merge_shards(only=only)
+        self._flush()
+        connection = self._writer()
+        merged = 0
+        if only is None:
+            shard_paths = sorted(self.root.glob("shards/*.sqlite"))
+        else:
+            shard_paths = [
+                path
+                for tag in only
+                if (path := self.root / "shards" / f"{tag}.sqlite").exists()
+            ]
+        for shard_path in shard_paths:
+            try:
+                self._retry(
+                    lambda p=shard_path: connection.execute("ATTACH DATABASE ? AS shard", (str(p),))
+                )
+            except (StoreError, sqlite3.DatabaseError):
+                continue  # torn shard from a crashed worker: gc sweeps it
+            try:
+                cursor = self._retry(
+                    lambda: connection.execute(
+                        "INSERT OR REPLACE INTO entries "
+                        "SELECT digest, payload, mtime FROM shard.entries"
+                    )
+                )
+                merged += max(cursor.rowcount, 0)
+            except (StoreError, sqlite3.DatabaseError):
+                continue  # not a store shard: leave it for gc
+            finally:
+                self._retry(lambda: connection.execute("DETACH DATABASE shard"))
+            for suffix in ("", "-wal", "-shm"):
+                try:
+                    shard_path.with_name(shard_path.name + suffix).unlink()
+                except OSError:
+                    pass
         self.statistics.io_seconds += clock() - started
         return merged
 
     # -- maintenance -----------------------------------------------------------------
 
     def __len__(self) -> int:
-        return self.backend.count()
+        self._flush()
+        return self._rows("SELECT COUNT(*) FROM entries")[0][0]
 
     def size_bytes(self) -> int:
-        """Total bytes held by live entries (quarantine/debris excluded)."""
-        return self.backend.size_bytes()
+        """Total bytes held by live payloads (debris and index overhead excluded)."""
+        self._flush()
+        return self._rows("SELECT COALESCE(SUM(LENGTH(payload)), 0) FROM entries")[0][0]
 
     def clear(self) -> int:
         """Delete every entry; returns the number removed."""
-        return self.backend.clear()
+        removed = len(self)  # flushes first, so buffered writes count too
+        connection = self._writer()
+        self._retry(lambda: connection.execute("DELETE FROM entries"))
+        return removed
 
     def gc(self, older_than_seconds: Optional[float] = None) -> GcResult:
         """Sweep the store root.
@@ -248,22 +714,91 @@ class Store:
         cache, so eviction costs recomputation, never correctness.
         Debris unlinked by a concurrent sweep is tolerated.
         """
-        return self.backend.gc(older_than_seconds)
+        self._flush()
+        connection = self._writer()
+        result = GcResult()
+        now = wall_clock()
+        for path in self.root.glob(f"*{QUARANTINE_SUFFIX}"):
+            result.bytes_freed += _size_of(path)
+            path.unlink(missing_ok=True)
+            result.removed_debris += 1
+        # Orphaned shard databases: crashed workers whose shards were
+        # never merged.  Anything older than a minute cannot belong to a
+        # live pool (merge-on-join runs the moment the pool exits).
+        for path in self.root.glob("shards/*"):
+            mtime = _mtime_of(path)
+            if mtime is not None and now - mtime > 60:
+                result.bytes_freed += _size_of(path)
+                path.unlink(missing_ok=True)
+                result.removed_debris += 1
+        if older_than_seconds is not None:
+            horizon = now - older_than_seconds
+            freed = self._retry(
+                lambda: connection.execute(
+                    "SELECT COUNT(*), COALESCE(SUM(LENGTH(payload)), 0) "
+                    "FROM entries WHERE mtime < ?",
+                    (horizon,),
+                ).fetchone()
+            )
+            result.removed_entries = freed[0]
+            result.bytes_freed += freed[1]
+            self._retry(
+                lambda: connection.execute("DELETE FROM entries WHERE mtime < ?", (horizon,))
+            )
+        result.kept_entries = len(self)
+        if result.removed_entries:
+            # Return the space to the filesystem; safe here because gc is
+            # an explicit maintenance call, not a hot-path operation.
+            self._retry(lambda: connection.execute("VACUUM"))
+        return result
 
     # -- persisted tier metrics ------------------------------------------------------
 
     def load_metrics(self) -> dict:
         """The accumulated cross-run counters, or ``{}`` when none were recorded."""
-        return self.backend.load_metrics()
+        rows = self._rows("SELECT value FROM meta WHERE key='metrics'")
+        if not rows:
+            return {}
+        try:
+            payload = json.loads(rows[0][0])
+        except ValueError:
+            return {}
+        return payload if isinstance(payload, dict) else {}
 
     def record_metrics(self, counters: dict) -> dict:
         """Fold one run's counters into the store's cumulative totals.
 
         Numeric values key-sum into the stored ones (the totals are
-        cumulative across runs).  The fold runs inside one transaction,
-        so concurrent recorders lose no increment.
+        cumulative across runs).  The read-fold-write runs inside one
+        ``BEGIN IMMEDIATE`` transaction, so concurrent recorders
+        serialize instead of losing increments.
         """
-        return self.backend.record_metrics(counters)
+        connection = self._writer()
+
+        def _transact() -> dict:
+            connection.execute("BEGIN IMMEDIATE")
+            try:
+                row = connection.execute(
+                    "SELECT value FROM meta WHERE key='metrics'"
+                ).fetchone()
+                try:
+                    totals = json.loads(row[0]) if row is not None else {}
+                except ValueError:
+                    totals = {}
+                if not isinstance(totals, dict):
+                    totals = {}
+                totals = _fold_metrics(totals, counters)
+                connection.execute(
+                    "INSERT OR REPLACE INTO meta (key, value) VALUES ('metrics', ?)",
+                    (json.dumps(totals, sort_keys=True),),
+                )
+                connection.execute("COMMIT")
+                return totals
+            except BaseException:
+                connection.execute("ROLLBACK")
+                raise
+
+        return self._retry(_transact)
 
 
 #: How many decoded summaries a process keeps, the least recently used
@@ -359,43 +894,25 @@ class SummaryStore(Store):
     # -- keyed by digest (workers compute keys once and ship them around) -----------
 
     def load_digest(self, digest: str) -> Optional[ElementSummary]:
-        text = self.read_entry(digest)
-        if text is None:
-            return None
-        try:
-            summary = _decoded.decode(digest, text)
-        except Exception:
-            # A half-written or stale-format entry reads as a miss — and is
-            # quarantined, so the *next* warm run doesn't re-parse the same
-            # garbage; the recompute overwrites the digest with a good entry.
-            self.quarantine_entry(digest)
-            self.statistics.misses += 1
-            return None
-        self.statistics.hits += 1
-        return summary
+        return self._load(digest, _decoded.decode)
 
     def load_digests(self, digests) -> dict:
         """Bulk :meth:`load_digest`: ``{digest: summary}`` for every loadable entry.
 
-        One chunked backend query instead of a round trip per job — at
-        catalog scale the per-call overhead dominates warm discovery.
-        Hits, misses and quarantines are counted per entry exactly as the
-        one-at-a-time path counts them, so differential comparisons
-        between the loops stay exact.
+        One chunked query instead of a round trip per job — at catalog
+        scale the per-call overhead dominates warm discovery.
         """
-        summaries = {}
-        for digest, text in self.read_entries(digests).items():
-            try:
-                summaries[digest] = _decoded.decode(digest, text)
-            except Exception:
-                self.quarantine_entry(digest)
-                self.statistics.misses += 1
-                continue
-            self.statistics.hits += 1
-        return summaries
+        return self._load_many(digests, _decoded.decode)
 
     def save_digest(self, digest: str, summary: ElementSummary) -> None:
         self.write_entry(digest, dumps_summary(summary))
+
+
+def _payload_from_text(digest: str, text: str) -> dict:
+    payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("query-store entry is not an object")
+    return payload
 
 
 class QueryStore(Store):
@@ -422,23 +939,13 @@ class QueryStore(Store):
         shortcut tiers re-derived — on a warm run every slice answer is
         already on disk, and an existence probe is far cheaper than a
         rewrite."""
-        return self.backend.contains(digest)
+        if digest in self._pending:
+            return True
+        return bool(self._rows("SELECT 1 FROM entries WHERE digest=?", (digest,)))
 
     def load_payload(self, digest: str) -> Optional[dict]:
         """The stored payload dict, or ``None`` (a miss) when absent/corrupt."""
-        text = self.read_entry(digest)
-        if text is None:
-            return None
-        try:
-            payload = json.loads(text)
-            if not isinstance(payload, dict):
-                raise ValueError("query-store entry is not an object")
-        except Exception:
-            self.quarantine_entry(digest)
-            self.statistics.misses += 1
-            return None
-        self.statistics.hits += 1
-        return payload
+        return self._load(digest, _payload_from_text)
 
     def save_payload(self, digest: str, payload: dict) -> None:
         self.write_entry(digest, json.dumps(payload, sort_keys=True, separators=(",", ":")))

@@ -190,57 +190,37 @@ def verdict_key(
     return hashlib.sha256(material.encode()).hexdigest()
 
 
+def _record_from_text(digest: str, text: str) -> "PipelineCertification":
+    from .fleet import PipelineCertification  # fleet imports this module
+
+    payload = json.loads(text)
+    if payload.get("version") != RECORD_VERSION:
+        raise ValueError(f"unsupported record version {payload.get('version')!r}")
+    return PipelineCertification.from_dict(payload["certification"])
+
+
 class VerdictStore(Store):
-    """Content-addressed persistence for per-pipeline certification records."""
+    """Content-addressed persistence for per-pipeline certification records.
+
+    A record that does not decode, or was written under another
+    :data:`RECORD_VERSION`, is quarantined and read as a miss, like an
+    entry of any other tier.
+    """
 
     kind = "verdict store"
 
     def load_record(self, digest: str) -> Optional["PipelineCertification"]:
-        """Return the stored certification, or ``None`` on a miss.
-
-        Corrupt or stale-format entries are quarantined and read as
-        misses, exactly like summary-store entries.
-        """
-        from .fleet import PipelineCertification
-
-        text = self.read_entry(digest)
-        if text is None:
-            return None
-        try:
-            payload = json.loads(text)
-            if payload.get("version") != RECORD_VERSION:
-                raise ValueError(f"unsupported record version {payload.get('version')!r}")
-            certification = PipelineCertification.from_dict(payload["certification"])
-        except Exception:
-            self.quarantine_entry(digest)
-            self.statistics.misses += 1
-            return None
-        self.statistics.hits += 1
-        return certification
+        """Return the stored certification, or ``None`` on a miss."""
+        return self._load(digest, _record_from_text)
 
     def load_records(self, digests: Sequence[str]) -> dict:
         """Bulk :meth:`load_record`: ``{digest: certification}`` for every hit.
 
         One chunked query instead of one round trip per pipeline — at
         fleet scale (1,000+ records) the per-call overhead is the warm
-        run.  Statistics (hits, misses, quarantines) are counted per
-        entry exactly as the one-at-a-time path would.
+        run.
         """
-        from .fleet import PipelineCertification
-
-        records = {}
-        for digest, text in self.read_entries(digests).items():
-            try:
-                payload = json.loads(text)
-                if payload.get("version") != RECORD_VERSION:
-                    raise ValueError(f"unsupported record version {payload.get('version')!r}")
-                records[digest] = PipelineCertification.from_dict(payload["certification"])
-            except Exception:
-                self.quarantine_entry(digest)
-                self.statistics.misses += 1
-                continue
-            self.statistics.hits += 1
-        return records
+        return self._load_many(digests, _record_from_text)
 
     def save_record(self, digest: str, certification: "PipelineCertification") -> bool:
         """Persist a certification record; refuses (returns False) on ``unknown``.

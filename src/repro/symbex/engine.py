@@ -92,13 +92,12 @@ class SymbexOptions:
     #: Path-merging policy at branch joins (:mod:`repro.symbex.merge`):
     #: ``off`` never merges (the differential-testing reference),
     #: ``conservative`` (default) merges alive siblings within the ite
-    #: budget below, ``aggressive`` also merges matching terminated
-    #: states with no budget.  Merging changes summary *content* (ite
+    #: budget below.  Merging changes summary *content* (ite
     #: lifting, max-lifted instruction counts) but never verdicts, so it
     #: is part of the summary store key and not the verdict key.
     merge: str = MergeMode.CONSERVATIVE
-    #: ``conservative`` rejects a pairwise merge introducing more than
-    #: this many ite terms (solver queries would silently get harder).
+    #: A pairwise merge introducing more than this many ite terms is
+    #: rejected (solver queries would silently get harder).
     merge_max_ites: int = 64
 
 

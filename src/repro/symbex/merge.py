@@ -3,12 +3,12 @@
 Without merging the engine's path count is exponential in branch depth:
 ``k`` independent header branches produce ``2^k`` sibling paths whose
 states differ only in a handful of values.  This module collapses such
-siblings after both arms of an ``If`` complete: two states that agree on
-*control outcome* (alive/terminated the same way, same packet length,
-same register/metadata key sets, same havoc and table-write structure)
-are folded into one state by lifting every differing packet byte,
-register, metadata slot and table-write term into
-``ite(cond, then_val, else_val)`` and disjoining their path constraints.
+siblings after both arms of an ``If`` complete: two alive states that
+agree on *control outcome* (same packet length, same register/metadata
+key sets, same havoc and table-write structure) are folded into one
+state by lifting every differing packet byte, register, metadata slot
+and table-write term into ``ite(cond, then_val, else_val)`` and
+disjoining their path constraints.
 
 Soundness of the ite condition.  Two sibling paths first diverge at a
 *complementary* branch pair: the engine appends ``holds`` to one arm and
@@ -48,11 +48,8 @@ class MergeMode:
     #: terms introduced stays below the configured threshold (so solver
     #: queries don't silently get harder).  The default.
     CONSERVATIVE = "conservative"
-    #: Additionally merge terminated states that agree on their outcome
-    #: details, with no ite budget.
-    AGGRESSIVE = "aggressive"
 
-    ALL = (OFF, CONSERVATIVE, AGGRESSIVE)
+    ALL = (OFF, CONSERVATIVE)
 
 
 @dataclass
@@ -64,21 +61,15 @@ class MergeCounters:
     merge_rejected: int = 0
 
 
-def _signature(state: PathState, mode: str) -> Optional[Tuple]:
-    """Grouping key of the control outcome; ``None`` marks an unmergeable state."""
+def _signature(state: PathState) -> Optional[Tuple]:
+    """Grouping key of the control outcome; ``None`` marks an unmergeable state.
+
+    Only alive states merge: a terminated one has already produced its
+    segment.
+    """
     if state.terminated:
-        if mode != MergeMode.AGGRESSIVE:
-            return None
-        head: Tuple = (
-            "done",
-            state.outcome,
-            state.port,
-            state.crash_message,
-            state.drop_reason,
-        )
-    else:
-        head = ("alive",)
-    return head + (
+        return None
+    return (
         len(state.packet),
         tuple(sorted(state.registers)),
         tuple(sorted(state.metadata)),
@@ -136,7 +127,7 @@ def _lift(cond: Term, then_value: Term, else_value: Term) -> Term:
 
 
 def _try_merge(
-    a: PathState, b: PathState, mode: str, max_ites: int, counters: MergeCounters
+    a: PathState, b: PathState, max_ites: int, counters: MergeCounters
 ) -> Optional[PathState]:
     """Fold ``b`` into ``a`` if sound and within budget; ``None`` otherwise.
 
@@ -149,7 +140,7 @@ def _try_merge(
         return None
     prefix, cond = split
     ites = _count_ites(a, b)
-    if mode == MergeMode.CONSERVATIVE and ites > max_ites:
+    if ites > max_ites:
         counters.merge_rejected += 1
         return None
 
@@ -221,13 +212,13 @@ def merge_states(
     survivors: List[PathState] = []
     signatures: List[Optional[Tuple]] = []
     for state in states:
-        signature = _signature(state, mode)
+        signature = _signature(state)
         folded = False
         if signature is not None:
             for index, candidate in enumerate(survivors):
                 if signatures[index] != signature:
                     continue
-                merged = _try_merge(candidate, state, mode, max_ites, counters)
+                merged = _try_merge(candidate, state, max_ites, counters)
                 if merged is not None:
                     survivors[index] = merged
                     folded = True

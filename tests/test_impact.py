@@ -1,6 +1,7 @@
 """Tests for change-impact re-certification and the ``python -m repro`` CLI."""
 
 import json
+import re
 
 import pytest
 
@@ -470,6 +471,18 @@ class TestCli:
         document = json.loads(capsys.readouterr().out)
         assert document["statistics"]["verdicts_reused"] == 2
         assert all(c["provenance"] == "delta-reused" for c in document["certifications"])
+
+    def test_certify_text_output_shows_instruction_bounds(self, capsys):
+        command = ["certify", "--catalog", "fleet:2", "--lengths", "24",
+                   "--instruction-bounds"]
+        assert cli_main([*command, "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        bounds = [c["instruction_bound"]["bound"] for c in document["certifications"]]
+        assert len(bounds) == 2 and None not in bounds
+        assert cli_main(command) == 0
+        text = capsys.readouterr().out
+        shown = re.findall(r"instruction bound: (\S+)", text)
+        assert shown == [str(bound) for bound in bounds]
 
     def test_diff_exit_codes(self, capsys):
         assert cli_main(["diff", "fleet:2", "fleet:2"]) == 0

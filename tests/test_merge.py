@@ -3,8 +3,8 @@
 The merge pass is an *optimization*: under every mode the engine must
 reach the same verdicts, find the same violations, and preserve the
 partition-of-input-space invariant of segment summaries.  These tests run
-the same workloads under ``merge=off`` (the reference), ``conservative``
-(the default) and ``aggressive`` and compare outcomes — plus pin that the
+the same workloads under ``merge=off`` (the reference) and
+``conservative`` (the default) and compare outcomes — plus pin that the
 pass actually buys something (strictly fewer paths on branchy workloads).
 """
 
@@ -21,7 +21,7 @@ from repro.symbex.merge import MergeCounters, MergeMode, merge_states
 from repro.verify import CrashFreedom, verify_crash_freedom
 from repro.workloads import fleet_catalog, synthetic_branchy_element, synthetic_pipeline
 
-MODES = (MergeMode.OFF, MergeMode.CONSERVATIVE, MergeMode.AGGRESSIVE)
+MODES = (MergeMode.OFF, MergeMode.CONSERVATIVE)
 
 
 def summarize(element, length, **options):
@@ -143,27 +143,26 @@ class TestCatalogDifferential:
             for mode in MODES
         }
         reference = reports[MergeMode.OFF]
-        for mode in (MergeMode.CONSERVATIVE, MergeMode.AGGRESSIVE):
-            report = reports[mode]
-            assert report.verdicts() == reference.verdicts()
-            assert len(report.certified) == len(reference.certified)
-            assert (
-                report.statistics.counterexamples
-                == reference.statistics.counterexamples
-            )
-            # instructions merge as max() per segment, so the certified
-            # bound stays a sound upper bound — but composing per-element
-            # maxima can pair arms that never co-occur, so it may exceed
-            # the exact (merge=off) bound.  Never undershoot it.
-            for merged_cert, reference_cert in zip(
-                report.certifications, reference.certifications
-            ):
-                assert (
-                    merged_cert.instruction_bound.bound
-                    >= reference_cert.instruction_bound.bound
-                )
+        report = reports[MergeMode.CONSERVATIVE]
+        assert report.verdicts() == reference.verdicts()
+        assert len(report.certified) == len(reference.certified)
         assert (
-            reports[MergeMode.CONSERVATIVE].statistics.paths_merged > 0
+            report.statistics.counterexamples
+            == reference.statistics.counterexamples
+        )
+        # instructions merge as max() per segment, so the certified
+        # bound stays a sound upper bound — but composing per-element
+        # maxima can pair arms that never co-occur, so it may exceed
+        # the exact (merge=off) bound.  Never undershoot it.
+        for merged_cert, reference_cert in zip(
+            report.certifications, reference.certifications
+        ):
+            assert (
+                merged_cert.instruction_bound.bound
+                >= reference_cert.instruction_bound.bound
+            )
+        assert (
+            report.statistics.paths_merged > 0
         ), "the catalog has branchy elements; conservative merging must fire"
 
     def test_branchy_pipeline_counterexample_parity(self):
@@ -273,10 +272,9 @@ class TestRandomProgramDifferential:
     def test_merged_paths_never_exceed_reference(self, seed):
         element = random_element(seed)
         off, _ = summarize(element, 8, merge="off")
-        for mode in (MergeMode.CONSERVATIVE, MergeMode.AGGRESSIVE):
-            merged, _ = summarize(random_element(seed), 8, merge=mode)
-            assert len(merged.segments) <= len(off.segments)
-            assert merged.paths_explored <= off.paths_explored
+        merged, _ = summarize(random_element(seed), 8, merge="conservative")
+        assert len(merged.segments) <= len(off.segments)
+        assert merged.paths_explored <= off.paths_explored
 
 
 class TestMergeStatesUnit:

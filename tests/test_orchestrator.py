@@ -187,11 +187,11 @@ class TestSummaryStore:
         digest = store.save(element, 24, CONCRETE, _summarize(element))
         _set_row(store, digest, "{not json")
         assert store.load(element, 24, CONCRETE) is None
-        assert store.statistics.corrupt_entries == 1
+        assert store.statistics.quarantined == 1
         # Version-mismatched payloads are also treated as misses.
         _set_row(store, digest, json.dumps({"version": 999}))
         assert store.load(element, 24, CONCRETE) is None
-        assert store.statistics.corrupt_entries == 2
+        assert store.statistics.quarantined == 2
 
     def test_corrupt_entries_are_quarantined_not_reparsed(self, tmp_path):
         # A corrupt entry must not stay in place, or every warm run would
@@ -203,7 +203,6 @@ class TestSummaryStore:
         _set_row(store, digest, "{not json")
 
         assert store.load(element, 24, CONCRETE) is None
-        assert store.statistics.corrupt_entries == 1
         assert store.statistics.quarantined == 1
         assert not _has_row(store, digest)  # the garbage is gone
         assert len(store) == 0  # quarantined entries are not live entries
@@ -211,7 +210,7 @@ class TestSummaryStore:
         # The second load never touches the garbage again: a plain miss,
         # no new corruption detected.
         assert store.load(element, 24, CONCRETE) is None
-        assert store.statistics.corrupt_entries == 1
+        assert store.statistics.quarantined == 1
         assert store.statistics.misses == 2
 
         # Recomputing writes the digest again; a quarantined row leaves no

@@ -355,7 +355,7 @@ class TestQueryStoreL3:
         )
         assert status == CheckResult.SAT  # re-solved, not crashed
         assert warm.statistics.l3_hits == 0
-        assert warm.store.statistics.corrupt_entries > 0
+        assert warm.store.statistics.quarantined > 0
 
 
 class TestSolverContextRouting:

@@ -1,13 +1,13 @@
-"""Tests for the SQLite store backend behind every tier.
+"""Tests for the SQLite database behind every store tier.
 
-Every tier (summary, verdict, query) keeps its entries in one SQLite
-database per root, reached through the
-:class:`repro.orchestrator.store.Store` façade.  These tests cover the
-tier round trips, on a fresh root and on a root that still holds the
-legacy JSON layout (imported the first time a store opens it); the
-schema versioning, whole-database quarantine, worker shards and write
-batching; the explicit migrations (legacy JSON layout -> SQLite, schema
-v1 -> v2); and the main connection each process shares per root.
+Every tier (summary, verdict, query, risk) keeps its entries in one
+SQLite database per root, read and written by
+:class:`repro.orchestrator.store.Store`.  These tests cover the tier
+round trips, on a fresh root and on a root that still holds the legacy
+one-file-per-entry JSON layout (which the store does not read); the one
+decode-or-quarantine path every tier's loaders share; the schema
+versioning, whole-database quarantine, worker shards and write
+batching; and the main connection each process shares per root.
 """
 
 import gc
@@ -23,14 +23,16 @@ import pytest
 
 from repro.cli.main import EXIT_OK, main as cli_main
 from repro.orchestrator import (
+    RECORD_VERSION,
+    RISK_VERSION,
     SQLITE_FILENAME,
     STORE_SCHEMA_VERSION,
     QueryStore,
+    RiskStore,
     SummaryStore,
     VerdictStore,
     certify_fleet,
-    holds_json_layout,
-    migrate_store,
+    risk_key,
 )
 from repro.orchestrator.backends import _MAX_SHARED_CONNECTIONS, _shared_connections
 from repro.orchestrator.errors import StoreError
@@ -40,10 +42,10 @@ from repro.verify import CrashFreedom
 from repro.workloads import fleet_catalog, ip_router_elements
 
 #: A root's layout before the first store opens it: the legacy JSON
-#: layout (imported on that first open) or nothing at all.
+#: layout (which the store leaves unread) or nothing at all.
 LAYOUTS = ("json", "sqlite")
 CONCRETE = SymbexOptions(static_table_mode="concrete")
-#: The entry a legacy-layout root starts with, and its metrics sidecar.
+#: The entry a legacy-layout root holds, and its metrics sidecar.
 LEGACY_DIGEST = "ff" * 32
 LEGACY_PAYLOAD = {"legacy": True}
 LEGACY_METRICS = {"imported": 1}
@@ -64,15 +66,13 @@ def _digest(index):
     return f"{index:064x}"
 
 
-def _write_legacy_layout(root, entries, metrics=None, mtimes=None):
+def _write_legacy_layout(root, entries, metrics=None):
     """Hand-build the legacy JSON layout: ``<dd>/<digest>.json`` plus ``metrics.json``."""
     root.mkdir(parents=True, exist_ok=True)
     for digest, text in entries.items():
         path = root / digest[:2] / f"{digest}.json"
         path.parent.mkdir(exist_ok=True)
         path.write_text(text)
-        if mtimes and digest in mtimes:
-            os.utime(path, (mtimes[digest], mtimes[digest]))
     if metrics is not None:
         (root / "metrics.json").write_text(json.dumps(metrics))
 
@@ -80,26 +80,19 @@ def _write_legacy_layout(root, entries, metrics=None, mtimes=None):
 def _to_legacy_layout(root):
     """Rewrite a SQLite store root in the legacy JSON layout; returns its entry count."""
     connection = sqlite3.connect(str(root / SQLITE_FILENAME))
-    rows = connection.execute("SELECT digest, payload, mtime FROM entries").fetchall()
+    rows = connection.execute("SELECT digest, payload FROM entries").fetchall()
     metrics = connection.execute("SELECT value FROM meta WHERE key='metrics'").fetchone()
     connection.close()
     for suffix in ("", "-wal", "-shm"):
         (root / (SQLITE_FILENAME + suffix)).unlink(missing_ok=True)
-    _write_legacy_layout(
-        root,
-        {digest: payload for digest, payload, _mtime in rows},
-        json.loads(metrics[0]) if metrics else None,
-        {digest: mtime for digest, _payload, mtime in rows},
-    )
+    _write_legacy_layout(root, dict(rows), json.loads(metrics[0]) if metrics else None)
     return len(rows)
 
 
 def _start(layout, root):
-    """Lay ``root`` out as ``layout``; returns the entries it starts with."""
-    if layout == "sqlite":
-        return 0
-    _write_legacy_layout(root, {LEGACY_DIGEST: json.dumps(LEGACY_PAYLOAD)}, LEGACY_METRICS)
-    return 1
+    """Lay ``root`` out as ``layout``: a legacy layout is left there, unread."""
+    if layout == "json":
+        _write_legacy_layout(root, {LEGACY_DIGEST: json.dumps(LEGACY_PAYLOAD)}, LEGACY_METRICS)
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
@@ -107,16 +100,15 @@ class TestRoundTrip:
     """The same tier contents survive a close/reopen, on a fresh or a legacy root."""
 
     def test_summary_tier(self, layout, tmp_path):
-        legacy = _start(layout, tmp_path)
+        _start(layout, tmp_path)
         element = ip_router_elements(1)[0]
         store = SummaryStore(tmp_path)
-        assert not holds_json_layout(tmp_path)  # imported on the first open
         store.save(element, 24, CONCRETE, _summarize(element))
         store.close()
         reopened = SummaryStore(tmp_path)
         loaded = reopened.load(element, 24, CONCRETE)
         assert loaded is not None and reopened.statistics.hits == 1
-        assert len(reopened) == 1 + legacy
+        assert len(reopened) == 1
 
     def test_verdict_tier_serves_delta_mode(self, layout, tmp_path):
         _start(layout, tmp_path)
@@ -134,7 +126,7 @@ class TestRoundTrip:
         assert warm.verdicts() == cold.verdicts()
 
     def test_query_tier(self, layout, tmp_path):
-        legacy = _start(layout, tmp_path)
+        _start(layout, tmp_path)
         payload = {"verdict": "unsat", "core": [1, 2, 3]}
         store = QueryStore(tmp_path)
         store.save_payload(_digest(1), payload)
@@ -145,7 +137,7 @@ class TestRoundTrip:
         assert reopened.load_payload(_digest(1)) == payload
         assert reopened.load_payload(_digest(2)) is None
         assert reopened.statistics.hits == 1 and reopened.statistics.misses == 1
-        assert reopened.contains(LEGACY_DIGEST) == bool(legacy)
+        assert not reopened.contains(LEGACY_DIGEST)
 
     def test_read_entries_bulk(self, layout, tmp_path):
         _start(layout, tmp_path)
@@ -165,24 +157,24 @@ class TestRoundTrip:
         assert store.read_entries([_digest(1)]) == {_digest(1): "buffered"}
 
     def test_metrics_accumulate_across_reopen(self, layout, tmp_path):
-        legacy = _start(layout, tmp_path)
+        _start(layout, tmp_path)
         store = QueryStore(tmp_path)
         store.record_metrics({"hits": 3, "label": "ignored-not-numeric"})
         store.close()
         reopened = QueryStore(tmp_path)
         totals = reopened.record_metrics({"hits": 4})
         assert totals["hits"] == 7 and totals["runs"] == 2
-        assert totals.get("imported", 0) == legacy  # the legacy sidecar carried over
+        assert "imported" not in totals  # the legacy sidecar is not read
         assert reopened.load_metrics() == totals
 
     def test_clear_and_size(self, layout, tmp_path):
-        legacy = _start(layout, tmp_path)
+        _start(layout, tmp_path)
         store = QueryStore(tmp_path)
         for index in range(3):
             store.write_entry(_digest(index), "x" * 10)
         assert store.size_bytes() >= 30
         # Buffered writes count: clear flushes before it counts.
-        assert store.clear() == 3 + legacy and len(store) == 0
+        assert store.clear() == 3 and len(store) == 0
 
 
 class TestSqliteCorruption:
@@ -193,7 +185,6 @@ class TestSqliteCorruption:
         store = SummaryStore(tmp_path)
         # The garbage moved aside (kept for post-mortem), the store works.
         assert (tmp_path / (SQLITE_FILENAME + ".corrupt")).exists()
-        assert store.statistics.corrupt_entries == 1
         assert store.statistics.quarantined == 1
         store.write_entry(_digest(1), "fresh")
         store.flush()
@@ -227,12 +218,9 @@ class TestSqliteCorruption:
         )
         connection.commit()
         connection.close()
-        # Never quarantine data from the future: refuse to open ...
+        # Never quarantine data from the future: refuse to open it.
         with pytest.raises(StoreError, match="newer"):
             QueryStore(tmp_path)
-        # ... and refuse to "migrate" a layout this repro cannot know.
-        with pytest.raises(StoreError, match="newer"):
-            migrate_store(tmp_path)
 
     def _build_v1_database(self, root):
         """The v1 prototype layout: no mtime column, no metrics in meta."""
@@ -248,22 +236,30 @@ class TestSqliteCorruption:
         connection.commit()
         connection.close()
 
-    def test_old_schema_version_points_at_migrate(self, tmp_path):
-        self._build_v1_database(tmp_path)
-        with pytest.raises(StoreError, match="store migrate"):
-            QueryStore(tmp_path)
-
-    def test_v1_to_v2_upgrade_in_place(self, tmp_path):
-        self._build_v1_database(tmp_path)
-        result = migrate_store(tmp_path)
-        assert result.action == "upgraded"
-        assert result.from_version == 1 and result.to_version == STORE_SCHEMA_VERSION
-        assert result.entries == 1
-        store = QueryStore(tmp_path)
-        assert store.load_payload(_digest(1)) == {"v": 1}
-        # Migrated entries got a fresh mtime: nothing is instantly evictable.
-        assert store.gc(older_than_seconds=3600).removed_entries == 0
-        assert len(store) == 1
+    def test_old_schema_version_is_quarantined(self, tmp_path):
+        """An older schema opens quarantined and empty, and certifies like a fresh root."""
+        roots = {name: tmp_path / name for name in ("summaries", "verdicts", "queries")}
+        for root in roots.values():
+            root.mkdir()
+            self._build_v1_database(root)
+        store = QueryStore(roots["queries"])
+        assert store.statistics.quarantined == 1
+        assert (roots["queries"] / (SQLITE_FILENAME + ".corrupt")).exists()
+        assert len(store) == 0 and store.load_payload(_digest(1)) is None
+        old = certify_fleet(
+            fleet_catalog(2), [CrashFreedom()], input_lengths=(24,),
+            store=str(roots["summaries"]), verdict_store=str(roots["verdicts"]),
+            query_store=str(roots["queries"]),
+        )
+        fresh = certify_fleet(
+            fleet_catalog(2), [CrashFreedom()], input_lengths=(24,),
+            store=str(tmp_path / "fresh-summaries"),
+            verdict_store=str(tmp_path / "fresh-verdicts"),
+            query_store=str(tmp_path / "fresh-queries"),
+        )
+        assert old.verdicts() == fresh.verdicts()
+        assert old.statistics.summaries_computed == fresh.statistics.summaries_computed
+        assert old.statistics.verdicts_reused == 0
 
     def test_garbage_row_is_quarantined_not_reparsed(self, tmp_path):
         store = QueryStore(tmp_path)
@@ -277,12 +273,11 @@ class TestSqliteCorruption:
         connection.close()
         reopened = QueryStore(tmp_path)
         assert reopened.load_payload(_digest(1)) is None
-        assert reopened.statistics.corrupt_entries == 1
         assert reopened.statistics.quarantined == 1
         assert len(reopened) == 0  # the row is gone
         # The second load is a plain miss: nothing left to re-parse.
         assert reopened.load_payload(_digest(1)) is None
-        assert reopened.statistics.corrupt_entries == 1
+        assert reopened.statistics.quarantined == 1
         assert reopened.statistics.misses == 2
 
 
@@ -341,17 +336,17 @@ class TestBatching:
     def test_read_your_write_before_flush(self, tmp_path):
         store = QueryStore(tmp_path)
         store.save_payload(_digest(1), {"buffered": True})
-        assert store.backend._pending  # still buffered ...
+        assert store._pending  # still buffered ...
         assert store.load_payload(_digest(1)) == {"buffered": True}  # ... yet readable
         assert store.contains(_digest(1))
 
     def test_autoflush_at_batch_size(self, tmp_path):
         store = QueryStore(tmp_path)
-        store.backend.batch_size = 2
+        store.batch_size = 2
         store.write_entry(_digest(1), "one")
-        assert store.backend._pending
+        assert store._pending
         store.write_entry(_digest(2), "two")
-        assert not store.backend._pending  # batch boundary flushed for us
+        assert not store._pending  # batch boundary flushed for us
         connection = sqlite3.connect(str(tmp_path / SQLITE_FILENAME))
         assert connection.execute("SELECT COUNT(*) FROM entries").fetchone()[0] == 2
         connection.close()
@@ -364,132 +359,122 @@ class TestBatching:
 
 
 class TestSelection:
-    """Only a root without ``store.sqlite`` can hold a legacy layout to import."""
+    """What a store finds under a fresh root: nothing, and a new ``store.sqlite``."""
 
     def test_fresh_root_detects_nothing(self, tmp_path):
-        assert not holds_json_layout(tmp_path)
         store = QueryStore(tmp_path)
         assert len(store) == 0 and store.load_metrics() == {}
         assert (tmp_path / SQLITE_FILENAME).exists()
 
-    def test_layouts_detected(self, tmp_path):
-        json_root, sqlite_root = tmp_path / "j", tmp_path / "s"
-        _write_legacy_layout(json_root, {_digest(1): "{}"})
-        QueryStore(sqlite_root).close()
-        assert holds_json_layout(json_root)
-        assert not holds_json_layout(sqlite_root)
-        # A lone metrics sidecar is a legacy layout too.
-        _write_legacy_layout(tmp_path / "m", {}, metrics={"runs": 1})
-        assert holds_json_layout(tmp_path / "m")
-        QueryStore(json_root).close()
-        assert not holds_json_layout(json_root)  # imported: SQLite from now on
 
+class TestLegacyRoots:
+    """A root in the legacy JSON layout opens empty, and its files stay unread."""
 
-class TestMigration:
-    def test_json_to_sqlite_preserves_entries_metrics_and_mtimes(self, tmp_path):
-        """``store migrate`` imports a legacy layout: entries, metrics and mtimes."""
-        old = time.time() - 10 * 24 * 3600
-        totals = {"hits": 5, "runs": 1}
-        _write_legacy_layout(
-            tmp_path,
-            {_digest(1): json.dumps({"stale": True}), _digest(2): json.dumps({"fresh": True})},
-            metrics=totals,
-            mtimes={_digest(1): old},
-        )
-        (tmp_path / "ab").mkdir()
-        (tmp_path / "ab" / (_digest(3) + ".json.corrupt")).write_text("{torn")
-
-        result = migrate_store(tmp_path)
-        assert result.action == "json-to-sqlite" and result.entries == 2
-        assert not holds_json_layout(tmp_path)
-        assert not list(tmp_path.glob("??/*"))  # JSON layout fully retired
-        assert not (tmp_path / "metrics.json").exists()
-
-        migrated = QueryStore(tmp_path)
-        assert migrated.load_payload(_digest(2)) == {"fresh": True}
-        assert migrated.load_metrics() == totals  # sidecar moved into meta
-        # Entry mtimes survived: the stale entry (never re-read, so never
-        # re-warmed) is still evictable by age.
-        swept = migrated.gc(older_than_seconds=24 * 3600)
-        assert swept.removed_entries == 1 and swept.kept_entries == 1
-        assert migrated.load_payload(_digest(1)) is None
-        assert migrate_store(tmp_path).action == "up-to-date"
-
-    def test_legacy_layout_is_imported_on_first_open(self, tmp_path):
-        """Opening a store on a legacy root imports it, exactly like ``store migrate``."""
-        old = time.time() - 10 * 24 * 3600
+    def test_legacy_layout_is_not_read(self, tmp_path):
         _write_legacy_layout(
             tmp_path,
             {_digest(1): json.dumps({"stale": True}), _digest(2): json.dumps({"fresh": True})},
             metrics={"hits": 5, "runs": 1},
-            mtimes={_digest(1): old},
         )
         store = QueryStore(tmp_path)
-        assert not holds_json_layout(tmp_path) and not list(tmp_path.glob("??"))
-        assert len(store) == 2
-        assert store.load_metrics() == {"hits": 5, "runs": 1}
-        connection = sqlite3.connect(str(tmp_path / SQLITE_FILENAME))
-        mtimes = dict(connection.execute("SELECT digest, mtime FROM entries"))
-        connection.close()
-        assert mtimes[_digest(1)] == pytest.approx(old)
-        # Read-only input: the import ran once, later opens find SQLite.
-        assert QueryStore(tmp_path).load_payload(_digest(2)) == {"fresh": True}
-        assert migrate_store(tmp_path).action == "up-to-date"
+        assert len(store) == 0 and store.load_metrics() == {}
+        assert store.load_payload(_digest(2)) is None
+        assert store.statistics.quarantined == 0
+        # Neither read nor removed: the files are not the store's.
+        assert (tmp_path / _digest(2)[:2] / f"{_digest(2)}.json").exists()
+        assert (tmp_path / "metrics.json").exists()
 
-    def test_migrate_is_idempotent(self, tmp_path):
-        QueryStore(tmp_path).save_payload(_digest(1), {})
-        first = migrate_store(tmp_path)
-        assert first.action == "up-to-date" and first.entries == 1
-
-    def test_migrate_fresh_root_initializes(self, tmp_path):
-        result = migrate_store(tmp_path / "new")
-        assert result.action == "initialized"
-        assert (tmp_path / "new" / SQLITE_FILENAME).exists()
-
-    def test_cli_migration_smoke(self, tmp_path, capsys):
-        """The CI migration smoke, in-process: legacy roots -> store migrate -> delta."""
-        roots = {name: tmp_path / name for name in ("summaries", "verdicts", "queries")}
-        catalog = fleet_catalog(3)
-        certify_fleet(
-            catalog, [CrashFreedom()], input_lengths=(24,),
-            store=str(roots["summaries"]), verdict_store=str(roots["verdicts"]),
-            query_store=str(roots["queries"]),
-        )
-        assert all(_to_legacy_layout(root) > 0 for root in roots.values())
-        code = cli_main(
-            ["store", "migrate", "--store", str(roots["summaries"]),
-             "--verdict-store", str(roots["verdicts"]), "--query-store", str(roots["queries"])]
-        )
-        assert code == EXIT_OK
-        out = capsys.readouterr().out
-        assert "migrated" in out and "SQLite" in out
-        assert not any(holds_json_layout(root) for root in roots.values())
-        delta = certify_fleet(
-            fleet_catalog(3), [CrashFreedom()], input_lengths=(24,),
-            store=str(roots["summaries"]), verdict_store=str(roots["verdicts"]),
-            query_store=str(roots["queries"]),
-        )
-        assert delta.statistics.verdicts_reused == len(catalog)
-        assert delta.statistics.summaries_computed == 0
-
-    def test_legacy_tiers_are_imported_on_first_open(self, tmp_path):
-        """Legacy summary, verdict and query roots serve a delta run with no migrate step."""
+    def test_legacy_tiers_open_empty_and_certify_like_fresh_roots(self, tmp_path):
         roots = {name: tmp_path / name for name in ("summaries", "verdicts", "queries")}
         stores = dict(
             store=str(roots["summaries"]), verdict_store=str(roots["verdicts"]),
             query_store=str(roots["queries"]),
         )
-        catalog = fleet_catalog(4)
-        cold = certify_fleet(catalog, [CrashFreedom()], input_lengths=(24,), **stores)
+        cold = certify_fleet(fleet_catalog(4), [CrashFreedom()], input_lengths=(24,), **stores)
         counts = {name: _to_legacy_layout(root) for name, root in roots.items()}
         assert all(counts.values())
-        delta = certify_fleet(fleet_catalog(4), [CrashFreedom()], input_lengths=(24,), **stores)
-        assert delta.statistics.verdicts_reused == len(catalog)
-        assert delta.statistics.summaries_computed == 0
-        assert delta.verdicts() == cold.verdicts()
-        assert not any(holds_json_layout(root) for root in roots.values())
+        again = certify_fleet(fleet_catalog(4), [CrashFreedom()], input_lengths=(24,), **stores)
+        assert again.verdicts() == cold.verdicts()
+        assert again.statistics.verdicts_reused == 0
+        assert again.statistics.summaries_computed == cold.statistics.summaries_computed
         assert len(SummaryStore(roots["summaries"])) == counts["summaries"]
-        assert len(QueryStore(roots["queries"])) == counts["queries"]
+        assert len(VerdictStore(roots["verdicts"])) == counts["verdicts"]
+        assert QueryStore(roots["queries"]).load_metrics()["runs"] == 1
+        assert all(list(root.glob("??/*.json")) for root in roots.values())
+
+
+class TestCliSmoke:
+    def test_certify_stats_then_delta(self, tmp_path, capsys):
+        """The CI store smoke, in-process: certify, ``store stats``, delta-certify."""
+        roots = ["--store", str(tmp_path / "s"), "--verdict-store", str(tmp_path / "v"),
+                 "--query-store", str(tmp_path / "q")]
+        certify = ["certify", "--catalog", "fleet:3", "--lengths", "24", *roots]
+        assert cli_main(certify) == EXIT_OK
+        capsys.readouterr()
+        assert cli_main(["store", "stats", *roots, "--json"]) == EXIT_OK
+        before = json.loads(capsys.readouterr().out)["stores"]
+        assert cli_main([*certify, "--json"]) == EXIT_OK
+        statistics = json.loads(capsys.readouterr().out)["statistics"]
+        assert statistics["verdicts_reused"] == 3 and statistics["summaries_computed"] == 0
+        assert cli_main(["store", "stats", *roots, "--json"]) == EXIT_OK
+        after = json.loads(capsys.readouterr().out)["stores"]
+        assert {k: v["entries"] for k, v in after.items()} == {
+            k: v["entries"] for k, v in before.items()
+        }
+
+
+#: Per tier: the store class, the digest under test and its loaders
+#: (``load`` for one entry, ``bulk`` for many), each returning what it found.
+TIERS = {
+    "summary": (SummaryStore, _digest(1), {
+        "load": lambda store: store.load_digest(_digest(1)),
+        "bulk": lambda store: store.load_digests([_digest(1)]),
+    }),
+    "verdict": (VerdictStore, _digest(1), {
+        "load": lambda store: store.load_record(_digest(1)),
+        "bulk": lambda store: store.load_records([_digest(1)]),
+    }),
+    "query": (QueryStore, _digest(1), {
+        "load": lambda store: store.load_payload(_digest(1)),
+    }),
+    "risk": (RiskStore, risk_key("p"), {
+        "bulk": lambda store: store.load_profiles(["p"]),
+    }),
+}
+GARBAGE = "{not json"
+#: Well-formed payloads that older code wrote: a version mismatch reads as a miss.
+STALE = {
+    "verdict": json.dumps({"version": RECORD_VERSION - 1, "certification": {}}),
+    "risk": json.dumps({"version": RISK_VERSION - 1, "name": "p", "profile": {}}),
+}
+UNDECODABLE = [
+    (tier, kind, loader)
+    for tier, (_, _, loaders) in TIERS.items()
+    for kind in ("garbage", "stale")
+    if kind == "garbage" or tier in STALE
+    for loader in loaders
+]
+
+
+class TestDecodePath:
+    @pytest.mark.parametrize(
+        "tier, kind, loader", UNDECODABLE, ids=["-".join(case) for case in UNDECODABLE]
+    )
+    def test_undecodable_entry_is_quarantined_once(self, tier, kind, loader, tmp_path):
+        store_class, digest, loaders = TIERS[tier]
+        load = loaders[loader]
+        store = store_class(tmp_path)
+        store.write_entry(digest, GARBAGE if kind == "garbage" else STALE[tier])
+        store.write_entry(_digest(2), "another entry")
+        store.flush()
+        assert len(store) == 2
+        assert not load(store)
+        assert store.statistics.hits == 0
+        assert store.statistics.misses == 1 and store.statistics.quarantined == 1
+        assert len(store) == 1  # the row is gone
+        # The second load is a plain miss: nothing left to quarantine.
+        assert not load(store)
+        assert store.statistics.misses == 2 and store.statistics.quarantined == 1
 
 
 class TestSharedConnection:
@@ -500,9 +485,9 @@ class TestSharedConnection:
         queries = QueryStore(tmp_path / "a")
         shard = QueryStore(tmp_path / "a", shard="w1")
         other = QueryStore(tmp_path / "b")
-        assert summaries.backend._read_conn is queries.backend._read_conn
-        assert shard.backend._read_conn is queries.backend._read_conn
-        assert other.backend._read_conn is not queries.backend._read_conn
+        assert summaries._read_conn is queries._read_conn
+        assert shard._read_conn is queries._read_conn
+        assert other._read_conn is not queries._read_conn
         shard.save_payload(_digest(1), {"from": "shard"})
         shard.close()  # closes the shard, never the shared main connection
         assert queries.merge_shards() == 1
@@ -522,7 +507,7 @@ class TestSharedConnection:
         # The connection `first` holds is still registered and reused, and
         # the schema check on this open still sees the newer version.
         registry = _shared_connections()
-        assert any(entry.connection is first.backend._read_conn for entry in registry.values())
+        assert any(entry.connection is first._read_conn for entry in registry.values())
         with pytest.raises(StoreError, match="newer"):
             QueryStore(tmp_path)
 
@@ -534,14 +519,14 @@ class TestSharedConnection:
         shutil.rmtree(root)
 
         new = QueryStore(root)
-        assert new.backend._read_conn is not old.backend._read_conn
+        assert new._read_conn is not old._read_conn
         assert len(new) == 0 and new.load_payload(_digest(1)) is None
         new.save_payload(_digest(2), {"new": True})
         new.flush()
         # The registry dropped the deleted root's connection, so it closes
         # with the last store that holds it: no descriptor on a deleted
         # file lingers until a cyclic collection.
-        old_connection = old.backend._read_conn
+        old_connection = old._read_conn
         old_connection.execute("SELECT 1")
         del old
         with pytest.raises(sqlite3.ProgrammingError):
@@ -562,7 +547,7 @@ class TestSharedConnection:
         others = [QueryStore(tmp_path / f"r{index}") for index in range(_MAX_SHARED_CONNECTIONS)]
         registry = _shared_connections()
         assert len(registry) <= _MAX_SHARED_CONNECTIONS
-        assert all(entry.connection is not first.backend._read_conn for entry in registry.values())
+        assert all(entry.connection is not first._read_conn for entry in registry.values())
         # Dropped from the registry, not closed: the live store still works.
         assert first.load_payload(_digest(1)) == {"kept": True}
         assert QueryStore(tmp_path / "first").load_payload(_digest(1)) == {"kept": True}
@@ -576,7 +561,7 @@ class TestSharedConnection:
 
         def _worker():
             store = QueryStore(tmp_path)
-            seen["shared"] = store.backend._read_conn is main.backend._read_conn
+            seen["shared"] = store._read_conn is main._read_conn
             seen["payload"] = store.load_payload(_digest(1))
 
         thread = threading.Thread(target=_worker)
@@ -589,7 +574,7 @@ class TestSharedConnection:
         parent = QueryStore(tmp_path)
         parent.save_payload(_digest(1), {"parent": True})
         parent.flush()
-        parent_connection = parent.backend._read_conn
+        parent_connection = parent._read_conn
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX
@@ -597,11 +582,11 @@ class TestSharedConnection:
 
         def _child():
             opened = QueryStore(tmp_path)
-            assert opened.backend._read_conn is not parent_connection
+            assert opened._read_conn is not parent_connection
             assert opened.load_payload(_digest(1)) == {"parent": True}
             # The inherited store object reopens too, onto the child's connection.
             assert parent.load_payload(_digest(1)) == {"parent": True}
-            assert parent.backend._read_conn is opened.backend._read_conn
+            assert parent._read_conn is opened._read_conn
             opened.save_payload(_digest(2), {"child": True})
             opened.close()
 
@@ -609,7 +594,7 @@ class TestSharedConnection:
         process.start()
         process.join(timeout=60)
         assert process.exitcode == 0
-        assert parent.backend._read_conn is parent_connection
+        assert parent._read_conn is parent_connection
         assert parent.load_payload(_digest(2)) == {"child": True}
 
 

@@ -17,8 +17,8 @@ import pytest
 from repro.orchestrator import QueryStore
 from repro.orchestrator.workers import worker_shard_tag
 
-#: A root's layout before the race: the legacy JSON layout (imported by
-#: the first open) or nothing at all.
+#: A root's layout before the race: the legacy JSON layout (which the
+#: store leaves unread) or nothing at all.
 LAYOUTS = ("json", "sqlite")
 #: Scaled up by the CI store-stress job; the defaults keep the local
 #: tier-1 run fast while still forcing real lock contention.
@@ -78,20 +78,18 @@ def _run_writers(target, arguments):
 def test_concurrent_writers_one_root(layout, tmp_path):
     """N processes appending to one store root: every entry lands, none torn."""
     root = str(tmp_path)
-    legacy = 0
     if layout == "json":
         (tmp_path / "ff").mkdir()
         (tmp_path / "ff" / ("ff" * 32 + ".json")).write_text(json.dumps({"legacy": True}))
-        legacy = 1
-    QueryStore(root).close()  # import any legacy layout before the race
+    QueryStore(root).close()  # create the database before the race
     _run_writers(_hammer_main, [(root, writer) for writer in range(WRITERS)])
     store = QueryStore(root)
-    assert len(store) == WRITERS * ENTRIES_PER_WRITER + legacy
+    assert len(store) == WRITERS * ENTRIES_PER_WRITER
     for writer in range(WRITERS):
         for index in (0, ENTRIES_PER_WRITER - 1):
             payload = store.load_payload(_digest(writer, index))
             assert payload == {"writer": writer, "index": index}
-    assert store.statistics.corrupt_entries == 0
+    assert store.statistics.quarantined == 0
 
 
 def test_concurrent_shard_writers_then_merge(tmp_path):
@@ -139,4 +137,4 @@ def test_forked_child_reopens_connection(tmp_path):
     assert process.exitcode == 0
     # The parent's handle still works after the child's reopen-and-write.
     assert store.load_payload(_digest(0, 1)) == {"child": True}
-    assert os.getpid() == store.backend._pid
+    assert os.getpid() == store._pid
