@@ -9,8 +9,8 @@ The package bundles the layers:
 * :mod:`repro.verify` — the paper's contribution: decomposed, two-step
   pipeline verification (plus the monolithic whole-pipeline baseline),
 * :mod:`repro.orchestrator` — fleet-scale certification: a persistent
-  content-addressed summary store plus multiprocessing workers that shard
-  Step 1 and Step 2 across cores with deterministic merging.
+  content-addressed summary store plus multiprocessing workers that
+  spread Step 1 and Step 2 across cores with deterministic merging.
 
 See README.md for a quickstart and DESIGN.md / EXPERIMENTS.md for the
 experiment-by-experiment reproduction notes.

@@ -16,7 +16,8 @@ Two engines run the work, chosen by the effective worker count:
   order through one shared :class:`~repro.verify.cache.SummaryCache`.
 * **more workers** — :func:`repro.orchestrator.scheduler.run_scheduled`
   drives Step-1 summary jobs and per-pipeline Step-2 checks through one
-  persistent pool, with the summary store as the transport.
+  persistent pool.  Workers read summaries from the summary store, and
+  the parent writes every entry they compute.
 
 Merging is deterministic: certifications come back in catalog order, and
 both engines produce the same verdicts.
@@ -47,9 +48,8 @@ from .verdicts import VerdictStore, element_slots, property_set_fingerprint, ver
 from .workers import (
     PoolRun,
     drain_observability,
-    merge_query_entries,
+    take_writes,
     worker_query_cache,
-    worker_summary_store,
 )
 
 #: Provenance labels: the certification was verified on this run, ...
@@ -265,45 +265,39 @@ def _certify_one(
 
 def _certify_worker(
     index: int, run: PoolRun
-) -> Tuple[PipelineCertification, int, int, list, dict]:
+) -> Tuple[PipelineCertification, int, int, tuple, dict]:
     """Per-pipeline Step-2 task: certify ``run.pipelines[index]`` from the shared store.
 
     Returns (certification, summaries the task computed itself, summaries
-    it decoded from store text, new query-cache entries, drained
+    it decoded from store text, the task's store writes, drained
     observability extras).  A summary this worker decoded before, or
     inherited decoded from the parent, is read from the store but not
     decoded again (see :class:`repro.orchestrator.store.SummaryStore`).
-    The query cache is opened read-only (see
-    :func:`repro.orchestrator.workers.worker_query_cache`); newly solved
-    slice entries ride back with the result for the parent to merge.
+    Both stores are opened read-only, so the summaries it had to compute
+    and the slices it solved ride back with the result for the parent to
+    write (see :func:`repro.orchestrator.workers.take_writes`).
     """
     options = run.options
     if options.trace:
         enable()
     query_cache = worker_query_cache(options)
-    store = worker_summary_store(run.store_root)
+    store = SummaryStore(run.store_root, readonly=True)
     cache = SummaryCache(options, store=store, query_cache=query_cache)
     decoded = summaries_decoded()
-    try:
-        certification = _certify_one(
-            run.pipelines[index],
-            run.properties,
-            run.input_lengths,
-            cache,
-            run.max_counterexamples,
-            run.confirm_by_replay,
-            run.instruction_bounds,
-        )
-    finally:
-        if store is not None:
-            # Push worker-side miss writes into this task's shard before
-            # the pool can recycle the process (see _summarize_worker).
-            store.close()
+    certification = _certify_one(
+        run.pipelines[index],
+        run.properties,
+        run.input_lengths,
+        cache,
+        run.max_counterexamples,
+        run.confirm_by_replay,
+        run.instruction_bounds,
+    )
     return (
         certification,
         cache.statistics.misses,
         summaries_decoded() - decoded,
-        query_cache.new_entries,
+        take_writes(store, query_cache),
         drain_observability(query_cache),
     )
 
@@ -333,8 +327,8 @@ def certify_fleet(
     slower than serial, so one effective worker runs the in-process
     loop.  A ``store`` (path or :class:`SummaryStore`) persists summaries
     across runs — pass the same store twice and the second run performs
-    no symbolic execution for an unchanged catalog.  The pool requires
-    the shared store as its transport; an ephemeral one is created when
+    no symbolic execution for an unchanged catalog.  The pool's workers
+    read summaries from that store; an ephemeral one is created when
     none is given.
 
     Pooled work is dispatched in catalog order, or — given a
@@ -347,7 +341,7 @@ def certify_fleet(
     survive across runs, so a warm re-certification performs **zero
     SAT-core calls** for unchanged pipelines — the solver-level analogue
     of the summary store's zero-symbex warm path.  Workers open it
-    read-only and ship new entries back for the parent to merge.
+    read-only and ship new entries back for the parent to write.
 
     A ``verdict_store`` (path or :class:`VerdictStore`) turns the run into
     **delta mode**: pipelines whose fingerprint x property-set record
@@ -512,9 +506,9 @@ def _certify_fleet(
         if workers > 1 and fresh_pipelines:
             assert store is not None
             # The persistent scheduler: one pool, Step-2 verification
-            # overlapping Step-1 symbex, shards merged incrementally as
-            # each task's result arrives, and each verdict record written
-            # as its pipeline's result lands.
+            # overlapping Step-1 symbex, each task's summaries written as
+            # its result arrives, and each verdict record written as its
+            # pipeline's result lands.
             scheduled = run_scheduled(
                 fresh_pipelines,
                 properties,
@@ -541,7 +535,8 @@ def _certify_fleet(
                 # Step-2 misses are real symbolic executions (lengths Step 1
                 # could not discover, e.g. past an exploded element).
                 report.statistics.summaries_computed += misses
-            merge_query_entries(query_store, scheduled.query_entries)
+            if query_store is not None and scheduled.query_rows:
+                query_store.merge_shards(scheduled.query_rows)
         elif fresh_pipelines:
             # In-process: one shared cache dedupes across the catalog (and
             # through the store, when one is provided).  The L3 tier is the

@@ -12,22 +12,22 @@ wider to :func:`run_scheduled`, a job graph over one long-lived pool:
 * :class:`PersistentPool` — ``workers`` fork-context processes spawned
   once per run, fed task-by-task over private queues (the parent holds
   the full priority heap, so priorities are honored exactly), with
-  crashed-worker detection: a task whose process dies is re-queued under
-  a fresh attempt tag and a replacement worker is forked.
+  crashed-worker detection: a task whose process dies is re-queued as a
+  fresh attempt and a replacement worker is forked.
 * **Lean tasks** — the run's constants (catalog, properties, options,
   store root, …) travel once per worker as a
-  :class:`~repro.orchestrator.workers.PoolRun`, so a Step-2 task ships
-  only its catalog index, and each worker decodes each stored summary
-  at most once for the life of the pool (the store's decode memo, which
-  the workers inherit from the parent's admission probe).  Each Step-2
-  result is handed to the caller's ``on_verified`` hook as it lands (the
-  fleet layer writes its verdict record there), once every idle worker
-  has been refilled.
-* **Incremental shard merge** — each task writes its store entries into a
-  private per-attempt shard (``t<id>a<attempt>``) and flushes it before
-  reporting, so the parent folds that one shard into the main store the
-  moment the result arrives (``merge_shards(only=...)``) instead of
-  blocking on a straggler at pool join.
+  :class:`~repro.orchestrator.workers.PoolRun`, so a task ships only its
+  job (a Step-1 ``(element, length)``, a Step-2 catalog index), and each
+  worker decodes each stored summary at most once for the life of the
+  pool (the store's decode memo, which the workers inherit from the
+  parent's admission probe).  Each Step-2 result is handed to the
+  caller's ``on_verified`` hook as it lands (the fleet layer writes its
+  verdict record there), once every idle worker has been refilled.
+* **One way out of a worker** — workers open every store read-only and
+  ship what they wrote in their results.  The parent writes a result's
+  summary rows as it arrives (``merge_shards``), before admitting the
+  work they unblock, and its L3 rows, first shipped wins, after the pool
+  joins.  A crashed or stale attempt's writes never land.
 * **Priorities** (:func:`pipeline_ranks`) — catalog order, or, given a
   risk history, the ranking of :mod:`repro.orchestrator.risk`: under
   delta mode the likely-violating few reach a verdict while bulk reuse
@@ -57,16 +57,14 @@ from ..smt.qcache import QueryCacheStatistics
 from ..symbex.engine import SymbexOptions
 from .errors import OrchestratorError
 from . import store as store_module
-from .store import SummaryStore
+from .store import SummaryStore, summary_key
 from .workers import (
     EXPLODED,
     LOADED,
     PoolRun,
     _pool_context,
     _summarize_worker,
-    job_digest,
     merge_observability,
-    set_worker_shard_tag,
 )
 
 __all__ = [
@@ -98,8 +96,6 @@ class SchedulerStatistics(StatisticsMixin):
     workers_spawned: int = 0
     workers_crashed: int = 0
     tasks_retried: int = 0
-    #: Incremental per-task shard merges performed on result arrival.
-    incremental_merges: int = 0
     #: Summaries Step-2 tasks decoded from store text: transport, not
     #: avoided work (an in-process run reads its shared cache instead).
     #: Counted from the store's decode-memo misses during each task.  A
@@ -198,7 +194,7 @@ class JobGraph:
         if key in self._visited[index]:
             return
         self._visited[index].add(key)
-        digest = job_digest(element, length, self.options)
+        digest = summary_key(element, length, self.options)
         summary = self.summaries.get(digest)
         if summary is not None:
             self._expand(index, element, summary)
@@ -290,22 +286,16 @@ class _Task:
     label: str
     attempt: int = 1
 
-    @property
-    def shard_tag(self) -> str:
-        return f"t{self.task_id}a{self.attempt}"
-
 
 def _pool_worker_loop(tasks, results, run: PoolRun) -> None:
     """Worker body: run tasks until the ``None`` sentinel arrives.
 
-    ``run`` holds the run's constants; a task marked ``with_run`` (a
-    Step-2 task, whose payload is a catalog index) receives it as a
-    second argument, while a Step-1 payload carries its own job.  Each
-    task runs under its per-attempt shard tag and reports
-    ``(pid, task_id, shard_tag, ok, started, ended, payload)``; the
-    shard tag travels back so the parent merges exactly the shard this
-    attempt flushed, even if the task was retried meanwhile.  Failures
-    ship as data — one bad task must not tear the worker down.
+    ``run`` holds the run's constants; each task body is called as
+    ``fn(payload, run)`` and reports
+    ``(pid, task_id, attempt, ok, started, ended, payload)``; the attempt
+    travels back so the parent can tell a retried task's stale result
+    from the live one.  Failures ship as data — one bad task must not
+    tear the worker down.
 
     A result is pickled here, not by the queue: the queue pickles in a
     feeder thread that prints and drops a message it cannot pickle, and
@@ -317,17 +307,14 @@ def _pool_worker_loop(tasks, results, run: PoolRun) -> None:
         item = tasks.get()
         if item is None:
             break
-        task_id, shard_tag, fn, payload, with_run = item
-        set_worker_shard_tag(shard_tag)
+        task_id, attempt, fn, payload = item
         started = clock()
         try:
-            result = fn(payload, run) if with_run else fn(payload)
+            result = fn(payload, run)
             ok, shipped = True, pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
         except BaseException as exc:  # noqa: BLE001 - shipped as data, see docstring
             ok, shipped = False, f"{type(exc).__name__}: {exc}"
-        finally:
-            set_worker_shard_tag(None)
-        results.put((pid, task_id, shard_tag, ok, started, clock(), shipped))
+        results.put((pid, task_id, attempt, ok, started, clock(), shipped))
 
 
 class _WorkerHandle:
@@ -407,9 +394,7 @@ class PersistentPool:
         handle.current = task
         self._in_flight[task.task_id] = task
         self.statistics.tasks_dispatched += 1
-        handle.tasks.put(
-            (task.task_id, task.shard_tag, task.fn, task.payload, task.kind == VERIFY)
-        )
+        handle.tasks.put((task.task_id, task.attempt, task.fn, task.payload))
 
     def _reap_crashed(self) -> Optional[_Task]:
         """Find one dead worker; respawn it and surface its lost task (if any)."""
@@ -430,15 +415,15 @@ class PersistentPool:
     def next_event(self, timeout: float = 0.1):
         """Block until something happens; returns one of two event tuples.
 
-        ``("result", pid, task, shard_tag, ok, started, ended, payload)``
-        for a completed attempt — ``task`` is ``None`` when the attempt
-        is stale (its task already finished via a retry); ``("crashed",
-        task)`` when a worker died holding a task (a replacement is
-        already forked; the driver re-queues the task).
+        ``("result", pid, task, ok, started, ended, payload)`` for a
+        completed attempt — ``task`` is ``None`` when the attempt is stale
+        (its task was retried; the payload is dropped unread); ``("crashed",
+        task)`` when a worker died holding a task (a replacement is already
+        forked; the driver re-queues the task).
         """
         while True:
             try:
-                pid, task_id, shard_tag, ok, started, ended, payload = (
+                pid, task_id, attempt, ok, started, ended, payload = (
                     self._results.get(timeout=timeout)
                 )
             except queue_module.Empty:
@@ -452,7 +437,7 @@ class PersistentPool:
                     handle.current = None
                     handle.idle_since = clock()
                     break
-            if task is not None and shard_tag != task.shard_tag:
+            if task is not None and attempt != task.attempt:
                 # A late result from a retried attempt: the retry is still
                 # in flight, so put the task back and report this attempt
                 # as stale — first completion wins, exactly once.
@@ -460,7 +445,7 @@ class PersistentPool:
                 task = None
             if task is not None and ok:
                 payload = pickle.loads(payload)
-            return ("result", pid, task, shard_tag, ok, started, ended, payload)
+            return ("result", pid, task, ok, started, ended, payload)
 
     # -- teardown --------------------------------------------------------------------
 
@@ -514,8 +499,8 @@ class ScheduledRun:
     #: Catalog indices in verification *completion* order — what risk
     #: ranking reorders, and what the bench asserts on.
     verify_order: List[int] = field(default_factory=list)
-    #: L3 query-cache entries shipped by all tasks, for one parent merge.
-    query_entries: List[tuple] = field(default_factory=list)
+    #: L3 rows (``{digest: text}``) the tasks shipped, first shipped kept.
+    query_rows: Dict[str, str] = field(default_factory=dict)
     statistics: SchedulerStatistics = field(default_factory=SchedulerStatistics)
 
 
@@ -541,8 +526,10 @@ def run_scheduled(
     the scheduler itself, exposed so tests and benches can run it with a
     worker count the fleet layer's cpu clamp would refuse.  ``summary_worker``
     and ``verify_worker`` override the task callables (module-level,
-    picklable; a verify callable takes ``(index, run)``) — the crash
-    tests inject a self-killing wrapper this way.
+    picklable, called as ``fn(payload, run)`` like the ones they replace)
+    — the crash tests inject a self-killing wrapper this way.  The summary
+    rows tasks ship land in ``store`` before the work they unblock is
+    admitted; their L3 rows are left in :attr:`ScheduledRun.query_rows`.
 
     ``qstats`` (optional) accumulates the query-cache counters each task
     ships back, Step-1 and Step-2 alike: the run's solver work.
@@ -567,13 +554,12 @@ def run_scheduled(
     run = ScheduledRun()
     stats = run.statistics
     trace = tracer()
-    store_root = str(store.root)
     constants = PoolRun(
         pipelines=list(pipelines),
         properties=list(properties),
         input_lengths=tuple(input_lengths),
         options=options,
-        store_root=store_root,
+        store_root=str(store.root),
         max_counterexamples=max_counterexamples,
         confirm_by_replay=confirm_by_replay,
         instruction_bounds=instruction_bounds,
@@ -625,7 +611,7 @@ def run_scheduled(
                     kind=SUMMARY,
                     key=digest,
                     fn=summary_fn,
-                    payload=(element, length, options, store_root),
+                    payload=(element, length),
                     priority=(rank, 0),
                     label=f"{element.name}@{length}",
                 )
@@ -651,11 +637,19 @@ def run_scheduled(
                 )
             )
 
+    def _write_rows(rows) -> None:
+        """Write a result's summary rows now, keep its L3 rows for the end."""
+        summary_rows, query_rows = rows
+        if summary_rows:
+            store.merge_shards(summary_rows)
+        for digest, text in query_rows.items():
+            run.query_rows.setdefault(digest, text)
+
     def _finish_summary(task: _Task, payload) -> None:
         nonlocal last_summary_end
-        status, text, entries, extras = payload
+        status, text, rows, extras = payload
         merge_observability(extras, qstats)
-        run.query_entries.extend(entries)
+        _write_rows(rows)
         last_summary_end = clock()
         if status == EXPLODED:
             graph.explode(task.key)
@@ -664,14 +658,14 @@ def run_scheduled(
             run.loaded += 1
         else:
             run.computed += 1
-        # The worker stored this same text under this digest, so the next
-        # run's admission probe finds it in the decode memo.
+        # The store now holds this same text under this digest, so the
+        # next run's admission probe finds it in the decode memo.
         graph.resolve(task.key, store_module._decoded.decode(task.key, text))
 
     def _finish_verify(task: _Task, payload) -> None:
-        certification, misses, store_loads, entries, extras = payload
+        certification, misses, store_loads, rows, extras = payload
         merge_observability(extras, qstats)
-        run.query_entries.extend(entries)
+        _write_rows(rows)
         stats.step2_store_loads += store_loads
         run.step2[task.key] = (certification, misses)
         run.verify_order.append(task.key)
@@ -707,25 +701,15 @@ def run_scheduled(
             if event[0] == "crashed":
                 lost = event[1]
                 stats.tasks_retried += 1
-                for suffix in ("", "-wal", "-shm"):
-                    # Best-effort: the dead attempt's shard is debris now.
-                    try:
-                        (store.root / "shards" / f"{lost.shard_tag}.sqlite{suffix}").unlink()
-                    except OSError:
-                        pass
                 lost.attempt += 1
                 dispatched_ids.discard(lost.task_id)
                 if lost.kind == SUMMARY:
                     pending_summaries[lost.key] = lost
                 _push(lost)
                 continue
-            _event, pid, task, shard_tag, ok, task_started, ended, payload = event
-            # Fold this attempt's flushed shard before acting on the result,
-            # so anything the graph unblocks can read it from the main store.
-            stats.incremental_merges += 1
-            store.merge_shards(only=[shard_tag])
+            _event, pid, task, ok, task_started, ended, payload = event
             if task is None:
-                continue  # stale attempt of a retried task: shard folded, done
+                continue  # stale attempt of a retried task: dropped, writes too
             if not ok:
                 raise OrchestratorError(
                     f"scheduler {task.kind} task {task.label!r} failed: {payload}"

@@ -17,15 +17,14 @@ static-table mode, and the serialization format version.
 ``digest -> text`` entries plus cumulative metrics in one SQLite
 database per root, ``<root>/store.sqlite``: WAL journal, writes buffered
 and flushed as ``INSERT OR REPLACE`` batches, lock contention absorbed
-by a busy timeout plus a jittered-backoff retry.  Worker processes never
-write the main database: a *shard view* reads the main file and appends
-to a private ``shards/<tag>.sqlite``, which the parent bulk-merges
-(``ATTACH`` + ``INSERT OR REPLACE ... SELECT``) as each task's result
-arrives.  A process shares one main connection per database file
-between every store it opens on that root
-(:mod:`repro.orchestrator.backends`).  Every tier decodes entry text
-through one path, :meth:`Store._decode`: an entry that does not decode
-is deleted and read as a miss.
+by a busy timeout plus a jittered-backoff retry.  Pool workers add no
+entries: they open their stores *read-only*, which buffers writes
+without ever flushing them, and each task ships what it wrote in its
+result for the parent to write (:meth:`Store.merge_shards`).  A process
+shares one connection per database file between every store it opens
+on that root (:mod:`repro.orchestrator.backends`).  Every tier decodes
+entry text through one path, :meth:`Store._decode`: an entry that does
+not decode is deleted and read as a miss.
 
 The schema is versioned in the database itself.  A database this code
 cannot read (a torn write, a file that is not a store, or an older
@@ -197,19 +196,6 @@ def _size_of(path: Path) -> int:
         return 0
 
 
-def _mtime_of(path: Path) -> Optional[float]:
-    """The file's mtime, or ``None`` when it vanished under us.
-
-    Files listed by a directory scan can be unlinked by a concurrent
-    writer (or another gc) before we stat them; a vanished file is
-    nobody's bug and must never abort the sweep.
-    """
-    try:
-        return path.stat().st_mtime
-    except OSError:
-        return None
-
-
 def _fold_metrics(totals: dict, counters: dict) -> dict:
     """Key-sum one run's numeric counters into the cumulative totals."""
     for key, value in counters.items():
@@ -232,16 +218,16 @@ class Store:
 
     Subclasses supply the digest computation, the payload encoding and
     the decoder their loaders hand to :meth:`_load`; this class runs the
-    SQL.  ``shard`` opens the store in its worker view: reads come from
-    the main database, writes land in a private ``shards/<shard>.sqlite``
-    (created on the first write) that the parent folds in via
-    :meth:`merge_shards`.  The main connection is shared within the
-    process and thread (see :mod:`repro.orchestrator.backends`), the
-    shard connection is the view's own; a store inherited through
+    SQL.  ``readonly`` opens the store the way a pool worker must: it
+    reads the database and keeps it up as every reader does (mtime
+    touches, quarantined rows), but its writes stay buffered until
+    :meth:`take_writes` hands them over, so only the parent adds entries.
+    The connection is shared within the process and thread (see
+    :mod:`repro.orchestrator.backends`); a store inherited through
     ``fork`` transparently reopens on first use in the child.
 
     Internal flushes (at the batch size, and before a count, merge or
-    gc) and the finalizer call the private ``_flush`` and ``_close``:
+    gc) and the finalizer call the private ``_flush``:
     perfbench's ledger wraps the public methods by name, and so charges
     that time to the call that caused it.
     """
@@ -249,28 +235,27 @@ class Store:
     #: Human label used in error messages ("summary store", "verdict store").
     kind = "store"
 
-    def __init__(self, root: Union[str, Path], shard: Optional[str] = None) -> None:
+    def __init__(self, root: Union[str, Path], readonly: bool = False) -> None:
         self.root = Path(root).expanduser()
         try:
             self.root.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise StoreError(f"cannot create {self.kind} at {self.root}: {exc}") from exc
         self.statistics = StoreStatistics()
-        self.shard = shard
+        self.readonly = readonly
         self.batch_size = DEFAULT_BATCH_SIZE
         self.path = self.root / SQLITE_FILENAME
         self._pid = os.getpid()
         self._pending: Dict[str, str] = {}
         self._touched: Dict[str, float] = {}
         self._main: Optional[_SharedConnection] = None
-        self._read_conn: Optional[sqlite3.Connection] = None
-        self._write_conn: Optional[sqlite3.Connection] = None
+        self._conn: Optional[sqlite3.Connection] = None
         self._open()
 
     # -- connections -----------------------------------------------------------------
 
     def _open(self) -> None:
-        """Attach the shared main connection and check its schema.
+        """Attach the shared connection and check its schema.
 
         The schema check runs on every open, reused connection or not, so
         a database that a newer repro rewrote in between is still refused.
@@ -279,7 +264,7 @@ class Store:
         key = str(self.path)
         main = shared.get(key)
         try:
-            self._read_conn = main.connection if main is not None else _connect(self.path)
+            self._conn = main.connection if main is not None else _connect(self.path)
             self._validate_main()
         except sqlite3.DatabaseError:
             # Torn, foreign or older than this schema: quarantine the
@@ -288,29 +273,23 @@ class Store:
             shared.pop(key, None)
             main = None
             self._quarantine_database()
-            self._read_conn = _connect(self.path)
-            self._initialize(self._read_conn)
+            self._conn = _connect(self.path)
+            self._initialize(self._conn)
         if main is None:
             # Dropping an entry drops the registry's reference only: a
             # live store that holds the connection keeps it open.
-            main = shared[key] = _SharedConnection(self._read_conn, _file_identity(key))
+            main = shared[key] = _SharedConnection(self._conn, _file_identity(key))
             while len(shared) > _MAX_SHARED_CONNECTIONS:
                 shared.popitem(last=False)
         else:
             shared.move_to_end(key)
         self._main = main
-        # A shard view opens its shard in _writer, on its first write.
-        self._write_conn = self._read_conn if self.shard is None else None
 
-    def _writer(self) -> sqlite3.Connection:
-        """The write connection, creating a shard view's shard on first use."""
+    def _connection(self) -> sqlite3.Connection:
+        """The connection, reopened first if this store crossed a fork."""
         self._ensure_process()
-        if self._write_conn is None:
-            shard_path = self.root / "shards" / f"{self.shard}.sqlite"
-            shard_path.parent.mkdir(parents=True, exist_ok=True)
-            self._write_conn = _connect(shard_path)
-            self._initialize(self._write_conn)
-        return self._write_conn
+        assert self._conn is not None
+        return self._conn
 
     def _initialize(self, connection: sqlite3.Connection) -> None:
         for statement in _SCHEMA_STATEMENTS:
@@ -328,19 +307,19 @@ class Store:
         Raises ``sqlite3.DatabaseError`` for a database to quarantine and
         :class:`StoreError` for one to refuse.
         """
-        assert self._read_conn is not None
+        assert self._conn is not None
         tables = {
             row[0]
-            for row in self._read_conn.execute(
+            for row in self._conn.execute(
                 "SELECT name FROM sqlite_master WHERE type='table'"
             )
         }
         if not tables:
-            self._initialize(self._read_conn)
+            self._initialize(self._conn)
             return
         if "meta" not in tables or "entries" not in tables:
             raise sqlite3.DatabaseError("not a repro store database")
-        row = self._read_conn.execute(
+        row = self._conn.execute(
             "SELECT value FROM meta WHERE key='schema_version'"
         ).fetchone()
         try:
@@ -361,7 +340,7 @@ class Store:
 
     def _quarantine_database(self) -> None:
         # Not closed: another live store may share the connection.
-        self._read_conn = None
+        self._conn = None
         target = self.path.with_name(self.path.name + QUARANTINE_SUFFIX)
         try:
             os.replace(self.path, target)
@@ -390,8 +369,8 @@ class Store:
         self._pid = os.getpid()
         self._pending.clear()
         self._touched.clear()
-        _inherited.append((self._main, self._write_conn))
-        self._main = self._read_conn = self._write_conn = None
+        _inherited.append(self._main)
+        self._main = self._conn = None
         self._open()
 
     def _retry(self, operation: Callable[[], T]) -> T:
@@ -421,14 +400,14 @@ class Store:
                 attempt += 1
 
     def _rows(self, sql: str, parameters: Sequence = ()) -> list:
-        """Every row one read returns from the main database.
+        """Every row one read returns from the database.
 
         Happy path first, with no retry closure: warm fleet runs are
         read-dominated, and WAL readers essentially never block.
         """
         if os.getpid() != self._pid:
             self._ensure_process()
-        connection = self._read_conn
+        connection = self._conn
         assert connection is not None
         try:
             return connection.execute(sql, parameters).fetchall()
@@ -502,28 +481,41 @@ class Store:
             self._touched[digest] = now
 
     def write_entry(self, digest: str, text: str) -> None:
-        """Persist an entry (batched until the next flush)."""
+        """Persist an entry (batched until the next flush).
+
+        A read-only store only buffers it, for :meth:`take_writes`.
+        """
         started = clock()
         if os.getpid() != self._pid:
             self._ensure_process()
         self._pending[digest] = text
         self._touched.pop(digest, None)
-        if len(self._pending) >= self.batch_size:
+        if len(self._pending) >= self.batch_size and not self.readonly:
             self._flush()
         self.statistics.io_seconds += clock() - started
         self.statistics.puts += 1
         self.statistics.bytes_written += len(text)
+
+    def take_writes(self) -> Dict[str, str]:
+        """Hand over the buffered writes as ``{digest: text}`` and forget them.
+
+        A pool task ships these in its result, and the parent writes them
+        with :meth:`merge_shards`: a task's writes exist nowhere else, so
+        a crashed or stale attempt leaves nothing behind.
+        """
+        writes, self._pending = self._pending, {}
+        return writes
 
     def quarantine_entry(self, digest: str) -> None:
         """Delete an entry that does not decode, so warm runs stop re-parsing it.
 
         The garbage payload sits inside a healthy database, so there is
         nothing worth keeping aside: the digest reads as a plain miss —
-        and parses nothing — from now on.
+        and parses nothing — from now on, for a read-only store too.
         """
         self._pending.pop(digest, None)
         self._touched.pop(digest, None)
-        connection = self._writer()
+        connection = self._connection()
         self._retry(lambda: connection.execute("DELETE FROM entries WHERE digest=?", (digest,)))
         self.statistics.quarantined += 1
 
@@ -576,114 +568,66 @@ class Store:
         self.statistics.io_seconds += clock() - started
 
     def _flush(self) -> None:
-        """Push buffered writes and mtime touches in two batched statements."""
+        """Push buffered writes and mtime touches in two batched statements.
+
+        A read-only store keeps its writes buffered and pushes its touches.
+        """
         self._ensure_process()
-        if self._pending:
-            connection = self._writer()
-            now = wall_clock()
-            rows = [(digest, text, now) for digest, text in self._pending.items()]
-            self._retry(
-                lambda: connection.executemany(
-                    "INSERT OR REPLACE INTO entries (digest, payload, mtime) "
-                    "VALUES (?, ?, ?)",
-                    rows,
-                )
-            )
+        if self._pending and not self.readonly:
+            self._insert(self._pending)
             self._pending.clear()
-        if self._touched and self.shard is None:
-            # Touch refreshes only make sense against the main database
-            # (a shard view's reads came from main, which it must not
-            # write); shard-view touches are simply dropped.
-            connection = self._writer()
+        if self._touched:
+            connection = self._connection()
             touches = [(mtime, digest) for digest, mtime in self._touched.items()]
             self._retry(
                 lambda: connection.executemany(
                     "UPDATE entries SET mtime=? WHERE digest=?", touches
                 )
             )
-        self._touched.clear()
+            self._touched.clear()
+
+    def _insert(self, entries: Dict[str, str]) -> None:
+        connection = self._connection()
+        now = wall_clock()
+        rows = [(digest, text, now) for digest, text in entries.items()]
+        self._retry(
+            lambda: connection.executemany(
+                "INSERT OR REPLACE INTO entries (digest, payload, mtime) VALUES (?, ?, ?)",
+                rows,
+            )
+        )
 
     def close(self) -> None:
-        """Flush, and close a shard view's private shard.
+        """Flush (a read-only store keeps its writes for :meth:`take_writes`).
 
-        The main connection stays open for the next store this process
-        opens on the same root; it closes once neither the registry nor
-        a live store holds it.
+        The connection stays open for the next store this process opens
+        on the same root; it closes once neither the registry nor a live
+        store holds it.
         """
-        self._close()
-
-    def _close(self) -> None:
-        try:
-            self._flush()
-        finally:
-            if self.shard is not None and self._write_conn is not None:
-                try:
-                    self._write_conn.close()
-                except sqlite3.Error:  # pragma: no cover - already broken
-                    pass
-                self._write_conn = None
+        self._flush()
 
     def __del__(self) -> None:  # pragma: no cover - GC-timing dependent
         try:
             if os.getpid() == self._pid:
-                self._close()
+                self._flush()
         except Exception:
             pass
 
-    def merge_shards(self, only=None) -> int:
-        """Fold worker shards into the main store, delete them; returns entries merged.
+    def merge_shards(self, entries: Dict[str, str]) -> int:
+        """Write the entries one pool task shipped (its shard); returns how many.
 
-        One ``ATTACH`` + ``INSERT OR REPLACE ... SELECT`` per shard — the
-        whole shard lands in a single statement, so merge-on-join scales
-        with the number of *workers*, not the number of entries.  Without
-        ``only``, folds every shard — which must run after the worker
-        pool has joined (no live shard writers).  With ``only`` (a
-        sequence of shard tags), folds exactly those shards: the
-        scheduler's incremental merge path, safe while *other* shards
-        still have live writers because each task flushes and closes its
-        private shard before its result is reported.  Missing shards — a
-        task that wrote nothing never creates its file — are skipped.
+        ``entries`` is what the task's read-only store handed over
+        (:meth:`take_writes`).  They land in one ``INSERT OR REPLACE``
+        batch, committed before this returns, so work the scheduler
+        unblocks next reads them from the database.
         """
-        if self.shard is not None:
-            raise StoreError("merge_shards must run on the main store, not a shard view")
+        if self.readonly:
+            raise StoreError(f"{self.kind} at {self.root} is read-only; the parent merges")
         started = clock()
         self._flush()
-        connection = self._writer()
-        merged = 0
-        if only is None:
-            shard_paths = sorted(self.root.glob("shards/*.sqlite"))
-        else:
-            shard_paths = [
-                path
-                for tag in only
-                if (path := self.root / "shards" / f"{tag}.sqlite").exists()
-            ]
-        for shard_path in shard_paths:
-            try:
-                self._retry(
-                    lambda p=shard_path: connection.execute("ATTACH DATABASE ? AS shard", (str(p),))
-                )
-            except (StoreError, sqlite3.DatabaseError):
-                continue  # torn shard from a crashed worker: gc sweeps it
-            try:
-                cursor = self._retry(
-                    lambda: connection.execute(
-                        "INSERT OR REPLACE INTO entries "
-                        "SELECT digest, payload, mtime FROM shard.entries"
-                    )
-                )
-                merged += max(cursor.rowcount, 0)
-            except (StoreError, sqlite3.DatabaseError):
-                continue  # not a store shard: leave it for gc
-            finally:
-                self._retry(lambda: connection.execute("DETACH DATABASE shard"))
-            for suffix in ("", "-wal", "-shm"):
-                try:
-                    shard_path.with_name(shard_path.name + suffix).unlink()
-                except OSError:
-                    pass
+        self._insert(entries)
         self.statistics.io_seconds += clock() - started
-        return merged
+        return len(entries)
 
     # -- maintenance -----------------------------------------------------------------
 
@@ -699,40 +643,28 @@ class Store:
     def clear(self) -> int:
         """Delete every entry; returns the number removed."""
         removed = len(self)  # flushes first, so buffered writes count too
-        connection = self._writer()
+        connection = self._connection()
         self._retry(lambda: connection.execute("DELETE FROM entries"))
         return removed
 
     def gc(self, older_than_seconds: Optional[float] = None) -> GcResult:
         """Sweep the store root.
 
-        Always removes debris — quarantined ``.corrupt`` databases and
-        orphaned shard files from crashed writers (only those older than
-        a minute, so in-flight writes are never torn).  With
+        Always removes debris: quarantined ``.corrupt`` databases.  With
         ``older_than_seconds``, additionally evicts live entries whose
         modification time is older than the horizon — the store is a
         cache, so eviction costs recomputation, never correctness.
         Debris unlinked by a concurrent sweep is tolerated.
         """
         self._flush()
-        connection = self._writer()
+        connection = self._connection()
         result = GcResult()
-        now = wall_clock()
         for path in self.root.glob(f"*{QUARANTINE_SUFFIX}"):
             result.bytes_freed += _size_of(path)
             path.unlink(missing_ok=True)
             result.removed_debris += 1
-        # Orphaned shard databases: crashed workers whose shards were
-        # never merged.  Anything older than a minute cannot belong to a
-        # live pool (merge-on-join runs the moment the pool exits).
-        for path in self.root.glob("shards/*"):
-            mtime = _mtime_of(path)
-            if mtime is not None and now - mtime > 60:
-                result.bytes_freed += _size_of(path)
-                path.unlink(missing_ok=True)
-                result.removed_debris += 1
         if older_than_seconds is not None:
-            horizon = now - older_than_seconds
+            horizon = wall_clock() - older_than_seconds
             freed = self._retry(
                 lambda: connection.execute(
                     "SELECT COUNT(*), COALESCE(SUM(LENGTH(payload)), 0) "
@@ -773,7 +705,7 @@ class Store:
         ``BEGIN IMMEDIATE`` transaction, so concurrent recorders
         serialize instead of losing increments.
         """
-        connection = self._writer()
+        connection = self._connection()
 
         def _transact() -> dict:
             connection.execute("BEGIN IMMEDIATE")
@@ -816,7 +748,7 @@ class _DecodedSummaries:
     store equals the text it was decoded from, so a rewritten entry is
     decoded again; a deleted, cleared or quarantined one reads as a miss
     before the memo is asked.  Only store text enters, including the text
-    a pool worker stored, which the scheduler decodes as it arrives, so a
+    a pool worker shipped, which the scheduler decodes as it arrives, so a
     load never hands out the object a cache in this process computed.
     Fork children inherit the memo, so pool workers start with what the
     parent decoded.  Every later load shares the returned object: nobody

@@ -212,18 +212,13 @@ def _all_ones(query_slice: Slice) -> Model:
 class QueryCache:
     """Multi-tier verdict/model/core cache over sliced queries.
 
-    ``store`` (optional) is the persistent L3 tier.  With
-    ``readonly=True`` the store is consulted but never written — newly
-    solved entries accumulate in :attr:`new_entries` for the parent
-    process to merge on join, which is how forked fleet workers share one
-    store without write races.
+    ``store`` (optional) is the persistent L3 tier, written through like
+    any cache.  A forked fleet worker hands in a read-only store, which
+    keeps the writes for the worker to ship to its parent.
     """
 
     store: Optional[object] = None
-    readonly: bool = False
     statistics: QueryCacheStatistics = field(default_factory=QueryCacheStatistics)
-    #: (digest, payload) pairs a read-only cache could not persist itself.
-    new_entries: List[Tuple[str, dict]] = field(default_factory=list)
 
     #: L1 size bound; the whole tier is dropped past it (uids are never
     #: reused, so no entry can become wrong — only unreachable).
@@ -471,10 +466,7 @@ class QueryCache:
                 payload["core"] = sorted(
                     term_digest(uid_to_term[uid]) for uid in core if uid in uid_to_term
                 )
-            if self.readonly:
-                self.new_entries.append((digest, payload))
-            else:
-                self.store.save_payload(digest, payload)  # type: ignore[union-attr]
+            self.store.save_payload(digest, payload)  # type: ignore[union-attr]
             self.statistics.l3_stores += 1
 
     def _minimize(self, query_slice: Slice) -> FrozenSet[int]:
@@ -504,11 +496,10 @@ class QueryCache:
         return frozenset(term.uid for term in terms)
 
 
-def build_query_cache(store_dir: Optional[str] = None, readonly: bool = False) -> QueryCache:
+def build_query_cache(store_dir: Optional[str] = None) -> QueryCache:
     """Construct the query cache an engine/context should route through.
 
-    ``store_dir`` attaches the persistent L3 tier; ``readonly`` opens it
-    the way a worker process must (see :class:`QueryCache`).
+    ``store_dir`` attaches the persistent L3 tier.
     """
     store = None
     if store_dir:
@@ -517,4 +508,4 @@ def build_query_cache(store_dir: Optional[str] = None, readonly: bool = False) -
         from ..orchestrator.store import QueryStore
 
         store = QueryStore(store_dir)
-    return QueryCache(store=store, readonly=readonly)
+    return QueryCache(store=store)

@@ -385,14 +385,14 @@ class TestWorkerShipping:
             pooled = work(t.spans())
         assert pooled == serial
 
-    def test_disabled_tracer_ships_no_observability(self):
-        from repro.orchestrator.workers import _summarize_worker
+    def test_disabled_tracer_ships_no_observability(self, tmp_path):
+        from repro.orchestrator.workers import PoolRun, _summarize_worker
         from repro.symbex.engine import SymbexOptions
         from repro.workloads import fleet_catalog
 
         element = fleet_catalog(1)[0].elements[0]
-        status, _text, _entries, extras = _summarize_worker(
-            (element, 24, SymbexOptions(), None)
+        status, _text, _writes, extras = _summarize_worker(
+            (element, 24), PoolRun((), (), (), SymbexOptions(), str(tmp_path))
         )
         assert status == "computed"
         # Tracing off: no span or slow-log keys ride along.  The query-tier

@@ -21,7 +21,7 @@ from repro.orchestrator import (
     summary_key,
 )
 from repro.orchestrator.errors import OrchestratorError, SerializationError
-from repro.orchestrator.workers import COMPUTED, EXPLODED, LOADED, _summarize_worker, job_digest
+from repro.orchestrator.workers import COMPUTED, EXPLODED, LOADED, PoolRun, _summarize_worker
 from repro.symbex import SymbexOptions
 from repro.symbex.engine import SymbolicEngine
 from repro.verify import CrashFreedom, PipelineVerifier, SummaryCache
@@ -562,7 +562,7 @@ class TestWorkers:
         )
         for element in elements:
             fresh = _summarize(element, 12)
-            shipped = run.summaries[job_digest(element, 12, options)]
+            shipped = run.summaries[summary_key(element, 12, options)]
             assert [s.outcome for s in fresh.segments] == [s.outcome for s in shipped.segments]
             assert all(
                 s.constraint is t.constraint for s, t in zip(fresh.segments, shipped.segments)
@@ -570,20 +570,23 @@ class TestWorkers:
 
     def test_summarize_jobs_uses_store(self, tmp_path):
         element = SyntheticBranchyElement(2, name="stored")
-        payload = (element, 12, SymbexOptions(), str(tmp_path))
-        first_status, first, _entries, _extras = _summarize_worker(payload)
-        # The worker wrote into its shard; the scheduler folds a task's
-        # shard into the main store as the task's result arrives.
-        SummaryStore(tmp_path).merge_shards()
-        second_status, second, _entries, extras = _summarize_worker(payload)
+        run = PoolRun((), (), (), SymbexOptions(), str(tmp_path))
+        first_status, first, (rows, _queries), _extras = _summarize_worker((element, 12), run)
+        # The worker's store is read-only: it ships the row it wrote, and
+        # the scheduler writes it as the task's result arrives.
+        assert rows == {summary_key(element, 12, run.options): first}
+        assert len(SummaryStore(tmp_path)) == 0
+        SummaryStore(tmp_path).merge_shards(rows)
+        second_status, second, writes, extras = _summarize_worker((element, 12), run)
         assert (first_status, second_status) == (COMPUTED, LOADED)
-        assert extras == {}  # a store load ships no query-cache work
+        assert writes == ({}, {}) and extras == {}  # a store load ships no work
         assert len(loads_summary(second).segments) == len(loads_summary(first).segments)
 
-    def test_path_explosion_is_shipped_not_raised(self):
+    def test_path_explosion_is_shipped_not_raised(self, tmp_path):
         options = SymbexOptions(max_paths=4, merge="off")
-        status, detail, _entries, _extras = _summarize_worker(
-            (SyntheticBranchyElement(6, name="wide"), 12, options, None)
+        status, detail, _writes, _extras = _summarize_worker(
+            (SyntheticBranchyElement(6, name="wide"), 12),
+            PoolRun((), (), (), options, str(tmp_path)),
         )
         assert status == EXPLODED and "budget" in detail
         # The explosion names the offending element so EXPLODED jobs and
@@ -689,9 +692,9 @@ class TestFleet:
         opens = Counter()
         real = Store.__init__
 
-        def counting(store, root, shard=None):
+        def counting(store, root, readonly=False):
             opens[store.kind] += 1  # parent-side only: forked workers count in their copy
-            real(store, root, shard)
+            real(store, root, readonly)
 
         monkeypatch.setattr(Store, "__init__", counting)
         build = (lambda: fleet_catalog(6)) if workers == 1 else (lambda: store_scale_catalog(20))

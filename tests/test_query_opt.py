@@ -318,16 +318,13 @@ class TestQueryStoreL3:
     def test_readonly_cache_ships_entries_for_merge(self, tmp_path):
         from repro.orchestrator.store import QueryStore
 
-        store = QueryStore(tmp_path)
-        worker_cache = QueryCache(store=store, readonly=True)
+        worker_cache = QueryCache(store=QueryStore(tmp_path, readonly=True))
         self._queries(AssumptionChecker(query_cache=worker_cache))
+        store = QueryStore(tmp_path)
         assert len(store) == 0  # nothing written by the read-only side
-        assert worker_cache.new_entries
-        from repro.orchestrator.workers import merge_query_entries
-
-        merge_query_entries(store, worker_cache.new_entries)
-        store.flush()  # the merge batches its writes; the caller flushes
-        assert len(store) > 0
+        shipped = worker_cache.store.take_writes()
+        assert len(shipped) == worker_cache.statistics.l3_stores > 0
+        assert store.merge_shards(shipped) == len(store) == len(shipped)
         # A fresh cache over the merged store answers without solving.
         merged = QueryCache(store=QueryStore(tmp_path))
         self._queries(AssumptionChecker(query_cache=merged))
@@ -439,13 +436,13 @@ class TestEngineAndFleetWiring:
         assert warm.verdicts() == cold.verdicts()
 
     def test_certify_worker_ships_query_entries(self, tmp_path):
-        """The per-pipeline worker task opens the L3 tier read-only and
-        ships its new entries back (the parent merges them on join)."""
+        """The per-pipeline worker task opens its stores read-only and
+        ships its new entries back (the parent writes them)."""
         import dataclasses
 
         from repro.orchestrator.fleet import _certify_worker
-        from repro.orchestrator.store import QueryStore
-        from repro.orchestrator.workers import PoolRun, merge_query_entries
+        from repro.orchestrator.store import QueryStore, SummaryStore
+        from repro.orchestrator.workers import PoolRun
         from repro.symbex.engine import SymbexOptions
         from repro.verify import CrashFreedom
         from repro.workloads import fleet_catalog
@@ -459,24 +456,27 @@ class TestEngineAndFleetWiring:
                 fleet_catalog(1), [CrashFreedom()], (24,), options, str(tmp_path / "summaries"),
             )
 
-        certification, _misses, _l2_hits, entries, _extras = _certify_worker(0, worker_run())
+        certification, misses, _l2_hits, (summaries, entries), _extras = _certify_worker(
+            0, worker_run()
+        )
         assert certification.certified
-        assert entries  # solved slices that could not be written in-fork
+        # The summaries it computed and the slices it solved, shipped
+        # rather than written in-fork.
+        assert len(summaries) == misses > 0 and entries
+        assert len(SummaryStore(tmp_path / "summaries")) == 0
         assert len(QueryStore(tmp_path / "queries")) == 0
-        queries = QueryStore(tmp_path / "queries")
-        merge_query_entries(queries, entries)
-        queries.flush()
-        assert len(QueryStore(tmp_path / "queries")) > 0
+        QueryStore(tmp_path / "queries").merge_shards(entries)
+        assert len(QueryStore(tmp_path / "queries")) == len(entries)
         # A second worker over the merged store solves nothing new.
-        _cert, _m, _l, warm_entries, _warm_extras = _certify_worker(0, worker_run())
-        assert warm_entries == []
+        _cert, _m, _l, (_summaries, warm_entries), _x = _certify_worker(0, worker_run())
+        assert warm_entries == {}
 
     def test_parallel_summarize_jobs_preserve_work_counters(self, tmp_path):
         """The query-cache counters the Step-1 tasks ship back, folded by
         the scheduler, equal the query-cache totals of serial engines: the
         caches that did the work are the only count of it."""
         from repro.orchestrator import SummaryStore, run_scheduled
-        from repro.orchestrator.workers import job_digest
+        from repro.orchestrator.store import summary_key
         from repro.smt.qcache import QueryCacheStatistics
         from repro.symbex.engine import SymbexOptions, SymbolicEngine
         from repro.workloads import fleet_catalog
@@ -495,7 +495,7 @@ class TestEngineAndFleetWiring:
         )
         assert run.computed == len(run.summaries) == len(pipeline.elements)
         assert set(run.summaries) == {
-            job_digest(element, 24, options) for element in pipeline.elements
+            summary_key(element, 24, options) for element in pipeline.elements
         }
         serial = QueryCacheStatistics()
         for element in pipeline.elements:

@@ -10,9 +10,12 @@ call :func:`run_scheduled` directly with an explicit worker count.
 """
 
 import dataclasses
+import json
 import os
 import random
 import signal
+import sqlite3
+import tempfile
 import threading
 from contextlib import contextmanager
 from pathlib import Path
@@ -25,13 +28,15 @@ from repro.orchestrator import (
     OrchestratorError,
     RiskHistory,
     RiskStore,
+    SQLITE_FILENAME,
     SummaryStore,
     certify_fleet,
     pipeline_ranks,
     run_scheduled,
+    summary_key,
 )
 from repro.orchestrator.fleet import _certify_worker
-from repro.orchestrator.workers import _summarize_worker, job_digest
+from repro.orchestrator.workers import PoolRun, _summarize_worker
 from repro.symbex.engine import SymbexOptions
 from repro.verify import CrashFreedom, destination_reachability
 from repro.workloads import (
@@ -39,6 +44,24 @@ from repro.workloads import (
     store_scale_catalog,
     synthetic_pipeline,
 )
+
+
+def _entries(root):
+    """Every summary in the store under ``root``, as ``digest -> payload``.
+
+    The one timing field, the summary's ``elapsed_seconds``, is dropped.
+    """
+    connection = sqlite3.connect(str(root / SQLITE_FILENAME))
+    try:
+        rows = connection.execute("SELECT digest, payload FROM entries").fetchall()
+    finally:
+        connection.close()
+    entries = {}
+    for digest, text in rows:
+        payload = json.loads(text)
+        del payload["summary"]["elapsed_seconds"]
+        entries[digest] = payload
+    return entries
 
 
 def _packets(report):
@@ -54,14 +77,16 @@ def _serial_summaries(pipelines, lengths, options):
     from repro.orchestrator import loads_summary
 
     graph = JobGraph(pipelines, lengths, options)
-    while True:
-        jobs = graph.take_new_jobs()
-        if not jobs:
-            break
-        for digest, element, length in jobs:
-            status, text, _e, _x = _summarize_worker((element, length, options, None))
-            assert status == "computed"
-            graph.resolve(digest, loads_summary(text))
+    with tempfile.TemporaryDirectory() as root:
+        run = PoolRun((), (), (), options, root)
+        while True:
+            jobs = graph.take_new_jobs()
+            if not jobs:
+                break
+            for digest, element, length in jobs:
+                status, text, _w, _x = _summarize_worker((element, length), run)
+                assert status == "computed"
+                graph.resolve(digest, loads_summary(text))
     return graph
 
 
@@ -130,7 +155,7 @@ class TestJobGraph:
         digests = [digest for digest, _e, _l in jobs]
         assert len(digests) == len(set(digests))
         entries = [p.entry_elements()[0] for p in catalog]
-        assert len(jobs) == len({job_digest(e, 64, options) for e in entries})
+        assert len(jobs) == len({summary_key(e, 64, options) for e in entries})
 
     def test_rejects_multi_entry_pipeline(self):
         from repro.dataplane import Pipeline
@@ -292,6 +317,11 @@ class TestSchedulerDirect:
             for r in run.step2[index][0].results
         ]
         assert verdicts == serial.verdicts()
+        # The dead attempt shipped nothing; its retry's summary reached the
+        # database like every other task's.
+        stored = SummaryStore(tmp_path / "store").load_digests(run.summaries)
+        assert set(stored) == set(run.summaries)
+        assert not (tmp_path / "store" / "shards").exists()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_crashed_verify_task_is_retried_with_the_same_run(self, tmp_path, workers):
@@ -321,6 +351,20 @@ class TestSchedulerDirect:
             self._run(
                 store_scale_catalog(2), SummaryStore(tmp_path), verify_worker=_lock_verify_worker
             )
+
+    def test_parent_writes_every_entry_the_workers_computed(self, tmp_path):
+        """Workers ship their store writes; the parent alone writes the store."""
+        root = tmp_path / "pooled"
+        run = self._run(store_scale_catalog(20), SummaryStore(root))
+        assert run.computed == len(run.summaries) > 0
+        assert not (root / "shards").exists()
+        in_process = tmp_path / "in-process"
+        certify_fleet(
+            store_scale_catalog(20), [CrashFreedom()], input_lengths=(64,), store=str(in_process)
+        )
+        pooled = _entries(root)
+        assert set(pooled) == set(run.summaries)
+        assert pooled == _entries(in_process)
 
     def test_each_worker_decodes_each_summary_once(self, tmp_path):
         run = self._run(store_scale_catalog(20), SummaryStore(tmp_path))
@@ -383,10 +427,10 @@ def _crash_if_marked(store_root):
             os._exit(1)
 
 
-def _crash_once_worker(payload):
+def _crash_once_worker(payload, run):
     """Summary worker that hard-kills its process on the first marked task."""
-    _crash_if_marked(payload[3])
-    return _summarize_worker(payload)
+    _crash_if_marked(run.store_root)
+    return _summarize_worker(payload, run)
 
 
 def _crash_once_verify_worker(index, run):

@@ -6,8 +6,9 @@ SQLite database per root, read and written by
 round trips, on a fresh root and on a root that still holds the legacy
 one-file-per-entry JSON layout (which the store does not read); the one
 decode-or-quarantine path every tier's loaders share; the schema
-versioning, whole-database quarantine, worker shards and write
-batching; and the main connection each process shares per root.
+versioning, whole-database quarantine, the read-only stores pool
+workers open and write batching; and the connection each process
+shares per root.
 """
 
 import gc
@@ -281,55 +282,65 @@ class TestSqliteCorruption:
         assert reopened.statistics.misses == 2
 
 
-class TestShards:
-    def test_shard_view_reads_main_writes_private(self, tmp_path):
+class TestReadOnlyStores:
+    """A pool worker's store: it reads the database, and ships its writes."""
+
+    def test_reads_main_and_ships_writes_for_merge(self, tmp_path):
         main = QueryStore(tmp_path)
         main.save_payload(_digest(1), {"from": "main"})
         main.flush()
 
-        shard = QueryStore(tmp_path, shard="w1")
-        assert shard.load_payload(_digest(1)) == {"from": "main"}  # reads hit main
-        shard.save_payload(_digest(2), {"from": "shard"})
-        shard.close()
+        worker = QueryStore(tmp_path, readonly=True)
+        worker.batch_size = 1  # a batch boundary does not flush it either
+        assert worker.load_payload(_digest(1)) == {"from": "main"}  # reads hit main
+        worker.save_payload(_digest(2), {"from": "worker"})
+        worker.save_payload(_digest(3), {"from": "worker"})
+        assert worker.load_payload(_digest(2)) == {"from": "worker"}  # and its own writes
+        worker.close()
 
-        # The shard write is invisible to main until merge-on-join.
-        assert (tmp_path / "shards" / "w1.sqlite").exists()
-        assert not main.contains(_digest(2))
-        assert main.merge_shards() == 1
-        assert main.load_payload(_digest(2)) == {"from": "shard"}
-        assert not (tmp_path / "shards" / "w1.sqlite").exists()
+        # The database holds nothing new until the parent merges the writes.
+        assert len(main) == 1 and not main.contains(_digest(2))
+        shipped = worker.take_writes()
+        assert set(shipped) == {_digest(2), _digest(3)}
+        assert worker.take_writes() == {}
+        assert main.merge_shards(shipped) == 2
+        assert main.load_payload(_digest(2)) == {"from": "worker"}
+        assert len(QueryStore(tmp_path)) == 3
+        assert not (tmp_path / "shards").exists()
 
-    def test_read_only_shard_view_creates_no_shard(self, tmp_path):
+    def test_nothing_written_ships_nothing(self, tmp_path):
         main = QueryStore(tmp_path)
         main.save_payload(_digest(1), {"from": "main"})
         main.flush()
 
-        shard = QueryStore(tmp_path, shard="t1a1")
-        assert shard.load_payload(_digest(1)) == {"from": "main"}
-        assert shard.load_payload(_digest(2)) is None
-        shard.close()  # flushes: nothing was written, so nothing is created
+        worker = QueryStore(tmp_path, readonly=True)
+        assert worker.load_payload(_digest(1)) == {"from": "main"}
+        assert worker.load_payload(_digest(2)) is None
+        worker.close()
+        assert worker.take_writes() == {}
+        assert len(main) == 1 and not (tmp_path / "shards").exists()
 
-        assert not (tmp_path / "shards" / "t1a1.sqlite").exists()
-        assert main.merge_shards(only=["t1a1"]) == 0
+    def test_merge_refuses_on_readonly_store(self, tmp_path):
+        worker = QueryStore(tmp_path, readonly=True)
+        with pytest.raises(StoreError, match="read-only"):
+            worker.merge_shards({_digest(1): "{}"})
 
-    def test_merge_refuses_on_shard_view(self, tmp_path):
-        QueryStore(tmp_path).close()
-        shard = QueryStore(tmp_path, shard="w1")
-        with pytest.raises(StoreError, match="main store"):
-            shard.merge_shards()
+    @pytest.mark.parametrize("tier", ["summary", "query"])
+    def test_quarantine_reaches_the_database(self, tier, tmp_path):
+        store_class, digest, loaders = TIERS[tier]
+        load = loaders["load"]
+        main = store_class(tmp_path)
+        main.write_entry(digest, GARBAGE)
+        main.flush()
 
-    def test_merge_tolerates_torn_shard(self, tmp_path):
-        main = QueryStore(tmp_path)
-        shard = QueryStore(tmp_path, shard="w1")
-        shard.save_payload(_digest(1), {"ok": True})
-        shard.close()
-        (tmp_path / "shards" / "w2.sqlite").write_bytes(b"torn worker crash")
-        assert main.merge_shards() == 1  # the good shard lands, the torn one stays
-        assert main.load_payload(_digest(1)) == {"ok": True}
-        # gc sweeps the torn shard once it is old enough to be an orphan.
-        old = time.time() - 120
-        os.utime(tmp_path / "shards" / "w2.sqlite", (old, old))
-        assert main.gc().removed_debris == 1
+        worker = store_class(tmp_path, readonly=True)
+        assert load(worker) is None
+        assert worker.statistics.quarantined == 1
+        # Deleted from the database itself, so no later reader parses it.
+        assert len(store_class(tmp_path)) == 0
+        assert not (tmp_path / "shards").exists()
+        assert load(worker) is None  # a plain miss now
+        assert worker.statistics.quarantined == 1 and worker.statistics.misses == 2
 
 
 class TestBatching:
@@ -401,6 +412,36 @@ class TestLegacyRoots:
         assert len(VerdictStore(roots["verdicts"])) == counts["verdicts"]
         assert QueryStore(roots["queries"]).load_metrics()["runs"] == 1
         assert all(list(root.glob("??/*.json")) for root in roots.values())
+
+    def test_leftover_shards_are_neither_read_nor_removed(self, tmp_path):
+        """Shard files an older repro's pool left under a root stay unread."""
+        roots = {name: tmp_path / name for name in ("summaries", "verdicts", "queries")}
+        shards = []
+        for root in roots.values():
+            shard = root / "shards" / "t1a1.sqlite"
+            shard.parent.mkdir(parents=True)
+            connection = sqlite3.connect(str(shard))
+            connection.execute(
+                "CREATE TABLE entries (digest TEXT PRIMARY KEY, payload TEXT NOT NULL,"
+                " mtime REAL NOT NULL)"
+            )
+            connection.execute("INSERT INTO entries VALUES (?, '{}', 0)", (_digest(1),))
+            connection.commit()
+            connection.close()
+            old = time.time() - 120  # past the minute the old gc waited
+            os.utime(shard, (old, old))
+            shards.append(shard)
+        stores = dict(
+            store=str(roots["summaries"]), verdict_store=str(roots["verdicts"]),
+            query_store=str(roots["queries"]),
+        )
+        report = certify_fleet(fleet_catalog(2), [CrashFreedom()], input_lengths=(24,), **stores)
+        fresh = certify_fleet(fleet_catalog(2), [CrashFreedom()], input_lengths=(24,))
+        assert report.verdicts() == fresh.verdicts()
+        queries = QueryStore(roots["queries"])
+        assert not queries.contains(_digest(1))
+        assert queries.gc().removed_debris == 0
+        assert all(shard.exists() for shard in shards)
 
 
 class TestCliSmoke:
@@ -478,19 +519,19 @@ class TestDecodePath:
 
 
 class TestSharedConnection:
-    """One main connection per database file, process and thread."""
+    """One connection per database file, process and thread."""
 
     def test_stores_on_one_root_share_one_connection(self, tmp_path):
         summaries = SummaryStore(tmp_path / "a")
         queries = QueryStore(tmp_path / "a")
-        shard = QueryStore(tmp_path / "a", shard="w1")
+        worker = QueryStore(tmp_path / "a", readonly=True)
         other = QueryStore(tmp_path / "b")
-        assert summaries._read_conn is queries._read_conn
-        assert shard._read_conn is queries._read_conn
-        assert other._read_conn is not queries._read_conn
-        shard.save_payload(_digest(1), {"from": "shard"})
-        shard.close()  # closes the shard, never the shared main connection
-        assert queries.merge_shards() == 1
+        assert summaries._conn is queries._conn
+        assert worker._conn is queries._conn
+        assert other._conn is not queries._conn
+        worker.save_payload(_digest(1), {"from": "worker"})
+        worker.close()  # never closes the shared connection
+        assert queries.merge_shards(worker.take_writes()) == 1
         assert summaries.read_entry(_digest(1)) is not None
 
     def test_newer_schema_written_between_opens_is_refused(self, tmp_path):
@@ -507,7 +548,7 @@ class TestSharedConnection:
         # The connection `first` holds is still registered and reused, and
         # the schema check on this open still sees the newer version.
         registry = _shared_connections()
-        assert any(entry.connection is first._read_conn for entry in registry.values())
+        assert any(entry.connection is first._conn for entry in registry.values())
         with pytest.raises(StoreError, match="newer"):
             QueryStore(tmp_path)
 
@@ -519,14 +560,14 @@ class TestSharedConnection:
         shutil.rmtree(root)
 
         new = QueryStore(root)
-        assert new._read_conn is not old._read_conn
+        assert new._conn is not old._conn
         assert len(new) == 0 and new.load_payload(_digest(1)) is None
         new.save_payload(_digest(2), {"new": True})
         new.flush()
         # The registry dropped the deleted root's connection, so it closes
         # with the last store that holds it: no descriptor on a deleted
         # file lingers until a cyclic collection.
-        old_connection = old._read_conn
+        old_connection = old._conn
         old_connection.execute("SELECT 1")
         del old
         with pytest.raises(sqlite3.ProgrammingError):
@@ -547,7 +588,7 @@ class TestSharedConnection:
         others = [QueryStore(tmp_path / f"r{index}") for index in range(_MAX_SHARED_CONNECTIONS)]
         registry = _shared_connections()
         assert len(registry) <= _MAX_SHARED_CONNECTIONS
-        assert all(entry.connection is not first._read_conn for entry in registry.values())
+        assert all(entry.connection is not first._conn for entry in registry.values())
         # Dropped from the registry, not closed: the live store still works.
         assert first.load_payload(_digest(1)) == {"kept": True}
         assert QueryStore(tmp_path / "first").load_payload(_digest(1)) == {"kept": True}
@@ -561,7 +602,7 @@ class TestSharedConnection:
 
         def _worker():
             store = QueryStore(tmp_path)
-            seen["shared"] = store._read_conn is main._read_conn
+            seen["shared"] = store._conn is main._conn
             seen["payload"] = store.load_payload(_digest(1))
 
         thread = threading.Thread(target=_worker)
@@ -574,7 +615,7 @@ class TestSharedConnection:
         parent = QueryStore(tmp_path)
         parent.save_payload(_digest(1), {"parent": True})
         parent.flush()
-        parent_connection = parent._read_conn
+        parent_connection = parent._conn
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX
@@ -582,11 +623,11 @@ class TestSharedConnection:
 
         def _child():
             opened = QueryStore(tmp_path)
-            assert opened._read_conn is not parent_connection
+            assert opened._conn is not parent_connection
             assert opened.load_payload(_digest(1)) == {"parent": True}
             # The inherited store object reopens too, onto the child's connection.
             assert parent.load_payload(_digest(1)) == {"parent": True}
-            assert parent._read_conn is opened._read_conn
+            assert parent._conn is opened._conn
             opened.save_payload(_digest(2), {"child": True})
             opened.close()
 
@@ -594,7 +635,7 @@ class TestSharedConnection:
         process.start()
         process.join(timeout=60)
         assert process.exitcode == 0
-        assert parent._read_conn is parent_connection
+        assert parent._conn is parent_connection
         assert parent.load_payload(_digest(2)) == {"child": True}
 
 
@@ -602,12 +643,13 @@ class TestGcRaces:
     def test_gc_tolerates_vanished_shards(self, tmp_path):
         store = QueryStore(tmp_path)
         store.save_payload(_digest(1), {"ok": True})
-        # A dangling symlink stats like a shard file that a concurrent
-        # merge or gc unlinked between the directory listing and the stat.
+        # A shards/ directory an older repro's pool left behind, holding
+        # a link to a file that vanished: gc neither reads nor removes it.
         (tmp_path / "shards").mkdir()
         (tmp_path / "shards" / "t9a1.sqlite").symlink_to(tmp_path / "never-existed")
         result = store.gc(older_than_seconds=3600)
-        assert result.removed_debris == 0  # vanished: neither kept nor removed
+        assert result.removed_debris == 0
+        assert (tmp_path / "shards" / "t9a1.sqlite").is_symlink()
         assert result.kept_entries == 1
         assert store.size_bytes() > 0
 

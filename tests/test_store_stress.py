@@ -3,9 +3,9 @@
 The container that runs ``certify_fleet`` clamps its pool to the CPU
 count, so these tests drive :mod:`multiprocessing` directly: N real
 processes hammering one store root.  The store must absorb lock
-contention through its busy timeout + jittered-backoff retry (writing
-the main database directly) and must lose nothing when writers go
-through per-worker shards instead.
+contention through its busy timeout + jittered-backoff retry and lose
+nothing.  (Pool workers never write a root: the parent writes what they
+ship, see ``tests/test_store_backends.py::TestReadOnlyStores``.)
 """
 
 import json
@@ -15,7 +15,6 @@ import os
 import pytest
 
 from repro.orchestrator import QueryStore
-from repro.orchestrator.workers import worker_shard_tag
 
 #: A root's layout before the race: the legacy JSON layout (which the
 #: store leaves unread) or nothing at all.
@@ -44,14 +43,6 @@ def _hammer_main(root, writer):
         store.save_payload(_digest(writer, index), {"writer": writer, "index": index})
         if index % 7 == 0:
             store.flush()  # interleave real commits with buffered writes
-    store.close()
-
-
-def _hammer_shard(root, writer):
-    """Write a block of entries through this process's private shard view."""
-    store = QueryStore(root, shard=worker_shard_tag())
-    for index in range(ENTRIES_PER_WRITER):
-        store.save_payload(_digest(writer, index), {"writer": writer, "index": index})
     store.close()
 
 
@@ -90,21 +81,6 @@ def test_concurrent_writers_one_root(layout, tmp_path):
             payload = store.load_payload(_digest(writer, index))
             assert payload == {"writer": writer, "index": index}
     assert store.statistics.quarantined == 0
-
-
-def test_concurrent_shard_writers_then_merge(tmp_path):
-    """The fleet protocol: workers fill private shards, the parent folds them in."""
-    root = str(tmp_path)
-    main = QueryStore(root)
-    _run_writers(_hammer_shard, [(root, writer) for writer in range(WRITERS)])
-    # Shard tags are per-pid, so the pool left one shard file per writer.
-    assert len(list((tmp_path / "shards").glob("*.sqlite"))) == WRITERS
-    assert main.merge_shards() == WRITERS * ENTRIES_PER_WRITER
-    assert len(main) == WRITERS * ENTRIES_PER_WRITER
-    assert not list((tmp_path / "shards").glob("*.sqlite"))
-    for writer in range(WRITERS):
-        payload = main.load_payload(_digest(writer, ENTRIES_PER_WRITER // 2))
-        assert payload == {"writer": writer, "index": ENTRIES_PER_WRITER // 2}
 
 
 def test_concurrent_metrics_recording(tmp_path):
