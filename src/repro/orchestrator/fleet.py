@@ -16,8 +16,9 @@ Two engines run the work, chosen by the effective worker count:
   order through one shared :class:`~repro.verify.cache.SummaryCache`.
 * **more workers** — :func:`repro.orchestrator.scheduler.run_scheduled`
   drives Step-1 summary jobs and per-pipeline Step-2 checks through one
-  persistent pool.  Workers read summaries from the summary store, and
-  the parent writes every entry they compute.
+  persistent pool.  Each worker opens the summary and query stores
+  read-only once, reads summaries from them for every task it runs, and
+  ships what each task computed back for the parent to write.
 
 Merging is deterministic: certifications come back in catalog order, and
 both engines produce the same verdicts.
@@ -35,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 from ..dataplane.fingerprint import pipeline_fingerprint
 from ..dataplane.pipeline import Pipeline
 from ..obs.stats import StatisticsMixin
-from ..obs.trace import NullTracer, Tracer, active, clock, enable, tracer
+from ..obs.trace import NullTracer, Tracer, active, clock, tracer
 from ..smt.qcache import QueryCache, QueryCacheStatistics
 from ..symbex.engine import StaticTableMode, SymbexOptions
 from ..verify.cache import SummaryCache
@@ -45,12 +46,7 @@ from ..verify.report import InstructionBoundResult, VerificationResult
 from .scheduler import SchedulerStatistics, entry_of, run_scheduled
 from .store import QueryStore, SummaryStore, summaries_decoded
 from .verdicts import VerdictStore, element_slots, property_set_fingerprint, verdict_key
-from .workers import (
-    PoolRun,
-    drain_observability,
-    take_writes,
-    worker_query_cache,
-)
+from .workers import PoolRun, drain_observability, end_task, open_task
 
 #: Provenance labels: the certification was verified on this run, ...
 FRESH = "fresh"
@@ -273,31 +269,32 @@ def _certify_worker(
     observability extras).  A summary this worker decoded before, or
     inherited decoded from the parent, is read from the store but not
     decoded again (see :class:`repro.orchestrator.store.SummaryStore`).
-    Both stores are opened read-only, so the summaries it had to compute
-    and the slices it solved ride back with the result for the parent to
-    write (see :func:`repro.orchestrator.workers.take_writes`).
+    The task builds a fresh summary cache and query cache over the
+    worker's read-only stores, which stay open for the life of the pool;
+    the summaries it had to compute and the slices it solved ride back
+    with the result for the parent to write (see
+    :func:`repro.orchestrator.workers.end_task`).
     """
-    options = run.options
-    if options.trace:
-        enable()
-    query_cache = worker_query_cache(options)
-    store = SummaryStore(run.store_root, readonly=True)
-    cache = SummaryCache(options, store=store, query_cache=query_cache)
+    store, query_cache = open_task(run)
+    cache = SummaryCache(run.options, store=store, query_cache=query_cache)
     decoded = summaries_decoded()
-    certification = _certify_one(
-        run.pipelines[index],
-        run.properties,
-        run.input_lengths,
-        cache,
-        run.max_counterexamples,
-        run.confirm_by_replay,
-        run.instruction_bounds,
-    )
+    try:
+        certification = _certify_one(
+            run.pipelines[index],
+            run.properties,
+            run.input_lengths,
+            cache,
+            run.max_counterexamples,
+            run.confirm_by_replay,
+            run.instruction_bounds,
+        )
+    finally:
+        writes = end_task(run)
     return (
         certification,
         cache.statistics.misses,
         summaries_decoded() - decoded,
-        take_writes(store, query_cache),
+        writes,
         drain_observability(query_cache),
     )
 
@@ -340,8 +337,9 @@ def certify_fleet(
     cache's L3 tier: sliced solver verdicts, models and unsat cores
     survive across runs, so a warm re-certification performs **zero
     SAT-core calls** for unchanged pipelines — the solver-level analogue
-    of the summary store's zero-symbex warm path.  Workers open it
-    read-only and ship new entries back for the parent to write.
+    of the summary store's zero-symbex warm path.  Each worker opens it
+    read-only once and ships each task's new entries back for the parent
+    to write.
 
     A ``verdict_store`` (path or :class:`VerdictStore`) turns the run into
     **delta mode**: pipelines whose fingerprint x property-set record

@@ -10,24 +10,28 @@ wider to :func:`run_scheduled`, a job graph over one long-lived pool:
   summary set is complete its Step-2 verification job becomes ready.
   Symbolic execution and verification overlap instead of phase-gating.
 * :class:`PersistentPool` — ``workers`` fork-context processes spawned
-  once per run, fed task-by-task over private queues (the parent holds
-  the full priority heap, so priorities are honored exactly), with
-  crashed-worker detection: a task whose process dies is re-queued as a
-  fresh attempt and a replacement worker is forked.
+  once per run, each fed one task at a time over its own pair of pipes
+  (the parent holds the full priority heap, so priorities are honored
+  exactly).  The parent pickles and writes each task, and reads each
+  result, in its own thread, waiting on every result pipe and every
+  worker's process sentinel at once, so no message waits in a feeder
+  thread and a dead worker is seen the moment it exits: its task is
+  re-queued as a fresh attempt and a replacement worker is forked.
 * **Lean tasks** — the run's constants (catalog, properties, options,
   store root, …) travel once per worker as a
   :class:`~repro.orchestrator.workers.PoolRun`, so a task ships only its
-  job (a Step-1 ``(element, length)``, a Step-2 catalog index), and each
-  worker decodes each stored summary at most once for the life of the
-  pool (the store's decode memo, which the workers inherit from the
-  parent's admission probe).  Each Step-2 result is handed to the
+  job (a Step-1 ``(element, length)``, a Step-2 catalog index).  Each
+  worker opens its read-only stores once, on its first task, and
+  decodes each stored summary at most once for the life of the pool
+  (the store's decode memo, which the workers inherit from the parent's
+  admission probe).  Each Step-2 result is handed to the
   caller's ``on_verified`` hook as it lands (the fleet layer writes its
   verdict record there), once every idle worker has been refilled.
 * **One way out of a worker** — workers open every store read-only and
-  ship what they wrote in their results.  The parent writes a result's
-  summary rows as it arrives (``merge_shards``), before admitting the
-  work they unblock, and its L3 rows, first shipped wins, after the pool
-  joins.  A crashed or stale attempt's writes never land.
+  each task ships what it wrote in its result.  The parent writes a
+  result's summary rows as it arrives (``merge_shards``), before
+  admitting the work they unblock, and its L3 rows, first shipped wins,
+  after the pool joins.  A crashed attempt's writes never land.
 * **Priorities** (:func:`pipeline_ranks`) — catalog order, or, given a
   risk history, the ranking of :mod:`repro.orchestrator.risk`: under
   delta mode the likely-violating few reach a verdict while bulk reuse
@@ -43,9 +47,7 @@ caller's ``qstats``), which are the run's solver work.
 from __future__ import annotations
 
 import heapq
-import os
 import pickle
-import queue as queue_module
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -287,44 +289,53 @@ class _Task:
     attempt: int = 1
 
 
-def _pool_worker_loop(tasks, results, run: PoolRun) -> None:
-    """Worker body: run tasks until the ``None`` sentinel arrives.
+def _pool_worker_loop(tasks, results, run: PoolRun, parent_ends) -> None:
+    """Worker body: run tasks until the empty stop message arrives.
 
-    ``run`` holds the run's constants; each task body is called as
-    ``fn(payload, run)`` and reports
-    ``(pid, task_id, attempt, ok, started, ended, payload)``; the attempt
-    travels back so the parent can tell a retried task's stale result
-    from the live one.  Failures ship as data — one bad task must not
-    tear the worker down.
+    ``tasks`` and ``results`` are this worker's ends of its two pipes.
+    ``parent_ends`` are the parent's ends of every pool pipe the fork
+    copied into this process; closing them leaves each pipe one reader
+    and one writer, so a worker's death is end-of-file on its result
+    pipe and the parent's is end-of-file on its task pipe.
 
-    A result is pickled here, not by the queue: the queue pickles in a
-    feeder thread that prints and drops a message it cannot pickle, and
-    the parent would wait for it forever.  So an unpicklable result
-    fails its task like any other error.
+    A task message is a pickled ``(fn, payload)``; the body is called as
+    ``fn(payload, run)`` and the worker sends back one pickled
+    ``(ok, started, ended, result or error message)``.  The result is
+    pickled here, so an unpicklable result (or payload) fails its task
+    like any other error: failures ship as data, and one bad task must
+    not tear the worker down.
     """
-    pid = os.getpid()
+    for end in parent_ends:
+        end.close()
     while True:
-        item = tasks.get()
-        if item is None:
-            break
-        task_id, attempt, fn, payload = item
+        try:
+            message = tasks.recv_bytes()
+        except EOFError:
+            return  # the parent is gone
+        if not message:
+            return  # shutdown
         started = clock()
         try:
+            fn, payload = pickle.loads(message)
             result = fn(payload, run)
-            ok, shipped = True, pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+            message = pickle.dumps((True, started, clock(), result), pickle.HIGHEST_PROTOCOL)
         except BaseException as exc:  # noqa: BLE001 - shipped as data, see docstring
-            ok, shipped = False, f"{type(exc).__name__}: {exc}"
-        results.put((pid, task_id, attempt, ok, started, clock(), shipped))
+            message = pickle.dumps((False, started, clock(), f"{type(exc).__name__}: {exc}"))
+        try:
+            results.send_bytes(message)
+        except OSError:
+            return  # the parent stopped reading: the pool is shutting down
 
 
 class _WorkerHandle:
-    """Parent-side record of one pool process."""
+    """Parent-side record of one pool process and the parent's ends of its pipes."""
 
-    __slots__ = ("process", "tasks", "current", "idle_since")
+    __slots__ = ("process", "tasks", "results", "current", "idle_since")
 
-    def __init__(self, process, tasks) -> None:
+    def __init__(self, process, tasks, results) -> None:
         self.process = process
         self.tasks = tasks
+        self.results = results
         self.current: Optional[_Task] = None
         self.idle_since: Optional[float] = clock()
 
@@ -332,22 +343,25 @@ class _WorkerHandle:
 class PersistentPool:
     """``workers`` fork-context processes, spawned once, fed task-by-task.
 
-    Each worker owns a private task queue (the parent dispatches exactly
-    one task to exactly one idle worker, so the parent-side priority heap
-    is honored precisely) and reports on one shared result queue.  A
-    worker that dies mid-task is detected on the next poll: its task is
-    surfaced as a ``("crashed", task)`` event for the driver to re-queue,
-    and a replacement process is forked so capacity never decays.
-    ``run`` is handed to every worker at start, replacements included.
+    Each worker owns two one-way pipes, one for its tasks and one for
+    its results, and holds at most one task: the parent dispatches
+    exactly one task to exactly one idle worker, so the parent-side
+    priority heap is honored precisely.  The parent pickles and writes
+    each task in its own thread, so a task that cannot be pickled fails
+    :meth:`dispatch` with :class:`OrchestratorError`.  :meth:`next_event`
+    waits on every result pipe and every worker's process sentinel at
+    once.  A worker that dies, or is killed in the middle of writing its
+    result, is reaped as soon as it exits: its task is surfaced as a
+    ``("crashed", task)`` event for the driver to re-queue, and a
+    replacement process is forked so capacity never decays.  ``run`` is
+    handed to every worker at start, replacements included.
     """
 
     def __init__(self, workers: int, statistics: SchedulerStatistics, run: PoolRun) -> None:
         self.statistics = statistics
         self._run = run
         self._context = _pool_context()
-        self._results = self._context.Queue()
         self._workers: List[_WorkerHandle] = []
-        self._in_flight: Dict[int, _Task] = {}
         self._closed = False
         self._started = clock()
         statistics.workers = workers
@@ -355,16 +369,22 @@ class PersistentPool:
         for _ in range(max(1, workers)):
             self._spawn()
 
-    def _spawn(self) -> _WorkerHandle:
-        tasks = self._context.Queue()
+    def _spawn(self) -> None:
+        task_reader, task_writer = self._context.Pipe(duplex=False)
+        result_reader, result_writer = self._context.Pipe(duplex=False)
+        parent_ends = [task_writer, result_reader]
+        for handle in self._workers:
+            parent_ends += [handle.tasks, handle.results]
         process = self._context.Process(
-            target=_pool_worker_loop, args=(tasks, self._results, self._run), daemon=True
+            target=_pool_worker_loop,
+            args=(task_reader, result_writer, self._run, parent_ends),
+            daemon=True,
         )
         process.start()
-        handle = _WorkerHandle(process, tasks)
-        self._workers.append(handle)
+        task_reader.close()
+        result_writer.close()
+        self._workers.append(_WorkerHandle(process, task_writer, result_reader))
         self.statistics.workers_spawned += 1
-        return handle
 
     # -- capacity --------------------------------------------------------------------
 
@@ -380,72 +400,79 @@ class PersistentPool:
 
     @property
     def busy_count(self) -> int:
-        return len(self._in_flight)
+        return sum(handle.current is not None for handle in self._workers)
 
     # -- dispatch / events -----------------------------------------------------------
 
     def dispatch(self, task: _Task) -> None:
+        """Send ``task`` to an idle worker.
+
+        Raises :class:`OrchestratorError` naming the task when it cannot
+        be pickled; the driver's ``with`` block then shuts the pool down.
+        """
         handle = self._idle_worker()
         if handle is None:  # caller checked has_idle; defensive
             raise OrchestratorError("dispatch with no idle worker")
+        try:
+            message = pickle.dumps((task.fn, task.payload), pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            raise OrchestratorError(
+                f"scheduler {task.kind} task {task.label!r} cannot be sent to a worker: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
         if handle.idle_since is not None:
             self.statistics.worker_idle_seconds += clock() - handle.idle_since
             handle.idle_since = None
         handle.current = task
-        self._in_flight[task.task_id] = task
         self.statistics.tasks_dispatched += 1
-        handle.tasks.put((task.task_id, task.attempt, task.fn, task.payload))
+        try:
+            handle.tasks.send_bytes(message)
+        except OSError:
+            pass  # the worker just died: next_event reaps it and returns the task
 
-    def _reap_crashed(self) -> Optional[_Task]:
-        """Find one dead worker; respawn it and surface its lost task (if any)."""
-        for handle in list(self._workers):
-            if handle.process.is_alive():
-                continue
-            self._workers.remove(handle)
-            self.statistics.workers_crashed += 1
-            lost = handle.current
-            if lost is not None:
-                self._in_flight.pop(lost.task_id, None)
-            if not self._closed:
-                self._spawn()
-            if lost is not None:
-                return lost
-        return None
+    def _reap(self, handle: _WorkerHandle) -> Optional[_Task]:
+        """Replace a dead worker; returns the task it held, if any."""
+        handle.process.join()
+        handle.tasks.close()
+        handle.results.close()
+        self._workers.remove(handle)
+        self.statistics.workers_crashed += 1
+        self._spawn()
+        return handle.current
 
-    def next_event(self, timeout: float = 0.1):
-        """Block until something happens; returns one of two event tuples.
+    def next_event(self):
+        """Block until a worker reports or dies; returns one of two event tuples.
 
         ``("result", pid, task, ok, started, ended, payload)`` for a
-        completed attempt — ``task`` is ``None`` when the attempt is stale
-        (its task was retried; the payload is dropped unread); ``("crashed",
-        task)`` when a worker died holding a task (a replacement is already
-        forked; the driver re-queues the task).
+        completed task; ``("crashed", task)`` when a worker died holding a
+        task (a replacement is already forked; the driver re-queues the
+        task).  A worker's death shows as its process sentinel firing or
+        as end-of-file on its result pipe, whichever is seen first.  A
+        result the worker wrote in full before it died is still delivered
+        first, and its death is then reaped with no task lost.
         """
+        # Imported here, as the pool's pipes import it: a serial run never
+        # loads it (six modules, about 0.4 MB of a process's peak memory).
+        from multiprocessing.connection import wait
+
         while True:
+            watched: Dict[Any, _WorkerHandle] = {}
+            for handle in self._workers:
+                watched[handle.results] = watched[handle.process.sentinel] = handle
+            ready = wait(list(watched))
+            handle = watched[ready[0]]
+            if handle.process.sentinel in ready:
+                handle.process.join()  # exited: every end it held is closed
             try:
-                pid, task_id, attempt, ok, started, ended, payload = (
-                    self._results.get(timeout=timeout)
-                )
-            except queue_module.Empty:
-                lost = self._reap_crashed()
+                ok, started, ended, payload = handle.results.recv()
+            except (EOFError, OSError):  # died between or in the middle of messages
+                lost = self._reap(handle)
                 if lost is not None:
                     return ("crashed", lost)
                 continue
-            task = self._in_flight.pop(task_id, None)
-            for handle in self._workers:
-                if handle.process.pid == pid and handle.current is not None:
-                    handle.current = None
-                    handle.idle_since = clock()
-                    break
-            if task is not None and attempt != task.attempt:
-                # A late result from a retried attempt: the retry is still
-                # in flight, so put the task back and report this attempt
-                # as stale — first completion wins, exactly once.
-                self._in_flight[task_id] = task
-                task = None
-            if task is not None and ok:
-                payload = pickle.loads(payload)
-            return ("result", pid, task, ok, started, ended, payload)
+            task, handle.current = handle.current, None
+            handle.idle_since = clock()
+            return ("result", handle.process.pid, task, ok, started, ended, payload)
 
     # -- teardown --------------------------------------------------------------------
 
@@ -459,18 +486,18 @@ class PersistentPool:
                 self.statistics.worker_idle_seconds += now - handle.idle_since
                 handle.idle_since = None
             try:
-                handle.tasks.put(None)
-            except (OSError, ValueError):  # pragma: no cover - broken pipe on crash
+                handle.tasks.send_bytes(b"")  # the stop message
+            except OSError:  # pragma: no cover - the worker already died
                 pass
+            # A worker still running a task (the run failed) then gets a
+            # broken pipe for its result instead of blocking on it.
+            handle.results.close()
         for handle in self._workers:
             handle.process.join(timeout=5)
             if handle.process.is_alive():  # pragma: no cover - wedged worker
                 handle.process.terminate()
                 handle.process.join(timeout=5)
-            handle.tasks.cancel_join_thread()
             handle.tasks.close()
-        self._results.cancel_join_thread()
-        self._results.close()
         self._workers.clear()
         self.statistics.pool_lifetime_seconds = clock() - self._started
 
@@ -708,8 +735,6 @@ def run_scheduled(
                 _push(lost)
                 continue
             _event, pid, task, ok, task_started, ended, payload = event
-            if task is None:
-                continue  # stale attempt of a retried task: dropped, writes too
             if not ok:
                 raise OrchestratorError(
                     f"scheduler {task.kind} task {task.label!r} failed: {payload}"

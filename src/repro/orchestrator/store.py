@@ -501,7 +501,7 @@ class Store:
 
         A pool task ships these in its result, and the parent writes them
         with :meth:`merge_shards`: a task's writes exist nowhere else, so
-        a crashed or stale attempt leaves nothing behind.
+        a crashed attempt leaves nothing behind.
         """
         writes, self._pending = self._pending, {}
         return writes

@@ -16,16 +16,19 @@ workers:
   once per worker.
 
 Every task body is called as ``fn(payload, run)``: the payload is the
-job, the :class:`PoolRun` the rest of the request.  Both open every store
-read-only, and ship what their stores buffered (:func:`take_writes`) and
-their observability output in their result; this module holds those
+job, the :class:`PoolRun` the rest of the request.  A worker opens its
+read-only stores once, on its first task, and keeps them on its copy of
+the :class:`PoolRun` (:meth:`PoolRun.stores`).  Each task starts fresh
+caches over them (:func:`open_task`), and on every exit hands over what
+it wrote and flushes what it touched (:func:`end_task`); its writes and
+observability output ship in its result.  This module holds those
 helpers and their parent-side counterparts.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 from ..dataplane.element import Element
@@ -57,29 +60,6 @@ LOADED = "loaded"
 EXPLODED = "exploded"
 
 
-def worker_query_cache(options: SymbexOptions) -> QueryCache:
-    """The query cache a worker process should route through.
-
-    Its persistent L3 tier is opened read-only: solved slices buffer in
-    the store and travel back with the task's result (:func:`take_writes`).
-    """
-    if not options.query_cache_dir:
-        return QueryCache()
-    return QueryCache(store=QueryStore(options.query_cache_dir, readonly=True))
-
-
-def take_writes(store: SummaryStore, query_cache: QueryCache) -> Tuple[dict, dict]:
-    """A task's store writes for its result: summary rows and L3 query rows.
-
-    Each is ``{digest: text}`` as the task's read-only store buffered it;
-    the scheduler writes both into the parent's stores.
-    """
-    query_store = query_cache.store
-    if query_store is None:
-        return store.take_writes(), {}
-    return store.take_writes(), query_store.take_writes()  # type: ignore[attr-defined]
-
-
 @dataclass
 class PoolRun:
     """The constants of one pooled run, handed to each worker process once.
@@ -99,6 +79,57 @@ class PoolRun:
     max_counterexamples: int = 3
     confirm_by_replay: bool = True
     instruction_bounds: bool = False
+    #: This process's read-only stores, opened by its first task.
+    _stores: Optional[Tuple[SummaryStore, Optional[QueryStore]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def stores(self) -> Tuple[SummaryStore, Optional[QueryStore]]:
+        """This worker's read-only summary store and L3 query store (if any).
+
+        Opened on the worker's first task and kept for the life of the
+        pool: a store does not depend on the task, because each task
+        takes its writes and flushes its touches when it ends
+        (:func:`end_task`).  The parent never calls this, so a worker
+        forked after a crash opens its own.
+        """
+        if self._stores is None:
+            query_root = self.options.query_cache_dir
+            self._stores = (
+                SummaryStore(self.store_root, readonly=True),
+                QueryStore(query_root, readonly=True) if query_root else None,
+            )
+        return self._stores
+
+
+def open_task(run: PoolRun) -> Tuple[SummaryStore, QueryCache]:
+    """Start one task: the worker's summary store and a fresh query cache.
+
+    The query cache routes through the worker's read-only L3 store.  It
+    is new for every task, like the Step-2 summary cache built over the
+    store, so a task's counters do not depend on the worker that ran it.
+    """
+    if run.options.trace:
+        enable()
+    store, query_store = run.stores()
+    return store, QueryCache(store=query_store)
+
+
+def end_task(run: PoolRun) -> Tuple[dict, dict]:
+    """End one task: take its store writes and flush its mtime touches.
+
+    Returns the writes as (summary rows, L3 query rows), each
+    ``{digest: text}``, for the task's result; the scheduler writes both
+    into the parent's stores.  Every task body calls this on every exit,
+    a raised one too, so no row or touch a task buffered outlives it: a
+    worker leaves through ``os._exit``, which runs no store finalizer.
+    """
+    store, query_store = run.stores()
+    writes = (store.take_writes(), query_store.take_writes() if query_store is not None else {})
+    store.flush()
+    if query_store is not None:
+        query_store.flush()
+    return writes
 
 
 def drain_observability(query_cache: QueryCache) -> dict:
@@ -157,19 +188,32 @@ def _summarize_worker(payload: Tuple[Element, int], run: PoolRun) -> Tuple[str, 
     """Compute (or fetch) one summary.
 
     Returns (status, serialized summary | message, the task's store
-    writes — see :func:`take_writes` —, drained observability extras —
+    writes — see :func:`end_task` —, drained observability extras —
     see :func:`drain_observability`, whose query-cache counters carry the
     job's solver work).
     """
     element, input_length = payload
-    options = run.options
-    if options.trace:
-        enable()
-    store = SummaryStore(run.store_root, readonly=True)
+    store, query_cache = open_task(run)
+    try:
+        status, detail = _summarize(element, input_length, run.options, store, query_cache)
+    finally:
+        writes = end_task(run)
+    if status == COMPUTED:
+        detail = writes[0][detail]  # ship the text the parent will store
+    return status, detail, writes, drain_observability(query_cache)
+
+
+def _summarize(
+    element: Element,
+    input_length: int,
+    options: SymbexOptions,
+    store: SummaryStore,
+    query_cache: QueryCache,
+) -> Tuple[str, str]:
+    """``(status, detail)``: the stored text, the budget message, or the new digest."""
     stored = store.load(element, input_length, options)
     if stored is not None:
-        return LOADED, dumps_summary(stored), ({}, {}), {}
-    query_cache = worker_query_cache(options)
+        return LOADED, dumps_summary(stored)
     engine = SymbolicEngine(options, query_cache=query_cache)
     try:
         summary = engine.summarize_element(
@@ -183,7 +227,5 @@ def _summarize_worker(payload: Tuple[Element, int], run: PoolRun) -> Tuple[str, 
         # A blown budget yields no summary; the solver work it did
         # still ships in the query-cache counters, as the in-process
         # loop's shared cache counts it too.
-        return EXPLODED, str(exc), take_writes(store, query_cache), drain_observability(query_cache)
-    digest = store.save(element, input_length, options, summary)
-    writes = take_writes(store, query_cache)
-    return COMPUTED, writes[0][digest], writes, drain_observability(query_cache)
+        return EXPLODED, str(exc)
+    return COMPUTED, store.save(element, input_length, options, summary)

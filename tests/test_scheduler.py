@@ -11,12 +11,16 @@ call :func:`run_scheduled` directly with an explicit worker count.
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import random
+import re
 import signal
 import sqlite3
 import tempfile
 import threading
+import time
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -26,6 +30,7 @@ from repro.obs.trace import Tracer, active
 from repro.orchestrator import (
     JobGraph,
     OrchestratorError,
+    QueryStore,
     RiskHistory,
     RiskStore,
     SQLITE_FILENAME,
@@ -35,8 +40,11 @@ from repro.orchestrator import (
     run_scheduled,
     summary_key,
 )
+import repro.orchestrator.fleet as fleet_module
 from repro.orchestrator.fleet import _certify_worker
-from repro.orchestrator.workers import PoolRun, _summarize_worker
+from repro.orchestrator.scheduler import PersistentPool, SchedulerStatistics, _Task
+from repro.orchestrator.store import Store
+from repro.orchestrator.workers import COMPUTED, EXPLODED, LOADED, PoolRun, _summarize_worker
 from repro.symbex.engine import SymbexOptions
 from repro.verify import CrashFreedom, destination_reachability
 from repro.workloads import (
@@ -69,6 +77,36 @@ def _packets(report):
     return [
         [ce.packet for result in c.results for ce in result.counterexamples]
         for c in report.certifications
+    ]
+
+
+def _age_rows(root, seconds):
+    """Move every entry's mtime under ``root`` back by ``seconds``."""
+    connection = sqlite3.connect(str(Path(root) / SQLITE_FILENAME))
+    try:
+        connection.execute("UPDATE entries SET mtime = mtime - ?", (seconds,))
+        connection.commit()
+    finally:
+        connection.close()
+
+
+def _fresh_digests(root, within=3600.0):
+    """Digests under ``root`` whose mtime is less than ``within`` seconds old."""
+    connection = sqlite3.connect(str(Path(root) / SQLITE_FILENAME))
+    try:
+        rows = connection.execute("SELECT digest, mtime FROM entries").fetchall()
+    finally:
+        connection.close()
+    horizon = time.time() - within
+    return {digest for digest, mtime in rows if mtime >= horizon}
+
+
+def _buffered(run):
+    """Rows and mtime touches the worker's stores still hold after a task."""
+    return [
+        (store.kind, dict(store._pending), dict(store._touched))
+        for store in run.stores()
+        if store is not None and (store._pending or store._touched)
     ]
 
 
@@ -272,6 +310,63 @@ class TestScheduledRun:
         assert _packets(warm) == _packets(serial)
 
 
+    def test_each_worker_opens_each_store_once(self, four_cpus, monkeypatch, tmp_path):
+        """A worker opens its stores on its first task and keeps them for the pool."""
+        log = tmp_path / "opens.log"
+        real = Store.__init__
+
+        def logging(store, root, readonly=False):
+            # Forked workers inherit the wrapper and append to the same log.
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {store.kind}\n")
+            real(store, root, readonly)
+
+        monkeypatch.setattr(Store, "__init__", logging)
+        report = certify_fleet(
+            store_scale_catalog(20), [CrashFreedom()], input_lengths=(24,), workers=2,
+            store=str(tmp_path / "s"), query_store=str(tmp_path / "q"),
+        )
+        assert report.scheduler.tasks_dispatched == 26  # 6 Step-1 + 20 Step-2
+        opens = Counter()
+        for line in log.read_text().splitlines():
+            pid, kind = line.split(" ", 1)
+            opens[int(pid), kind] += 1
+        parent = {kind: count for (pid, kind), count in opens.items() if pid == os.getpid()}
+        assert parent == {"summary store": 1, "query store": 1}
+        workers = {pid for pid, _kind in opens} - {os.getpid()}
+        assert workers
+        for pid in workers:
+            assert {kind: opens[pid, kind] for _p, kind in opens if _p == pid} == {
+                "summary store": 1, "query store": 1,
+            }
+
+    def test_step2_reads_refresh_l3_mtimes(self, four_cpus, monkeypatch, tmp_path):
+        """Touches a worker's long-lived query store makes reach the database."""
+        catalog = fleet_catalog(4)
+        roots = dict(store=str(tmp_path / "s"), query_store=str(tmp_path / "q"))
+        certify_fleet(catalog, [CrashFreedom()], input_lengths=(24,), workers=2, **roots)
+        _age_rows(tmp_path / "q", 2 * 3600)
+        log = tmp_path / "reads.log"
+        real = QueryStore.load_payload
+
+        def logging(store, digest):
+            payload = real(store, digest)
+            if payload is not None:
+                with open(log, "a") as out:
+                    out.write(f"{digest}\n")
+            return payload
+
+        monkeypatch.setattr(QueryStore, "load_payload", logging)
+        # No verdict store: every pipeline's Step 2 runs, over a warm L3 tier.
+        warm = certify_fleet(catalog, [CrashFreedom()], input_lengths=(24,), workers=2, **roots)
+        assert warm.statistics.summaries_computed == 0
+        read = set(log.read_text().split())
+        assert read
+        assert read <= _fresh_digests(tmp_path / "q")
+        QueryStore(tmp_path / "q").gc(older_than_seconds=3600)
+        assert read <= _fresh_digests(tmp_path / "q", within=float("inf"))
+
+
 class TestSchedulerDirect:
     """Drive run_scheduled with real worker processes (no cpu clamp)."""
 
@@ -351,6 +446,107 @@ class TestSchedulerDirect:
             self._run(
                 store_scale_catalog(2), SummaryStore(tmp_path), verify_worker=_lock_verify_worker
             )
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+    def test_unpicklable_task_fails_its_dispatch_instead_of_hanging(self, tmp_path):
+        catalog = store_scale_catalog(2)
+        entry = catalog[0].sole_entry()
+        entry.lock = threading.Lock()
+        # The loop pickles nothing, so the catalog itself certifies.
+        serial = certify_fleet(catalog, [CrashFreedom()], input_lengths=(64,))
+        assert len(serial.certifications) == 2
+        label = re.escape(f"{entry.name}@64")
+        with _deadline(30), pytest.raises(OrchestratorError, match=f"{label}.*pickle"):
+            self._run(catalog, SummaryStore(tmp_path / "store"))
+        assert not multiprocessing.active_children()  # the pool shut down
+
+    def test_a_task_ships_exactly_its_own_writes(self, monkeypatch, tmp_path):
+        """Successive tasks on one worker: each ships its own rows and leaves none behind."""
+        summaries, queries = tmp_path / "s", tmp_path / "q"
+        options = SymbexOptions(query_cache_dir=str(queries))
+        catalog = store_scale_catalog(6)
+        run = PoolRun(catalog, [CrashFreedom()], (64,), options, str(summaries))
+        first = _certify_worker(0, run)
+        assert first[1] > 0 and first[3][0]  # Step-2 misses, computed in the task
+        assert _buffered(run) == []
+        # Written as the parent would, then aged so the next reads touch them.
+        SummaryStore(summaries).merge_shards(first[3][0])
+        QueryStore(queries).merge_shards(first[3][1])
+        _age_rows(summaries, 2 * 3600)
+        _age_rows(queries, 2 * 3600)
+        second = _certify_worker(1, run)
+        assert not set(second[3][0]) & set(first[3][0])
+        assert not set(second[3][1]) & set(first[3][1])
+        assert _buffered(run) == []
+        # It loaded the summaries it shares with the first, and touched them.
+        assert set(first[3][0]) >= _fresh_digests(summaries) != set()
+
+        # A raised task leaves nothing buffered either.
+        def failing(pipeline, properties, lengths, cache, *args):
+            cache.summarize(pipeline.sole_entry(), 12)  # buffers a row
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(fleet_module, "_certify_one", failing)
+        with pytest.raises(RuntimeError, match="boom"):
+            _certify_worker(2, run)
+        assert _buffered(run) == []
+
+    def test_summary_tasks_leave_nothing_buffered(self, tmp_path):
+        element = store_scale_catalog(1)[0].sole_entry()
+        run = PoolRun((), (), (), SymbexOptions(), str(tmp_path / "s"))
+        status, text, (rows, _query_rows), _extras = _summarize_worker((element, 64), run)
+        assert status == COMPUTED and list(rows.values()) == [text]
+        assert _buffered(run) == []
+        SummaryStore(tmp_path / "s").merge_shards(rows)
+        _age_rows(tmp_path / "s", 2 * 3600)
+        status, loaded, writes, _extras = _summarize_worker((element, 64), run)
+        assert (status, loaded, writes) == (LOADED, text, ({}, {}))
+        assert _buffered(run) == []
+        assert _fresh_digests(tmp_path / "s") == set(rows)  # the load's touch landed
+        starved = PoolRun((), (), (), SymbexOptions(max_paths=4, merge="off"), str(tmp_path / "x"))
+        boom = synthetic_pipeline(4, 3, name="boom").sole_entry()
+        status, _message, (rows, _query_rows), _extras = _summarize_worker((boom, 12), starved)
+        assert status == EXPLODED and rows == {}
+        assert _buffered(starved) == []
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+    def test_result_written_before_its_worker_died_is_delivered(self, tmp_path):
+        statistics = SchedulerStatistics()
+        run = PoolRun((), (), (), SymbexOptions(), str(tmp_path))
+        with _deadline(30), PersistentPool(2, statistics, run) as pool:
+            pool.dispatch(_Task(1, "verify", 0, _result_then_exit, "first", (0, 1), "first"))
+            dying = pool._workers[0].process
+            deadline = time.monotonic() + 10
+            while dying.is_alive() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not dying.is_alive()
+            # The worker is gone, but its result is whole: it is a result,
+            # not a crash, and nothing is retried.
+            event = pool.next_event()
+            assert event[0] == "result" and event[2].label == "first"
+            assert event[3] and event[6] == "first"
+            pool.dispatch(_Task(2, "verify", 1, _slow_identity, "second", (0, 2), "second"))
+            event = pool.next_event()  # reaps the dead worker on the way
+            assert event[0] == "result" and event[6] == "second"
+        assert statistics.workers_crashed == 1
+        assert statistics.workers_spawned == 3
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+    def test_worker_killed_while_writing_its_result_is_a_crash(self, tmp_path):
+        statistics = SchedulerStatistics()
+        run = PoolRun((), (), (), SymbexOptions(), str(tmp_path))
+        with _deadline(30), PersistentPool(1, statistics, run) as pool:
+            task = _Task(1, "verify", 0, _big_result_then_exit, None, (0, 1), "big")
+            pool.dispatch(task)
+            dying = pool._workers[0].process
+            deadline = time.monotonic() + 10
+            while dying.is_alive() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not dying.is_alive()
+            # Part of the result sits in the pipe; the rest never comes.
+            assert pool.next_event() == ("crashed", task)
+        assert statistics.workers_crashed == 1
+        assert statistics.workers_spawned == 2
 
     def test_parent_writes_every_entry_the_workers_computed(self, tmp_path):
         """Workers ship their store writes; the parent alone writes the store."""
@@ -437,6 +633,23 @@ def _crash_once_verify_worker(index, run):
     """Step-2 twin of :func:`_crash_once_worker`."""
     _crash_if_marked(run.store_root)
     return _certify_worker(index, run)
+
+
+def _result_then_exit(payload, run):
+    """Return ``payload``; the worker dies 0.2 s later, after sending it."""
+    threading.Timer(0.2, os._exit, (1,)).start()
+    return payload
+
+
+def _big_result_then_exit(payload, run):
+    """A result far larger than a pipe holds; the worker dies while sending it."""
+    threading.Timer(0.3, os._exit, (1,)).start()
+    return b"x" * (8 << 20)
+
+
+def _slow_identity(payload, run):
+    time.sleep(0.3)
+    return payload
 
 
 def _lock_verify_worker(index, run):
