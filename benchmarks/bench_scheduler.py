@@ -1,15 +1,23 @@
 """E13 — the persistent fleet scheduler against the in-process loop.
 
-The scheduler (:mod:`repro.orchestrator.scheduler`) is sold on four
+The scheduler (:mod:`repro.orchestrator.scheduler`) is sold on five
 claims, and this bench checks each one:
 
 * **differential** — the scheduled run's verdicts and Step-1 work are
   identical to the in-process (``workers=1``) loop's on the full
   catalog; the scheduler reorders work, it never changes it.  Checked
   unconditionally.
+* **placement by cost** — on this catalog no pipeline has a suspect
+  segment, so every Step-2 task runs in the parent and the pool runs the
+  six Step-1 jobs only (``tasks_dispatched == 6``,
+  ``tasks_inline == N``).
 * **one pool, no churn** — exactly one pool is forked per run
   (``pools_forked == 1``) and workers stay busy: parent-measured idle
-  time stays under 20% of the pool's worker-lifetime.  The idle bound is
+  time stays under 20% of the pool's worker-lifetime.  A pool that runs
+  six tiny Step-1 jobs mostly idles by design, so both are measured on
+  the same catalog with every Step-2 task placed in the pool (the
+  scheduler's ``has_suspect`` seam answering yes), where every task is
+  dispatched exactly once.  The idle bound is
   asserted on hosts with >= 4 CPUs (elsewhere the workers time-slice one
   core and "idle" measures the kernel scheduler, not ours).
 * **overlap** — on the straggler catalog (one deliberately heavy Step-1
@@ -31,6 +39,7 @@ import os
 import tempfile
 
 from repro.obs.trace import Tracer, active, clock
+from repro.orchestrator import scheduler as scheduler_module
 from repro.orchestrator import (
     RiskHistory,
     RiskStore,
@@ -82,7 +91,11 @@ def run_serial():
 
 
 def run_scheduler():
-    """The scheduler, driven directly so the fleet CPU clamp cannot shrink it."""
+    """The scheduler, driven directly so the fleet CPU clamp cannot shrink it.
+
+    Run it under a patched ``scheduler.has_suspect`` to place every task
+    in the pool.
+    """
     with tempfile.TemporaryDirectory(prefix="repro-bench-sched-") as root:
         catalog = store_scale_catalog(CATALOG_SIZE)
         started = clock()
@@ -109,6 +122,7 @@ def run_scheduler():
         "distinct_summary_jobs": len(run.summaries),
         "summaries_computed": run.computed,
         "tasks_dispatched": stats.tasks_dispatched,
+        "tasks_inline": stats.tasks_inline,
         "pools_forked": stats.pools_forked,
         "workers_spawned": stats.workers_spawned,
         "workers_crashed": stats.workers_crashed,
@@ -174,21 +188,31 @@ def run_risk_priority():
     }
 
 
-def test_scheduler(benchmark, bench_json):
+def test_scheduler(benchmark, bench_json, monkeypatch):
     serial = benchmark.pedantic(run_serial, rounds=1, iterations=1)
     scheduled = run_scheduler()
+    with monkeypatch.context() as patch:
+        patch.setattr(scheduler_module, "has_suspect", lambda *args: True)
+        pooled = run_scheduler()
     overlap = run_straggler_overlap()
     risk = run_risk_priority()
 
-    # Differential: verdicts and Step-1 work identical across both engines.
-    assert scheduled["verdicts"] == serial["report"].verdicts()
-    assert scheduled["distinct_summary_jobs"] == DISTINCT_JOBS
-    assert scheduled["summaries_computed"] == serial["report"].statistics.summaries_computed
-    # One pool, exact task accounting: every Step-1 job and every pipeline
-    # dispatched exactly once on a crash-free cold run.
-    assert scheduled["pools_forked"] == 1
-    assert scheduled["workers_crashed"] == 0
-    assert scheduled["tasks_dispatched"] == DISTINCT_JOBS + CATALOG_SIZE
+    # Differential: verdicts and Step-1 work identical across both engines
+    # and both placements.
+    for run in (scheduled, pooled):
+        assert run["verdicts"] == serial["report"].verdicts()
+        assert run["distinct_summary_jobs"] == DISTINCT_JOBS
+        assert run["summaries_computed"] == serial["report"].statistics.summaries_computed
+        assert run["pools_forked"] == 1
+        assert run["workers_crashed"] == 0
+    # Placement: the pool runs the Step-1 jobs, the parent every Step 2.
+    assert scheduled["tasks_dispatched"] == DISTINCT_JOBS
+    assert scheduled["tasks_inline"] == CATALOG_SIZE
+    # One pool, exact task accounting: with every task placed in the pool,
+    # every Step-1 job and every pipeline dispatched exactly once on a
+    # crash-free cold run.
+    assert pooled["tasks_dispatched"] == DISTINCT_JOBS + CATALOG_SIZE
+    assert pooled["tasks_inline"] == 0
     # Risk preemption is deterministic (single worker) — assert everywhere.
     assert risk["preempted_fraction"] >= RISK_PREEMPTION_FLOOR
 
@@ -197,16 +221,16 @@ def test_scheduler(benchmark, bench_json):
             "no Step-2 task started before the last Step-1 summary ended"
         )
     if CPUS >= 4:
-        assert scheduled["idle_fraction"] < IDLE_FRACTION_CEILING, (
-            f"workers idled {scheduled['idle_fraction']:.1%} of the pool lifetime"
+        assert pooled["idle_fraction"] < IDLE_FRACTION_CEILING, (
+            f"workers idled {pooled['idle_fraction']:.1%} of the pool lifetime"
         )
 
     print(f"\n--- E13: fleet scheduler ({CATALOG_SIZE} pipelines, "
           f"{WORKERS} workers, {CPUS} cpus) ---")
     print(f"{'path':>10} | {'wall (s)':>9}")
-    for label, row in (("serial", serial), ("scheduler", scheduled)):
+    for label, row in (("serial", serial), ("scheduler", scheduled), ("pooled", pooled)):
         print(f"{label:>10} | {row['seconds']:>9.2f}")
-    print(f"idle fraction: {scheduled['idle_fraction']:.1%}  "
+    print(f"idle fraction (pooled): {pooled['idle_fraction']:.1%}  "
           f"overlap: {overlap['overlapped']} "
           f"({overlap['overlap_seconds']:.3f}s)  "
           f"risk preemption: {risk['preempted_fraction']:.1%}")
@@ -222,6 +246,7 @@ def test_scheduler(benchmark, bench_json):
             "scheduler": {
                 key: value for key, value in scheduled.items() if key != "verdicts"
             },
+            "pooled": {key: value for key, value in pooled.items() if key != "verdicts"},
             "overlap": overlap,
             "risk": risk,
         },

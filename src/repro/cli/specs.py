@@ -26,6 +26,7 @@ from ..workloads import (
     fleet_catalog,
     ip_router_pipeline,
     nat_gateway_pipeline,
+    store_scale_catalog,
     synthetic_pipeline,
 )
 
@@ -44,6 +45,7 @@ CATALOG_SPECS = {
     ),
     "ip-router:LENGTH": "one linear IP-router pipeline of the given length (1-6)",
     "nat-gateway": "the stateful NAT gateway pipeline",
+    "scale:N": "N distinct chains over six shared element configurations (the store-scale catalog)",
     "synthetic:ELEMSxBRANCHES": "one synthetic branchy pipeline, e.g. synthetic:3x2",
     "unprotected-ipoptions": "IPOptions with no upstream header check (a known crash violation)",
 }
@@ -102,6 +104,8 @@ def _parse_one_catalog(spec: str) -> List[Pipeline]:
         return churned_fleet_catalog(count, mutation, target=target)
     if head == "ip-router":
         return [ip_router_pipeline(length=_positive_int(rest, "router length"))]
+    if head == "scale":
+        return store_scale_catalog(_positive_int(rest, "scale catalog size"))
     if head == "nat-gateway" and not rest:
         return [nat_gateway_pipeline()]
     if head == "synthetic":

@@ -18,7 +18,10 @@ Two engines run the work, chosen by the effective worker count:
   drives Step-1 summary jobs and per-pipeline Step-2 checks through one
   persistent pool.  Each worker opens the summary and query stores
   read-only once, reads summaries from them for every task it runs, and
-  ships what each task computed back for the parent to write.
+  ships what each task computed back for the parent to write.  A Step-2
+  check that composes nothing runs in the parent instead, on read-only
+  views of the same stores, and the pool forks only for the work placed
+  in it.
 
 Merging is deterministic: certifications come back in catalog order, and
 both engines produce the same verdicts.
@@ -170,9 +173,10 @@ class FleetReport:
 
     certifications: List[PipelineCertification] = field(default_factory=list)
     statistics: FleetStatistics = field(default_factory=FleetStatistics)
-    #: Scheduler-side accounting (pool forks, idle time, retries, Step-2
-    #: store rehydrations) when a pool ran; ``None`` when the in-process
-    #: loop did the work, or nothing needed certifying.
+    #: Scheduler-side accounting (tasks in workers and inline, pool forks,
+    #: idle time, retries, Step-2 store rehydrations) whenever the
+    #: scheduler ran, forked or not; ``None`` when the in-process loop did
+    #: the work, or nothing needed certifying.
     scheduler: Optional[SchedulerStatistics] = None
 
     @property
@@ -193,6 +197,7 @@ class FleetReport:
 
     def summary(self) -> str:
         stats = self.statistics
+        scheduler = self.scheduler
         lines = [
             f"fleet      : {stats.pipelines} pipelines x {stats.properties_checked} properties "
             f"({stats.workers} workers)"
@@ -212,10 +217,18 @@ class FleetReport:
             f"{stats.sat_core_calls} SAT-core calls "
             f"({stats.qcache_hits} query-cache hits)"
             + (
-                f", {self.scheduler.step2_store_loads} store rehydrations"
-                if self.scheduler is not None and self.scheduler.step2_store_loads
+                f", {scheduler.step2_store_loads} store rehydrations"
+                if scheduler is not None and scheduler.step2_store_loads
                 else ""
             ),
+        ]
+        if scheduler is not None:
+            lines.append(
+                f"scheduler  : {scheduler.tasks_dispatched} tasks in workers, "
+                f"{scheduler.tasks_inline} inline; pools forked {scheduler.pools_forked}, "
+                f"retries {scheduler.tasks_retried}"
+            )
+        lines += [
             f"verdict    : {len(self.certified)} certified / {len(self.rejected)} rejected, "
             f"{stats.counterexamples} counterexamples",
             f"time       : {stats.elapsed_seconds:.2f}s",
@@ -266,13 +279,14 @@ def _certify_worker(
 
     Returns (certification, summaries the task computed itself, summaries
     it decoded from store text, the task's store writes, drained
-    observability extras).  A summary this worker decoded before, or
-    inherited decoded from the parent, is read from the store but not
-    decoded again (see :class:`repro.orchestrator.store.SummaryStore`).
+    observability extras).  A summary this process decoded before, or
+    a worker inherited decoded from the parent, is read from the store
+    but not decoded again (see :class:`repro.orchestrator.store.SummaryStore`).
     The task builds a fresh summary cache and query cache over the
-    worker's read-only stores, which stay open for the life of the pool;
-    the summaries it had to compute and the slices it solved ride back
-    with the result for the parent to write (see
+    read-only stores of ``run``, which stay open for the life of the pool
+    (or of the run, on the parent's copy an inline task runs on); the
+    summaries it had to compute and the slices it solved ride back with
+    the result for the parent to write (see
     :func:`repro.orchestrator.workers.end_task`).
     """
     store, query_cache = open_task(run)
@@ -295,7 +309,7 @@ def _certify_worker(
         cache.statistics.misses,
         summaries_decoded() - decoded,
         writes,
-        drain_observability(query_cache),
+        drain_observability(query_cache, run),
     )
 
 
@@ -318,15 +332,17 @@ def certify_fleet(
 
     ``workers`` > 1 drives both steps through the persistent
     dependency-aware scheduler (:mod:`repro.orchestrator.scheduler`):
-    one pool for the whole run, Step-2 verification overlapping Step-1
-    symbex.  The effective pool size is ``min(requested, os.cpu_count())``
-    — forking a pool on a host without the cores to run it is strictly
-    slower than serial, so one effective worker runs the in-process
-    loop.  A ``store`` (path or :class:`SummaryStore`) persists summaries
-    across runs — pass the same store twice and the second run performs
-    no symbolic execution for an unchanged catalog.  The pool's workers
-    read summaries from that store; an ephemeral one is created when
-    none is given.
+    at most one pool for the whole run, Step-2 verification overlapping
+    Step-1 symbex, and each Step-2 check that composes nothing run in
+    the parent (no fork, no pickling).  The effective pool size is
+    ``min(requested, os.cpu_count())`` — forking a pool on a host without
+    the cores to run it is strictly slower than serial, so one effective
+    worker runs the in-process loop.  A ``store`` (path or
+    :class:`SummaryStore`) persists summaries across runs — pass the same
+    store twice and the second run performs no symbolic execution for an
+    unchanged catalog.  The scheduler's tasks read summaries from that
+    store; an ephemeral one is created when none is given and some
+    pipeline needs certifying.
 
     Pooled work is dispatched in catalog order, or — given a
     ``risk_history`` (a :class:`repro.orchestrator.risk.RiskHistory`) —
@@ -477,7 +493,7 @@ def _certify_fleet(
     report.statistics.verdicts_fresh = len(fresh_pipelines)
 
     ephemeral: Optional[tempfile.TemporaryDirectory] = None
-    if workers > 1 and store is None:
+    if workers > 1 and store is None and fresh_pipelines:
         ephemeral = tempfile.TemporaryDirectory(prefix="repro-fleet-store-")
         store = SummaryStore(ephemeral.name)
 

@@ -9,6 +9,15 @@ wider to :func:`run_scheduled`, a job graph over one long-lived pool:
   extend their worklists *immediately*, and the moment a pipeline's
   summary set is complete its Step-2 verification job becomes ready.
   Symbolic execution and verification overlap instead of phase-gating.
+* **Placement by cost** — a Step-2 task whose pipeline reaches no
+  summary with a suspect segment (:func:`has_suspect`, the test the
+  verifier applies before it composes) and no budget-blown digest is
+  bookkeeping: the verifier composes nothing and asks the solver
+  nothing.  The parent runs such a task itself, the same task body over
+  read-only views of the run's stores, with no fork and no pickling;
+  every other task goes to the pool.  The pool forks only when the first
+  pool-placed task reaches the top of the priority heap, so a run whose
+  work is all inline forks nothing.
 * :class:`PersistentPool` — ``workers`` fork-context processes spawned
   once per run, each fed one task at a time over its own pair of pipes
   (the parent holds the full priority heap, so priorities are honored
@@ -27,26 +36,29 @@ wider to :func:`run_scheduled`, a job graph over one long-lived pool:
   admission probe).  Each Step-2 result is handed to the
   caller's ``on_verified`` hook as it lands (the fleet layer writes its
   verdict record there), once every idle worker has been refilled.
-* **One way out of a worker** — workers open every store read-only and
-  each task ships what it wrote in its result.  The parent writes a
-  result's summary rows as it arrives (``merge_shards``), before
-  admitting the work they unblock, and its L3 rows, first shipped wins,
-  after the pool joins.  A crashed attempt's writes never land.
+* **One way out of a task** — tasks open every store read-only and
+  each ships what it wrote in its result, in a worker or inline.  The
+  parent writes a result's summary rows as it arrives (``merge_shards``),
+  before admitting the work they unblock, and its L3 rows, first shipped
+  wins, after the run.  A crashed attempt's writes never land.
 * **Priorities** (:func:`pipeline_ranks`) — catalog order, or, given a
   risk history, the ranking of :mod:`repro.orchestrator.risk`: under
   delta mode the likely-violating few reach a verdict while bulk reuse
-  trails.
+  trails.  Inline and pool-placed tasks share the one heap.
 
 Differential guarantee: verdicts equal the in-process loop's — the
-scheduler reorders work, it never changes it.
-Observability: per-task ``scheduler.task`` spans, :class:`SchedulerStatistics`,
-and the query-cache counters every task ships back (folded into the
-caller's ``qstats``), which are the run's solver work.
+scheduler reorders work, it never changes it — and placement is visible
+in no result, only in the dispatch, inline and fork counters.
+Observability: per-task ``scheduler.task`` spans (an inline task's carry
+the parent's pid), :class:`SchedulerStatistics`, and the query-cache
+counters every task ships back (folded into the caller's ``qstats``),
+which are the run's solver work.
 """
 
 from __future__ import annotations
 
 import heapq
+import os
 import pickle
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -89,11 +101,16 @@ class SchedulerStatistics(StatisticsMixin):
 
     MERGE_MAX = ("max_queue_depth", "workers")
 
+    #: The run's worker count, whether or not a pool forked.
     workers: int = 0
+    #: Tasks sent to a pool worker (a retried task counts per attempt).
     tasks_dispatched: int = 0
+    #: Step-2 tasks the parent ran itself (see :func:`has_suspect`).
+    tasks_inline: int = 0
     summary_tasks: int = 0
+    #: Step-2 tasks, in workers and inline alike.
     verify_tasks: int = 0
-    #: Pools forked for the run — the whole point is that this is 1.
+    #: Pools forked for the run: 1, or 0 when every task ran inline.
     pools_forked: int = 0
     workers_spawned: int = 0
     workers_crashed: int = 0
@@ -104,6 +121,8 @@ class SchedulerStatistics(StatisticsMixin):
     #: worker inherits the parent's memo at fork and keeps its own for
     #: the life of the pool, so this is at most workers x distinct
     #: digests, and 0 when the parent's admission probe decoded them all.
+    #: An inline task reads the parent's memo, which holds every summary
+    #: of the run decoded, so it adds 0.
     step2_store_loads: int = 0
     max_queue_depth: int = 0
     #: Child-measured task execution time, summed across workers.
@@ -128,6 +147,21 @@ def pipeline_ranks(pipelines: Sequence[Pipeline], risk_history=None) -> List[int
     for position, index in enumerate(order):
         ranks[index] = position
     return ranks
+
+
+def has_suspect(summary, element_name: str, properties: Sequence) -> bool:
+    """Whether any segment of ``summary`` is suspect for any of ``properties``.
+
+    The test :meth:`~repro.verify.pipeline_verifier.PipelineVerifier.verify`
+    applies before it composes, so a pipeline none of whose summaries has
+    one is proved by Step 1 alone.  The element's name matters because a
+    property may exempt an element by name.
+    """
+    return any(
+        target.is_suspect(element_name, segment)
+        for segment in summary.segments
+        for target in properties
+    )
 
 
 # -- the dependency graph -------------------------------------------------------------
@@ -178,7 +212,8 @@ class JobGraph:
         self._waiters: Dict[str, List[Tuple[int, Element]]] = {}
         #: Unresolved digests gating each pipeline's verification.
         self._needs: List[Set[str]] = [set() for _ in pipelines]
-        self._visited: List[Set[Tuple[str, int]]] = [set() for _ in pipelines]
+        #: Each pipeline's reached ``(element name, length)`` and its digest.
+        self._visited: List[Dict[Tuple[str, int], str]] = [{} for _ in pipelines]
         self._new_jobs: List[Tuple[str, Element, int]] = []
         self._joined: List[Tuple[str, int]] = []
         self._verify_ready: List[int] = []
@@ -195,8 +230,7 @@ class JobGraph:
         key = (element.name, length)
         if key in self._visited[index]:
             return
-        self._visited[index].add(key)
-        digest = summary_key(element, length, self.options)
+        digest = self._visited[index][key] = summary_key(element, length, self.options)
         summary = self.summaries.get(digest)
         if summary is not None:
             self._expand(index, element, summary)
@@ -239,6 +273,14 @@ class JobGraph:
         for index, _element in self._waiters.pop(digest, ()):
             self._needs[index].discard(digest)
             self._check_ready(index)
+
+    def reached(self, index: int) -> List[Tuple[str, str]]:
+        """``(digest, element name)`` of every summary pipeline ``index`` reached.
+
+        Exploded digests included: once the pipeline is verify-ready, what
+        its Step 2 reads.
+        """
+        return [(digest, name) for (name, _length), digest in self._visited[index].items()]
 
     def waiting_on(self, digest: str) -> List[int]:
         """Pipeline indices currently blocked on a digest (for priorities)."""
@@ -287,6 +329,8 @@ class _Task:
     priority: Tuple
     label: str
     attempt: int = 1
+    #: Run by the parent itself instead of a pool worker.
+    inline: bool = False
 
 
 def _pool_worker_loop(tasks, results, run: PoolRun, parent_ends) -> None:
@@ -364,7 +408,6 @@ class PersistentPool:
         self._workers: List[_WorkerHandle] = []
         self._closed = False
         self._started = clock()
-        statistics.workers = workers
         statistics.pools_forked += 1
         for _ in range(max(1, workers)):
             self._spawn()
@@ -547,7 +590,7 @@ def run_scheduled(
     verify_worker: Optional[Callable] = None,
     on_verified: Optional[Callable[[int, Any], None]] = None,
 ) -> ScheduledRun:
-    """Drive the whole catalog through one persistent pool.
+    """Drive the whole catalog through one persistent pool and the parent.
 
     The public entry is ``certify_fleet(workers=N)``; this function is
     the scheduler itself, exposed so tests and benches can run it with a
@@ -557,6 +600,11 @@ def run_scheduled(
     — the crash tests inject a self-killing wrapper this way.  The summary
     rows tasks ship land in ``store`` before the work they unblock is
     admitted; their L3 rows are left in :attr:`ScheduledRun.query_rows`.
+
+    A Step-2 task that composes nothing (see the module docstring) runs
+    in the parent on :meth:`~repro.orchestrator.workers.PoolRun.parent_copy`
+    and lands like a worker's result.  It is not retried: if it raises,
+    the run fails with the message a failed pool task gives.
 
     ``qstats`` (optional) accumulates the query-cache counters each task
     ships back, Step-1 and Step-2 alike: the run's solver work.
@@ -570,7 +618,9 @@ def run_scheduled(
     inherits the best rank among the pipelines waiting on it at admission
     time, a verification job its pipeline's rank — so with a
     ``risk_history`` the highest-risk pipeline's entire dependency chain,
-    then its verdict, preempt the bulk of the catalog.
+    then its verdict, preempt the bulk of the catalog.  The parent runs
+    an inline top task itself; a pool-placed one waits for an idle
+    worker, holding back everything below it.
     """
     from .fleet import _certify_worker  # deferred: fleet imports this module
 
@@ -580,6 +630,7 @@ def run_scheduled(
     graph = JobGraph(pipelines, input_lengths, options)
     run = ScheduledRun()
     stats = run.statistics
+    stats.workers = workers
     trace = tracer()
     constants = PoolRun(
         pipelines=list(pipelines),
@@ -591,13 +642,18 @@ def run_scheduled(
         confirm_by_replay=confirm_by_replay,
         instruction_bounds=instruction_bounds,
     )
+    #: What inline tasks run on: its read-only store views are opened in
+    #: the parent and never handed to a worker.
+    parent_run = constants.parent_copy()
+    #: :func:`has_suspect` per ``(digest, element name)``, each asked once.
+    suspect: Dict[Tuple[str, str], bool] = {}
 
     heap: List[Tuple[Tuple, int, _Task]] = []
     #: Summary tasks still queued, by digest — late joiners re-prioritize
     #: these (a stale heap entry is skipped at pop time, lazy-deletion
     #: style: an entry is live only while its key equals task.priority).
     pending_summaries: Dict[str, _Task] = {}
-    dispatched_ids: Set[int] = set()
+    started_ids: Set[int] = set()
     #: Verified catalog indices not yet handed to ``on_verified``.
     landed: List[int] = []
     queued = 0
@@ -613,6 +669,18 @@ def run_scheduled(
         if not requeue:
             queued += 1
             stats.max_queue_depth = max(stats.max_queue_depth, queued)
+
+    def _composes_nothing(index: int) -> bool:
+        """Whether pipeline ``index``'s Step 2 is bookkeeping (the placement rule)."""
+        for digest, name in graph.reached(index):
+            if digest in graph.exploded:
+                return False  # its Step 2 re-runs symbex until the budget runs out
+            key = (digest, name)
+            if key not in suspect:
+                suspect[key] = has_suspect(graph.summaries[digest], name, properties)
+            if suspect[key]:
+                return False
+        return True
 
     def _admit() -> None:
         """Turn graph progress into heap entries until discovery quiesces."""
@@ -661,6 +729,7 @@ def run_scheduled(
                     payload=index,
                     priority=(ranks[index], 1),
                     label=pipelines[index].name,
+                    inline=_composes_nothing(index),
                 )
             )
 
@@ -704,23 +773,65 @@ def run_scheduled(
                 on_verified(index, run.step2[index][0])
         landed.clear()
 
+    def _failed(task: _Task, message: str) -> OrchestratorError:
+        return OrchestratorError(f"scheduler {task.kind} task {task.label!r} failed: {message}")
+
+    def _land(task: _Task, pid: int, task_started: float, ended: float, payload) -> None:
+        """A task's result, from a worker or inline: record it, admit what it unblocks."""
+        if trace.enabled:
+            trace.record_span(
+                "scheduler.task",
+                "scheduler",
+                task_started,
+                ended,
+                kind=task.kind,
+                label=task.label,
+                pid=pid,
+                attempt=task.attempt,
+            )
+        if task.kind == SUMMARY:
+            _finish_summary(task, payload)
+        else:
+            _finish_verify(task, payload)
+        _admit()
+
+    def _run_inline(task: _Task) -> None:
+        stats.tasks_inline += 1
+        task_started = clock()
+        try:
+            payload = task.fn(task.payload, parent_run)
+        except Exception as exc:
+            raise _failed(task, f"{type(exc).__name__}: {exc}") from exc
+        _land(task, os.getpid(), task_started, clock(), payload)
+
     _admit()
-    with PersistentPool(workers, stats, constants) as pool:
-        while heap or pool.busy_count:
-            while heap and pool.has_idle:
-                priority, _seq, task = heapq.heappop(heap)
-                if task.task_id in dispatched_ids or priority != task.priority:
-                    continue  # stale heap entry: dispatched, or re-prioritized
-                dispatched_ids.add(task.task_id)
+    pool: Optional[PersistentPool] = None
+    try:
+        while True:
+            while heap:
+                priority, _seq, task = heap[0]
+                if task.task_id in started_ids or priority != task.priority:
+                    heapq.heappop(heap)  # stale entry: started, or re-prioritized
+                    continue
+                if not task.inline:
+                    if pool is None:  # the first pool-placed task forks the pool
+                        pool = PersistentPool(workers, stats, constants)
+                    if not pool.has_idle:
+                        break
+                heapq.heappop(heap)
+                started_ids.add(task.task_id)
                 queued -= 1
                 if task.kind == SUMMARY:
                     pending_summaries.pop(task.key, None)
                     stats.summary_tasks += 1
                 else:
                     stats.verify_tasks += 1
-                pool.dispatch(task)
+                if task.inline:
+                    _run_inline(task)
+                else:
+                    pool.dispatch(task)
             _report_landed()  # every idle worker is busy again: write now
-            if not pool.busy_count:
+            if pool is None or not pool.busy_count:
                 if queued:  # pragma: no cover - every worker died and respawn failed
                     raise OrchestratorError("scheduler has queued tasks but no workers")
                 break
@@ -729,34 +840,19 @@ def run_scheduled(
                 lost = event[1]
                 stats.tasks_retried += 1
                 lost.attempt += 1
-                dispatched_ids.discard(lost.task_id)
+                started_ids.discard(lost.task_id)
                 if lost.kind == SUMMARY:
                     pending_summaries[lost.key] = lost
                 _push(lost)
                 continue
             _event, pid, task, ok, task_started, ended, payload = event
             if not ok:
-                raise OrchestratorError(
-                    f"scheduler {task.kind} task {task.label!r} failed: {payload}"
-                )
+                raise _failed(task, payload)
             stats.worker_busy_seconds += ended - task_started
-            if trace.enabled:
-                trace.record_span(
-                    "scheduler.task",
-                    "scheduler",
-                    task_started,
-                    ended,
-                    kind=task.kind,
-                    label=task.label,
-                    pid=pid,
-                    attempt=task.attempt,
-                )
-            if task.kind == SUMMARY:
-                _finish_summary(task, payload)
-            else:
-                _finish_verify(task, payload)
-            _admit()
-    _report_landed()
+            _land(task, pid, task_started, ended, payload)
+    finally:
+        if pool is not None:
+            pool.shutdown()
     if not graph.settled or len(run.step2) != len(pipelines):  # pragma: no cover
         raise OrchestratorError("scheduler finished with unresolved work")
     run.summaries = graph.summaries

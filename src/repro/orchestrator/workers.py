@@ -1,7 +1,7 @@
-"""Worker-process task bodies for the persistent fleet scheduler.
+"""Task bodies for the persistent fleet scheduler, in its workers and its parent.
 
 :mod:`repro.orchestrator.scheduler` runs two kinds of task in its fork
-workers:
+workers, and runs Step-2 tasks that compose nothing in the parent itself:
 
 * **Step-1 element summarization** — :func:`_summarize_worker` checks
   the shared :class:`~repro.orchestrator.store.SummaryStore` first,
@@ -21,12 +21,17 @@ read-only stores once, on its first task, and keeps them on its copy of
 the :class:`PoolRun` (:meth:`PoolRun.stores`).  Each task starts fresh
 caches over them (:func:`open_task`), and on every exit hands over what
 it wrote and flushes what it touched (:func:`end_task`); its writes and
-observability output ship in its result.  This module holds those
-helpers and their parent-side counterparts.
+observability output ship in its result.  A task the parent runs inline
+does the same on the parent's own copy (:meth:`PoolRun.parent_copy`),
+and leaves the parent's tracer and slow log as they are: it installs no
+tracer, and ships only its query-cache counters, since its spans and
+slow records are the parent's already.  This module holds those helpers
+and their parent-side counterparts.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
@@ -83,15 +88,30 @@ class PoolRun:
     _stores: Optional[Tuple[SummaryStore, Optional[QueryStore]]] = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: Set on the parent's own copy only (:meth:`parent_copy`).
+    _in_parent: bool = field(default=False, init=False, repr=False, compare=False)
+
+    def parent_copy(self) -> "PoolRun":
+        """A copy for the tasks the scheduler runs in the parent itself.
+
+        Its :meth:`stores` are read-only views the parent opens on this
+        copy alone, so no worker is ever handed them, and a task run on
+        it leaves the parent's tracer and slow log as they are
+        (:func:`open_task`, :func:`drain_observability`).
+        """
+        copy = dataclasses.replace(self)
+        copy._in_parent = True
+        return copy
 
     def stores(self) -> Tuple[SummaryStore, Optional[QueryStore]]:
-        """This worker's read-only summary store and L3 query store (if any).
+        """This process's read-only summary store and L3 query store (if any).
 
-        Opened on the worker's first task and kept for the life of the
-        pool: a store does not depend on the task, because each task
-        takes its writes and flushes its touches when it ends
-        (:func:`end_task`).  The parent never calls this, so a worker
-        forked after a crash opens its own.
+        Opened on the first task run on this copy and kept for the life
+        of the pool (or, on the parent's copy, the run): a store does not
+        depend on the task, because each task takes its writes and
+        flushes its touches when it ends (:func:`end_task`).  The parent
+        calls this only on its :meth:`parent_copy`, so a worker forked
+        after a crash opens its own.
         """
         if self._stores is None:
             query_root = self.options.query_cache_dir
@@ -103,13 +123,15 @@ class PoolRun:
 
 
 def open_task(run: PoolRun) -> Tuple[SummaryStore, QueryCache]:
-    """Start one task: the worker's summary store and a fresh query cache.
+    """Start one task: the run's summary store and a fresh query cache.
 
-    The query cache routes through the worker's read-only L3 store.  It
-    is new for every task, like the Step-2 summary cache built over the
-    store, so a task's counters do not depend on the worker that ran it.
+    The query cache routes through the read-only L3 store.  It is new
+    for every task, like the Step-2 summary cache built over the store,
+    so a task's counters do not depend on the worker that ran it, or on
+    whether the parent ran it.  A traced run's worker installs its own
+    tracer here; the parent records onto the caller's, if any.
     """
-    if run.options.trace:
+    if run.options.trace and not run._in_parent:
         enable()
     store, query_store = run.stores()
     return store, QueryCache(store=query_store)
@@ -132,28 +154,32 @@ def end_task(run: PoolRun) -> Tuple[dict, dict]:
     return writes
 
 
-def drain_observability(query_cache: QueryCache) -> dict:
-    """Collect this process's observability output for shipping to a parent.
+def drain_observability(query_cache: QueryCache, run: PoolRun) -> dict:
+    """Collect a task's observability output for shipping to the parent.
 
     Returns a JSON-able dict with up to three keys: ``spans`` (the
     tracer's drained ring buffer), ``slow`` (drained slow-solve records)
-    and ``qstats`` (the worker query cache's per-tier counters, which
+    and ``qstats`` (the task query cache's per-tier counters, which
     are the task's solver work: the parent folds them into the run's
     totals).  Keys
     are omitted when empty, so a disabled run ships ``{}`` — the merged
     result payload gains no observability weight unless something was
-    observed.  Fork workers call this right before returning; the spans
+    observed.  Task bodies call this right before returning; the spans
     travel back with the result exactly like the task's store writes do.
+    On the parent's copy of ``run`` only ``qstats`` ships: the spans and
+    slow records of an inline task are already in the parent's tracer
+    and slow log, which are not this task's to drain.
     """
     extras: dict = {}
-    trace = tracer()
-    if trace.enabled:
-        spans = trace.drain()
-        if spans:
-            extras["spans"] = spans
-    slow = slow_solve_log().drain()
-    if slow:
-        extras["slow"] = slow
+    if not run._in_parent:
+        trace = tracer()
+        if trace.enabled:
+            spans = trace.drain()
+            if spans:
+                extras["spans"] = spans
+        slow = slow_solve_log().drain()
+        if slow:
+            extras["slow"] = slow
     stats = query_cache.statistics.to_dict()
     if any(stats.values()):
         extras["qstats"] = stats
@@ -200,7 +226,7 @@ def _summarize_worker(payload: Tuple[Element, int], run: PoolRun) -> Tuple[str, 
         writes = end_task(run)
     if status == COMPUTED:
         detail = writes[0][detail]  # ship the text the parent will store
-    return status, detail, writes, drain_observability(query_cache)
+    return status, detail, writes, drain_observability(query_cache, run)
 
 
 def _summarize(

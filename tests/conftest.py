@@ -20,6 +20,21 @@ def four_cpus(monkeypatch):
 
 
 @pytest.fixture
+def all_in_pool(monkeypatch):
+    """Send every Step-2 task to the pool: the scheduler's placement seam.
+
+    The scheduler runs a Step-2 task in the parent when no summary its
+    pipeline reaches has a suspect segment (``scheduler.has_suspect``).
+    Answering yes for every summary places every task in a worker, as a
+    catalog whose every pipeline composes would; a test of the pool's
+    own path (worker stores, decodes, crashes, pickling) runs under it.
+    """
+    import repro.orchestrator.scheduler as scheduler_mod
+
+    monkeypatch.setattr(scheduler_mod, "has_suspect", lambda *args: True)
+
+
+@pytest.fixture
 def summary_decodes(monkeypatch):
     """Empty the process-wide summary decode memo; list every text decoded from here on.
 

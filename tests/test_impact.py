@@ -24,6 +24,7 @@ from repro.orchestrator import (
     verdict_key,
 )
 from repro.cli import main as cli_main
+from repro.cli.specs import CATALOG_SPECS, SpecError, parse_catalog
 from repro.symbex import SymbexOptions
 from repro.verify import BoundedInstructions, CrashFreedom, destination_reachability
 from repro.workloads import (
@@ -31,6 +32,7 @@ from repro.workloads import (
     churned_fleet_catalog,
     fleet_catalog,
     ip_router_pipeline,
+    store_scale_catalog,
 )
 
 CATALOG_SIZE = 4
@@ -483,6 +485,34 @@ class TestCli:
         text = capsys.readouterr().out
         shown = re.findall(r"instruction bound: (\S+)", text)
         assert shown == [str(bound) for bound in bounds]
+
+    def test_certify_reports_where_the_work_ran(self, four_cpus, capsys):
+        command = ["certify", "--catalog", "scale:4", "--lengths", "24"]
+        assert cli_main([*command, "--workers", "2", "--json"]) == 0
+        scheduler = json.loads(capsys.readouterr().out)["scheduler"]
+        assert scheduler["workers"] == 2 and scheduler["pools_forked"] == 1
+        assert scheduler["tasks_dispatched"] == scheduler["summary_tasks"] > 0
+        assert scheduler["tasks_inline"] == scheduler["verify_tasks"] == 4
+        assert cli_main([*command, "--workers", "2"]) == 0
+        shown = re.findall(r"^scheduler  : (.*)$", capsys.readouterr().out, re.MULTILINE)
+        assert shown == [
+            f"{scheduler['tasks_dispatched']} tasks in workers, 4 inline; "
+            "pools forked 1, retries 0"
+        ]
+        # One worker: the in-process loop ran, and no scheduler line shows.
+        assert cli_main([*command, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["scheduler"] is None
+        assert cli_main(command) == 0
+        assert "scheduler  :" not in capsys.readouterr().out
+
+    def test_scale_spec_builds_the_store_scale_catalog(self):
+        built = parse_catalog(["scale:7"])
+        assert [p.name for p in built] == [p.name for p in store_scale_catalog(7)]
+        assert [len(p.elements) for p in built] == [len(p.elements) for p in store_scale_catalog(7)]
+        assert "scale:N" in CATALOG_SPECS
+        for bad in ("scale:0", "scale:x", "scale"):
+            with pytest.raises(SpecError):
+                parse_catalog([bad])
 
     def test_diff_exit_codes(self, capsys):
         assert cli_main(["diff", "fleet:2", "fleet:2"]) == 0

@@ -689,11 +689,12 @@ class TestFleet:
         from repro.orchestrator.store import Store
         from repro.workloads import store_scale_catalog
 
-        opens = Counter()
+        opens, views = Counter(), Counter()
         real = Store.__init__
 
         def counting(store, root, readonly=False):
-            opens[store.kind] += 1  # parent-side only: forked workers count in their copy
+            # Parent-side only: forked workers count in their copy.
+            (views if readonly else opens)[store.kind] += 1
             real(store, root, readonly)
 
         monkeypatch.setattr(Store, "__init__", counting)
@@ -711,6 +712,7 @@ class TestFleet:
         ]
         for call, kwargs in enumerate(calls):
             opens.clear()
+            views.clear()
             report = certify_fleet(
                 build(), [CrashFreedom()], input_lengths=(24,), workers=workers, **kwargs
             )
@@ -718,6 +720,12 @@ class TestFleet:
             if "verdict_store" in kwargs:
                 expected["verdict store"] = 1
             assert opens == expected
+            # The scheduler's inline Step-2 tasks read through one
+            # read-only view of each tier per call, as a worker does.
+            assert views == ({"summary store": 1, "query store": 1} if workers == 2 else {})
+            assert (report.scheduler is not None) == (workers == 2)
+            if workers == 2:
+                assert report.scheduler.tasks_inline == 20
             assert (report.statistics.summaries_computed == 0) == (call > 0)
         assert report.statistics.sat_core_calls == 0  # the option's root is the warm L3 tier
 

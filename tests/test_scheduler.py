@@ -10,6 +10,7 @@ call :func:`run_scheduled` directly with an explicit worker count.
 """
 
 import dataclasses
+import gc
 import json
 import multiprocessing
 import os
@@ -26,7 +27,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.trace import Tracer, active
+from repro.obs.slowlog import slow_solve_log
+from repro.obs.trace import Tracer, active, tracer
 from repro.orchestrator import (
     JobGraph,
     OrchestratorError,
@@ -41,6 +43,7 @@ from repro.orchestrator import (
     summary_key,
 )
 import repro.orchestrator.fleet as fleet_module
+import repro.orchestrator.scheduler as scheduler_module
 from repro.orchestrator.fleet import _certify_worker
 from repro.orchestrator.scheduler import PersistentPool, SchedulerStatistics, _Task
 from repro.orchestrator.store import Store
@@ -48,6 +51,7 @@ from repro.orchestrator.workers import COMPUTED, EXPLODED, LOADED, PoolRun, _sum
 from repro.symbex.engine import SymbexOptions
 from repro.verify import CrashFreedom, destination_reachability
 from repro.workloads import (
+    churned_fleet_catalog,
     fleet_catalog,
     store_scale_catalog,
     synthetic_pipeline,
@@ -108,6 +112,39 @@ def _buffered(run):
         for store in run.stores()
         if store is not None and (store._pending or store._touched)
     ]
+
+
+def _timeless(value):
+    """``value`` with every ``*seconds`` key dropped, at any depth: a row's timings."""
+    if isinstance(value, dict):
+        return {k: _timeless(v) for k, v in value.items() if not k.endswith("seconds")}
+    if isinstance(value, list):
+        return [_timeless(item) for item in value]
+    return value
+
+
+def _rows(root):
+    """Every entry and meta row of the store under ``root``, timings dropped."""
+    connection = sqlite3.connect(str(Path(root) / SQLITE_FILENAME))
+    try:
+        rows = {
+            table: sorted(connection.execute(f"SELECT {key}, {value} FROM {table}").fetchall())
+            for table, key, value in (("entries", "digest", "payload"), ("meta", "key", "value"))
+        }
+    finally:
+        connection.close()
+    return {
+        table: [(key, _timeless(json.loads(text)) if text[:1] in "{[" else text) for key, text in got]
+        for table, got in rows.items()
+    }
+
+
+def _with_one_replaced(catalog, index, replacement):
+    """``catalog`` with pipeline ``index`` swapped for ``replacement``, under its name."""
+    replaced = list(catalog)
+    replacement.name = catalog[index].name
+    replaced[index] = replacement
+    return replaced
 
 
 def _serial_summaries(pipelines, lengths, options):
@@ -310,8 +347,14 @@ class TestScheduledRun:
         assert _packets(warm) == _packets(serial)
 
 
-    def test_each_worker_opens_each_store_once(self, four_cpus, monkeypatch, tmp_path):
-        """A worker opens its stores on its first task and keeps them for the pool."""
+    def test_each_worker_opens_each_store_once(
+        self, four_cpus, all_in_pool, monkeypatch, tmp_path
+    ):
+        """A worker opens its stores on its first task and keeps them for the pool.
+
+        Every task is placed in the pool, so the workers run all 26 and
+        the parent opens no read-only view for inline tasks.
+        """
         log = tmp_path / "opens.log"
         real = Store.__init__
 
@@ -419,9 +462,13 @@ class TestSchedulerDirect:
         assert not (tmp_path / "store" / "shards").exists()
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_crashed_verify_task_is_retried_with_the_same_run(self, tmp_path, workers):
+    def test_crashed_verify_task_is_retried_with_the_same_run(
+        self, all_in_pool, tmp_path, workers
+    ):
         # One worker: the retry can only run in the replacement, which
         # must inherit the run's constants to certify from an index.
+        # Every task in the pool: run inline, the crash would end this
+        # process, and only a worker's crash is retried.
         catalog = store_scale_catalog(4)
         store = SummaryStore(tmp_path / "store")
         (tmp_path / "crash-once").touch()
@@ -441,7 +488,8 @@ class TestSchedulerDirect:
         assert verdicts == serial.verdicts()
 
     @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
-    def test_unpicklable_result_fails_its_task_instead_of_hanging(self, tmp_path):
+    def test_unpicklable_result_fails_its_task_instead_of_hanging(self, all_in_pool, tmp_path):
+        # In the pool, since an inline task's result is never pickled.
         with _deadline(30), pytest.raises(OrchestratorError, match="scale-[01].*pickle"):
             self._run(
                 store_scale_catalog(2), SummaryStore(tmp_path), verify_worker=_lock_verify_worker
@@ -562,9 +610,9 @@ class TestSchedulerDirect:
         assert set(pooled) == set(run.summaries)
         assert pooled == _entries(in_process)
 
-    def test_each_worker_decodes_each_summary_once(self, tmp_path):
+    def test_each_worker_decodes_each_summary_once(self, all_in_pool, tmp_path):
         run = self._run(store_scale_catalog(20), SummaryStore(tmp_path))
-        assert len(run.step2) == 20
+        assert len(run.step2) == 20 == run.statistics.tasks_dispatched - len(run.summaries)
         # Every pipeline reads two or more summaries; without the worker
         # memo each task would decode its own from the store again.
         assert 0 < run.statistics.step2_store_loads <= 2 * len(run.summaries)
@@ -582,8 +630,13 @@ class TestSchedulerDirect:
         assert len(run.step2) == len(catalog)
         assert len({(s.pid, s.sid) for s in spans}) == len(spans)  # exactly once
         scheduler_spans = [s for s in spans if s.category == "scheduler"]
-        assert len(scheduler_spans) == run.statistics.tasks_dispatched
+        stats = run.statistics
+        assert len(scheduler_spans) == stats.tasks_dispatched + stats.tasks_inline
         assert all(s.name == "scheduler.task" for s in scheduler_spans)
+        # Step 1 ran in the workers; Step 2, which composes nothing on
+        # this catalog, ran in the parent and says so.
+        by_pid = Counter((s.args["kind"], s.args["pid"] == os.getpid()) for s in scheduler_spans)
+        assert by_pid == {("summary", False): stats.summary_tasks, ("verify", True): len(catalog)}
 
         # The scheduler reorders the serial run's symbolic executions; it
         # never adds or drops one.  (Cache hit/miss *events* legitimately
@@ -603,6 +656,221 @@ class TestSchedulerDirect:
             (s.name, s.args.get("element")) for s in serial_spans if s.category == "symbex"
         )
         assert symbex == serial_symbex
+
+
+class TestPlacement:
+    """Step-2 tasks that compose nothing run in the parent; nothing else may show it."""
+
+    PROPERTIES = [CrashFreedom(), destination_reachability(0x0A000001)]
+
+    def _matrix(self, root):
+        """Cold, warm (no verdict store) and delta passes on two workers.
+
+        Over ``fleet_catalog(6)`` and ``store_scale_catalog(20)``, with
+        instruction bounds on and off.  Returns, per pass, everything a
+        run shows: verdicts, packets, bounds, the fleet counters but
+        elapsed time, the scheduler's task count, and every row of the
+        three stores.  One worker runs the in-process loop, which
+        places nothing, so the matrix leaves it out.
+        """
+        passes = {
+            "fleet": (
+                lambda: fleet_catalog(6),
+                lambda: churned_fleet_catalog(6, "routes", target=0),
+            ),
+            "scale": (
+                lambda: store_scale_catalog(20),
+                lambda: _with_one_replaced(
+                    store_scale_catalog(20), 3, store_scale_catalog(21)[20]
+                ),
+            ),
+        }
+        seen = {}
+        for name, (build, changed) in passes.items():
+            for bounds in (False, True):
+                base = root / f"{name}-{bounds}"
+                roots = dict(store=str(base / "s"), query_store=str(base / "q"))
+                verdicts = str(base / "v")
+                runs = [
+                    ("cold", build, dict(roots, verdict_store=verdicts)),
+                    ("warm", build, roots),
+                    ("delta", changed, dict(roots, verdict_store=verdicts)),
+                ]
+                for label, catalog, kwargs in runs:
+                    report = certify_fleet(
+                        catalog(), self.PROPERTIES, input_lengths=(24,), workers=2,
+                        instruction_bounds=bounds, **kwargs,
+                    )
+                    statistics = report.statistics.to_dict()
+                    del statistics["elapsed_seconds"]
+                    scheduler = report.scheduler
+                    seen[name, bounds, label] = dict(
+                        verdicts=report.verdicts(),
+                        packets=_packets(report),
+                        bounds=[
+                            c.instruction_bound and c.instruction_bound.bound
+                            for c in report.certifications
+                        ],
+                        statistics=statistics,
+                        tasks=scheduler.tasks_dispatched + scheduler.tasks_inline,
+                        placed=(scheduler.tasks_dispatched, scheduler.tasks_inline),
+                        rows={tier: _rows(base / tier) for tier in ("s", "q", "v")},
+                    )
+        return seen
+
+    def test_placement_is_invisible(self, four_cpus, monkeypatch, tmp_path):
+        """The matrix as shipped equals the matrix with every task in the pool.
+
+        Cyclic GC renumbers simplified terms and so moves query-cache
+        counters between runs; it stays off for both matrices.
+        """
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(scheduler_module, "has_suspect", lambda *args: True)
+                pooled = self._matrix(tmp_path / "pooled")
+            placed = self._matrix(tmp_path / "placed")
+        finally:
+            if enabled:
+                gc.enable()
+        assert placed.keys() == pooled.keys()
+        moved = 0
+        for key in placed:
+            inline = placed[key].pop("placed")[1]
+            assert pooled[key].pop("placed")[1] == 0, key
+            moved += inline
+            assert placed[key] == pooled[key], key
+        # Every scale pipeline's Step 2 ran inline, and the two
+        # synthetic-3x2 pipelines' of the fleet catalog did too.
+        assert placed["scale", False, "cold"]["tasks"] == 26
+        assert moved > 0
+
+    def test_only_inline_work_forks_nothing(self, four_cpus, tmp_path):
+        roots = dict(
+            store=str(tmp_path / "s"), query_store=str(tmp_path / "q"),
+            verdict_store=str(tmp_path / "v"),
+        )
+        cold = certify_fleet(
+            store_scale_catalog(20), [CrashFreedom()], input_lengths=(24,), workers=2, **roots
+        )
+        stats = cold.scheduler
+        assert (stats.pools_forked, stats.summary_tasks, stats.tasks_dispatched) == (1, 6, 6)
+        assert stats.tasks_inline == stats.verify_tasks == 20
+        # A new ordering of elements Step 1 already summarized: one fresh
+        # pipeline, no Step-1 job, and a Step 2 that composes nothing.
+        catalog = _with_one_replaced(store_scale_catalog(20), 3, store_scale_catalog(21)[20])
+        delta = certify_fleet(catalog, [CrashFreedom()], input_lengths=(24,), workers=2, **roots)
+        assert (delta.statistics.verdicts_fresh, delta.statistics.summaries_computed) == (1, 0)
+        stats = delta.scheduler
+        assert (stats.pools_forked, stats.tasks_inline, stats.tasks_dispatched) == (0, 1, 0)
+        assert (stats.workers, stats.workers_spawned) == (2, 0)
+        assert delta.certifications[3].certified
+        assert not multiprocessing.active_children()
+
+    def test_exactly_the_pipelines_without_suspects_run_inline(self, tmp_path):
+        catalog = fleet_catalog(6)
+        with active(Tracer()) as t:
+            run = run_scheduled(
+                catalog, self.PROPERTIES, (24,), SymbexOptions(trace=True), workers=2,
+                store=SummaryStore(tmp_path),
+            )
+            spans = t.spans()
+        inline = {
+            s.args["label"]
+            for s in spans
+            if s.name == "scheduler.task" and s.args["kind"] == "verify"
+            and s.args["pid"] == os.getpid()
+        }
+        composed_nothing = {
+            catalog[index].name
+            for index, (certification, _misses) in run.step2.items()
+            if not any(r.statistics.suspect_segments for r in certification.results)
+        }
+        assert inline == composed_nothing == {"fleet-4-synthetic-3x2"}
+        stats = run.statistics
+        assert stats.tasks_inline == 1
+        assert stats.tasks_dispatched == stats.summary_tasks + 5
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+    def test_inline_task_that_raises_fails_the_run_as_a_pool_task_does(
+        self, monkeypatch, tmp_path
+    ):
+        def failure(root):
+            with _deadline(30), pytest.raises(OrchestratorError) as raised:
+                run_scheduled(
+                    store_scale_catalog(2), [CrashFreedom()], (64,), SymbexOptions(),
+                    workers=2, store=SummaryStore(root), verify_worker=_raising_verify_worker,
+                )
+            assert not multiprocessing.active_children()  # the pool shut down
+            return str(raised.value)
+
+        inline = failure(tmp_path / "inline")
+        assert inline == "scheduler verify task 'scale-0' failed: RuntimeError: boom at 0"
+        with monkeypatch.context() as patch:
+            patch.setattr(scheduler_module, "has_suspect", lambda *args: True)
+            assert failure(tmp_path / "pooled") == inline
+
+    def test_inline_tasks_leave_the_parents_tracer_alone(self, tmp_path):
+        options = SymbexOptions(trace=True)
+        catalog = store_scale_catalog(4)
+        slow_solve_log().drain()
+        slow_solve_log().add({"parent": True})
+        with active(Tracer()) as t:
+            run = run_scheduled(
+                catalog, [CrashFreedom()], (64,), options,
+                workers=2, store=SummaryStore(tmp_path / "traced"),
+            )
+            spans = t.spans()
+        assert run.statistics.tasks_inline == len(catalog)
+        assert len({(s.pid, s.sid) for s in spans}) == len(spans)  # each span once
+        for name in ("fleet.pipeline", "verify.property"):
+            recorded = [s for s in spans if s.name == name]
+            assert len(recorded) == len(catalog)
+            assert all(s.pid == os.getpid() for s in recorded)
+        assert slow_solve_log().drain() == [{"parent": True}]
+        # Tracing asked for in the options alone: the workers trace, and
+        # the parent, which traces nothing, is left with no tracer.
+        assert not tracer().enabled
+        run = run_scheduled(
+            catalog, [CrashFreedom()], (64,), options,
+            workers=2, store=SummaryStore(tmp_path / "untraced"),
+        )
+        assert run.statistics.tasks_inline == len(catalog)
+        assert not tracer().enabled
+
+    def test_a_parent_task_ships_only_its_query_counters(self, tmp_path):
+        options = SymbexOptions(trace=True)
+        catalog = store_scale_catalog(6)
+        run = PoolRun(catalog, [CrashFreedom()], (64,), options, str(tmp_path))
+        with active(Tracer()) as t:
+            shipped = _certify_worker(0, run.parent_copy())[4]
+            spans = t.spans()
+        assert "spans" not in shipped and "slow" not in shipped
+        assert shipped["qstats"]["checks"] > 0
+        assert [s.name for s in spans if s.category == "fleet"] == ["fleet.pipeline"]
+        assert run._stores is None  # the parent's copy opened its own views
+
+    def test_warm_call_served_whole_opens_no_summary_store(self, four_cpus, monkeypatch, tmp_path):
+        verdicts = str(tmp_path / "v")
+        certify_fleet(
+            store_scale_catalog(20), [CrashFreedom()], input_lengths=(24,), workers=2,
+            verdict_store=verdicts,
+        )
+        opens = Counter()
+        real = Store.__init__
+
+        def counting(store, root, readonly=False):
+            opens[store.kind] += 1
+            real(store, root, readonly)
+
+        monkeypatch.setattr(Store, "__init__", counting)
+        warm = certify_fleet(
+            store_scale_catalog(20), [CrashFreedom()], input_lengths=(24,), workers=2,
+            verdict_store=verdicts,
+        )
+        assert warm.statistics.verdicts_reused == 20 and warm.scheduler is None
+        assert opens == {"verdict store": 1}
 
 
 def _crash_if_marked(store_root):
@@ -650,6 +918,10 @@ def _big_result_then_exit(payload, run):
 def _slow_identity(payload, run):
     time.sleep(0.3)
     return payload
+
+
+def _raising_verify_worker(index, run):
+    raise RuntimeError(f"boom at {index}")
 
 
 def _lock_verify_worker(index, run):
