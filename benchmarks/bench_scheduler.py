@@ -1,11 +1,12 @@
-"""E13 — the persistent fleet scheduler against the in-process loop.
+"""E13 — the persistent fleet scheduler: its pool against one worker.
 
 The scheduler (:mod:`repro.orchestrator.scheduler`) is sold on five
 claims, and this bench checks each one:
 
-* **differential** — the scheduled run's verdicts and Step-1 work are
-  identical to the in-process (``workers=1``) loop's on the full
-  catalog; the scheduler reorders work, it never changes it.  Checked
+* **differential** — the pooled run's verdicts and Step-1 work are
+  identical to the one-worker run's (``workers=1``: the parent runs
+  every task through one summary cache) on the full catalog; the
+  scheduler reorders work, it never changes it.  Checked
   unconditionally.
 * **placement by cost** — on this catalog no pipeline has a suspect
   segment, so every Step-2 task runs in the parent and the pool runs the
@@ -197,8 +198,8 @@ def test_scheduler(benchmark, bench_json, monkeypatch):
     overlap = run_straggler_overlap()
     risk = run_risk_priority()
 
-    # Differential: verdicts and Step-1 work identical across both engines
-    # and both placements.
+    # Differential: verdicts and Step-1 work identical across worker
+    # counts and both placements.
     for run in (scheduled, pooled):
         assert run["verdicts"] == serial["report"].verdicts()
         assert run["distinct_summary_jobs"] == DISTINCT_JOBS

@@ -284,7 +284,7 @@ def _run_certify(args: argparse.Namespace) -> int:
         "statistics": dataclasses.asdict(report.statistics),
         "certifications": [c.to_dict() for c in report.certifications],
         "impact": result.impact.to_dict() if result.impact else None,
-        # Where the work ran: null when the in-process loop ran it.
+        # Where the work ran: null when every verdict was reused.
         "scheduler": report.scheduler.to_dict() if report.scheduler is not None else None,
     }
     if run_tracer is not None:

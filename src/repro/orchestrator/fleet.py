@@ -10,21 +10,18 @@ whole catalog by store digest, so an element appearing in twenty
 pipelines is symbolically executed once — and zero times on a warm
 :class:`~repro.orchestrator.store.SummaryStore`.
 
-Two engines run the work, chosen by the effective worker count:
-
-* **one worker** — an in-process loop certifies the pipelines in catalog
-  order through one shared :class:`~repro.verify.cache.SummaryCache`.
-* **more workers** — :func:`repro.orchestrator.scheduler.run_scheduled`
-  drives Step-1 summary jobs and per-pipeline Step-2 checks through one
-  persistent pool.  Each worker opens the summary and query stores
-  read-only once, reads summaries from them for every task it runs, and
-  ships what each task computed back for the parent to write.  A Step-2
-  check that composes nothing runs in the parent instead, on read-only
-  views of the same stores, and the pool forks only for the work placed
-  in it.
+One engine runs the work on every worker count:
+:func:`repro.orchestrator.scheduler.run_scheduled` drives Step-1 summary
+jobs and per-pipeline Step-2 checks through the parent and at most one
+persistent pool.  The parent runs its tasks through one
+:class:`~repro.verify.cache.SummaryCache` for the whole run, so an
+element shared by twenty pipelines is summarized once and every later
+use is an in-memory hit.  On one worker the parent runs every task; on
+more, it runs the Step-2 checks that compose nothing, and pool workers,
+which read the stores read-only and ship their writes back, run the rest.
 
 Merging is deterministic: certifications come back in catalog order, and
-both engines produce the same verdicts.
+every worker count gives the same verdicts.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from ..dataplane.fingerprint import pipeline_fingerprint
 from ..dataplane.pipeline import Pipeline
 from ..obs.stats import StatisticsMixin
 from ..obs.trace import NullTracer, Tracer, active, clock, tracer
-from ..smt.qcache import QueryCache, QueryCacheStatistics
+from ..smt.qcache import QueryCacheStatistics
 from ..symbex.engine import StaticTableMode, SymbexOptions
 from ..verify.cache import SummaryCache
 from ..verify.pipeline_verifier import PipelineVerifier
@@ -174,9 +171,9 @@ class FleetReport:
     certifications: List[PipelineCertification] = field(default_factory=list)
     statistics: FleetStatistics = field(default_factory=FleetStatistics)
     #: Scheduler-side accounting (tasks in workers and inline, pool forks,
-    #: idle time, retries, Step-2 store rehydrations) whenever the
-    #: scheduler ran, forked or not; ``None`` when the in-process loop did
-    #: the work, or nothing needed certifying.
+    #: idle time, retries, Step-2 store rehydrations) whenever some
+    #: pipeline was certified, on any worker count, forked or not;
+    #: ``None`` when every verdict was reused.
     scheduler: Optional[SchedulerStatistics] = None
 
     @property
@@ -275,7 +272,7 @@ def _certify_one(
 def _certify_worker(
     index: int, run: PoolRun
 ) -> Tuple[PipelineCertification, int, int, tuple, dict]:
-    """Per-pipeline Step-2 task: certify ``run.pipelines[index]`` from the shared store.
+    """A pool worker's Step-2 task: certify ``run.pipelines[index]`` from the shared store.
 
     Returns (certification, summaries the task computed itself, summaries
     it decoded from store text, the task's store writes, drained
@@ -283,11 +280,12 @@ def _certify_worker(
     a worker inherited decoded from the parent, is read from the store
     but not decoded again (see :class:`repro.orchestrator.store.SummaryStore`).
     The task builds a fresh summary cache and query cache over the
-    read-only stores of ``run``, which stay open for the life of the pool
-    (or of the run, on the parent's copy an inline task runs on); the
-    summaries it had to compute and the slices it solved ride back with
-    the result for the parent to write (see
-    :func:`repro.orchestrator.workers.end_task`).
+    worker's read-only stores, which stay open for the life of the pool;
+    the summaries it had to compute and the slices it solved ride back
+    with the result for the parent to write (see
+    :func:`repro.orchestrator.workers.end_task`).  The parent runs its
+    own Step-2 tasks through :func:`_certify_one` over the run's cache
+    instead (see :func:`repro.orchestrator.scheduler.run_scheduled`).
     """
     store, query_cache = open_task(run)
     cache = SummaryCache(run.options, store=store, query_cache=query_cache)
@@ -309,7 +307,7 @@ def _certify_worker(
         cache.statistics.misses,
         summaries_decoded() - decoded,
         writes,
-        drain_observability(query_cache, run),
+        drain_observability(query_cache),
     )
 
 
@@ -330,24 +328,25 @@ def certify_fleet(
 ) -> FleetReport:
     """Certify every pipeline in the catalog against every property.
 
-    ``workers`` > 1 drives both steps through the persistent
-    dependency-aware scheduler (:mod:`repro.orchestrator.scheduler`):
-    at most one pool for the whole run, Step-2 verification overlapping
-    Step-1 symbex, and each Step-2 check that composes nothing run in
-    the parent (no fork, no pickling).  The effective pool size is
+    Both steps run through the dependency-aware scheduler
+    (:mod:`repro.orchestrator.scheduler`): Step-2 verification overlaps
+    Step-1 symbex, and the parent runs its tasks through one summary
+    cache for the whole run.  The effective worker count is
     ``min(requested, os.cpu_count())`` — forking a pool on a host without
-    the cores to run it is strictly slower than serial, so one effective
-    worker runs the in-process loop.  A ``store`` (path or
-    :class:`SummaryStore`) persists summaries across runs — pass the same
-    store twice and the second run performs no symbolic execution for an
-    unchanged catalog.  The scheduler's tasks read summaries from that
-    store; an ephemeral one is created when none is given and some
-    pipeline needs certifying.
+    the cores to run it is strictly slower than serial.  One effective
+    worker runs every task in the parent and forks nothing; more run
+    each Step-2 check that composes nothing in the parent (no fork, no
+    pickling) and everything else in at most one pool for the whole
+    run.  A ``store`` (path or :class:`SummaryStore`) persists summaries
+    across runs — pass the same store twice and the second run performs
+    no symbolic execution for an unchanged catalog.  The scheduler reads
+    and writes summaries there; an ephemeral one is created when none is
+    given and some pipeline needs certifying.
 
-    Pooled work is dispatched in catalog order, or — given a
-    ``risk_history`` (a :class:`repro.orchestrator.risk.RiskHistory`) —
-    by churn/verdict history, riskiest first.  Either way only the order
-    (and the wall clock) moves, never a verdict.
+    Work runs in catalog order, or — given a ``risk_history`` (a
+    :class:`repro.orchestrator.risk.RiskHistory`) — by churn/verdict
+    history, riskiest first, on every worker count.  Either way only the
+    order (and the wall clock) moves, never a verdict.
 
     A ``query_store`` (path or :class:`QueryStore`) persists the query
     cache's L3 tier: sliced solver verdicts, models and unsat cores
@@ -422,7 +421,7 @@ def _certify_fleet(
         options = dataclasses.replace(options, trace=True)
     # More workers than cores is pure overhead (fork + store round trips
     # with no parallelism underneath: 0.87x on a 1-CPU host); clamp to
-    # the machine, and one effective worker means the in-process loop.
+    # the machine, and one effective worker means no pool at all.
     workers = max(1, min(workers, os.cpu_count() or 1))
     for pipeline in pipelines:
         # Both memoised on the pipeline until its graph changes.
@@ -493,7 +492,7 @@ def _certify_fleet(
     report.statistics.verdicts_fresh = len(fresh_pipelines)
 
     ephemeral: Optional[tempfile.TemporaryDirectory] = None
-    if workers > 1 and store is None and fresh_pipelines:
+    if store is None and fresh_pipelines:
         ephemeral = tempfile.TemporaryDirectory(prefix="repro-fleet-store-")
         store = SummaryStore(ephemeral.name)
 
@@ -513,16 +512,14 @@ def _certify_fleet(
 
     fresh_certifications: List[PipelineCertification] = []
     # Fleet-wide per-tier query-cache counters, the run's one count of
-    # solver work: the in-process loop reads them off the shared cache,
-    # the scheduler folds in what each task shipped.
+    # solver work: the parent's cache and every pool task fold in here.
     fleet_qstats = QueryCacheStatistics()
     try:
-        if workers > 1 and fresh_pipelines:
+        if fresh_pipelines:
             assert store is not None
-            # The persistent scheduler: one pool, Step-2 verification
-            # overlapping Step-1 symbex, each task's summaries written as
-            # its result arrives, and each verdict record written as its
-            # pipeline's result lands.
+            # The scheduler: Step-2 verification overlapping Step-1 symbex,
+            # each pool task's summaries written as its result arrives, and
+            # each verdict record written as its pipeline's result lands.
             scheduled = run_scheduled(
                 fresh_pipelines,
                 properties,
@@ -535,6 +532,7 @@ def _certify_fleet(
                 instruction_bounds=instruction_bounds,
                 risk_history=risk_history,
                 qstats=fleet_qstats,
+                query_store=query_store,
                 on_verified=lambda position, certification: _record(
                     fresh_indices[position], certification
                 ),
@@ -551,34 +549,6 @@ def _certify_fleet(
                 report.statistics.summaries_computed += misses
             if query_store is not None and scheduled.query_rows:
                 query_store.merge_shards(scheduled.query_rows)
-        elif fresh_pipelines:
-            # In-process: one shared cache dedupes across the catalog (and
-            # through the store, when one is provided).  The L3 tier is the
-            # caller's QueryStore object, so its statistics see the traffic
-            # and its batched writes are the ones flushed below.
-            cache = SummaryCache(
-                options,
-                store=store,
-                query_cache=QueryCache(store=query_store) if query_store is not None else None,
-            )
-            for pipeline in fresh_pipelines:
-                fresh_certifications.append(
-                    _certify_one(
-                        pipeline,
-                        properties,
-                        input_lengths,
-                        cache,
-                        max_counterexamples,
-                        confirm_by_replay,
-                        instruction_bounds,
-                    )
-                )
-            report.statistics.distinct_summary_jobs = cache.statistics.entries
-            report.statistics.summaries_computed = cache.statistics.misses
-            report.statistics.store_hits = cache.statistics.l2_hits
-            fleet_qstats.merge(cache.query_cache.statistics)
-            for index, certification in zip(fresh_indices, fresh_certifications):
-                _record(index, certification)
     finally:
         if ephemeral is not None:
             ephemeral.cleanup()

@@ -340,10 +340,10 @@ def recertify(
     :func:`certify_fleet`.
 
     A ``risk_store`` (path or :class:`~repro.orchestrator.risk.RiskStore`)
-    both ranks pooled work — pipelines with churny or violating history
-    are certified first — and is updated from this run's manifest and
-    verdicts, so the history accumulates as a side effect of the normal
-    delta workflow.
+    both ranks the run's work on every worker count — pipelines with
+    churny or violating history are certified first — and is updated
+    from this run's manifest and verdicts, so the history accumulates
+    as a side effect of the normal delta workflow.
     """
     options = options or SymbexOptions()
     manifest = catalog_manifest(pipelines, options)

@@ -1,23 +1,26 @@
-"""Persistent dependency-aware fleet scheduler: the engine for ``workers > 1``.
+"""Persistent dependency-aware fleet scheduler: the one fleet engine.
 
-:func:`repro.orchestrator.fleet.certify_fleet` runs one effective worker
-as an in-process loop over a shared summary cache, and hands anything
-wider to :func:`run_scheduled`, a job graph over one long-lived pool:
+:func:`repro.orchestrator.fleet.certify_fleet` hands every catalog that
+needs certifying, on any worker count, to :func:`run_scheduled`, a job
+graph over the parent and at most one long-lived pool:
 
 * :class:`JobGraph` — Step-1 summary jobs are nodes keyed by store digest;
   when a summary lands, exactly the pipelines waiting on that digest
   extend their worklists *immediately*, and the moment a pipeline's
   summary set is complete its Step-2 verification job becomes ready.
   Symbolic execution and verification overlap instead of phase-gating.
-* **Placement by cost** — a Step-2 task whose pipeline reaches no
-  summary with a suspect segment (:func:`has_suspect`, the test the
+* **The parent's cache** — the parent runs its own tasks through one
+  :class:`~repro.verify.cache.SummaryCache` over the run's summary store
+  and the caller's query store, seeded with every summary the admission
+  probe loads or a pool task ships, so its checks read from memory.
+* **Placement by cost** — on one worker every task runs in the parent
+  and no pool can fork.  On more, a Step-2 task whose pipeline reaches
+  no summary with a suspect segment (:func:`has_suspect`, the test the
   verifier applies before it composes) and no budget-blown digest is
   bookkeeping: the verifier composes nothing and asks the solver
-  nothing.  The parent runs such a task itself, the same task body over
-  read-only views of the run's stores, with no fork and no pickling;
-  every other task goes to the pool.  The pool forks only when the first
-  pool-placed task reaches the top of the priority heap, so a run whose
-  work is all inline forks nothing.
+  nothing, so the parent runs it; every other task goes to the pool.
+  The pool forks only when the first pool-placed task reaches the top
+  of the priority heap, so a run whose work is all inline forks nothing.
 * :class:`PersistentPool` — ``workers`` fork-context processes spawned
   once per run, each fed one task at a time over its own pair of pipes
   (the parent holds the full priority heap, so priorities are honored
@@ -36,23 +39,25 @@ wider to :func:`run_scheduled`, a job graph over one long-lived pool:
   admission probe).  Each Step-2 result is handed to the
   caller's ``on_verified`` hook as it lands (the fleet layer writes its
   verdict record there), once every idle worker has been refilled.
-* **One way out of a task** — tasks open every store read-only and
-  each ships what it wrote in its result, in a worker or inline.  The
-  parent writes a result's summary rows as it arrives (``merge_shards``),
-  before admitting the work they unblock, and its L3 rows, first shipped
-  wins, after the run.  A crashed attempt's writes never land.
+* **One way out of a pool task** — pool tasks open every store
+  read-only and each ships what it wrote in its result.  The parent
+  writes a result's summary rows as it arrives (``merge_shards``),
+  before admitting the work they unblock, and its L3 rows, first
+  shipped wins, after the run.  A crashed attempt's writes never land.
+  The parent's own tasks write through its cache's stores.
 * **Priorities** (:func:`pipeline_ranks`) — catalog order, or, given a
   risk history, the ranking of :mod:`repro.orchestrator.risk`: under
   delta mode the likely-violating few reach a verdict while bulk reuse
   trails.  Inline and pool-placed tasks share the one heap.
 
-Differential guarantee: verdicts equal the in-process loop's — the
-scheduler reorders work, it never changes it — and placement is visible
-in no result, only in the dispatch, inline and fork counters.
-Observability: per-task ``scheduler.task`` spans (an inline task's carry
-the parent's pid), :class:`SchedulerStatistics`, and the query-cache
-counters every task ships back (folded into the caller's ``qstats``),
-which are the run's solver work.
+Differential guarantee: verdicts equal those of a loop over the catalog
+through one summary cache (the tests' reference) — the scheduler
+reorders work, it never changes it — and placement is visible in no
+result, only in the dispatch, inline and fork counters.  Observability:
+per-task ``scheduler.task`` spans (an inline task's carry the parent's
+pid), :class:`SchedulerStatistics`, and the query-cache counters of the
+parent's cache and of every pool task (folded into ``qstats``), which
+are the run's solver work.
 """
 
 from __future__ import annotations
@@ -64,15 +69,19 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..dataplane.element import Element
+from ..dataplane.fingerprint import configuration_fingerprint
 from ..dataplane.pipeline import Pipeline
 from ..obs.stats import StatisticsMixin
 from ..obs.trace import clock, tracer
-from ..smt.qcache import QueryCacheStatistics
-from ..symbex.engine import SymbexOptions
+from ..smt.qcache import QueryCache, QueryCacheStatistics
+from ..symbex.engine import StaticTableMode, SymbexOptions
+from ..symbex.errors import PathExplosionError
+from ..verify.cache import SummaryCache
 from .errors import OrchestratorError
 from . import store as store_module
-from .store import SummaryStore, summary_key
+from .store import QueryStore, SummaryStore, summary_key
 from .workers import (
+    COMPUTED,
     EXPLODED,
     LOADED,
     PoolRun,
@@ -105,7 +114,8 @@ class SchedulerStatistics(StatisticsMixin):
     workers: int = 0
     #: Tasks sent to a pool worker (a retried task counts per attempt).
     tasks_dispatched: int = 0
-    #: Step-2 tasks the parent ran itself (see :func:`has_suspect`).
+    #: Tasks the parent ran itself: every task on one worker, and on
+    #: more the Step-2 tasks that compose nothing (see :func:`has_suspect`).
     tasks_inline: int = 0
     summary_tasks: int = 0
     #: Step-2 tasks, in workers and inline alike.
@@ -115,14 +125,12 @@ class SchedulerStatistics(StatisticsMixin):
     workers_spawned: int = 0
     workers_crashed: int = 0
     tasks_retried: int = 0
-    #: Summaries Step-2 tasks decoded from store text: transport, not
-    #: avoided work (an in-process run reads its shared cache instead).
+    #: Summaries pool Step-2 tasks decoded from store text: transport,
+    #: not avoided work (the parent's tasks read its cache instead).
     #: Counted from the store's decode-memo misses during each task.  A
     #: worker inherits the parent's memo at fork and keeps its own for
     #: the life of the pool, so this is at most workers x distinct
     #: digests, and 0 when the parent's admission probe decoded them all.
-    #: An inline task reads the parent's memo, which holds every summary
-    #: of the run decoded, so it adds 0.
     step2_store_loads: int = 0
     max_queue_depth: int = 0
     #: Child-measured task execution time, summed across workers.
@@ -190,7 +198,7 @@ class JobGraph:
     empties becomes verify-ready.  A digest that blew its budget
     (:meth:`explode`) stops expanding, and its pipelines still verify:
     their own Step-2 pass hits the same budget and reports ``unknown``,
-    exactly like the in-process loop.
+    exactly as a verifier run alone reports it.
 
     The graph is pure bookkeeping (no processes, no store): drive it in
     any completion order — the reachable job set, the summary dict and
@@ -206,7 +214,12 @@ class JobGraph:
     ) -> None:
         self.pipelines = list(pipelines)
         self.options = options
+        self._concrete = options.static_table_mode == StaticTableMode.CONCRETE
+        #: Store digest per (configuration fingerprint, length), hashed once a run.
+        self._digests: Dict[Tuple[str, int], str] = {}
         self.summaries: Dict[str, object] = {}
+        #: Each resolved digest's emits, as (output port, packet length) pairs.
+        self._emits: Dict[str, List[Tuple[int, int]]] = {}
         self.exploded: Set[str] = set()
         #: Pipelines each unresolved digest expands on arrival.
         self._waiters: Dict[str, List[Tuple[int, Element]]] = {}
@@ -227,13 +240,17 @@ class JobGraph:
     # -- internal transitions --------------------------------------------------------
 
     def _enqueue(self, index: int, element: Element, length: int) -> None:
+        visited = self._visited[index]
         key = (element.name, length)
-        if key in self._visited[index]:
+        if key in visited:
             return
-        digest = self._visited[index][key] = summary_key(element, length, self.options)
-        summary = self.summaries.get(digest)
-        if summary is not None:
-            self._expand(index, element, summary)
+        job = (configuration_fingerprint(element, self._concrete), length)
+        digest = self._digests.get(job)
+        if digest is None:
+            digest = self._digests[job] = summary_key(element, length, self.options)
+        visited[key] = digest
+        if digest in self._emits:
+            self._expand(index, element, digest)
             return
         if digest in self.exploded:
             return  # the branch is dead; verification reports the budget
@@ -246,11 +263,12 @@ class JobGraph:
             self._joined.append((digest, index))
         self._needs[index].add(digest)
 
-    def _expand(self, index: int, element: Element, summary) -> None:
-        for segment in summary.emit_segments:  # type: ignore[attr-defined]
-            downstream = self.pipelines[index].downstream(element, segment.port or 0)
+    def _expand(self, index: int, element: Element, digest: str) -> None:
+        pipeline = self.pipelines[index]
+        for port, length in self._emits[digest]:
+            downstream = pipeline.downstream(element, port)
             if downstream is not None:
-                self._enqueue(index, downstream[0], len(segment.output_bytes))
+                self._enqueue(index, downstream[0], length)
 
     def _check_ready(self, index: int) -> None:
         if not self._needs[index] and index not in self._verify_emitted:
@@ -262,8 +280,12 @@ class JobGraph:
     def resolve(self, digest: str, summary) -> None:
         """A summary landed: expand every waiting pipeline immediately."""
         self.summaries[digest] = summary
+        self._emits[digest] = [
+            (segment.port or 0, len(segment.output_bytes))
+            for segment in summary.emit_segments  # type: ignore[attr-defined]
+        ]
         for index, element in self._waiters.pop(digest, ()):
-            self._expand(index, element, summary)
+            self._expand(index, element, digest)
             self._needs[index].discard(digest)
             self._check_ready(index)
 
@@ -329,7 +351,8 @@ class _Task:
     priority: Tuple
     label: str
     attempt: int = 1
-    #: Run by the parent itself instead of a pool worker.
+    #: Run by the parent itself, through the run's cache, instead of by
+    #: ``fn`` in a pool worker.
     inline: bool = False
 
 
@@ -586,28 +609,35 @@ def run_scheduled(
     instruction_bounds: bool = False,
     risk_history=None,
     qstats: Optional[QueryCacheStatistics] = None,
+    query_store: Optional[QueryStore] = None,
     summary_worker: Optional[Callable] = None,
     verify_worker: Optional[Callable] = None,
     on_verified: Optional[Callable[[int, Any], None]] = None,
 ) -> ScheduledRun:
-    """Drive the whole catalog through one persistent pool and the parent.
+    """Drive the whole catalog through the parent and at most one persistent pool.
 
     The public entry is ``certify_fleet(workers=N)``; this function is
     the scheduler itself, exposed so tests and benches can run it with a
-    worker count the fleet layer's cpu clamp would refuse.  ``summary_worker``
-    and ``verify_worker`` override the task callables (module-level,
-    picklable, called as ``fn(payload, run)`` like the ones they replace)
-    — the crash tests inject a self-killing wrapper this way.  The summary
-    rows tasks ship land in ``store`` before the work they unblock is
-    admitted; their L3 rows are left in :attr:`ScheduledRun.query_rows`.
+    worker count the fleet layer's cpu clamp would refuse.
 
-    A Step-2 task that composes nothing (see the module docstring) runs
-    in the parent on :meth:`~repro.orchestrator.workers.PoolRun.parent_copy`
-    and lands like a worker's result.  It is not retried: if it raises,
-    the run fails with the message a failed pool task gives.
+    The parent runs its tasks (see the module docstring) through one
+    summary cache over ``store`` and ``query_store``, the caller's L3
+    tier (without one, the cache builds its query cache from
+    ``options``).  Such a task lands like a worker's result, and is not
+    retried: if it raises, the run fails with the message a failed pool
+    task gives.
 
-    ``qstats`` (optional) accumulates the query-cache counters each task
-    ships back, Step-1 and Step-2 alike: the run's solver work.
+    ``summary_worker`` and ``verify_worker`` override the pool's task
+    bodies only (module-level, picklable, called as ``fn(payload, run)``
+    like the ones they replace) — the crash tests inject a self-killing
+    wrapper this way; the parent's own tasks never call them.  The
+    summary rows pool tasks ship land in ``store`` before the work they
+    unblock is admitted; their L3 rows are left in
+    :attr:`ScheduledRun.query_rows`.
+
+    ``qstats`` (optional) accumulates the run's solver work: the
+    query-cache counters each pool task ships back, Step-1 and Step-2
+    alike, and, once the run ends, the parent cache's.
 
     ``on_verified(index, certification)`` is called once per pipeline as
     its Step-2 result lands, after every idle worker has been refilled
@@ -622,10 +652,10 @@ def run_scheduled(
     an inline top task itself; a pool-placed one waits for an idle
     worker, holding back everything below it.
     """
-    from .fleet import _certify_worker  # deferred: fleet imports this module
+    from . import fleet  # deferred: fleet imports this module
 
     summary_fn = summary_worker or _summarize_worker
-    verify_fn = verify_worker or _certify_worker
+    verify_fn = verify_worker or fleet._certify_worker
     ranks = pipeline_ranks(pipelines, risk_history)
     graph = JobGraph(pipelines, input_lengths, options)
     run = ScheduledRun()
@@ -642,9 +672,13 @@ def run_scheduled(
         confirm_by_replay=confirm_by_replay,
         instruction_bounds=instruction_bounds,
     )
-    #: What inline tasks run on: its read-only store views are opened in
-    #: the parent and never handed to a worker.
-    parent_run = constants.parent_copy()
+    #: What the parent's tasks run on: every summary of the run is seeded
+    #: into it as it lands, so they read summaries from memory.
+    cache = SummaryCache(
+        options,
+        store=store,
+        query_cache=QueryCache(store=query_store) if query_store is not None else None,
+    )
     #: :func:`has_suspect` per ``(digest, element name)``, each asked once.
     suspect: Dict[Tuple[str, str], bool] = {}
 
@@ -695,6 +729,7 @@ def run_scheduled(
                 summary = stored.get(digest)
                 if summary is not None:
                     run.loaded += 1
+                    cache.seed(element, length, summary)
                     graph.resolve(digest, summary)  # may surface more jobs
                     continue
                 rank = min(
@@ -709,6 +744,7 @@ def run_scheduled(
                     payload=(element, length),
                     priority=(rank, 0),
                     label=f"{element.name}@{length}",
+                    inline=workers == 1,
                 )
                 pending_summaries[digest] = task
                 _push(task)
@@ -729,43 +765,56 @@ def run_scheduled(
                     payload=index,
                     priority=(ranks[index], 1),
                     label=pipelines[index].name,
-                    inline=_composes_nothing(index),
+                    inline=workers == 1 or _composes_nothing(index),
                 )
             )
 
-    def _write_rows(rows) -> None:
-        """Write a result's summary rows now, keep its L3 rows for the end."""
+    def _absorb(rows, extras) -> None:
+        """Take a pool result's observability, and its summary rows now; keep its L3 rows."""
+        merge_observability(extras, qstats)
         summary_rows, query_rows = rows
         if summary_rows:
             store.merge_shards(summary_rows)
         for digest, text in query_rows.items():
             run.query_rows.setdefault(digest, text)
 
-    def _finish_summary(task: _Task, payload) -> None:
-        nonlocal last_summary_end
+    def _shipped(task: _Task, payload) -> tuple:
+        """A pool result's outcome (see :func:`_land`), once the parent holds its rows."""
+        if task.kind == VERIFY:
+            certification, misses, store_loads, rows, extras = payload
+            _absorb(rows, extras)
+            stats.step2_store_loads += store_loads
+            return certification, misses
         status, text, rows, extras = payload
-        merge_observability(extras, qstats)
-        _write_rows(rows)
-        last_summary_end = clock()
+        _absorb(rows, extras)
         if status == EXPLODED:
-            graph.explode(task.key)
-            return
-        if status == LOADED:
-            run.loaded += 1
-        else:
-            run.computed += 1
+            return status, None
         # The store now holds this same text under this digest, so the
         # next run's admission probe finds it in the decode memo.
-        graph.resolve(task.key, store_module._decoded.decode(task.key, text))
+        return status, store_module._decoded.decode(task.key, text)
 
-    def _finish_verify(task: _Task, payload) -> None:
-        certification, misses, store_loads, rows, extras = payload
-        merge_observability(extras, qstats)
-        _write_rows(rows)
-        stats.step2_store_loads += store_loads
-        run.step2[task.key] = (certification, misses)
-        run.verify_order.append(task.key)
-        landed.append(task.key)
+    def _summarize(element: Element, length: int) -> tuple:
+        """A Step-1 task's ``(status, summary)``, run through the parent's cache."""
+        misses = cache.statistics.misses
+        try:
+            summary = cache.summarize(element, length)
+        except PathExplosionError:
+            return EXPLODED, None
+        return (COMPUTED if cache.statistics.misses > misses else LOADED), summary
+
+    def _certify(index: int) -> tuple:
+        """A Step-2 task's ``(certification, misses)``, run through the parent's cache."""
+        misses = cache.statistics.misses
+        certification = fleet._certify_one(
+            pipelines[index],
+            properties,
+            input_lengths,
+            cache,
+            max_counterexamples,
+            confirm_by_replay,
+            instruction_bounds,
+        )
+        return certification, cache.statistics.misses - misses
 
     def _report_landed() -> None:
         if on_verified is not None:
@@ -776,8 +825,14 @@ def run_scheduled(
     def _failed(task: _Task, message: str) -> OrchestratorError:
         return OrchestratorError(f"scheduler {task.kind} task {task.label!r} failed: {message}")
 
-    def _land(task: _Task, pid: int, task_started: float, ended: float, payload) -> None:
-        """A task's result, from a worker or inline: record it, admit what it unblocks."""
+    def _land(task: _Task, pid: int, task_started: float, ended: float, outcome: tuple) -> None:
+        """A task's outcome, from a worker or inline: record it, admit what it unblocks.
+
+        ``outcome`` is ``(status, summary)`` for a Step-1 task (no summary
+        when its budget blew) and ``(certification, misses)`` for a Step-2
+        one, ``misses`` counting the summaries it had to compute itself.
+        """
+        nonlocal last_summary_end
         if trace.enabled:
             trace.record_span(
                 "scheduler.task",
@@ -789,20 +844,35 @@ def run_scheduled(
                 pid=pid,
                 attempt=task.attempt,
             )
-        if task.kind == SUMMARY:
-            _finish_summary(task, payload)
+        if task.kind == VERIFY:
+            run.step2[task.key] = outcome
+            run.verify_order.append(task.key)
+            landed.append(task.key)
+            return  # a verdict unblocks nothing
+        last_summary_end = clock()
+        status, summary = outcome
+        if status == EXPLODED:
+            graph.explode(task.key)
         else:
-            _finish_verify(task, payload)
+            if status == LOADED:
+                run.loaded += 1
+            else:
+                run.computed += 1
+            cache.seed(*task.payload, summary)
+            graph.resolve(task.key, summary)
         _admit()
 
     def _run_inline(task: _Task) -> None:
         stats.tasks_inline += 1
         task_started = clock()
         try:
-            payload = task.fn(task.payload, parent_run)
+            if task.kind == VERIFY:
+                outcome = _certify(task.key)
+            else:
+                outcome = _summarize(*task.payload)
         except Exception as exc:
             raise _failed(task, f"{type(exc).__name__}: {exc}") from exc
-        _land(task, os.getpid(), task_started, clock(), payload)
+        _land(task, os.getpid(), task_started, clock(), outcome)
 
     _admit()
     pool: Optional[PersistentPool] = None
@@ -849,12 +919,14 @@ def run_scheduled(
             if not ok:
                 raise _failed(task, payload)
             stats.worker_busy_seconds += ended - task_started
-            _land(task, pid, task_started, ended, payload)
+            _land(task, pid, task_started, ended, _shipped(task, payload))
     finally:
         if pool is not None:
             pool.shutdown()
     if not graph.settled or len(run.step2) != len(pipelines):  # pragma: no cover
         raise OrchestratorError("scheduler finished with unresolved work")
+    if qstats is not None:
+        qstats.merge(cache.query_cache.statistics)
     run.summaries = graph.summaries
     if trace.enabled and (run.computed or run.loaded):
         # One fleet.summarize span over Step 1: admission to the last

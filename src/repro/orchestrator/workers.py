@@ -1,7 +1,8 @@
-"""Task bodies for the persistent fleet scheduler, in its workers and its parent.
+"""Task bodies for the persistent fleet scheduler's pool workers.
 
 :mod:`repro.orchestrator.scheduler` runs two kinds of task in its fork
-workers, and runs Step-2 tasks that compose nothing in the parent itself:
+workers (the tasks it runs in the parent go through the run's summary
+cache instead):
 
 * **Step-1 element summarization** — :func:`_summarize_worker` checks
   the shared :class:`~repro.orchestrator.store.SummaryStore` first,
@@ -21,17 +22,12 @@ read-only stores once, on its first task, and keeps them on its copy of
 the :class:`PoolRun` (:meth:`PoolRun.stores`).  Each task starts fresh
 caches over them (:func:`open_task`), and on every exit hands over what
 it wrote and flushes what it touched (:func:`end_task`); its writes and
-observability output ship in its result.  A task the parent runs inline
-does the same on the parent's own copy (:meth:`PoolRun.parent_copy`),
-and leaves the parent's tracer and slow log as they are: it installs no
-tracer, and ships only its query-cache counters, since its spans and
-slow records are the parent's already.  This module holds those helpers
-and their parent-side counterparts.
+observability output ship in its result.  This module holds those
+helpers and their parent-side counterparts.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
@@ -41,8 +37,9 @@ from ..dataplane.pipeline import Pipeline
 from ..obs.slowlog import slow_solve_log
 from ..obs.trace import enable, tracer
 from ..smt.qcache import QueryCache, QueryCacheStatistics
-from ..symbex.engine import SymbexOptions, SymbolicEngine
+from ..symbex.engine import SymbexOptions
 from ..symbex.errors import PathExplosionError
+from ..verify.cache import SummaryCache
 from .serialize import dumps_summary
 from .store import QueryStore, SummaryStore
 
@@ -88,30 +85,15 @@ class PoolRun:
     _stores: Optional[Tuple[SummaryStore, Optional[QueryStore]]] = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: Set on the parent's own copy only (:meth:`parent_copy`).
-    _in_parent: bool = field(default=False, init=False, repr=False, compare=False)
-
-    def parent_copy(self) -> "PoolRun":
-        """A copy for the tasks the scheduler runs in the parent itself.
-
-        Its :meth:`stores` are read-only views the parent opens on this
-        copy alone, so no worker is ever handed them, and a task run on
-        it leaves the parent's tracer and slow log as they are
-        (:func:`open_task`, :func:`drain_observability`).
-        """
-        copy = dataclasses.replace(self)
-        copy._in_parent = True
-        return copy
 
     def stores(self) -> Tuple[SummaryStore, Optional[QueryStore]]:
         """This process's read-only summary store and L3 query store (if any).
 
         Opened on the first task run on this copy and kept for the life
-        of the pool (or, on the parent's copy, the run): a store does not
-        depend on the task, because each task takes its writes and
-        flushes its touches when it ends (:func:`end_task`).  The parent
-        calls this only on its :meth:`parent_copy`, so a worker forked
-        after a crash opens its own.
+        of the pool: a store does not depend on the task, because each
+        task takes its writes and flushes its touches when it ends
+        (:func:`end_task`).  The parent never calls this on the copy the
+        pool forks from, so a worker forked after a crash opens its own.
         """
         if self._stores is None:
             query_root = self.options.query_cache_dir
@@ -127,11 +109,10 @@ def open_task(run: PoolRun) -> Tuple[SummaryStore, QueryCache]:
 
     The query cache routes through the read-only L3 store.  It is new
     for every task, like the Step-2 summary cache built over the store,
-    so a task's counters do not depend on the worker that ran it, or on
-    whether the parent ran it.  A traced run's worker installs its own
-    tracer here; the parent records onto the caller's, if any.
+    so a task's counters do not depend on the worker that ran it.  A
+    traced run's worker installs its own tracer here.
     """
-    if run.options.trace and not run._in_parent:
+    if run.options.trace:
         enable()
     store, query_store = run.stores()
     return store, QueryCache(store=query_store)
@@ -154,7 +135,7 @@ def end_task(run: PoolRun) -> Tuple[dict, dict]:
     return writes
 
 
-def drain_observability(query_cache: QueryCache, run: PoolRun) -> dict:
+def drain_observability(query_cache: QueryCache) -> dict:
     """Collect a task's observability output for shipping to the parent.
 
     Returns a JSON-able dict with up to three keys: ``spans`` (the
@@ -166,20 +147,16 @@ def drain_observability(query_cache: QueryCache, run: PoolRun) -> dict:
     result payload gains no observability weight unless something was
     observed.  Task bodies call this right before returning; the spans
     travel back with the result exactly like the task's store writes do.
-    On the parent's copy of ``run`` only ``qstats`` ships: the spans and
-    slow records of an inline task are already in the parent's tracer
-    and slow log, which are not this task's to drain.
     """
     extras: dict = {}
-    if not run._in_parent:
-        trace = tracer()
-        if trace.enabled:
-            spans = trace.drain()
-            if spans:
-                extras["spans"] = spans
-        slow = slow_solve_log().drain()
-        if slow:
-            extras["slow"] = slow
+    trace = tracer()
+    if trace.enabled:
+        spans = trace.drain()
+        if spans:
+            extras["spans"] = spans
+    slow = slow_solve_log().drain()
+    if slow:
+        extras["slow"] = slow
     stats = query_cache.statistics.to_dict()
     if any(stats.values()):
         extras["qstats"] = stats
@@ -211,47 +188,26 @@ def merge_observability(
 
 
 def _summarize_worker(payload: Tuple[Element, int], run: PoolRun) -> Tuple[str, str, tuple, dict]:
-    """Compute (or fetch) one summary.
+    """Compute (or fetch) one summary through a fresh cache over the worker's stores.
 
-    Returns (status, serialized summary | message, the task's store
-    writes — see :func:`end_task` —, drained observability extras —
-    see :func:`drain_observability`, whose query-cache counters carry the
-    job's solver work).
+    Returns (status, the summary's store text or the budget message, the
+    task's store writes — see :func:`end_task` —, drained observability
+    extras — see :func:`drain_observability`, whose query-cache counters
+    carry the job's solver work, a blown budget's too).
     """
-    element, input_length = payload
     store, query_cache = open_task(run)
+    cache = SummaryCache(run.options, store=store, query_cache=query_cache)
     try:
-        status, detail = _summarize(element, input_length, run.options, store, query_cache)
+        summary = cache.summarize(*payload)
+    except PathExplosionError as exc:
+        summary, detail = None, str(exc)
     finally:
         writes = end_task(run)
-    if status == COMPUTED:
-        detail = writes[0][detail]  # ship the text the parent will store
-    return status, detail, writes, drain_observability(query_cache, run)
-
-
-def _summarize(
-    element: Element,
-    input_length: int,
-    options: SymbexOptions,
-    store: SummaryStore,
-    query_cache: QueryCache,
-) -> Tuple[str, str]:
-    """``(status, detail)``: the stored text, the budget message, or the new digest."""
-    stored = store.load(element, input_length, options)
-    if stored is not None:
-        return LOADED, dumps_summary(stored)
-    engine = SymbolicEngine(options, query_cache=query_cache)
-    try:
-        summary = engine.summarize_element(
-            element.program,
-            input_length,
-            tables=element.state.tables(),
-            element_name=element.name,
-            configuration_key=element.configuration_key(),
-        )
-    except PathExplosionError as exc:
-        # A blown budget yields no summary; the solver work it did
-        # still ships in the query-cache counters, as the in-process
-        # loop's shared cache counts it too.
-        return EXPLODED, str(exc)
-    return COMPUTED, store.save(element, input_length, options, summary)
+    if summary is None:
+        status = EXPLODED
+    elif cache.statistics.misses:
+        status = COMPUTED
+        (detail,) = writes[0].values()  # the text the parent will store
+    else:
+        status, detail = LOADED, dumps_summary(summary)
+    return status, detail, writes, drain_observability(query_cache)

@@ -122,6 +122,7 @@ class PipelineVerifier:
         # call is all the solver work the call did, each search counted once.
         queries = self.cache.query_cache.statistics
         queries_before = dataclasses.replace(queries)
+        hits_before = self.cache.statistics.hits
         undecided_before = len(self.composer.undecided)
 
         try:
@@ -203,7 +204,7 @@ class PipelineVerifier:
             self.composer.solver_checks, memo_hits=self.composer.checker.memo_hits
         )
         statistics.count_query_work(queries_before, queries)
-        statistics.summary_cache_hits = self.cache.statistics.hits
+        statistics.summary_cache_hits = self.cache.statistics.hits - hits_before
         statistics.elapsed_seconds = clock() - started
         trace = tracer()
         if trace.enabled:
@@ -252,6 +253,7 @@ class PipelineVerifier:
         statistics = VerificationStatistics()
         queries = self.cache.query_cache.statistics
         queries_before = dataclasses.replace(queries)
+        hits_before = self.cache.statistics.hits
         best_total = 0
         best_chain: Optional[List[Tuple[Element, SegmentSummary]]] = None
         best_length = 0
@@ -284,7 +286,7 @@ class PipelineVerifier:
             self.composer.solver_checks, memo_hits=self.composer.checker.memo_hits
         )
         statistics.count_query_work(queries_before, queries)
-        statistics.summary_cache_hits = self.cache.statistics.hits
+        statistics.summary_cache_hits = self.cache.statistics.hits - hits_before
         statistics.elapsed_seconds = clock() - started
         trace = tracer()
         if trace.enabled:

@@ -21,13 +21,15 @@ def four_cpus(monkeypatch):
 
 @pytest.fixture
 def all_in_pool(monkeypatch):
-    """Send every Step-2 task to the pool: the scheduler's placement seam.
+    """Send every Step-2 task of a run on two or more workers to the pool.
 
-    The scheduler runs a Step-2 task in the parent when no summary its
-    pipeline reaches has a suspect segment (``scheduler.has_suspect``).
-    Answering yes for every summary places every task in a worker, as a
-    catalog whose every pipeline composes would; a test of the pool's
-    own path (worker stores, decodes, crashes, pickling) runs under it.
+    On more than one worker the scheduler runs a Step-2 task in the
+    parent when no summary its pipeline reaches has a suspect segment
+    (``scheduler.has_suspect``).  Answering yes for every summary places
+    every task in a worker, as a catalog whose every pipeline composes
+    would; a test of the pool's own path (worker stores, decodes,
+    crashes, pickling) runs under it.  On one worker every task runs in
+    the parent, through the run's summary cache, whatever this answers.
     """
     import repro.orchestrator.scheduler as scheduler_mod
 

@@ -499,11 +499,16 @@ class TestCli:
             f"{scheduler['tasks_dispatched']} tasks in workers, 4 inline; "
             "pools forked 1, retries 0"
         ]
-        # One worker: the in-process loop ran, and no scheduler line shows.
+        # One worker: the parent ran every task, and nothing forked.
         assert cli_main([*command, "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["scheduler"] is None
+        scheduler = json.loads(capsys.readouterr().out)["scheduler"]
+        assert scheduler["workers"] == 1 and scheduler["pools_forked"] == 0
+        assert scheduler["tasks_dispatched"] == 0 and scheduler["verify_tasks"] == 4
+        inline = scheduler["summary_tasks"] + scheduler["verify_tasks"]
+        assert scheduler["tasks_inline"] == inline
         assert cli_main(command) == 0
-        assert "scheduler  :" not in capsys.readouterr().out
+        shown = re.findall(r"^scheduler  : (.*)$", capsys.readouterr().out, re.MULTILINE)
+        assert shown == [f"0 tasks in workers, {inline} inline; pools forked 0, retries 0"]
 
     def test_scale_spec_builds_the_store_scale_catalog(self):
         built = parse_catalog(["scale:7"])

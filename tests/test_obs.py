@@ -370,7 +370,7 @@ class TestWorkerShipping:
 
         def work(spans):
             # Cache events differ by design: pool tasks rehydrate from the
-            # store where the in-process loop hits its shared cache.
+            # store where the parent's tasks hit its run-wide cache.
             return sorted(
                 (s.name, s.args.get("element"))
                 for s in spans
@@ -511,19 +511,32 @@ class TestQueryStoreMetrics:
                 [CrashFreedom()],
                 input_lengths=lengths,
                 options=options,
-                query_store=str(tmp_path / name),
+                store=str(tmp_path / name / "s"),
+                query_store=str(tmp_path / name / "q"),
             )
-            metrics = QueryStore(tmp_path / name).load_metrics()
+            metrics = QueryStore(tmp_path / name / "q").load_metrics()
             assert metrics["runs"] == 1
             assert metrics["slices"] > 0 and metrics["checks"] > 0
             assert metrics["sat_core_calls"] == report.statistics.sat_core_calls, name
             assert sum(metrics[tier] for tier in tiers) == report.statistics.qcache_hits > 0, name
-            # On one worker every search runs inside some verify call, so
-            # the results' query-cache deltas partition the run's count.
-            results = [r.statistics for c in report.certifications for r in c.results]
-            assert sum(r.sat_core_calls for r in results) == report.statistics.sat_core_calls
-            assert sum(r.qcache_hits for r in results) == report.statistics.qcache_hits
         assert report.verdicts()[0][2] == "unknown"  # the budget really blew
+        # Over a warm summary store Step 1 does no solver work, so every
+        # search runs inside some verify call, and the results' query-cache
+        # deltas partition the run's count.  (A blown budget stores no
+        # summary, so only the fleet catalog's Step 1 is served whole.)
+        catalog, lengths, options = inputs["fleet"]
+        warm = certify_fleet(
+            catalog,
+            [CrashFreedom()],
+            input_lengths=lengths,
+            options=options,
+            store=str(tmp_path / "fleet" / "s"),
+            query_store=str(tmp_path / "fresh"),
+        )
+        assert warm.statistics.summaries_computed == 0
+        results = [r.statistics for c in warm.certifications for r in c.results]
+        assert sum(r.sat_core_calls for r in results) == warm.statistics.sat_core_calls > 0
+        assert sum(r.qcache_hits for r in results) == warm.statistics.qcache_hits > 0
 
     def test_store_io_uses_monotonic_clock(self, tmp_path):
         from repro.orchestrator.store import QueryStore

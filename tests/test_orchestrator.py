@@ -720,12 +720,17 @@ class TestFleet:
             if "verdict_store" in kwargs:
                 expected["verdict store"] = 1
             assert opens == expected
-            # The scheduler's inline Step-2 tasks read through one
-            # read-only view of each tier per call, as a worker does.
-            assert views == ({"summary store": 1, "query store": 1} if workers == 2 else {})
-            assert (report.scheduler is not None) == (workers == 2)
-            if workers == 2:
-                assert report.scheduler.tasks_inline == 20
+            # The scheduler runs on both worker counts, and the parent's
+            # tasks read through the run's cache over these same stores:
+            # the parent opens no read-only view.
+            assert views == {}
+            scheduler = report.scheduler
+            # Two workers fork a pool for a cold call's Step-1 jobs only.
+            forked = workers == 2 and call == 0
+            assert (scheduler.workers, scheduler.pools_forked) == (workers, int(forked))
+            assert scheduler.tasks_inline == (
+                20 if workers == 2 else scheduler.summary_tasks + scheduler.verify_tasks
+            )
             assert (report.statistics.summaries_computed == 0) == (call > 0)
         assert report.statistics.sat_core_calls == 0  # the option's root is the warm L3 tier
 

@@ -1,12 +1,14 @@
 """Tests for the persistent fleet scheduler: graph, pool, priorities, parity.
 
 The scheduler's contract is differential — it reorders work, it never
-changes it — so most tests here drive the same catalog through the
-in-process loop (``workers=1``) and the pool (``workers=2``) and assert
-the outputs are identical.  The container may expose a single CPU
-(``certify_fleet`` clamps ``workers`` to the CPU count), so end-to-end
-tests lift the clamp with the ``four_cpus`` fixture and graph/pool tests
-call :func:`run_scheduled` directly with an explicit worker count.
+changes it — so most tests here drive the same catalog through one
+worker (every task in the parent) and two (the pool), or through
+:func:`_reference_certify`, a loop that certifies the catalog in order
+through one summary cache, and assert the outputs are identical.  The
+container may expose a single CPU (``certify_fleet`` clamps ``workers``
+to the CPU count), so end-to-end tests lift the clamp with the
+``four_cpus`` fixture and graph/pool tests call :func:`run_scheduled`
+directly with an explicit worker count.
 """
 
 import dataclasses
@@ -48,8 +50,9 @@ from repro.orchestrator.fleet import _certify_worker
 from repro.orchestrator.scheduler import PersistentPool, SchedulerStatistics, _Task
 from repro.orchestrator.store import Store
 from repro.orchestrator.workers import COMPUTED, EXPLODED, LOADED, PoolRun, _summarize_worker
+from repro.smt.qcache import QueryCache
 from repro.symbex.engine import SymbexOptions
-from repro.verify import CrashFreedom, destination_reachability
+from repro.verify import CrashFreedom, PipelineVerifier, SummaryCache, destination_reachability
 from repro.workloads import (
     churned_fleet_catalog,
     fleet_catalog,
@@ -145,6 +148,32 @@ def _with_one_replaced(catalog, index, replacement):
     replacement.name = catalog[index].name
     replaced[index] = replacement
     return replaced
+
+
+def _reference_certify(pipelines, properties, lengths, root):
+    """The reference the fleet engine is checked against: a loop over the catalog.
+
+    One summary cache over a fresh store at ``root`` and a fresh query
+    cache, and a verifier over each pipeline in catalog order.  Returns
+    each pipeline's results and the cache.
+    """
+    cache = SummaryCache(SymbexOptions(), store=SummaryStore(root), query_cache=QueryCache())
+    certified = []
+    for pipeline in pipelines:
+        verifier = PipelineVerifier(pipeline, options=cache.options, cache=cache)
+        certified.append([verifier.verify(p, input_lengths=list(lengths)) for p in properties])
+    return certified, cache
+
+
+@pytest.fixture
+def gc_off():
+    """Cyclic GC off for the test: it renumbers simplified terms, which
+    moves query-cache counters between otherwise identical runs."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
 
 
 def _serial_summaries(pipelines, lengths, options):
@@ -247,20 +276,23 @@ class TestJobGraph:
 
 class TestScheduledRun:
     def test_matches_serial_verdicts_and_counters(self, four_cpus):
-        """Both engines agree on every FleetStatistics field but three.
+        """One and two workers agree on every FleetStatistics field but three.
 
-        ``workers`` and ``elapsed_seconds`` differ by nature.  The loop
-        shares one in-memory query cache across the catalog while each
-        pool task starts a fresh one, so the same slice questions split
-        differently between SAT-core calls and cache hits — their sum
-        is fixed.
+        ``workers`` and ``elapsed_seconds`` differ by nature.  The
+        parent's tasks share one in-memory query cache across the
+        catalog while each pool task starts a fresh one, so the same
+        slice questions split differently between SAT-core calls and
+        cache hits — their sum is fixed.
         """
         properties = [CrashFreedom(), destination_reachability(0x0A000001)]
         for build in (lambda: fleet_catalog(6), lambda: store_scale_catalog(20)):
             serial = certify_fleet(build(), properties, input_lengths=(24,))
             pooled = certify_fleet(build(), properties, input_lengths=(24,), workers=2)
             assert pooled.verdicts() == serial.verdicts()
-            assert serial.scheduler is None
+            # One worker: every task ran in the parent, and nothing forked.
+            inline = serial.scheduler
+            assert (inline.workers, inline.pools_forked, inline.tasks_dispatched) == (1, 0, 0)
+            assert inline.tasks_inline == inline.summary_tasks + inline.verify_tasks > 0
             assert pooled.scheduler is not None and pooled.scheduler.pools_forked == 1
             one, two = serial.statistics.to_dict(), pooled.statistics.to_dict()
             assert (one.pop("workers"), two.pop("workers")) == (1, 2)
@@ -410,6 +442,90 @@ class TestScheduledRun:
         assert read <= _fresh_digests(tmp_path / "q", within=float("inf"))
 
 
+class TestOneEngine:
+    """One worker runs every task in the parent, through one run-wide cache."""
+
+    PROPERTIES = [CrashFreedom(), destination_reachability(0x0A000001)]
+
+    def test_one_worker_matches_the_reference_loop(self, gc_off, tmp_path):
+        for name, build in (
+            ("fleet", lambda: fleet_catalog(6)),
+            ("scale", lambda: store_scale_catalog(20)),
+        ):
+            report = certify_fleet(build(), self.PROPERTIES, input_lengths=(24,))
+            certified, cache = _reference_certify(build(), self.PROPERTIES, (24,), tmp_path / name)
+            catalog = build()
+            assert report.verdicts() == [
+                (pipeline.name, result.property_name, result.verdict)
+                for pipeline, results in zip(catalog, certified)
+                for result in results
+            ], name
+            assert _packets(report) == [
+                [ce.packet for result in results for ce in result.counterexamples]
+                for results in certified
+            ], name
+            stats, queries = report.statistics, cache.query_cache.statistics
+            assert (
+                stats.sat_core_calls,
+                stats.qcache_hits,
+                stats.summaries_computed,
+                stats.distinct_summary_jobs,
+            ) == (
+                queries.sat_core_calls,
+                queries.hits,
+                cache.statistics.misses,
+                cache.statistics.entries,
+            ), name
+            if name == "fleet":
+                assert stats.sat_core_calls > 0  # the counters compared count real searches
+
+    def test_per_result_statistics_do_not_depend_on_the_worker_count(self, four_cpus, gc_off):
+        """Every per-result statistic but timings agrees on one and two workers.
+
+        Except the split of solver work: the parent's tasks share one
+        query cache across the catalog, while each pool task starts a
+        fresh one, so ``sat_core_calls``, ``qcache_hits`` and
+        ``slices_solved`` may differ.
+        """
+        split = ("sat_core_calls", "qcache_hits", "slices_solved")
+
+        def per_result(workers):
+            report = certify_fleet(
+                fleet_catalog(6), self.PROPERTIES, input_lengths=(24,), workers=workers,
+                instruction_bounds=True,
+            )
+            rows = []
+            for certification in report.certifications:
+                for result in [*certification.results, certification.instruction_bound]:
+                    row = _timeless(result.statistics.to_dict())
+                    for name in split:
+                        del row[name]
+                    rows.append((certification.pipeline_name, row))
+            return rows
+
+        one = per_result(1)
+        assert one == per_result(2)
+        assert any(row["summary_cache_hits"] for _name, row in one)
+
+    def test_one_worker_follows_the_risk_history(self, tmp_path):
+        catalog = store_scale_catalog(6)
+        history = RiskHistory(RiskStore(tmp_path / "risk"))
+        risky = catalog[4].name
+        history.seed(risky, violations=3, churn=2)
+        traced = Tracer()
+        report = certify_fleet(
+            catalog, [CrashFreedom()], input_lengths=(64,), workers=1,
+            risk_history=history, trace=traced,
+        )
+        assert report.scheduler.pools_forked == 0
+        verified = sorted(
+            (s for s in traced.spans() if s.name == "scheduler.task" and s.args["kind"] == "verify"),
+            key=lambda span: span.start,
+        )
+        assert [s.args["label"] for s in verified][:1] == [risky]
+        assert len(verified) == len(catalog)
+
+
 class TestSchedulerDirect:
     """Drive run_scheduled with real worker processes (no cpu clamp)."""
 
@@ -461,24 +577,52 @@ class TestSchedulerDirect:
         assert set(stored) == set(run.summaries)
         assert not (tmp_path / "store" / "shards").exists()
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_crashed_verify_task_is_retried_with_the_same_run(
-        self, all_in_pool, tmp_path, workers
-    ):
-        # One worker: the retry can only run in the replacement, which
-        # must inherit the run's constants to certify from an index.
-        # Every task in the pool: run inline, the crash would end this
-        # process, and only a worker's crash is retried.
+    def test_crashed_verify_task_is_retried_with_the_same_run(self, all_in_pool, tmp_path):
+        # Every task in the pool: only a worker's crash is retried, and
+        # the parent's own tasks never call the injected body.
         catalog = store_scale_catalog(4)
         store = SummaryStore(tmp_path / "store")
         (tmp_path / "crash-once").touch()
-        run = self._run(
-            catalog, store, workers=workers, verify_worker=_crash_once_verify_worker
-        )
+        run = self._run(catalog, store, verify_worker=_crash_once_verify_worker)
         stats = run.statistics
         assert stats.tasks_retried == 1
         assert stats.workers_crashed == 1
         assert stats.workers_spawned == stats.workers + 1
+        serial = certify_fleet(store_scale_catalog(4), [CrashFreedom()], input_lengths=(64,))
+        verdicts = [
+            (catalog[index].name, r.property_name, r.verdict)
+            for index in sorted(run.step2)
+            for r in run.step2[index][0].results
+        ]
+        assert verdicts == serial.verdicts()
+
+    def test_replacement_workers_certify_from_the_runs_constants(
+        self, all_in_pool, monkeypatch, tmp_path
+    ):
+        """Each worker the pool forks first dies on its first Step-2 task.
+
+        So every Step-2 task is certified by a replacement forked after a
+        crash, which must inherit the run's constants to certify from an
+        index.
+        """
+        originals = tmp_path / "originals"
+        real = PersistentPool.__init__
+
+        def recording(pool, *args):
+            real(pool, *args)
+            originals.write_text(" ".join(str(h.process.pid) for h in pool._workers))
+
+        monkeypatch.setattr(PersistentPool, "__init__", recording)
+        catalog = store_scale_catalog(4)
+        run = self._run(
+            catalog, SummaryStore(tmp_path / "store"),
+            verify_worker=_crash_original_verify_worker,
+        )
+        stats = run.statistics
+        assert 1 <= stats.tasks_retried == stats.workers_crashed <= stats.workers == 2
+        assert stats.workers_spawned == stats.workers + stats.workers_crashed
+        certified_in = {int(pid) for pid in (tmp_path / "certified").read_text().split()}
+        assert certified_in and not certified_in & {int(p) for p in originals.read_text().split()}
         serial = certify_fleet(store_scale_catalog(4), [CrashFreedom()], input_lengths=(64,))
         verdicts = [
             (catalog[index].name, r.property_name, r.verdict)
@@ -500,7 +644,7 @@ class TestSchedulerDirect:
         catalog = store_scale_catalog(2)
         entry = catalog[0].sole_entry()
         entry.lock = threading.Lock()
-        # The loop pickles nothing, so the catalog itself certifies.
+        # One worker pickles nothing, so the catalog itself certifies.
         serial = certify_fleet(catalog, [CrashFreedom()], input_lengths=(64,))
         assert len(serial.certifications) == 2
         label = re.escape(f"{entry.name}@64")
@@ -638,10 +782,10 @@ class TestSchedulerDirect:
         by_pid = Counter((s.args["kind"], s.args["pid"] == os.getpid()) for s in scheduler_spans)
         assert by_pid == {("summary", False): stats.summary_tasks, ("verify", True): len(catalog)}
 
-        # The scheduler reorders the serial run's symbolic executions; it
-        # never adds or drops one.  (Cache hit/miss *events* legitimately
-        # differ from serial: pooled Step 2 rehydrates from the store,
-        # serial reads its in-process cache.)
+        # The scheduler reorders the one-worker run's symbolic executions;
+        # it never adds or drops one.  (Cache hit/miss *events*
+        # legitimately differ: pooled Step 2 rehydrates from the store,
+        # the parent reads its run-wide cache.)
         with active(Tracer()) as t:
             serial = certify_fleet(
                 store_scale_catalog(4), [CrashFreedom()], input_lengths=(64,),
@@ -670,8 +814,8 @@ class TestPlacement:
         instruction bounds on and off.  Returns, per pass, everything a
         run shows: verdicts, packets, bounds, the fleet counters but
         elapsed time, the scheduler's task count, and every row of the
-        three stores.  One worker runs the in-process loop, which
-        places nothing, so the matrix leaves it out.
+        three stores.  One worker places every task in the parent, so
+        the matrix leaves it out.
         """
         passes = {
             "fleet": (
@@ -796,17 +940,32 @@ class TestPlacement:
     def test_inline_task_that_raises_fails_the_run_as_a_pool_task_does(
         self, monkeypatch, tmp_path
     ):
-        def failure(root):
+        catalog = store_scale_catalog(2)
+        certify = fleet_module._certify_one
+
+        def raising(pipeline, *args):
+            # Only the first pipeline fails, so two workers that each hold
+            # a Step-2 task cannot race to name the failure.
+            if pipeline is catalog[0]:
+                raise RuntimeError(f"boom at {catalog.index(pipeline)}")
+            return certify(pipeline, *args)
+
+        # Both placements certify through this function: the parent calls
+        # it over its cache, a pool worker through ``_certify_worker``.
+        monkeypatch.setattr(fleet_module, "_certify_one", raising)
+
+        def failure(root, workers=2):
             with _deadline(30), pytest.raises(OrchestratorError) as raised:
                 run_scheduled(
-                    store_scale_catalog(2), [CrashFreedom()], (64,), SymbexOptions(),
-                    workers=2, store=SummaryStore(root), verify_worker=_raising_verify_worker,
+                    catalog, [CrashFreedom()], (64,), SymbexOptions(),
+                    workers=workers, store=SummaryStore(root),
                 )
             assert not multiprocessing.active_children()  # the pool shut down
             return str(raised.value)
 
         inline = failure(tmp_path / "inline")
         assert inline == "scheduler verify task 'scale-0' failed: RuntimeError: boom at 0"
+        assert failure(tmp_path / "one-worker", workers=1) == inline
         with monkeypatch.context() as patch:
             patch.setattr(scheduler_module, "has_suspect", lambda *args: True)
             assert failure(tmp_path / "pooled") == inline
@@ -838,18 +997,6 @@ class TestPlacement:
         )
         assert run.statistics.tasks_inline == len(catalog)
         assert not tracer().enabled
-
-    def test_a_parent_task_ships_only_its_query_counters(self, tmp_path):
-        options = SymbexOptions(trace=True)
-        catalog = store_scale_catalog(6)
-        run = PoolRun(catalog, [CrashFreedom()], (64,), options, str(tmp_path))
-        with active(Tracer()) as t:
-            shipped = _certify_worker(0, run.parent_copy())[4]
-            spans = t.spans()
-        assert "spans" not in shipped and "slow" not in shipped
-        assert shipped["qstats"]["checks"] > 0
-        assert [s.name for s in spans if s.category == "fleet"] == ["fleet.pipeline"]
-        assert run._stores is None  # the parent's copy opened its own views
 
     def test_warm_call_served_whole_opens_no_summary_store(self, four_cpus, monkeypatch, tmp_path):
         verdicts = str(tmp_path / "v")
@@ -903,6 +1050,21 @@ def _crash_once_verify_worker(index, run):
     return _certify_worker(index, run)
 
 
+def _crash_original_verify_worker(index, run):
+    """Step-2 worker that hard-kills each of the pool's first workers on its first task.
+
+    Their pids are listed in ``originals`` next to the store root; the
+    pids that certify are appended to ``certified`` there.
+    """
+    root = Path(run.store_root).parent
+    if str(os.getpid()) in (root / "originals").read_text().split():
+        os._exit(1)
+    result = _certify_worker(index, run)
+    with open(root / "certified", "a") as out:
+        out.write(f"{os.getpid()}\n")
+    return result
+
+
 def _result_then_exit(payload, run):
     """Return ``payload``; the worker dies 0.2 s later, after sending it."""
     threading.Timer(0.2, os._exit, (1,)).start()
@@ -918,10 +1080,6 @@ def _big_result_then_exit(payload, run):
 def _slow_identity(payload, run):
     time.sleep(0.3)
     return payload
-
-
-def _raising_verify_worker(index, run):
-    raise RuntimeError(f"boom at {index}")
 
 
 def _lock_verify_worker(index, run):
