@@ -3,8 +3,8 @@
 Certifies the 8-pipeline fleet catalog cold and then warm, and checks
 the claims the layer is built on:
 
-* **few SAT calls** — independence slicing plus the verdict/model/
-  unsat-core cache keep the cold run's CDCL searches at the count the
+* **few SAT calls** — independence slicing plus the three-tier
+  verdict/model cache keep the cold run's CDCL searches at the count the
   baseline pins (47 in quick mode, within 15%).  The layer is the only
   solve path, so the pin, not a ratio against a disabled mode, is what
   guards it;

@@ -419,8 +419,6 @@ def _open_stores(
 #: order the cache itself probes them.
 _QUERY_TIERS = (
     ("exact", "exact_hits"),
-    ("core-subset", "unsat_core_hits"),
-    ("superset", "superset_sat_hits"),
     ("model-reuse", "model_reuse_hits"),
     ("l3", "l3_hits"),
 )

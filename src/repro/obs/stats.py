@@ -3,17 +3,20 @@
 Every ``*Statistics`` dataclass in the repo (solver, context, query
 cache, summary cache, store, verification, fleet, scheduler, driver,
 monolithic)
-mixes this in and gets, generically over :func:`dataclasses.fields`:
+mixes this in and gets, generically over its dataclass fields:
 
 * ``to_dict()`` / ``from_dict()`` — plain-JSON round-trip with exactly
   the dataclass's field names as keys (the key sets the verdict store
   already persists are unchanged, because the old hand-rolled dicts
-  enumerated exactly the fields too); ``from_dict`` reads each class's
-  field layout once and builds the instance in one constructor call,
-  because the verdict store decodes one record per pipeline;
+  enumerated exactly the fields too); ``from_dict`` builds the instance
+  in one constructor call, because the verdict store decodes one record
+  per pipeline;
 * ``merge(other)`` — numeric fields sum, bools OR, dict fields key-sum,
   except fields named in the ``MERGE_MAX`` class var which take the max
   (high-water marks like a driver's ``max_instructions``).
+
+All three read each class's field layout (:func:`dataclasses.fields`)
+once per process, not on every call.
 
 Each counter has one owner: a report copies or takes a delta of the
 statistics object that counted the work (solver work, for example, is
@@ -58,13 +61,13 @@ class StatisticsMixin:
 
     def to_dict(self) -> dict:
         payload = {}
-        for spec in dataclasses.fields(self):  # type: ignore[arg-type]
-            value = getattr(self, spec.name)
+        for name in _layout(type(self))[0]:
+            value = getattr(self, name)
             if isinstance(value, dict):
                 value = dict(value)
             elif isinstance(value, (list, tuple)):
                 value = list(value)
-            payload[spec.name] = value
+            payload[name] = value
         return payload
 
     @classmethod
@@ -80,15 +83,15 @@ class StatisticsMixin:
 
     def merge(self: S, other: S) -> S:
         """Fold ``other`` into ``self`` (sum/OR/key-sum; ``MERGE_MAX`` maxes)."""
-        for spec in dataclasses.fields(self):  # type: ignore[arg-type]
-            mine = getattr(self, spec.name)
-            theirs = getattr(other, spec.name)
+        for name in _layout(type(self))[0]:
+            mine = getattr(self, name)
+            theirs = getattr(other, name)
             if isinstance(mine, bool) or isinstance(theirs, bool):
-                setattr(self, spec.name, bool(mine) or bool(theirs))
-            elif spec.name in self.MERGE_MAX:
-                setattr(self, spec.name, max(mine, theirs))
+                setattr(self, name, bool(mine) or bool(theirs))
+            elif name in self.MERGE_MAX:
+                setattr(self, name, max(mine, theirs))
             elif isinstance(mine, (int, float)):
-                setattr(self, spec.name, mine + theirs)
+                setattr(self, name, mine + theirs)
             elif isinstance(mine, dict):
                 for key, value in theirs.items():
                     if isinstance(value, bool):

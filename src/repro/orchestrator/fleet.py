@@ -349,8 +349,8 @@ def certify_fleet(
     order (and the wall clock) moves, never a verdict.
 
     A ``query_store`` (path or :class:`QueryStore`) persists the query
-    cache's L3 tier: sliced solver verdicts, models and unsat cores
-    survive across runs, so a warm re-certification performs **zero
+    cache's L3 tier: sliced solver verdicts and SAT models survive
+    across runs, so a warm re-certification performs **zero
     SAT-core calls** for unchanged pipelines — the solver-level analogue
     of the summary store's zero-symbex warm path.  Each worker opens it
     read-only once and ships each task's new entries back for the parent

@@ -853,7 +853,7 @@ class QueryStore(Store):
     The **L3 tier** of :class:`repro.smt.qcache.QueryCache`: entries are
     keyed by a *structural* slice fingerprint (term uids are
     process-local; the fingerprint survives any process), and the payload
-    carries the verdict plus a SAT model or a minimized unsat core.  A
+    carries the verdict, plus a model for a SAT slice.  A
     warm fleet re-certification answers every solver question from here
     the same way the summary store lets it skip symbolic execution.
 
@@ -867,10 +867,9 @@ class QueryStore(Store):
     def contains(self, digest: str) -> bool:
         """Entry-existence probe, without reading or counting a hit.
 
-        The cache uses it to skip re-persisting entries its in-memory
-        shortcut tiers re-derived — on a warm run every slice answer is
-        already on disk, and an existence probe is far cheaper than a
-        rewrite."""
+        The cache uses it to skip re-persisting entries its model-reuse
+        tier re-derived — on a warm run every slice answer is already on
+        disk, and an existence probe is far cheaper than a rewrite."""
         if digest in self._pending:
             return True
         return bool(self._rows("SELECT 1 FROM entries WHERE digest=?", (digest,)))

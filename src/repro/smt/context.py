@@ -6,15 +6,14 @@ solver alive for its whole lifetime, and decides every query through the
 
 * the query is partitioned into variable-independent slices, and each
   slice is answered by the cheapest cache tier that can (exact verdict,
-  unsat-core subset, SAT superset, model reuse, persistent L3, and last
-  the interval quick check);
-* only the slices no tier answers reach this context's CDCL core, one
-  assumption solve each;
+  model reuse, persistent L3, and last the interval quick check);
+* only the slices no tier answers reach this context's CDCL core,
+  through one batch per query: one assumption solve each;
 * every distinct (hash-consed) boolean term is Tseitin-encoded **once**,
-  the first time a slice needs it, and a solve passes the root literals
-  of its slice as CDCL assumptions instead of asserting unit clauses, so
-  the clause database never has to be rebuilt or retracted and **learned
-  clauses remain valid across queries**.
+  the first time a query's batch needs the core, and a solve passes the
+  root literals of its slice as CDCL assumptions instead of asserting
+  unit clauses, so the clause database never has to be rebuilt or
+  retracted and **learned clauses remain valid across queries**.
 
 :class:`AssumptionChecker` adds the feasibility memo keyed on interned
 term uids that the symbex and verify layers share.  The scratch
@@ -66,9 +65,9 @@ class ContextStatistics(StatisticsMixin):
     #: answered instead — the evidence that shared subterms blast once.
     blast_passes: int = 0
     blast_cache_hits: int = 0
-    #: Encode *sweeps* over slice sets: the unbatched path pays one per
-    #: core-reaching slice, the batched arena one per whole slice set —
-    #: so with batching this stays below the query cache's ``solved``.
+    #: Encode *sweeps* over slice sets: one per query whose batch reaches
+    #: the core, covering every slice of the query — so this stays at or
+    #: below the query cache's ``sat_core_calls``.
     encode_passes: int = 0
     encode_seconds: float = 0.0
     solve_seconds: float = 0.0
@@ -139,33 +138,24 @@ class SolverContext:
         self.statistics.encode_seconds += clock() - started
 
         solve_started = clock()
-        status, model = self.query_cache.check(
-            reduced_terms, self._solve_slice, make_batch=self._make_batch
-        )
+        status, model = self.query_cache.check(reduced_terms, self._make_batch)
         self.statistics.solve_seconds += clock() - solve_started
         if status == CheckResult.SAT:
             self._model = model if model is not None else Model({})
         return self._finish(status)
 
-    def _solve_slice(self, terms: Sequence[Term]) -> Tuple[str, Optional[Model]]:
-        """The query cache's per-slice callback: one encode sweep, one search."""
-        self.statistics.encode_passes += 1
-        return self._solve_assumptions([self._literal(term) for term in terms])
-
     def _make_batch(self, groups: Sequence[Sequence[Term]]) -> List:
-        """Batched slice solving on the persistent core: one encode, N solves.
+        """The query cache's way to the core: one encode, one solve per slice.
 
-        The per-slice path encodes and feeds each missed slice on its
-        own; the batch hook instead Tseitin-encodes *every* slice's root
-        into the shared CNF the first time any slice actually needs the
-        core, then streams the new clauses to the solver in one
+        Nothing is encoded until a slice actually needs the core; then
+        *every* slice's root is Tseitin-encoded into the shared CNF and
+        the new clauses are streamed to the solver in one
         ``_feed_clauses`` call.  Ite-lifted merge constraints share most
         of their sub-DAG across slices, so the uid-keyed blast cache
         turns the remaining slices' encodings into lookups — one
         bit-blasting pass over the shared subterms instead of one per
-        slice.  Each slice is still decided by its own assumption solve,
-        so verdicts, counters and the one-UNSAT short-circuit match the
-        unbatched path.
+        slice.  Each slice is still decided by its own assumption solve.
+        A one-slice query gets a one-slice batch: one encode, one search.
         """
         encoded: List[List[int]] = []
 
@@ -181,7 +171,7 @@ class SolverContext:
     def _solve_assumptions(self, literals: List[int]) -> Tuple[str, Optional[Model]]:
         """Run one CDCL search under ``literals`` on the retained CNF.
 
-        The shared tail of both slice paths; the query cache counts the
+        The tail of every batch callback; the query cache counts the
         search, and ``solve_seconds`` is the caller's concern
         (``check_assumptions`` times the whole cache interaction instead).
         """
@@ -280,7 +270,7 @@ class AssumptionChecker:
         query_cache: Optional[QueryCache] = None,
     ) -> None:
         """``query_cache`` (shared freely between checkers) slices every
-        query and reuses verdicts/models/cores across them; ``None`` gives
+        query and reuses verdicts and models across them; ``None`` gives
         the checker its own."""
         self.context = SolverContext(max_conflicts=max_conflicts, query_cache=query_cache)
         self.query_cache = self.context.query_cache

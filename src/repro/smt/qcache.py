@@ -1,20 +1,17 @@
 """The tiered query cache: memoize sliced satisfiability queries across checks.
 
 Sits between :class:`repro.smt.context.SolverContext` and its CDCL
-core.  A query —
-a list of simplified boolean terms — is partitioned into independent
-slices (:mod:`repro.smt.slicing`) and each slice is answered by the
-cheapest tier that can:
+core.  A query — a list of simplified boolean terms — is partitioned
+into independent slices (:mod:`repro.smt.slicing`) and each slice is
+answered by the cheapest of three tiers that can:
 
 * **L1 exact** — verdict + model keyed by the slice's sorted term-uid
   tuple.  The dominant hit: sibling paths and composed routes re-ask the
   same slices endlessly.
-* **Shortcuts** — an *unsat core* (minimized unsatisfiable subset)
-  contained in the query answers UNSAT; a cached SAT entry whose term
-  set contains the query answers SAT (its model satisfies every subset);
-  and any recently produced model that evaluates the slice to true
-  (:mod:`repro.smt.evaluate`) answers SAT — all without touching a
-  solver.
+* **Model reuse** — a model that evaluates the slice to true
+  (:mod:`repro.smt.evaluate`) answers SAT without touching a solver:
+  first the all-zeros and all-ones probes, then the recently produced
+  models, newest first.
 * **L3 persistent** — an on-disk store keyed by a *structural*
   fingerprint of the slice (term uids are process-local; the fingerprint
   is a sha256 over per-term structural digests), so a warm
@@ -25,9 +22,9 @@ cheapest tier that can:
   :class:`repro.orchestrator.store.Store` machinery.
 
 Slices that no tier answers are tried with the interval quick check,
-and only the rest reach the ``solve`` callback the caller provides (one
-CDCL search each).  The result — including a greedily minimized unsat
-core for UNSAT slices — is installed in every tier.  ``unknown`` results
+and only the rest reach the CDCL core, through the batch the caller's
+``make_batch`` callback builds for the query (one search per slice).
+The verdict is installed in L1 and L3.  ``unknown`` results
 (conflict-budget exhaustion) are never cached.  The cache is therefore
 the one place that sees every slice question and every CDCL search, and
 its :class:`QueryCacheStatistics` are the solver-work counts every
@@ -71,13 +68,13 @@ SAT = "sat"
 UNSAT = "unsat"
 UNKNOWN = "unknown"
 
-#: A per-slice CDCL search: terms -> (status, model-or-None).
+#: One slice's CDCL search: terms -> (status, model-or-None).
 SolveFn = Callable[[Sequence[Term]], Tuple[str, Optional[Model]]]
 
-#: Batched-encoding hook: given every slice's term list, return one
-#: :data:`SolveFn` per slice.  The solving context uses it to encode the
-#: whole slice set in one sweep (per-slice assumption roots) the first
-#: time any slice reaches the core.
+#: The cache's one way to the core: given every slice's term list, return
+#: one :data:`SolveFn` per slice.  The solving context encodes the whole
+#: slice set in one sweep (per-slice assumption roots) the first time any
+#: slice reaches the core.
 BatchFn = Callable[[Sequence[Sequence[Term]]], Sequence[SolveFn]]
 
 
@@ -147,39 +144,21 @@ class QueryCacheStatistics(StatisticsMixin):
     checks: int = 0
     slices: int = 0
     exact_hits: int = 0
-    unsat_core_hits: int = 0
-    superset_sat_hits: int = 0
     model_reuse_hits: int = 0
     l3_hits: int = 0
     l3_stores: int = 0
     #: Slices no cache tier answered: the interval quick check decided
-    #: them, or the solve callback ran a CDCL search.
+    #: them, or a batch callback ran a CDCL search.
     solved: int = 0
-    #: CDCL searches the solve callback ran, one per slice the quick
+    #: CDCL searches the batch callbacks ran, one per slice the quick
     #: check left undecided.  0 on a run the L3 tier answers in full.
     sat_core_calls: int = 0
     unknown_results: int = 0
-    minimization_tests: int = 0
 
     @property
     def hits(self) -> int:
-        """Slice questions the five cache tiers answered (quick check excluded)."""
-        return (
-            self.exact_hits
-            + self.unsat_core_hits
-            + self.superset_sat_hits
-            + self.model_reuse_hits
-            + self.l3_hits
-        )
-
-
-@dataclass
-class _Entry:
-    """One cached slice verdict."""
-
-    key_set: FrozenSet[int]
-    status: str
-    model: Optional[Model] = None
+        """Slice questions the three cache tiers answered (quick check excluded)."""
+        return self.exact_hits + self.model_reuse_hits + self.l3_hits
 
 
 def _restrict(model: Optional[Model], variables: FrozenSet[str]) -> Optional[Model]:
@@ -210,7 +189,7 @@ def _all_ones(query_slice: Slice) -> Model:
 
 @dataclass
 class QueryCache:
-    """Multi-tier verdict/model/core cache over sliced queries.
+    """Three-tier verdict/model cache over sliced queries.
 
     ``store`` (optional) is the persistent L3 tier, written through like
     any cache.  A forked fleet worker hands in a read-only store, which
@@ -225,15 +204,9 @@ class QueryCache:
     L1_LIMIT = 200_000
     #: Recent SAT models kept for the model-reuse tier.
     MODEL_POOL = 32
-    #: Unsat cores are minimized only for slices of at most this many
-    #: terms, with at most this many interval deletion tests each.
-    MINIMIZE_LIMIT = 12
-    MINIMIZE_TESTS = 6
 
     def __post_init__(self) -> None:
-        self._exact: Dict[Tuple[int, ...], _Entry] = {}
-        self._sat_by_uid: Dict[int, List[_Entry]] = {}
-        self._cores_by_uid: Dict[int, List[FrozenSet[int]]] = {}
+        self._exact: Dict[Tuple[int, ...], Tuple[str, Optional[Model]]] = {}
         self._models: Deque[Tuple[Model, FrozenSet[str]]] = deque(maxlen=self.MODEL_POOL)
         # The two canned probes live as long as the cache (an L1 reset
         # drops them with the rest), so their per-term verdict memos
@@ -244,20 +217,15 @@ class QueryCache:
     # -- querying ------------------------------------------------------------------
 
     def check(
-        self,
-        terms: Sequence[Term],
-        solve: SolveFn,
-        make_batch: Optional[BatchFn] = None,
+        self, terms: Sequence[Term], make_batch: BatchFn
     ) -> Tuple[str, Optional[Model]]:
         """Decide the conjunction of ``terms`` (simplified, interned booleans).
 
         Returns ``(status, model)``; SAT always comes with a composed
-        model.  ``solve`` is invoked once per slice no tier, the quick check
-        included, could answer.
-        ``make_batch`` (optional) replaces the per-slice ``solve`` with
-        callbacks sharing one batched encoding; slices are still decided
-        sequentially, so cache-tier traffic and the one-UNSAT-slice
-        short-circuit are identical either way.
+        model.  ``make_batch`` gets every slice's term list and returns one
+        callback per slice; a slice's callback is invoked only if no tier,
+        the quick check included, could answer it.  Slices are decided one
+        at a time, and the first UNSAT slice decides the query.
         """
         self.statistics.checks += 1
         unique: List[Term] = []
@@ -273,20 +241,14 @@ class QueryCache:
             return SAT, Model({})
         slices = partition(unique)
         self.statistics.slices += len(slices)
-        solvers: Optional[Sequence[SolveFn]] = None
-        order = range(len(slices))
-        if make_batch is not None and len(slices) > 1:
-            solvers = make_batch([query_slice.terms for query_slice in slices])
-            # Cheapest slices first: a quick-check or cached UNSAT on a
-            # small slice short-circuits before the shared arena is built.
-            order = arena_order(slices)
+        solvers = make_batch([query_slice.terms for query_slice in slices])
+        # Cheapest slices first: a quick-check or cached UNSAT on a small
+        # slice short-circuits before the shared arena is built.
+        order = arena_order(slices) if len(slices) > 1 else (0,)
         assignment: Dict[str, object] = {}
         unknown = False
         for index in order:
-            query_slice = slices[index]
-            status, model = self._check_slice(
-                query_slice, solvers[index] if solvers is not None else solve
-            )
+            status, model = self._check_slice(slices[index], solvers[index])
             if status == UNSAT:
                 return UNSAT, None
             if status == UNKNOWN:
@@ -300,38 +262,14 @@ class QueryCache:
     # -- per-slice tiers -----------------------------------------------------------
 
     def _check_slice(self, query_slice: Slice, solve: SolveFn) -> Tuple[str, Optional[Model]]:
-        key = query_slice.key
-        key_set = frozenset(key)
         trace = tracer()
 
-        entry = self._exact.get(key)
-        if entry is not None:
+        cached = self._exact.get(query_slice.key)
+        if cached is not None:
             self.statistics.exact_hits += 1
             if trace.enabled:
                 trace.event("qcache.hit", "qcache", tier="exact")
-            return entry.status, entry.model
-
-        # A known unsat core contained in the query refutes it.  Cores are
-        # indexed under their smallest member, which the query must carry.
-        for uid in key:
-            for core in self._cores_by_uid.get(uid, ()):
-                if core <= key_set:
-                    self.statistics.unsat_core_hits += 1
-                    if trace.enabled:
-                        trace.event("qcache.hit", "qcache", tier="unsat_core")
-                    self._install(query_slice, UNSAT, None, core=core)
-                    return UNSAT, None
-
-        # A cached SAT term set containing the query satisfies it (every
-        # query term was part of the satisfied superset).
-        for entry in self._sat_by_uid.get(key[0], ()):
-            if key_set <= entry.key_set:
-                self.statistics.superset_sat_hits += 1
-                if trace.enabled:
-                    trace.event("qcache.hit", "qcache", tier="superset_sat")
-                model = _restrict(entry.model, query_slice.variables)
-                self._install(query_slice, SAT, model)
-                return SAT, model
+            return cached
 
         # Any model that happens to evaluate the slice true is a witness —
         # concrete evaluation is far cheaper than any SAT call.  Newest
@@ -382,10 +320,7 @@ class QueryCache:
             self.statistics.unknown_results += 1
             return UNKNOWN, None
         model = _restrict(model, query_slice.variables)
-        core: Optional[FrozenSet[int]] = None
-        if status == UNSAT:
-            core = self._minimize(query_slice)
-        self._install(query_slice, status, model, core=core, digest=digest)
+        self._install(query_slice, status, model, digest=digest)
         return status, model
 
     def _candidate_models(self, query_slice: Slice):
@@ -414,13 +349,8 @@ class QueryCache:
             self._install(query_slice, SAT, restricted, persist=False)
             return SAT, restricted
         if status == UNSAT:
-            core_digests = set(payload.get("core") or ())
-            by_digest = {term_digest(term): term for term in query_slice.terms}
-            core = frozenset(
-                by_digest[d].uid for d in core_digests if d in by_digest
-            ) or frozenset(term.uid for term in query_slice.terms)
             self.statistics.l3_hits += 1
-            self._install(query_slice, UNSAT, None, core=core, persist=False)
+            self._install(query_slice, UNSAT, None, persist=False)
             return UNSAT, None
         return None
 
@@ -431,69 +361,27 @@ class QueryCache:
         query_slice: Slice,
         status: str,
         model: Optional[Model],
-        core: Optional[FrozenSet[int]] = None,
         digest: Optional[str] = None,
         persist: bool = True,
     ) -> None:
         if len(self._exact) >= self.L1_LIMIT:
             self.__post_init__()
-        entry = _Entry(frozenset(query_slice.key), status, model)
-        if query_slice.key not in self._exact:
-            self._exact[query_slice.key] = entry
-            if status == SAT:
-                for uid in query_slice.key:
-                    self._sat_by_uid.setdefault(uid, []).append(entry)
-                if model is not None and len(model):
-                    self._models.append((model, frozenset(model.as_dict())))
-        if core:
-            anchor = min(core)
-            bucket = self._cores_by_uid.setdefault(anchor, [])
-            if core not in bucket:
-                bucket.append(core)
+        self._exact[query_slice.key] = (status, model)
+        if status == SAT and model is not None and len(model):
+            self._models.append((model, frozenset(model.as_dict())))
         if persist and self.store is not None:
             if digest is None:
                 digest = slice_fingerprint(query_slice.terms)
             if self.store.contains(digest):  # type: ignore[attr-defined]
-                # Shortcut-tier answers re-derive entries a previous run
+                # Model-reuse answers re-derive entries a previous run
                 # already persisted; a stat beats a rewrite (and keeps
                 # warm runs write-free).
                 return
             payload: dict = {"v": PAYLOAD_VERSION, "status": status}
             if status == SAT:
                 payload["model"] = dict((model or Model({})).as_dict())
-            elif core:
-                uid_to_term = {term.uid: term for term in query_slice.terms}
-                payload["core"] = sorted(
-                    term_digest(uid_to_term[uid]) for uid in core if uid in uid_to_term
-                )
             self.store.save_payload(digest, payload)  # type: ignore[union-attr]
             self.statistics.l3_stores += 1
-
-    def _minimize(self, query_slice: Slice) -> FrozenSet[int]:
-        """Greedy deletion-based minimization of an UNSAT slice, under a budget.
-
-        Deletion tests use interval reasoning only: a term is dropped
-        when the quick check *still proves the remainder UNSAT* — never a
-        SAT-core call, so minimization cannot erode the optimization's
-        own win.  Conservative (an un-droppable-looking term stays in the
-        core), which costs shortcut coverage, never soundness: every
-        retained core is a genuine unsatisfiable subset.
-        """
-        terms = list(query_slice.terms)
-        if len(terms) <= 1 or len(terms) > self.MINIMIZE_LIMIT:
-            return frozenset(term.uid for term in terms)
-        tests = 0
-        index = 0
-        while index < len(terms) and len(terms) > 1 and tests < self.MINIMIZE_TESTS:
-            candidate = terms[:index] + terms[index + 1 :]
-            goal = candidate[0] if len(candidate) == 1 else mk_and(*candidate)
-            tests += 1
-            self.statistics.minimization_tests += 1
-            if quick_check(goal).status == QuickCheckResult.UNSAT:
-                terms = candidate  # the dropped term was not needed
-            else:
-                index += 1
-        return frozenset(term.uid for term in terms)
 
 
 def build_query_cache(store_dir: Optional[str] = None) -> QueryCache:

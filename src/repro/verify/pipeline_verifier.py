@@ -123,6 +123,7 @@ class PipelineVerifier:
         queries = self.cache.query_cache.statistics
         queries_before = dataclasses.replace(queries)
         hits_before = self.cache.statistics.hits
+        composed_before = self._composer_work()
         undecided_before = len(self.composer.undecided)
 
         try:
@@ -198,11 +199,7 @@ class PipelineVerifier:
             statistics.budget_exceeded = True
             notes.append(f"budget exceeded: {exc}")
 
-        statistics.composed_paths_checked = self.composer.paths_checked
-        statistics.composed_paths_feasible = self.composer.paths_feasible
-        statistics.count_solver_checks(
-            self.composer.solver_checks, memo_hits=self.composer.checker.memo_hits
-        )
+        self._count_composer_work(statistics, composed_before)
         statistics.count_query_work(queries_before, queries)
         statistics.summary_cache_hits = self.cache.statistics.hits - hits_before
         statistics.elapsed_seconds = clock() - started
@@ -229,6 +226,30 @@ class PipelineVerifier:
             notes=notes,
         )
 
+    def _composer_work(self) -> Tuple[int, int, int, int]:
+        """The composer's running totals: paths checked and feasible, solver
+        checks, and the memo hits among them."""
+        composer = self.composer
+        return (
+            composer.paths_checked,
+            composer.paths_feasible,
+            composer.solver_checks,
+            composer.checker.memo_hits,
+        )
+
+    def _count_composer_work(
+        self, statistics: VerificationStatistics, before: Tuple[int, int, int, int]
+    ) -> None:
+        """Add the composer's work since ``before`` to ``statistics``: one
+        composer serves every call on this verifier, so its totals span
+        every property checked so far."""
+        checked, feasible, checks, memo_hits = (
+            after - prior for after, prior in zip(self._composer_work(), before)
+        )
+        statistics.composed_paths_checked = checked
+        statistics.composed_paths_feasible = feasible
+        statistics.count_solver_checks(checks, memo_hits=memo_hits)
+
     # -- bounded instructions ---------------------------------------------------------------------------
 
     def instruction_bound(
@@ -254,6 +275,7 @@ class PipelineVerifier:
         queries = self.cache.query_cache.statistics
         queries_before = dataclasses.replace(queries)
         hits_before = self.cache.statistics.hits
+        composed_before = self._composer_work()
         best_total = 0
         best_chain: Optional[List[Tuple[Element, SegmentSummary]]] = None
         best_length = 0
@@ -281,10 +303,7 @@ class PipelineVerifier:
                     replayed is not None and replayed.total_instructions == witness_instructions
                 )
 
-        statistics.composed_paths_checked = self.composer.paths_checked
-        statistics.count_solver_checks(
-            self.composer.solver_checks, memo_hits=self.composer.checker.memo_hits
-        )
+        self._count_composer_work(statistics, composed_before)
         statistics.count_query_work(queries_before, queries)
         statistics.summary_cache_hits = self.cache.statistics.hits - hits_before
         statistics.elapsed_seconds = clock() - started

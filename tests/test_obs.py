@@ -494,9 +494,7 @@ class TestQueryStoreMetrics:
         from repro.verify import CrashFreedom
         from repro.workloads import fleet_catalog, synthetic_pipeline
 
-        tiers = (
-            "exact_hits", "unsat_core_hits", "superset_sat_hits", "model_reuse_hits", "l3_hits"
-        )
+        tiers = ("exact_hits", "model_reuse_hits", "l3_hits")
         inputs = {
             # The interval quick check decides one of this catalog's slices,
             # so its cache counts more slices solved than CDCL searches.
@@ -608,8 +606,6 @@ class TestCli:
                 "checks": 10,
                 "slices": 100,
                 "exact_hits": 50,
-                "unsat_core_hits": 10,
-                "superset_sat_hits": 5,
                 "model_reuse_hits": 10,
                 "l3_hits": 0,
             }
@@ -618,10 +614,11 @@ class TestCli:
         assert code == EXIT_OK
         document = json.loads(capsys.readouterr().out)
         rates = document["stores"]["query"]["tier_rates"]
+        assert sorted(rates) == ["exact", "l3", "model-reuse", "overall"]
         assert rates["exact"] == pytest.approx(0.5)
-        assert rates["core-subset"] == pytest.approx(0.1)
         assert rates["model-reuse"] == pytest.approx(0.1)
-        assert rates["overall"] == pytest.approx(0.75)
+        assert rates["l3"] == pytest.approx(0.0)
+        assert rates["overall"] == pytest.approx(0.6)
 
         code = main(["store", "stats", "--query-store", str(tmp_path)])
         assert code == EXIT_OK

@@ -109,32 +109,6 @@ class TestQueryCacheTiers:
         assert _solved(cache) == solved
         assert cache.statistics.exact_hits >= 1
 
-    def test_unsat_core_subset_shortcut(self):
-        x, y = BitVec("x", 8), BitVec("y", 8)
-        cache = QueryCache()
-        checker = AssumptionChecker(query_cache=cache)
-        assert checker.check([ULT(x, 3), UGT(x, 10)])[0] == CheckResult.UNSAT
-        solved = _solved(cache)
-        # A superset query containing the known-unsat pair (y makes x and y
-        # one slice through Eq) is refuted by the recorded core alone.
-        status, _ = checker.check([ULT(x, 3), UGT(x, 10), Eq(x, y)])
-        assert status == CheckResult.UNSAT
-        assert _solved(cache) == solved
-        assert cache.statistics.unsat_core_hits >= 1
-
-    def test_superset_sat_shortcut(self):
-        x = BitVec("x", 8)
-        cache = QueryCache()
-        checker = AssumptionChecker(query_cache=cache)
-        assert checker.check([UGT(x, 3), ULT(x, 10), Not(Eq(x, BitVecVal(5, 8)))])[0] == CheckResult.SAT
-        solved = _solved(cache)
-        # A subset of a satisfied term set is satisfied by the same model.
-        status, model = checker.check([UGT(x, 3), ULT(x, 10)], need_model=True)
-        assert status == CheckResult.SAT
-        assert model is not None and 3 < int(model["x"]) < 10 and int(model["x"]) != 5
-        assert _solved(cache) == solved
-        assert cache.statistics.superset_sat_hits >= 1
-
     def test_quick_check_is_the_last_tier(self):
         """Interval-decidable slices no cache tier answers are solved by the
         quick check: counted in ``solved``, never a CDCL search."""
@@ -238,8 +212,7 @@ def _certify_fleet_six(monkeypatch, cache_class):
     ]
     tiers = {
         tier: sum(getattr(cache.statistics, tier) for cache in caches)
-        for tier in ("exact_hits", "model_reuse_hits", "superset_sat_hits", "unsat_core_hits",
-                     "l3_hits", "solved")
+        for tier in ("exact_hits", "model_reuse_hits", "l3_hits", "solved")
     }
     return report.verdicts(), packets, tiers
 
@@ -256,7 +229,7 @@ class TestPersistentProbes:
             raise AssertionError("the all-ones probe answers this slice")
 
         cache = QueryCache()
-        status, model = cache.check(terms, unreachable)
+        status, model = cache.check(terms, lambda groups: [unreachable] * len(groups))
         assert status == SAT
         assert cache.statistics.model_reuse_hits == 1
         assert model.as_dict() == {"p": True, "x": 0xFFFF, "y": 0xFF}
@@ -329,6 +302,40 @@ class TestQueryStoreL3:
         merged = QueryCache(store=QueryStore(tmp_path))
         self._queries(AssumptionChecker(query_cache=merged))
         assert _solved(merged) == 0
+
+    def test_store_with_unsat_cores_stays_warm(self, tmp_path):
+        """UNSAT payloads that carry a ``core`` list of term digests, as an
+        earlier layout wrote them, still answer from disk; the cache
+        writes UNSAT payloads without one."""
+        from repro.orchestrator.store import QueryStore
+
+        x, y = BitVec("x", 8), BitVec("y", 8)
+        unsat_query = [smt.intern_term(smt.simplify(t)) for t in (ULT(x, 3), UGT(x, 10))]
+        sat_query = [smt.intern_term(smt.simplify(t)) for t in (ULT(y, 10), UGT(y, 3))]
+        store = QueryStore(tmp_path / "earlier")
+        store.save_payload(
+            slice_fingerprint(unsat_query),
+            {"v": 1, "status": "unsat", "core": sorted(term_digest(t) for t in unsat_query)},
+        )
+        store.save_payload(
+            slice_fingerprint(sat_query), {"v": 1, "status": "sat", "model": {"y": 5}}
+        )
+        store.flush()
+
+        cache = QueryCache(store=QueryStore(tmp_path / "earlier"))
+        checker = AssumptionChecker(query_cache=cache)
+        assert checker.check(unsat_query)[0] == CheckResult.UNSAT
+        status, model = checker.check(sat_query, need_model=True)
+        assert status == CheckResult.SAT and model.as_dict() == {"y": 5}
+        assert (cache.statistics.l3_hits, cache.statistics.sat_core_calls) == (2, 0)
+
+        written = QueryStore(tmp_path / "new")
+        AssumptionChecker(query_cache=QueryCache(store=written)).check(unsat_query)
+        written.flush()
+        assert QueryStore(tmp_path / "new").load_payload(slice_fingerprint(unsat_query)) == {
+            "v": 1,
+            "status": "unsat",
+        }
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         import sqlite3

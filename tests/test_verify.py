@@ -235,6 +235,43 @@ class TestCompositionEngine:
         assert [element.name for element, _port in routes[0]] == ["check_ip", "lookup"]
 
 
+class TestPerCallCounters:
+    def test_composer_work_is_counted_per_call(self):
+        """One verifier checks every property through one composer: each
+        result reports the composition it did, not the composer's running
+        totals, so a later property does not count an earlier one's paths."""
+        from repro.workloads import fleet_catalog
+
+        pipeline = next(p for p in fleet_catalog(6) if p.name == "fleet-2-router-4")
+        reachability = destination_reachability(0x0A000001)
+        cache = SummaryCache(SymbexOptions())
+        verifier = PipelineVerifier(pipeline, cache=cache)
+        crash = verifier.verify(CrashFreedom(), input_lengths=[INPUT_LENGTH])
+        reach = verifier.verify(reachability, input_lengths=[INPUT_LENGTH])
+        bound = verifier.instruction_bound(input_lengths=[INPUT_LENGTH], find_witness=True)
+        assert bound.witness_packet is not None
+
+        # A verify result's solver checks also count its Step-1 summaries'
+        # own checks, once per distinct summary; the bound counts none.
+        summaries = {
+            id(summary): summary
+            for _element, summary in verifier.element_summaries(INPUT_LENGTH).values()
+        }
+        step1 = sum(summary.solver_checks for summary in summaries.values())
+        calls = [crash.statistics, reach.statistics, bound.statistics]
+        composer = verifier.composer
+        assert crash.statistics.composed_paths_checked > 0
+        assert sum(s.composed_paths_checked for s in calls) == composer.paths_checked
+        assert sum(s.composed_paths_feasible for s in calls) == composer.paths_feasible
+        assert sum(s.solver_checks for s in calls) - 2 * step1 == composer.solver_checks
+
+        fresh = PipelineVerifier(pipeline, cache=cache).verify(
+            reachability, input_lengths=[INPUT_LENGTH]
+        )
+        assert reach.statistics.composed_paths_checked == fresh.statistics.composed_paths_checked
+        assert reach.statistics.solver_checks == fresh.statistics.solver_checks
+
+
 class TestMonolithicBaseline:
     def test_agrees_with_decomposed_on_small_pipeline(self):
         pipeline = Pipeline.chain(
