@@ -89,7 +89,6 @@ def _summarize_sliced(merge):
         24,
         tables=element.state.tables(),
         element_name=element.name,
-        configuration_key=element.configuration_key(),
     )
     return summary, engine.checker
 

@@ -5,7 +5,7 @@ the claims the layer is built on:
 
 * **few SAT calls** — independence slicing plus the three-tier
   verdict/model cache keep the cold run's CDCL searches at the count the
-  baseline pins (47 in quick mode, within 15%).  The layer is the only
+  baseline pins (44 in quick mode, within 15%).  The layer is the only
   solve path, so the pin, not a ratio against a disabled mode, is what
   guards it;
 * **warm L3** — re-certifying the unchanged catalog against a warm

@@ -48,9 +48,6 @@ class DscpRemarker(Element):
         builder.emit(0)
         return builder.build()
 
-    def configuration_key(self) -> str:
-        return f"DscpRemarker:{self.dscp}"
-
 
 class BuggyAccelerator(Element):
     """A buggy third-party element: trusts that a transport header is present."""

@@ -97,11 +97,11 @@ class Element:
 
         Building it also fixes :attr:`program_digest`, and validates the
         program unless a program with that digest already passed in this
-        process.  The program, and everything else an element's
-        fingerprints cover (its configuration key and static-table
-        contents), must not change once the element has been
-        fingerprinted: :mod:`repro.dataplane.fingerprint` memoises them
-        on the instance.
+        process.  The program is the element's verification identity,
+        together with the contents of the tables it declares static (see
+        :mod:`repro.dataplane.fingerprint`).  Neither may change once the
+        element has been fingerprinted: the fingerprint module memoises
+        them on the instance.
         """
         if self._program is None:
             program = self.build_program()
@@ -126,18 +126,6 @@ class Element:
         if self._state is None:
             self._state = self.create_state()
         return self._state
-
-    def configuration_key(self) -> str:
-        """A string identifying the element class plus configuration.
-
-        Used by the verifier's summary cache: two elements with the same
-        configuration key share Step-1 results (the paper's "process each
-        element once" point).  The default key is the class name plus the
-        program's structural fingerprint; subclasses with configuration
-        that changes the program should already be covered because the
-        program is rebuilt from the configuration.
-        """
-        return f"{type(self).__name__}:{self.program.statement_count()}:{self.program.branch_count()}"
 
     # -- packet processing ----------------------------------------------------------------
 

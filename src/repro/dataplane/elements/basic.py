@@ -82,9 +82,6 @@ class Paint(Element):
         builder.emit(0)
         return builder.build()
 
-    def configuration_key(self) -> str:
-        return f"Paint:{self.color}"
-
     @classmethod
     def from_click_args(cls, args: List[str], name: Optional[str] = None) -> "Paint":
         color = int(args[0], 0) if args else 0
@@ -106,9 +103,6 @@ class Strip(Element):
         builder.pull_head(self.nbytes)
         builder.emit(0)
         return builder.build()
-
-    def configuration_key(self) -> str:
-        return f"Strip:{self.nbytes}"
 
     @classmethod
     def from_click_args(cls, args: List[str], name: Optional[str] = None) -> "Strip":
@@ -132,9 +126,6 @@ class Unstrip(Element):
         builder.emit(0)
         return builder.build()
 
-    def configuration_key(self) -> str:
-        return f"Unstrip:{self.nbytes}"
-
     @classmethod
     def from_click_args(cls, args: List[str], name: Optional[str] = None) -> "Unstrip":
         nbytes = int(args[0]) if args else 14
@@ -155,9 +146,6 @@ class CheckLength(Element):
             builder.drop("packet too long")
         builder.emit(0)
         return builder.build()
-
-    def configuration_key(self) -> str:
-        return f"CheckLength:{self.max_length}"
 
     @classmethod
     def from_click_args(cls, args: List[str], name: Optional[str] = None) -> "CheckLength":

@@ -72,9 +72,6 @@ class Classifier(Element):
         builder.drop("no classifier rule matched")
         return builder.build()
 
-    def configuration_key(self) -> str:
-        return "Classifier:" + "|".join(str(rule) for rule in self.rules)
-
     @classmethod
     def from_click_args(cls, args: List[str], name: Optional[str] = None) -> "Classifier":
         return cls(rules=args or ["-"], name=name)
@@ -106,9 +103,6 @@ class EthEncap(Element):
         builder.store(12, 2, self.ethertype)
         builder.emit(0)
         return builder.build()
-
-    def configuration_key(self) -> str:
-        return f"EthEncap:{self.ethertype:#06x}:{self.src}:{self.dst}"
 
     @classmethod
     def from_click_args(cls, args: List[str], name: Optional[str] = None) -> "EthEncap":

@@ -100,9 +100,6 @@ class CheckIPHeader(Element):
         builder.emit(0)
         return builder.build()
 
-    def configuration_key(self) -> str:
-        return f"CheckIPHeader:checksum={self.verify_checksum}:errport={self.use_error_port}"
-
     @classmethod
     def from_click_args(cls, args: List[str], name: Optional[str] = None) -> "CheckIPHeader":
         verify = not any(arg.strip().upper() == "NOCHECKSUM" for arg in args)
@@ -149,9 +146,6 @@ class DecIPTTL(Element):
         builder.store(IPV4_CHECKSUM_OFFSET, 2, builder.reg("updated"))
         builder.emit(0)
         return builder.build()
-
-    def configuration_key(self) -> str:
-        return f"DecIPTTL:expired_port={self.use_expired_port}"
 
 
 @register_element
@@ -215,10 +209,6 @@ class IPLookup(Element):
             table.add_route(prefix, port)
         state.add_table(self.TABLE, table)
         return state
-
-    def configuration_key(self) -> str:
-        routes = ",".join(f"{prefix}>{port}" for prefix, port in self.routes)
-        return f"IPLookup:{routes}"
 
     @classmethod
     def from_click_args(cls, args: List[str], name: Optional[str] = None) -> "IPLookup":
@@ -310,9 +300,6 @@ class IPOptions(Element):
         builder.emit(0)
         return builder.build()
 
-    def configuration_key(self) -> str:
-        return f"IPOptions:max={self.max_options}:errport={self.use_error_port}"
-
     @classmethod
     def from_click_args(cls, args: List[str], name: Optional[str] = None) -> "IPOptions":
         max_options = int(args[0]) if args else 10
@@ -401,13 +388,6 @@ class IPFilter(Element):
         else:
             builder.drop("denied by default policy")
         return builder.build()
-
-    def configuration_key(self) -> str:
-        rules = ";".join(
-            f"{rule.action}:{rule.src}:{rule.dst}:{rule.protocol}:{rule.dst_port}"
-            for rule in self.rules
-        )
-        return f"IPFilter:{rules}:default={self.default_allow}"
 
     @classmethod
     def from_click_args(cls, args: List[str], name: Optional[str] = None) -> "IPFilter":

@@ -24,6 +24,7 @@ from ...net.headers import (
     IPV4_SRC_OFFSET,
 )
 from ..element import Element, register_element
+from ..errors import DataplaneError
 from ..state import ElementState, ExactMatchTable
 
 
@@ -44,6 +45,10 @@ class NetFlow(Element):
         name: Optional[str] = None,
     ) -> None:
         super().__init__(name=name)
+        if capacity < 1:
+            # A full table evicts its oldest entry before each insert; a
+            # table that can hold nothing has none to evict.
+            raise DataplaneError(f"NetFlow capacity must be at least 1, got {capacity}")
         self.capacity = capacity
 
     def build_program(self) -> ElementProgram:
@@ -82,9 +87,6 @@ class NetFlow(Element):
         state = ElementState()
         state.add_table(self.TABLE, ExactMatchTable(capacity=self.capacity))
         return state
-
-    def configuration_key(self) -> str:
-        return f"NetFlow:capacity={self.capacity}"
 
     @classmethod
     def from_click_args(cls, args: List[str], name: Optional[str] = None) -> "NetFlow":
@@ -178,9 +180,6 @@ class NAT(Element):
         state.add_table(self.TABLE_MAP, ExactMatchTable())
         state.add_table(self.TABLE_ALLOC, ExactMatchTable())
         return state
-
-    def configuration_key(self) -> str:
-        return f"NAT:{self.external_ip}:{self.port_base}:{self.port_count}"
 
     @classmethod
     def from_click_args(cls, args: List[str], name: Optional[str] = None) -> "NAT":

@@ -1,12 +1,14 @@
 """Stable identity of an element's verification-relevant configuration.
 
-A Step-1 summary depends on everything the symbolic engine can observe:
-the element's IR program, its configuration, and — in concrete
-static-table mode — the *contents* of its static tables, which are
-encoded into the summary terms.  The fingerprints here capture exactly
-that, so two elements share a summary (in the in-process cache or the
-on-disk store) iff symbolic execution would produce the same result for
-both.
+A Step-1 summary depends on exactly what the symbolic engine reads: the
+element's IR program and — in concrete static-table mode — the
+*contents* of the tables that program declares static, which are encoded
+into the summary terms.  The fingerprints here cover exactly that and
+nothing else, so two elements share a summary (in the in-process cache
+or the on-disk store) iff symbolic execution would produce the same
+result for both.  An element's class, its constructor arguments and its
+instance name play no part beyond what they put into the program and
+its static tables.
 
 Each identity is computed once:
 
@@ -72,15 +74,20 @@ def _opaque_fingerprint(table) -> str:
 def static_table_fingerprints(element: Element) -> Dict[str, str]:
     """Per-table content fingerprints of the element's *static* tables.
 
+    A table counts as static when the element's program declares it
+    static, the same test the engine applies before it reads a table
+    concretely; what the table object says of itself plays no part.
     Tables advertise their own ``fingerprint()``; an unknown static-table
     type falls back to an identity no other table, process or run can
     share — trading reuse (and diff precision: an opaque table always
     reads as changed) for soundness.  Private tables are havoc'd, so their
     contents are never observed and never fingerprinted.
     """
+    declared = element.program.tables
     fingerprints: Dict[str, str] = {}
     for name, table in sorted(element.state.tables().items()):
-        if getattr(table, "kind", "private") != "static":
+        declaration = declared.get(name)
+        if declaration is None or declaration.kind != "static":
             continue
         fingerprint = getattr(table, "fingerprint", None)
         if callable(fingerprint):
@@ -114,7 +121,6 @@ class ElementFingerprintParts:
     "only the contents of table ``routes`` changed".
     """
 
-    configuration_key: str
     program: str
     #: Per-static-table content fingerprints; empty under havoc'd tables,
     #: where contents are unobservable and deliberately excluded.
@@ -129,7 +135,6 @@ class ElementFingerprintParts:
     def __post_init__(self) -> None:
         material = "\x1f".join(
             (
-                self.configuration_key,
                 self.program,
                 ";".join(f"{name}={fp}" for name, fp in sorted(self.static_tables.items()))
                 if self.includes_static_tables
@@ -150,7 +155,6 @@ def element_fingerprint_parts(
     parts = memo.get(include_static_tables)
     if parts is None:
         parts = memo[include_static_tables] = ElementFingerprintParts(
-            configuration_key=element.configuration_key(),
             program=program_fingerprint(element),
             static_tables=static_table_fingerprints(element) if include_static_tables else {},
             includes_static_tables=include_static_tables,

@@ -8,14 +8,14 @@ an element — by computing exactly **what** a change can affect and
 re-verifying only that.
 
 The raw material is :mod:`repro.dataplane.fingerprint`'s decomposition:
-per-element parts (configuration key, IR program, per-static-table
-contents) and per-pipeline wiring/compound digests, all with instance
-names normalized out.  A **catalog manifest** snapshots those digests as
+per-element parts (IR program, per-static-table contents) and
+per-pipeline wiring/compound digests, all with instance names
+normalized out.  A **catalog manifest** snapshots those digests as
 a plain-JSON document an operator (or CI job) can keep next to the
 configuration; :func:`diff_manifests` compares two snapshots and
 classifies every pipeline's changes:
 
-* element program changed / configuration key changed,
+* element program changed,
 * static-table *contents* changed (named per table),
 * pipeline wiring changed,
 * pipeline (or element) added / removed / renamed.
@@ -62,7 +62,7 @@ __all__ = [
 
 #: Bump when the manifest layout changes; a mismatched baseline is rejected
 #: loudly (a silently mis-read baseline could hide real impact).
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 
 # -- manifests: the diffable snapshot of a catalog ------------------------------------
@@ -101,7 +101,6 @@ def catalog_manifest(
             elements.append(
                 {
                     "name": element.name,
-                    "configuration_key": parts.configuration_key,
                     "program": parts.program,
                     "static_tables": dict(parts.static_tables),
                     "combined": parts.combined,
@@ -224,8 +223,6 @@ def _diff_elements(old_elements: List[dict], new_elements: List[dict], causes: L
             continue
         if old_entry["program"] != entry["program"]:
             causes.append(f"element {name}: IR program changed")
-        if old_entry["configuration_key"] != entry["configuration_key"]:
-            causes.append(f"element {name}: configuration key changed")
         _diff_tables(
             name,
             old_entry.get("static_tables", {}),

@@ -7,11 +7,13 @@ summaries within one run.  The store extends that amortization across
 invocation) is persisted under a content hash and reloaded instead of
 recomputed.
 
-Keys are derived from everything the summary depends on: the element's
-configuration key, a structural fingerprint of its IR program, the
-contents of its static tables (in concrete static-table mode, where they
-are baked into the summary terms), the input packet length, the
-static-table mode, and the serialization format version.
+Keys are derived from everything the summary depends on: a structural
+fingerprint of the element's IR program, the contents of the tables that
+program declares static (in concrete static-table mode, where they are
+baked into the summary terms), the input packet length, the
+summary-shaping engine options (see :func:`summary_key`), and the
+serialization format version.  A summary's stored text carries no
+timing, so it too depends only on what symbolic execution read.
 
 :class:`Store` is the one class behind every tier.  It keeps
 ``digest -> text`` entries plus cumulative metrics in one SQLite

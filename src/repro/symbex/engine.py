@@ -176,7 +176,6 @@ class SymbolicEngine:
         input_length: int,
         tables: Optional[Dict[str, object]] = None,
         element_name: Optional[str] = None,
-        configuration_key: str = "",
     ) -> ElementSummary:
         """Step-1 primitive: symbex an element on a fresh symbolic packet and summarise it."""
         started = clock()
@@ -188,11 +187,7 @@ class SymbolicEngine:
         name = element_name or program.name
         packet = SymbolicPacket.fresh(input_length)
         states = self.execute_program(program, packet, tables=tables, element_name=name)
-        summary = ElementSummary(
-            element_name=name,
-            configuration_key=configuration_key or name,
-            input_length=input_length,
-        )
+        summary = ElementSummary(element_name=name, input_length=input_length)
         for index, state in enumerate(states):
             summary.segments.append(summarize_path(name, index, state))
         summary.paths_explored = len(states)

@@ -184,7 +184,6 @@ class ElementSummary:
     """All feasible segments of one element for one input-packet length."""
 
     element_name: str
-    configuration_key: str
     input_length: int
     segments: List[SegmentSummary] = field(default_factory=list)
     paths_explored: int = 0
@@ -200,6 +199,9 @@ class ElementSummary:
     solver_checks: int = 0
     #: Feasibility queries answered from the interned-constraint-set memo.
     feasibility_memo_hits: int = 0
+    #: Seconds this process spent computing the summary.  Not serialized:
+    #: a summary loaded from a store or shipped by a worker reads 0.0, so
+    #: its stored text depends only on what symbolic execution read.
     elapsed_seconds: float = 0.0
 
     def segments_with_outcome(self, outcome: str) -> List[SegmentSummary]:
@@ -237,7 +239,6 @@ class ElementSummary:
         """Encode the summary against a term-table encoder (see ``SegmentSummary.to_dict``)."""
         return {
             "element_name": self.element_name,
-            "configuration_key": self.configuration_key,
             "input_length": self.input_length,
             "segments": [segment.to_dict(terms) for segment in self.segments],
             "paths_explored": self.paths_explored,
@@ -247,14 +248,12 @@ class ElementSummary:
             "merge_rejected": self.merge_rejected,
             "solver_checks": self.solver_checks,
             "feasibility_memo_hits": self.feasibility_memo_hits,
-            "elapsed_seconds": self.elapsed_seconds,
         }
 
     @classmethod
     def from_dict(cls, data: Dict, terms) -> "ElementSummary":
         return cls(
             element_name=data["element_name"],
-            configuration_key=data["configuration_key"],
             input_length=data["input_length"],
             segments=[SegmentSummary.from_dict(segment, terms) for segment in data["segments"]],
             paths_explored=data["paths_explored"],
@@ -264,5 +263,4 @@ class ElementSummary:
             merge_rejected=data.get("merge_rejected", 0),
             solver_checks=data["solver_checks"],
             feasibility_memo_hits=data["feasibility_memo_hits"],
-            elapsed_seconds=data["elapsed_seconds"],
         )

@@ -1,10 +1,11 @@
 """Summary cache: process each element once (§2 "Our Approach").
 
-Element summaries are keyed by the element's configuration key, the input
-packet length, and the static-table mode — so an element that appears in
-many pipelines (or at many positions of the same pipeline) is symbolically
-executed a single time, which is where the ``k * 2^n`` (rather than
-``2^(k*n)``) cost of the decomposed approach comes from.
+Element summaries are keyed by what the engine reads (the element's
+configuration fingerprint), the input packet length, and the
+static-table mode — so an element that appears in many pipelines (or at
+many positions of the same pipeline) is symbolically executed a single
+time, which is where the ``k * 2^n`` (rather than ``2^(k*n)``) cost of
+the decomposed approach comes from.
 
 The cache is tiered: this class is the in-process **L1**, and it can be
 backed by an on-disk :class:`repro.orchestrator.store.SummaryStore` (the
@@ -72,9 +73,9 @@ class SummaryCache:
         self.statistics = CacheStatistics()
 
     def _key(self, element: Element, input_length: int) -> Tuple[str, int, str]:
-        # The configuration fingerprint covers the config key, the program
-        # structure, and (in concrete mode) static-table contents — two
-        # elements share an entry iff symbolic execution would agree.
+        # The configuration fingerprint covers the program structure and
+        # (in concrete mode) static-table contents: all the engine reads,
+        # so two elements share an entry iff symbolic execution would agree.
         mode = self.options.static_table_mode
         fingerprint = configuration_fingerprint(
             element, include_static_tables=mode == StaticTableMode.CONCRETE
@@ -110,7 +111,6 @@ class SummaryCache:
             input_length,
             tables=element.state.tables(),
             element_name=element.name,
-            configuration_key=element.configuration_key(),
         )
         self.statistics.seconds_spent_summarizing += clock() - started
         self._insert(key, summary)

@@ -110,6 +110,9 @@ class VerificationStatistics(StatisticsMixin):
     summary_cache_hits: int = 0
     elapsed_seconds: float = 0.0
     per_element_segments: Dict[str, int] = field(default_factory=dict)
+    #: Step-1 seconds per ``element@length``, as measured where this
+    #: process computed the summary: one loaded from a store or computed
+    #: in a pool worker adds 0.
     per_element_seconds: Dict[str, float] = field(default_factory=dict)
     budget_exceeded: bool = False
 

@@ -137,9 +137,6 @@ class SyntheticBranchyElement(Element):
         builder.emit(0)
         return builder.build()
 
-    def configuration_key(self) -> str:
-        return f"SyntheticBranchy:{self.branches}:{self.offset}"
-
 
 def synthetic_branchy_element(branches: int, offset: int = 0, name: Optional[str] = None) -> Element:
     """Factory for :class:`SyntheticBranchyElement`."""
@@ -182,8 +179,8 @@ def fleet_catalog(
     deduplication has real work to do: the number of distinct Step-1 jobs
     grows much slower than the number of pipelines.  Fresh element
     *instances* are built per pipeline (elements own private state and can
-    belong to only one pipeline), but their configuration keys collide by
-    construction.
+    belong to only one pipeline), but their programs and static tables,
+    and so their fingerprints, coincide by construction.
     """
 
     def router(length: int, index: int) -> Pipeline:

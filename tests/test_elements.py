@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dataplane import Pipeline, PipelineDriver
+from repro.dataplane import DataplaneError, Pipeline, PipelineDriver, parse_click_config
 from repro.dataplane.elements import (
     NAT,
     CheckIPHeader,
@@ -190,6 +190,21 @@ class TestStatefulElements:
             assert run(element, packet_a).metadata["flow_packets"] == expected
         assert run(element, packet_b).metadata["flow_packets"] == 1
         assert element.flow_count() == 2
+
+    def test_netflow_rejects_a_cache_that_holds_nothing(self):
+        # A full flow cache evicts its oldest entry to make room; one that
+        # can hold nothing has no entry to evict, so the configuration is
+        # refused when it is built, not on the first packet.
+        for capacity in (0, -1):
+            with pytest.raises(DataplaneError):
+                NetFlow(capacity=capacity)
+        with pytest.raises(DataplaneError):
+            parse_click_config("c :: CheckIPHeader(NOCHECKSUM); nf :: NetFlow(0); c -> nf;")
+        smallest = NetFlow(capacity=1)
+        for source in ("10.0.0.1", "10.0.0.3"):
+            packet = build_ipv4_packet(source, "10.0.0.2", build_udp_datagram(1, 2, b""))
+            assert run(smallest, packet).metadata["flow_packets"] == 1
+        assert smallest.flow_count() == 1
 
     def test_nat_rewrites_source_and_allocates_ports(self):
         element = NAT(external_ip="192.0.2.1", port_base=10_000, port_count=100)

@@ -10,6 +10,7 @@ import repro.dataplane.element as element_module
 from repro.dataplane import Element, ElementState, Pipeline, StaticExactTable
 from repro.dataplane.fingerprint import (
     canonical_elements,
+    configuration_fingerprint,
     pipeline_fingerprint,
     program_fingerprint,
     static_table_fingerprints,
@@ -20,6 +21,7 @@ from repro.ir.exprs import Reg
 from repro.ir.stmts import Assign, Emit
 from repro.orchestrator import catalog_manifest, summary_key
 from repro.symbex import SymbexOptions
+from repro.verify import SummaryCache
 from repro.workloads import fleet_catalog, store_scale_catalog
 from repro.workloads.pipelines import SyntheticBranchyElement
 
@@ -35,15 +37,19 @@ class TestPinnedDigests:
 
     A change here turns every stored summary, verdict record and saved
     baseline manifest cold, so it must be deliberate (bump the store's
-    format version instead of moving these silently).
+    format version instead of moving these silently).  They moved once on
+    purpose when the hand-written configuration key left the element
+    fingerprint: an element's identity is now only what symbolic
+    execution reads (its program and, in concrete mode, its static-table
+    contents), and the manifest layout went to version 2.
     """
 
     def test_catalog_manifests(self):
         assert _manifest_digest(fleet_catalog(6)) == (
-            "57087854eb5c9096216a60d96f9825d0f6e7f77e430db0177ba5db109297a248"
+            "3b22a2282838d3d7c998fb8a6dbe892698ae60af00b81354db684c1a7da09ce9"
         )
         assert _manifest_digest(store_scale_catalog(20)) == (
-            "8b4cfa442cf36d3208ebaa8628ee0141508dd0f9e235d66062427dc9c219af98"
+            "5229e5c6012104d4ab19f2ca41e95f88c9218e01edb688b1be9383daa226c0b5"
         )
 
     def test_summary_keys_of_each_distinct_configuration(self):
@@ -54,23 +60,23 @@ class TestPinnedDigests:
                 keys.setdefault(key, f"{pipeline.name}/{element.name}")
         assert {where: key for key, where in keys.items()} == {
             "fleet-0-router-2/check_ip":
-                "ba3659208a74dde5dc182282a2b43185fdb092db3a9b6160f6e214499a6d6367",
+                "f06b42982e5ff32a9761ce1dfc6240277e87cc8264a9b6120f8818d7e07b69a2",
             "fleet-0-router-2/lookup":
-                "9376d1b213f6a0329f571748a328164fa5b8e3f779267353bf716ef294e9a67c",
+                "70826a5530bf9dadaa9f974cf8c6d2439dc50592688a38bc24172f49ab09ddf5",
             "fleet-1-router-3/dec_ttl":
-                "c518cdb72b6b358d9861ee8b81925613618e71b6522b1bf9fae9fa5c24f59c2b",
+                "901b9970e001dbea4c7f53c5de69966f817d95d239dccb4cda3809f9b0aa7328",
             "fleet-2-router-4/ip_options":
-                "d09070b3458ec20337712455ffcd593aa498612627d2bd48b227b5c24d6e7208",
+                "58e98a1bc1e783d64144aef503b01dc09ef07e7515874236ffadf87a5cbf2e98",
             "fleet-3-nat-gateway/gw_nat":
-                "11e3bd09a20fe994e7a3adaef419cc5af5640a6ebcb1b9066a4b7eb8bd7347d9",
+                "85bf16f11408a2cad481bdf779085edd3d61cbf251a9d82132aa40b9cc9b6ae5",
             "fleet-3-nat-gateway/gw_netflow":
-                "8152467d6eced169b32d5b8d4d303dacb632c778f21bb9c3a5e7e5fc4dbba9c8",
+                "1ff0c796d59d76ef3a70fad3be946bc6b916834cd19c862d868697d5dbbb32d5",
             "fleet-4-synthetic-3x2/branchy_0":
-                "0eeca2c19f67c25c2bb132ce41aeb8b3fe1a1615426093e20d6420a4232bb456",
+                "c833721337b37bc7d43c427f289d114cc15c6c70c545e67f440567439b5f39d5",
             "fleet-4-synthetic-3x2/branchy_1":
-                "011f1090df521f5d0b8b54ca3f7ccc2738e32fe463210c3d498be03019b5b183",
+                "d71b7e522e5af60a0243b59ef8eabdc62cd3825ca963b57be53c3a50c94e85a2",
             "fleet-4-synthetic-3x2/branchy_2":
-                "e80bb35366823e3fc1e846e41a59aebf8b42ef873558fb917fd11b76ef525ac8",
+                "a030ca309e74eb6d003ee578a06d53c425917b2ffaaf8c72ee5fe6e87523eb1b",
         }
 
 
@@ -148,7 +154,12 @@ class TestPipelineMemo:
         pipeline = Pipeline.chain([SyntheticBranchyElement(1, name="a")], name="p")
         before = pipeline_fingerprint(pipeline, False)
         pipeline.add_element(SyntheticBranchyElement(2, name="b"))
-        assert [e.name for e in canonical_elements(pipeline)] == ["a", "b"]
+        # Both are entry elements now, so they are ordered by configuration
+        # fingerprint, not by name or by construction order.
+        by_fingerprint = sorted(
+            pipeline.elements, key=lambda e: configuration_fingerprint(e, False)
+        )
+        assert canonical_elements(pipeline) == by_fingerprint
         assert pipeline_fingerprint(pipeline, False) != before
 
 
@@ -164,8 +175,10 @@ class _OpaqueTable(StaticExactTable):
     fingerprint = None
 
 
-class _OpaqueLookup(Element):
-    def __init__(self, table: _OpaqueTable, name=None) -> None:
+class _StaticLookup(Element):
+    """Reads one table its program declares static, whatever the table's class."""
+
+    def __init__(self, table, name=None) -> None:
         super().__init__(name=name)
         self.table = table
 
@@ -187,13 +200,39 @@ class TestOpaqueTables:
         # Each element (and its table) is freed before the next is built,
         # so the interpreter may hand the next table the same address.
         keys = {
-            summary_key(_OpaqueLookup(_OpaqueTable({i: 1})), 24, SymbexOptions())
+            summary_key(_StaticLookup(_OpaqueTable({i: 1})), 24, SymbexOptions())
             for i in range(100)
         }
         assert len(keys) == 100
 
     def test_one_table_keeps_its_identity(self):
         table = _OpaqueTable({1: 1})
-        first, second = _OpaqueLookup(table), _OpaqueLookup(table)
+        first, second = _StaticLookup(table), _StaticLookup(table)
         assert static_table_fingerprints(first) == static_table_fingerprints(second)
         assert static_table_fingerprints(first)["t"].startswith("opaque:_OpaqueTable:")
+
+
+class _UndeclaredKindTable(StaticExactTable):
+    """A static table class whose ``kind`` does not say it is static."""
+
+    kind = "private"
+
+
+class TestDeclaredStaticTables:
+    def test_the_program_declaration_decides_what_is_fingerprinted(self):
+        # The engine reads a table concretely because the program declares
+        # it static, so the fingerprint must cover its contents even when
+        # the table's class calls itself private.
+        concrete, havoc = SymbexOptions(), SymbexOptions(static_table_mode="havoc")
+        first = _StaticLookup(_UndeclaredKindTable({1: 1}), name="first")
+        second = _StaticLookup(_UndeclaredKindTable({2: 1}), name="second")
+        assert summary_key(first, 24, concrete) != summary_key(second, 24, concrete)
+        cache = SummaryCache(concrete)
+        one, two = cache.summarize(first, 24), cache.summarize(second, 24)
+        assert cache.statistics.misses == 2 and cache.statistics.l1_hits == 0
+        assert [s.constraint for s in one.segments] != [s.constraint for s in two.segments]
+        # Under havoc'd tables nobody reads the contents: one summary serves both.
+        assert summary_key(first, 24, havoc) == summary_key(second, 24, havoc)
+        shared = SummaryCache(havoc)
+        assert shared.summarize(first, 24) is shared.summarize(second, 24)
+        assert shared.statistics.misses == 1 and shared.statistics.l1_hits == 1

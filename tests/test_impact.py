@@ -21,11 +21,12 @@ from repro.orchestrator import (
     element_slots,
     property_set_fingerprint,
     recertify,
+    summary_key,
     verdict_key,
 )
 from repro.cli import main as cli_main
 from repro.cli.specs import CATALOG_SPECS, SpecError, parse_catalog
-from repro.symbex import SymbexOptions
+from repro.symbex import StaticTableMode, SymbexOptions
 from repro.verify import BoundedInstructions, CrashFreedom, destination_reachability
 from repro.workloads import (
     ALTERNATE_ROUTES,
@@ -34,6 +35,7 @@ from repro.workloads import (
     ip_router_pipeline,
     store_scale_catalog,
 )
+from repro.workloads.pipelines import DEFAULT_ROUTES
 
 CATALOG_SIZE = 4
 LENGTHS = (24,)
@@ -85,8 +87,10 @@ class TestPipelineFingerprints:
         )
 
     def test_verdict_key_unchanged_when_no_property_names_an_element(self):
-        # Pinned digest: stores written before element slots entered the
-        # key stay warm for every property set that names no element.
+        # Pinned digest: a property set that names no element adds no
+        # slots to the key material.  The digest moved once on purpose
+        # when the configuration key left the element fingerprint, so
+        # verdict stores written before that read cold.
         pipeline = ip_router_pipeline(length=2, name="p")
         properties = [CrashFreedom(), destination_reachability(0x0A000001)]
         slots = element_slots(pipeline, properties)
@@ -95,7 +99,11 @@ class TestPipelineFingerprints:
             pipeline_fingerprint(pipeline, True), properties, (24,), SymbexOptions(),
             3, True, False, slots=slots,
         )
-        assert key == "28c61bea4e2551775524356ca0414195b7adbc3720da7095413b68de3d9b9cc6"
+        assert key == "50bed102fcc9a6044f23761c7135c33e3d5328b595b9d85fb4d5f5c5dd7b4266"
+        assert key == verdict_key(
+            pipeline_fingerprint(pipeline, True), properties, (24,), SymbexOptions(),
+            3, True, False,
+        )
 
     def test_verdict_key_pins_named_element_slots(self):
         pipeline = ip_router_pipeline(length=2, name="p")  # check_ip -> lookup
@@ -168,6 +176,22 @@ class TestDiff:
         assert [pi.name for pi in impact.impacted] == [base[2].name]
         assert any("IR program changed" in cause for cause in impact.impacted[0].causes)
 
+    def test_route_reorder_changes_nothing(self):
+        # The engine reads the forwarding table's contents, not the order
+        # its routes were listed in, so a reorder is no change at all.
+        listed = ip_router_pipeline(length=2, name="router")
+        reordered = ip_router_pipeline(
+            length=2, routes=tuple(reversed(DEFAULT_ROUTES)), name="router"
+        )
+        lookup, relisted = listed.element("lookup"), reordered.element("lookup")
+        assert lookup.routes != relisted.routes
+        assert summary_key(lookup, 24, SymbexOptions()) == summary_key(
+            relisted, 24, SymbexOptions()
+        )
+        assert pipeline_fingerprint(listed, True) == pipeline_fingerprint(reordered, True)
+        impact = diff_catalogs([listed], [reordered])
+        assert impact.impacted == [] and [pi.name for pi in impact.unimpacted] == ["router"]
+
     def test_add_and_remove_pipelines(self):
         base = fleet_catalog(CATALOG_SIZE)
         added = diff_catalogs(base, churned_fleet_catalog(CATALOG_SIZE, "add"))
@@ -239,6 +263,32 @@ class TestDeltaRecertification:
             "static table 'routes'" in cause
             for cause in delta.report.certifications[0].impact_causes
         )
+
+    @pytest.mark.parametrize("mode", [StaticTableMode.HAVOC, StaticTableMode.CONCRETE])
+    def test_route_edit_reverifies_only_where_routes_are_read(self, mode, tmp_path):
+        # Under havoc'd tables the engine never reads the routes, so
+        # editing them moves no identity; in concrete mode it re-verifies
+        # exactly the router that holds them, and re-runs its lookup.
+        options = SymbexOptions(static_table_mode=mode)
+        stores = {
+            "store": SummaryStore(tmp_path / "summaries"),
+            "verdict_store": VerdictStore(tmp_path / "verdicts"),
+        }
+        recertify(
+            fleet_catalog(6), [CrashFreedom()], input_lengths=LENGTHS, options=options, **stores
+        )
+        delta = recertify(
+            churned_fleet_catalog(6, "routes"), [CrashFreedom()],
+            input_lengths=LENGTHS, options=options, **stores,
+        )
+        statistics = delta.report.statistics
+        fresh = [c.pipeline_name for c in delta.report.certifications if c.provenance == FRESH]
+        if mode == StaticTableMode.HAVOC:
+            assert fresh == [] and statistics.verdicts_reused == 6
+            assert statistics.summaries_computed == 0
+        else:
+            assert fresh == ["fleet-0-router-2"] and statistics.verdicts_reused == 5
+            assert statistics.summaries_computed == 1
 
     def test_noop_rename_reuses_everything(self, stores, cold):
         summary_store, verdict_store = stores

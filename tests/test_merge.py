@@ -31,7 +31,6 @@ def summarize(element, length, **options):
         length,
         tables=element.state.tables(),
         element_name=element.name,
-        configuration_key=element.configuration_key(),
     )
     return summary, engine
 

@@ -1,5 +1,6 @@
 """Tests for the fleet orchestrator: serialization, store, worker tasks, fleet API."""
 
+import dataclasses
 import json
 import sqlite3
 import time
@@ -19,11 +20,14 @@ from repro.orchestrator import (
     program_fingerprint,
     run_scheduled,
     summary_key,
+    verdict_key,
 )
+from repro.dataplane.fingerprint import pipeline_fingerprint
 from repro.orchestrator.errors import OrchestratorError, SerializationError
 from repro.orchestrator.workers import COMPUTED, EXPLODED, LOADED, PoolRun, _summarize_worker
 from repro.symbex import SymbexOptions
-from repro.symbex.engine import SymbolicEngine
+from repro.symbex.engine import StaticTableMode, SymbolicEngine
+from repro.symbex.merge import MergeMode
 from repro.verify import CrashFreedom, PipelineVerifier, SummaryCache
 from repro.workloads import fleet_catalog, ip_router_elements, ip_router_pipeline
 from repro.workloads.pipelines import SyntheticBranchyElement
@@ -65,7 +69,6 @@ def _summarize(element, length=24, **options):
         length,
         tables=element.state.tables(),
         element_name=element.name,
-        configuration_key=element.configuration_key(),
     )
 
 
@@ -123,7 +126,6 @@ class TestSummarySerialization:
         summary = _summarize(element)
         loaded = loads_summary(dumps_summary(summary))
         assert loaded.element_name == summary.element_name
-        assert loaded.configuration_key == summary.configuration_key
         assert loaded.input_length == summary.input_length
         assert len(loaded.segments) == len(summary.segments)
         for fresh, roundtripped in zip(summary.segments, loaded.segments):
@@ -244,27 +246,60 @@ class TestSummaryStore:
         assert summary_key(a, 24, CONCRETE) != summary_key(a, 24, HAVOC)
         assert summary_key(a, 24, CONCRETE) != summary_key(b, 24, CONCRETE)
 
+    #: Every ``SymbexOptions`` field: a value other than its default, and
+    #: the store keys that value must move.  Options that shape summary or
+    #: verdict content partition those stores; budgets that raise instead
+    #: of producing a result, the L3 directory and tracing move neither.
+    OPTION_EFFECTS = {
+        "max_paths": (7, set()),
+        "max_seconds": (1.5, set()),
+        "static_table_mode": (StaticTableMode.HAVOC, {"summary", "verdict"}),
+        "solver_max_conflicts": (10, {"summary", "verdict"}),
+        "query_cache_dir": ("l3", set()),
+        "trace": (True, set()),
+        "merge": (MergeMode.OFF, {"summary"}),
+        "merge_max_ites": (8, {"summary"}),
+    }
+
     def test_key_covers_summary_shaping_options(self):
-        # Options that change summary content partition the store; budgets
-        # that raise instead of producing a summary do not.
-        element = SyntheticBranchyElement(2, name="opts")
-        base = summary_key(element, 24, SymbexOptions())
-        assert base != summary_key(element, 24, SymbexOptions(solver_max_conflicts=10))
-        assert base == summary_key(element, 24, SymbexOptions(max_paths=7))
+        pipeline = ip_router_pipeline(length=2, name="opts")
+        element = pipeline.element("lookup")
+
+        def keys(options):
+            concrete = options.static_table_mode == StaticTableMode.CONCRETE
+            return {
+                "summary": summary_key(element, 24, options),
+                "verdict": verdict_key(
+                    pipeline_fingerprint(pipeline, concrete), [CrashFreedom()], (24,),
+                    options, 3, True, False,
+                ),
+            }
+
+        default = SymbexOptions()
+        base = keys(default)
+        fields = [f.name for f in dataclasses.fields(SymbexOptions)]
+        assert sorted(fields) == sorted(self.OPTION_EFFECTS), "list every option's effect"
+        for name in fields:
+            value, moves = self.OPTION_EFFECTS[name]
+            assert value != getattr(default, name)
+            moved = keys(dataclasses.replace(default, **{name: value}))
+            assert {tier for tier in base if moved[tier] != base[tier]} == moves, name
 
     def test_key_unchanged_for_default_options(self):
         # Pinned digest: an accidental change to the key material (a new
         # field, a reordering, a format bump) re-keys every stored summary.
+        # It moved once on purpose when the configuration key left the
+        # element fingerprint.
         element = SyntheticBranchyElement(2, name="opts")
         assert summary_key(element, 24, SymbexOptions()) == (
-            "0eeca2c19f67c25c2bb132ce41aeb8b3fe1a1615426093e20d6420a4232bb456"
+            "c833721337b37bc7d43c427f289d114cc15c6c70c545e67f440567439b5f39d5"
         )
 
     def test_key_covers_static_table_contents(self, tmp_path):
-        # Two elements with identical programs and default configuration
-        # keys but different *static table contents* must not share a
-        # store entry in concrete mode: the contents are baked into the
-        # summary terms, so serving one for the other is unsound.
+        # Two elements with identical programs but different *static
+        # table contents* must not share a store entry in concrete mode:
+        # the contents are baked into the summary terms, so serving one
+        # for the other is unsound.
         from repro.dataplane import Element
         from repro.dataplane.state import ElementState, StaticExactTable
         from repro.ir import ElementProgram, ProgramBuilder
@@ -619,6 +654,34 @@ class TestFleet:
         assert warm.statistics.summaries_computed == 0
         assert warm.statistics.store_hits == cold.statistics.summaries_computed
         assert warm.verdicts() == cold.verdicts()
+
+    def test_stored_summaries_carry_no_timing(self, tmp_path):
+        # A summary's stored text depends only on what symbolic execution
+        # read: two cold runs write the same rows, and a warm run that
+        # loads every summary spends no Step-1 seconds in this process.
+        def rows(root):
+            connection = sqlite3.connect(str(root / SQLITE_FILENAME))
+            try:
+                return sorted(connection.execute("SELECT digest, payload FROM entries"))
+            finally:
+                connection.close()
+
+        for root in ("a", "b"):
+            certify_fleet(
+                fleet_catalog(6), [CrashFreedom()], input_lengths=(24,), store=tmp_path / root
+            )
+        assert rows(tmp_path / "a") == rows(tmp_path / "b") != []
+        warm = certify_fleet(
+            fleet_catalog(6), [CrashFreedom()], input_lengths=(24,), store=tmp_path / "a"
+        )
+        assert warm.statistics.summaries_computed == 0
+        seconds = [
+            value
+            for certification in warm.certifications
+            for result in certification.results
+            for value in result.statistics.per_element_seconds.values()
+        ]
+        assert seconds and set(seconds) == {0.0}
 
     def test_parallel_matches_serial(self, catalog, four_cpus, tmp_path):
         serial = certify_fleet(catalog, [CrashFreedom()], input_lengths=(24,))

@@ -511,7 +511,6 @@ class TestEngineAndFleetWiring:
                 element.program, 24,
                 tables=element.state.tables(),
                 element_name=element.name,
-                configuration_key=element.configuration_key(),
             )
             serial.merge(engine.checker.query_cache.statistics)
         assert work(qstats) == work(serial)

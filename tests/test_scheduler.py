@@ -62,21 +62,12 @@ from repro.workloads import (
 
 
 def _entries(root):
-    """Every summary in the store under ``root``, as ``digest -> payload``.
-
-    The one timing field, the summary's ``elapsed_seconds``, is dropped.
-    """
+    """Every summary in the store under ``root``, as ``digest -> payload`` text."""
     connection = sqlite3.connect(str(root / SQLITE_FILENAME))
     try:
-        rows = connection.execute("SELECT digest, payload FROM entries").fetchall()
+        return dict(connection.execute("SELECT digest, payload FROM entries").fetchall())
     finally:
         connection.close()
-    entries = {}
-    for digest, text in rows:
-        payload = json.loads(text)
-        del payload["summary"]["elapsed_seconds"]
-        entries[digest] = payload
-    return entries
 
 
 def _packets(report):
@@ -754,7 +745,7 @@ class TestSchedulerDirect:
         assert set(pooled) == set(run.summaries)
         assert pooled == _entries(in_process)
 
-    def test_each_worker_decodes_each_summary_once(self, all_in_pool, tmp_path):
+    def test_each_worker_decodes_each_summary_once(self, all_in_pool, summary_decodes, tmp_path):
         run = self._run(store_scale_catalog(20), SummaryStore(tmp_path))
         assert len(run.step2) == 20 == run.statistics.tasks_dispatched - len(run.summaries)
         # Every pipeline reads two or more summaries; without the worker

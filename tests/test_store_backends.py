@@ -59,7 +59,6 @@ def _summarize(element, length=24):
         length,
         tables=element.state.tables(),
         element_name=element.name,
-        configuration_key=element.configuration_key(),
     )
 
 

@@ -24,7 +24,6 @@ def summarize(element, length, **options):
         length,
         tables=element.state.tables(),
         element_name=element.name,
-        configuration_key=element.configuration_key(),
     )
 
 
