@@ -423,6 +423,15 @@ _QUERY_TIERS = (
     ("l3", "l3_hits"),
 )
 
+#: Wall seconds per query-cache stage as (display label, persisted
+#: counter field): the two tiers that cost more than a lookup, then the
+#: quick check and CDCL search behind them.
+_QUERY_TIER_SECONDS = (
+    ("model-reuse", "model_reuse_seconds"),
+    ("l3", "l3_seconds"),
+    ("solve", "solve_seconds"),
+)
+
 
 def _query_tier_rates(metrics: dict) -> dict:
     """Per-tier hit rates over the slices every tier got a chance at."""
@@ -460,6 +469,10 @@ def _run_store(args: argparse.Namespace) -> int:
                 if metrics:
                     entry["metrics"] = metrics
                     entry["tier_rates"] = _query_tier_rates(metrics)
+                    entry["tier_seconds"] = {
+                        tier_label: float(metrics.get(field_name, 0.0) or 0.0)
+                        for tier_label, field_name in _QUERY_TIER_SECONDS
+                    }
             document["stores"][label] = entry
             if not args.json:
                 print(f"{label} store {store.root}: "
@@ -479,6 +492,13 @@ def _run_store(args: argparse.Namespace) -> int:
                             for tier_label, _field in _QUERY_TIERS
                         )
                         + f" (overall {rates['overall']:.1%})"
+                    )
+                    print(
+                        "  tier seconds: "
+                        + ", ".join(
+                            f"{tier_label} {seconds:.3f} s"
+                            for tier_label, seconds in entry["tier_seconds"].items()
+                        )
                     )
                     if metrics.get("paths_explored") or metrics.get("paths_merged"):
                         print(

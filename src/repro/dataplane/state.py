@@ -21,7 +21,7 @@ from typing import Dict, Optional, Protocol, Tuple
 
 from ..ir.exprs import VALUE_MASK
 from ..net.lpm import DirectIndexLPM, RouteEntry, TrieLPM
-from .errors import StateIsolationError
+from .errors import DataplaneError, StateIsolationError
 
 
 class Table(Protocol):
@@ -40,11 +40,17 @@ class Table(Protocol):
 
 
 class ExactMatchTable:
-    """A mutable exact-match table backed by a dict (private state)."""
+    """A mutable exact-match table backed by a dict (private state).
+
+    A ``capacity`` bounds it as a pre-allocated flow cache: a full table
+    evicts its oldest entry before each insert, so it must hold at least one.
+    """
 
     kind = "private"
 
     def __init__(self, initial: Optional[Dict[int, int]] = None, capacity: Optional[int] = None) -> None:
+        if capacity is not None and capacity < 1:
+            raise DataplaneError(f"table capacity must be at least 1, got {capacity}")
         self._entries: Dict[int, int] = dict(initial or {})
         self._capacity = capacity
 

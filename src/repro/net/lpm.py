@@ -123,6 +123,11 @@ class DirectIndexLPM:
     when the direct index has nothing more specific — insertion stays
     bounded at ``2^(24 - WIDE_THRESHOLD)`` slot writes, and lookups remain
     two array reads plus a scan of the (few) wide routes.
+
+    A prefix added again replaces its route, as in :class:`TrieLPM`: the
+    slot writes let the later of two equal-length entries win, and the
+    route lists keep one entry per prefix, so ``routes()`` shows exactly
+    what lookups answer.
     """
 
     SECOND_LEVEL_SIZE = 256
@@ -133,8 +138,8 @@ class DirectIndexLPM:
         # level-1 slot: ("direct", entry-or-None) or ("indirect", block index)
         self._level1: Dict[int, Tuple[str, object]] = {}
         self._level2: List[List[Optional[RouteEntry]]] = []
-        self._wide: List[RouteEntry] = []
-        self._routes: List[RouteEntry] = []
+        self._wide: Dict[IPv4Prefix, RouteEntry] = {}
+        self._routes: Dict[IPv4Prefix, RouteEntry] = {}
 
     def __len__(self) -> int:
         return len(self._routes)
@@ -145,16 +150,17 @@ class DirectIndexLPM:
         port: int,
         next_hop: Optional[Union[str, IPv4Address]] = None,
     ) -> RouteEntry:
+        """Insert (or replace) a route and return the stored entry."""
         prefix = IPv4Prefix(prefix)
         entry = RouteEntry(
             prefix=prefix,
             port=port,
             next_hop=IPv4Address(next_hop) if next_hop is not None else None,
         )
-        self._routes.append(entry)
+        self._routes[prefix] = entry
         network = int(prefix.network)
         if prefix.length <= self.WIDE_THRESHOLD:
-            self._wide.append(entry)
+            self._wide[prefix] = entry
         elif prefix.length <= 24:
             span = 1 << (24 - prefix.length)
             base = network >> 8
@@ -214,7 +220,7 @@ class DirectIndexLPM:
 
     def _best_wide(self, value: int) -> Optional[RouteEntry]:
         best: Optional[RouteEntry] = None
-        for entry in self._wide:
+        for entry in self._wide.values():
             length = entry.prefix.length
             if length and (value >> (32 - length)) != (int(entry.prefix.network) >> (32 - length)):
                 continue
@@ -223,7 +229,7 @@ class DirectIndexLPM:
         return best
 
     def routes(self) -> Iterator[RouteEntry]:
-        return iter(list(self._routes))
+        return iter(list(self._routes.values()))
 
 
 def build_table(

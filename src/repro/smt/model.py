@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Mapping
 
-from .evaluate import Value, evaluate
+from .evaluate import Memo, Value, evaluate
 from .terms import Term
 
 
@@ -17,18 +17,30 @@ class Model:
     ``fill=-1`` makes them read as all ones / true instead (the query
     cache's second canned probe).
 
-    A model is immutable and term uids are never reused, so
-    :meth:`satisfies` memoises its verdict per term ``uid`` for the
-    model's lifetime.  Uids are process-local: a model must not carry its
-    memo into another process.
+    A model is immutable and term uids are never reused, so the value of
+    every term node it has evaluated is memoised by ``uid`` for the
+    model's lifetime: a node shared by many terms is evaluated once.  The
+    memo holds uids and values, never terms, so it keeps no term alive.
+    Uids are process-local, so a model pickles and copies without it.
     """
+
+    #: Node-memo size bound; the memo is dropped whole past it (uids are
+    #: never reused, so no entry can become wrong, only unreachable).
+    MEMO_LIMIT = 4096
 
     def __init__(
         self, assignment: Mapping[str, Value] | None = None, *, fill: Value = 0
     ) -> None:
         self._assignment: Dict[str, Value] = dict(assignment or {})
         self._fill = fill
-        self._verdicts: Dict[int, bool] = {}
+        self._memo: Memo = {}
+
+    def __getstate__(self):
+        return self._assignment, self._fill
+
+    def __setstate__(self, state) -> None:
+        self._assignment, self._fill = state
+        self._memo = {}
 
     def __getitem__(self, name: str) -> Value:
         return self._assignment[name]
@@ -53,14 +65,16 @@ class Model:
 
     def evaluate(self, term: Term) -> Value:
         """Evaluate a term under this model (unbound variables read as the fill)."""
-        return evaluate(term, self._assignment, self._fill)
+        if len(self._memo) >= self.MEMO_LIMIT:
+            self._memo.clear()
+        return evaluate(term, self._assignment, self._fill, self._memo)
 
     def satisfies(self, term: Term) -> bool:
         """True if the boolean term evaluates to true under this model."""
-        verdict = self._verdicts.get(term.uid)
-        if verdict is None:
-            verdict = self._verdicts[term.uid] = bool(self.evaluate(term))
-        return verdict
+        value = self._memo.get(term.uid)
+        if value is None:
+            value = self.evaluate(term)
+        return bool(value)
 
     def __repr__(self) -> str:
         entries = ", ".join(f"{k}={v}" for k, v in sorted(self._assignment.items()))

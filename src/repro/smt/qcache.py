@@ -11,7 +11,8 @@ answered by the cheapest of three tiers that can:
 * **Model reuse** — a model that evaluates the slice to true
   (:mod:`repro.smt.evaluate`) answers SAT without touching a solver:
   first the all-zeros and all-ones probes, then the recently produced
-  models, newest first.
+  models, newest first.  A model evaluates each term node once in its
+  life (its node memo), so conjuncts that share subterms cost little.
 * **L3 persistent** — an on-disk store keyed by a *structural*
   fingerprint of the slice (term uids are process-local; the fingerprint
   is a sha256 over per-term structural digests), so a warm
@@ -52,7 +53,7 @@ from typing import (
 
 from ..obs.slowlog import slice_context
 from ..obs.stats import StatisticsMixin
-from ..obs.trace import tracer
+from ..obs.trace import clock, tracer
 from .evaluate import Value
 from .interval import QuickCheckResult, quick_check
 from .model import Model
@@ -154,6 +155,11 @@ class QueryCacheStatistics(StatisticsMixin):
     #: check left undecided.  0 on a run the L3 tier answers in full.
     sat_core_calls: int = 0
     unknown_results: int = 0
+    #: Wall seconds per tier: the model-reuse candidate loop (hit or
+    #: miss), the L3 probe, and the quick check plus the batch callback.
+    model_reuse_seconds: float = 0.0
+    l3_seconds: float = 0.0
+    solve_seconds: float = 0.0
 
     @property
     def hits(self) -> int:
@@ -209,8 +215,8 @@ class QueryCache:
         self._exact: Dict[Tuple[int, ...], Tuple[str, Optional[Model]]] = {}
         self._models: Deque[Tuple[Model, FrozenSet[str]]] = deque(maxlen=self.MODEL_POOL)
         # The two canned probes live as long as the cache (an L1 reset
-        # drops them with the rest), so their per-term verdict memos
-        # carry across slices.
+        # drops them with the rest), so their node memos carry across
+        # slices.
         self._zeros = Model()
         self._ones = Model(fill=-1)
 
@@ -277,9 +283,12 @@ class QueryCache:
         # usually still satisfies the child's extended slice.  The two
         # canned probes (all-zeros, all-ones) catch the first-ever
         # appearance of the many one-sided comparisons symbex produces.
+        statistics = self.statistics
+        started = clock()
         for model in self._candidate_models(query_slice):
             if all(model.satisfies(term) for term in query_slice.terms):
-                self.statistics.model_reuse_hits += 1
+                statistics.model_reuse_seconds += clock() - started
+                statistics.model_reuse_hits += 1
                 if trace.enabled:
                     trace.event("qcache.hit", "qcache", tier="model_reuse")
                 if model is self._ones:
@@ -288,11 +297,14 @@ class QueryCache:
                     restricted = _restrict(model, query_slice.variables)
                 self._install(query_slice, SAT, restricted)
                 return SAT, restricted
+        probed = clock()
+        statistics.model_reuse_seconds += probed - started
 
         digest: Optional[str] = None
         if self.store is not None:
             digest = slice_fingerprint(query_slice.terms)
             loaded = self._load_persisted(query_slice, digest)
+            statistics.l3_seconds += clock() - probed
             if loaded is not None:
                 if trace.enabled:
                     trace.event("qcache.hit", "qcache", tier="l3")
@@ -303,21 +315,23 @@ class QueryCache:
         # The last tier: the interval quick check, cheap on a slice though
         # useless on whole path conjunctions.
         terms = query_slice.terms
+        started = clock()
         quick = quick_check(terms[0] if len(terms) == 1 else mk_and(*terms))
         if quick.status == QuickCheckResult.UNSAT:
             status, model = UNSAT, None
         elif quick.status == QuickCheckResult.SAT:
             status, model = SAT, Model(quick.model)
         else:
-            self.statistics.sat_core_calls += 1
+            statistics.sat_core_calls += 1
             # Park a lazy fingerprint for the slow-solve log: computed only
             # if the search below actually crosses the threshold.
             with slice_context(lambda: digest or slice_fingerprint(terms)):
                 status, model = solve(terms)
-        self.statistics.solved += 1
+        statistics.solve_seconds += clock() - started
+        statistics.solved += 1
         if status == UNKNOWN:
             # Budget artifact, not a fact about the slice: never cached.
-            self.statistics.unknown_results += 1
+            statistics.unknown_results += 1
             return UNKNOWN, None
         model = _restrict(model, query_slice.variables)
         self._install(query_slice, status, model, digest=digest)

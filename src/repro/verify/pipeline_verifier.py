@@ -59,7 +59,7 @@ class PipelineVerifier:
         self.pipeline = pipeline
         self.options = options or SymbexOptions()
         self.cache = cache if cache is not None else SummaryCache(self.options)
-        self.composer = CompositionEngine(self.cache)
+        self._composer: Optional[CompositionEngine] = None
         if entry is None:
             entry = pipeline.sole_entry()
             if entry is None:
@@ -68,6 +68,18 @@ class PipelineVerifier:
                     "pass `entry` explicitly"
                 )
         self.entry = entry
+
+    @property
+    def composer(self) -> CompositionEngine:
+        """The Step-2 composer, built on first use: a pipeline whose
+        summaries hold no suspect segment never composes a route."""
+        if self._composer is None:
+            self._composer = CompositionEngine(self.cache)
+        return self._composer
+
+    def _undecided(self) -> List[Tuple[str, SegmentSummary]]:
+        """The composer's undecided suspects so far (none before it exists)."""
+        return self._composer.undecided if self._composer is not None else []
 
     # -- Step 1: per-element summaries at the lengths each element actually sees -----------------
 
@@ -124,7 +136,7 @@ class PipelineVerifier:
         queries_before = dataclasses.replace(queries)
         hits_before = self.cache.statistics.hits
         composed_before = self._composer_work()
-        undecided_before = len(self.composer.undecided)
+        undecided_before = len(self._undecided())
 
         try:
             for input_length in input_lengths:
@@ -182,7 +194,7 @@ class PipelineVerifier:
                         )
                 if counterexamples:
                     verdict = Verdict.VIOLATED
-            undecided = self.composer.undecided[undecided_before:]
+            undecided = self._undecided()[undecided_before:]
             if undecided and not counterexamples:
                 # A violation the solver could not refute is no proof, and
                 # without a model there is no packet to show either.
@@ -228,8 +240,10 @@ class PipelineVerifier:
 
     def _composer_work(self) -> Tuple[int, int, int, int]:
         """The composer's running totals: paths checked and feasible, solver
-        checks, and the memo hits among them."""
-        composer = self.composer
+        checks, and the memo hits among them (zeros before it exists)."""
+        composer = self._composer
+        if composer is None:
+            return (0, 0, 0, 0)
         return (
             composer.paths_checked,
             composer.paths_feasible,

@@ -4,6 +4,7 @@ import pytest
 
 from repro.dataplane import (
     ELEMENT_REGISTRY,
+    DataplaneError,
     Packet,
     PacketOwnershipError,
     Pipeline,
@@ -97,6 +98,17 @@ class TestState:
         assert len(table) == 2
         assert table.read(1) == (0, False)  # oldest evicted
         assert table.read(3) == (3, True)
+
+    def test_exact_match_refuses_a_capacity_that_holds_nothing(self):
+        # A full table evicts its oldest entry before an insert; one that
+        # holds nothing has none to evict, so it is refused when built.
+        for capacity in (0, -1):
+            with pytest.raises(DataplaneError):
+                ExactMatchTable(capacity=capacity)
+        smallest = ExactMatchTable(capacity=1)
+        smallest.write(1, 1)
+        smallest.write(2, 2)
+        assert len(smallest) == 1 and smallest.read(2) == (2, True)
 
     def test_static_table_rejects_writes(self):
         table = StaticExactTable({1: 2})

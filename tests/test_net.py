@@ -23,6 +23,7 @@ from repro.net import (
 )
 from repro.net.addresses import AddressError
 from repro.net.checksum import incremental_update, ones_complement_sum
+from repro.dataplane.state import LpmTable
 from repro.net.lpm import build_table
 from repro.net.rules import RuleError, parse_classifier_config, parse_classifier_rule
 
@@ -158,6 +159,12 @@ class TestHeaders:
         assert int.from_bytes(frame[12:14], "big") == 0x0800
 
 
+def _route_set(table):
+    return sorted(
+        (int(entry.prefix.network), entry.prefix.length, entry.port) for entry in table.routes()
+    )
+
+
 class TestLPM:
     @pytest.mark.parametrize("implementation", ["trie", "dir-24-8"])
     def test_longest_prefix_wins(self, implementation):
@@ -218,6 +225,25 @@ class TestLPM:
         assert (trie_hit is None) == (direct_hit is None)
         if trie_hit is not None:
             assert trie_hit.prefix.length == direct_hit.prefix.length
+            assert trie_hit.port == direct_hit.port
+        # A repeated prefix replaces its route in both, so both list the
+        # same routes, and a table's identity does not hang on its class.
+        assert len(trie) == len(direct)
+        assert _route_set(trie) == _route_set(direct)
+        assert LpmTable(trie).fingerprint() == LpmTable(direct).fingerprint()
+
+    @pytest.mark.parametrize("implementation", ["trie", "dir-24-8"])
+    def test_repeated_prefix_replaces_its_route(self, implementation):
+        # Given 10.0.0.0/8 twice, the later port is the route: lookups,
+        # the route list and the fingerprint all say so, so two tables
+        # that forward differently never share one identity.
+        first = build_table([("10.0.0.0/8", 0), ("10.0.0.0/8", 1)], implementation)
+        second = build_table([("10.0.0.0/8", 1), ("10.0.0.0/8", 0)], implementation)
+        for table, port in ((first, 1), (second, 0)):
+            assert table.lookup("10.1.2.3").port == port
+            assert len(table) == 1
+            assert [entry.port for entry in table.routes()] == [port]
+        assert LpmTable(first).fingerprint() != LpmTable(second).fingerprint()
 
 
 class TestClassifierRules:

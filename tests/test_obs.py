@@ -536,6 +536,31 @@ class TestQueryStoreMetrics:
         assert sum(r.sat_core_calls for r in results) == warm.statistics.sat_core_calls > 0
         assert sum(r.qcache_hits for r in results) == warm.statistics.qcache_hits > 0
 
+    def test_cold_certify_prices_the_tiers_it_ran(self, tmp_path):
+        """A cold run with a query store asks model reuse and the solver,
+        and its metrics row carries the seconds each took; the seconds
+        fold across runs like the hit counters."""
+        from repro.orchestrator import certify_fleet
+        from repro.orchestrator.store import QueryStore
+        from repro.verify import CrashFreedom
+        from repro.workloads import fleet_catalog
+
+        root = tmp_path / "q"
+        certify_fleet(
+            fleet_catalog(2), [CrashFreedom()], input_lengths=(24,), query_store=str(root)
+        )
+        cold = QueryStore(root).load_metrics()
+        assert cold["model_reuse_hits"] > 0 and cold["model_reuse_seconds"] > 0.0
+        assert cold["solved"] > 0 and cold["solve_seconds"] > 0.0
+        assert cold["l3_seconds"] > 0.0  # every miss probed the store first
+        certify_fleet(
+            fleet_catalog(2), [CrashFreedom()], input_lengths=(24,), query_store=str(root)
+        )
+        both = QueryStore(root).load_metrics()
+        assert both["runs"] == 2
+        for field in ("model_reuse_seconds", "l3_seconds", "solve_seconds"):
+            assert both[field] >= cold[field]
+
     def test_store_io_uses_monotonic_clock(self, tmp_path):
         from repro.orchestrator.store import QueryStore
 
@@ -608,6 +633,9 @@ class TestCli:
                 "exact_hits": 50,
                 "model_reuse_hits": 10,
                 "l3_hits": 0,
+                "model_reuse_seconds": 0.25,
+                "l3_seconds": 0.0,
+                "solve_seconds": 1.5,
             }
         )
         code = main(["store", "stats", "--query-store", str(tmp_path), "--json"])
@@ -619,8 +647,12 @@ class TestCli:
         assert rates["model-reuse"] == pytest.approx(0.1)
         assert rates["l3"] == pytest.approx(0.0)
         assert rates["overall"] == pytest.approx(0.6)
+        assert document["stores"]["query"]["tier_seconds"] == {
+            "model-reuse": 0.25, "l3": 0.0, "solve": 1.5,
+        }
 
         code = main(["store", "stats", "--query-store", str(tmp_path)])
         assert code == EXIT_OK
         text = capsys.readouterr().out
         assert "tier hit rates" in text and "exact 50.0%" in text
+        assert "tier seconds: model-reuse 0.250 s, l3 0.000 s, solve 1.500 s" in text

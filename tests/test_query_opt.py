@@ -169,7 +169,7 @@ class TestQueryCacheTiers:
 
 class _FreshModelsCache(QueryCache):
     """Builds both probes and a copy of every pool model anew for each slice,
-    so no verdict memo outlives the slice it was computed for."""
+    so no evaluation memo outlives the slice it was computed for."""
 
     def _candidate_models(self, query_slice):
         yield Model({})
@@ -183,10 +183,11 @@ class _FreshModelsCache(QueryCache):
                 yield Model(model.as_dict())
 
 
-def _certify_fleet_six(monkeypatch, cache_class):
-    """Certify fleet_catalog(6) on one worker through ``cache_class``; returns
-    verdicts, counterexample packets and the summed tier counters."""
-    from repro.orchestrator import certify_fleet
+def _certify_fleet_six(monkeypatch, cache_class, catalog=None, **stores):
+    """Certify ``catalog`` (fleet_catalog(6) by default) on one worker
+    through ``cache_class``, with ``stores`` as given; returns verdicts,
+    counterexample packets and the summed tier counters."""
+    from repro.orchestrator import certify_fleet, scheduler
     from repro.smt import qcache
     from repro.verify import CrashFreedom, destination_reachability
     from repro.workloads import fleet_catalog
@@ -197,12 +198,15 @@ def _certify_fleet_six(monkeypatch, cache_class):
         caches.append(cache_class(*args, **kwargs))
         return caches[-1]
 
+    # The scheduler builds the run's cache itself when a query store is given.
     monkeypatch.setattr(qcache, "QueryCache", build)
+    monkeypatch.setattr(scheduler, "QueryCache", build)
     report = certify_fleet(
-        fleet_catalog(6),
+        fleet_catalog(6) if catalog is None else catalog,
         [CrashFreedom(), destination_reachability(0x0A000001)],
         input_lengths=(24,),
         workers=1,
+        **stores,
     )
     monkeypatch.undo()
     packets = [
@@ -212,7 +216,7 @@ def _certify_fleet_six(monkeypatch, cache_class):
     ]
     tiers = {
         tier: sum(getattr(cache.statistics, tier) for cache in caches)
-        for tier in ("exact_hits", "model_reuse_hits", "l3_hits", "solved")
+        for tier in ("exact_hits", "model_reuse_hits", "l3_hits", "solved", "sat_core_calls")
     }
     return report.verdicts(), packets, tiers
 
@@ -252,6 +256,32 @@ class TestPersistentProbes:
         assert memoised[1] == fresh[1]
         assert memoised[2] == fresh[2]
         assert memoised[2]["model_reuse_hits"] > 0
+
+    def test_options_delta_matches_fresh_models_per_slice(self, monkeypatch, tmp_path):
+        # The path a max_options change takes: over the warm stores of a
+        # fleet_catalog(6) pass, one IPOptions is summarized again and the
+        # cache tiers answer every solver question.  Collection is off for
+        # the reason the test above gives.
+        from repro.workloads import churned_fleet_catalog
+
+        runs = {}
+        gc.collect()
+        gc.disable()
+        try:
+            for name, cache_class in (("memoised", QueryCache), ("fresh", _FreshModelsCache)):
+                stores = {
+                    kind: str(tmp_path / name / kind)
+                    for kind in ("store", "query_store", "verdict_store")
+                }
+                _certify_fleet_six(monkeypatch, cache_class, **stores)
+                runs[name] = _certify_fleet_six(
+                    monkeypatch, cache_class, churned_fleet_catalog(6, "options"), **stores
+                )
+        finally:
+            gc.enable()
+        assert runs["memoised"] == runs["fresh"]
+        tiers = runs["memoised"][2]
+        assert tiers["model_reuse_hits"] > 0 and tiers["sat_core_calls"] == 0
 
 
 class TestQueryStoreL3:

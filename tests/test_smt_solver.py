@@ -1,5 +1,7 @@
 """Unit and property-based tests for the SAT backend and the Solver facade."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -31,7 +33,24 @@ from repro.smt import SLE, SLT
 from repro.smt.cnf import CNFBuilder
 from repro.smt.errors import SolverError
 from repro.smt.interval import QuickCheckResult, quick_check
-from repro.smt.terms import Op, mk_and, mk_bv_unop, mk_eq
+from repro.smt.terms import (
+    Op,
+    mk_and,
+    mk_bool_const,
+    mk_bv_binop,
+    mk_bv_unop,
+    mk_cmp,
+    mk_concat,
+    mk_eq,
+    mk_extract,
+    mk_implies,
+    mk_ite,
+    mk_not,
+    mk_or,
+    mk_sign_extend,
+    mk_xor,
+    mk_zero_extend,
+)
 from repro.smt.sat import SATSolver, SatResult, luby, solve_clauses
 
 
@@ -404,16 +423,193 @@ partial_assignment = st.fixed_dictionaries(
 )
 
 
+@st.composite
+def formulas_sharing_subterms(draw):
+    """A few ``mixed_formula``s and connectives over them, shuffled: most
+    terms share whole subterms with terms before or after them."""
+    parts = draw(st.lists(mixed_formula(), min_size=2, max_size=4))
+    first, second, last = parts[0], parts[1], parts[-1]
+    joined = [
+        And(first, second),
+        Or(Not(second), last),
+        If(first, last, Not(second)),
+        Iff(last, And(first, second)),
+    ]
+    return draw(st.permutations(parts + joined))
+
+
+def _all_ones(terms):
+    return {
+        name: var.sort.mask if var.is_bitvec() else True
+        for term in terms
+        for name, var in term.free_variables().items()
+    }
+
+
+def chain_evaluate(term, env):
+    """Term evaluation as one ``if`` chain over the operators, with no memo
+    and no fill: the reference for :func:`repro.smt.evaluate`'s table."""
+
+    def signed(value, width):
+        return value - (1 << width) if value >> (width - 1) else value
+
+    def walk(node):
+        op = node.op
+        if op == Op.BV_CONST:
+            return int(node.value)
+        if op == Op.BOOL_CONST:
+            return bool(node.value)
+        if op == Op.BV_VAR:
+            return int(env[node.name]) & node.sort.mask
+        if op == Op.BOOL_VAR:
+            return bool(env[node.name])
+        args = [walk(arg) for arg in node.args]
+        if node.is_bitvec():
+            width, mask = node.width, node.sort.mask
+            a = args[0]
+            b = args[1] if len(args) > 1 else None
+            if op == Op.BV_ADD:
+                return (a + b) & mask
+            if op == Op.BV_SUB:
+                return (a - b) & mask
+            if op == Op.BV_MUL:
+                return (a * b) & mask
+            if op == Op.BV_UDIV:
+                return mask if b == 0 else a // b
+            if op == Op.BV_UREM:
+                return a if b == 0 else a % b
+            if op == Op.BV_AND:
+                return a & b
+            if op == Op.BV_OR:
+                return a | b
+            if op == Op.BV_XOR:
+                return a ^ b
+            if op == Op.BV_SHL:
+                return 0 if b >= width else (a << b) & mask
+            if op == Op.BV_LSHR:
+                return 0 if b >= width else a >> b
+            if op == Op.BV_ASHR:
+                return (signed(a, width) >> min(b, width)) & mask
+            if op == Op.BV_NEG:
+                return -a & mask
+            if op == Op.BV_NOT:
+                return ~a & mask
+            if op == Op.BV_CONCAT:
+                result = 0
+                for child, value in zip(node.args, args):
+                    result = (result << child.width) | value
+                return result
+            if op == Op.BV_EXTRACT:
+                hi, lo = node.params
+                return (a >> lo) & ((1 << (hi - lo + 1)) - 1)
+            if op == Op.BV_ZEXT:
+                return a
+            if op == Op.BV_SEXT:
+                return signed(a, node.args[0].width) & mask
+            if op == Op.BV_ITE:
+                return args[1] if a else args[2]
+        elif op in (Op.EQ, Op.DISTINCT, Op.ULT, Op.ULE, Op.SLT, Op.SLE):
+            a, b = args
+            if op in (Op.SLT, Op.SLE):
+                width = node.args[0].width
+                a, b = signed(a, width), signed(b, width)
+            return {
+                Op.EQ: a == b, Op.DISTINCT: a != b, Op.ULT: a < b,
+                Op.ULE: a <= b, Op.SLT: a < b, Op.SLE: a <= b,
+            }[op]
+        elif op == Op.NOT:
+            return not args[0]
+        elif op == Op.AND:
+            return all(args)
+        elif op == Op.OR:
+            return any(args)
+        elif op == Op.XOR:
+            return args[0] != args[1]
+        elif op == Op.IMPLIES:
+            return not args[0] or args[1]
+        elif op == Op.IFF:
+            return args[0] == args[1]
+        elif op == Op.BOOL_ITE:
+            return args[1] if args[0] else args[2]
+        raise AssertionError(f"no reference for {op!r}")
+
+    return walk(term)
+
+
+_BV_BINARY = (
+    Op.BV_ADD, Op.BV_SUB, Op.BV_MUL, Op.BV_UDIV, Op.BV_UREM, Op.BV_AND,
+    Op.BV_OR, Op.BV_XOR, Op.BV_SHL, Op.BV_LSHR, Op.BV_ASHR,
+)
+_COMPARISONS = (Op.EQ, Op.DISTINCT, Op.ULT, Op.ULE, Op.SLT, Op.SLE)
+#: Bytes at the edges of the unsigned and signed ranges, mixed into uniform ones.
+_BYTES = st.sampled_from([0, 1, 0x7F, 0x80, 0xFF]) | st.integers(0, 255)
+
+
+@st.composite
+def any_operator_term(draw):
+    """A random boolean or 8-bit term over ``x``, ``y`` and ``p`` that may
+    use every operator the evaluator knows."""
+    x, y, p = BitVec("x", 8), BitVec("y", 8), Bool("p")
+
+    def vector(depth):
+        if depth == 0 or draw(st.integers(0, 3)) == 0:
+            return draw(st.sampled_from([x, y, BitVecVal(draw(_BYTES), 8)]))
+        kind = draw(st.sampled_from(["binary", "unary", "ite", "concat", "zext", "sext"]))
+        if kind == "binary":
+            op = draw(st.sampled_from(_BV_BINARY))
+            return mk_bv_binop(op, vector(depth - 1), vector(depth - 1))
+        if kind == "unary":
+            return mk_bv_unop(draw(st.sampled_from([Op.BV_NEG, Op.BV_NOT])), vector(depth - 1))
+        if kind == "ite":
+            return mk_ite(boolean(depth - 1), vector(depth - 1), vector(depth - 1))
+        low = mk_extract(vector(depth - 1), 3, 0)
+        if kind == "concat":
+            return mk_concat(mk_extract(vector(depth - 1), 7, 4), low)
+        return (mk_zero_extend if kind == "zext" else mk_sign_extend)(low, 4)
+
+    def boolean(depth):
+        if depth == 0 or draw(st.integers(0, 3)) == 0:
+            return draw(st.sampled_from([p, mk_bool_const(draw(st.booleans()))]))
+        kind = draw(st.sampled_from(["compare", "not", "and", "or", "xor", "implies", "iff", "ite"]))
+        if kind == "compare":
+            op = draw(st.sampled_from(_COMPARISONS))
+            return mk_cmp(op, vector(depth - 1), vector(depth - 1))
+        if kind == "not":
+            return mk_not(boolean(depth - 1))
+        if kind == "ite":
+            return mk_ite(boolean(depth - 1), boolean(depth - 1), boolean(depth - 1))
+        combine = {
+            "and": mk_and, "or": mk_or, "xor": mk_xor, "implies": mk_implies, "iff": mk_eq,
+        }[kind]
+        return combine(boolean(depth - 1), boolean(depth - 1))
+
+    return boolean(3) if draw(st.booleans()) else vector(3)
+
+
+class TestEvaluatorAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(any_operator_term(), _BYTES, _BYTES, st.booleans())
+    def test_every_operator_matches_the_reference_chain(self, term, x, y, p):
+        env = {"x": x, "y": y, "p": p}
+        value, expected = evaluate(term, env), chain_evaluate(term, env)
+        assert value == expected and type(value) is type(expected)
+        # A memo shared across calls under one assignment changes nothing.
+        memo = {}
+        for node in (term, *term.args, term):
+            assert evaluate(node, env, memo=memo) == chain_evaluate(node, env)
+
+
 def reference_evaluate(term, assignment):
     """Model evaluation without memoisation or fill: collect the free
-    variables, bind the unassigned ones to 0/False explicitly, evaluate."""
+    variables, bind the unassigned ones to 0/False explicitly, evaluate
+    through the reference chain."""
     env = {}
     for name, var in term.free_variables().items():
         if name in assignment:
             env[name] = assignment[name]
         else:
             env[name] = False if var.is_bool() else 0
-    return evaluate(term, env)
+    return chain_evaluate(term, env)
 
 
 class TestModelEvaluationAgainstReference:
@@ -435,12 +631,46 @@ class TestModelEvaluationAgainstReference:
     @settings(max_examples=40, deadline=None)
     @given(mixed_formula())
     def test_all_ones_probe_matches_mask_environment(self, formula):
-        ones = {
-            name: var.sort.mask if var.is_bitvec() else True
-            for name, var in formula.free_variables().items()
-        }
+        ones = _all_ones([formula])
         probe = Model(fill=-1)
         expected = reference_evaluate(formula, ones)
         assert probe.evaluate(formula) == expected
         assert probe.satisfies(formula) is bool(expected)
         assert probe.satisfies(formula) is bool(expected)  # memo hit
+
+    @settings(max_examples=60, deadline=None)
+    @given(formulas_sharing_subterms(), partial_assignment)
+    def test_one_model_evaluates_terms_sharing_subterms(self, terms, assignment):
+        # One model, and one all-ones probe, evaluate every term in turn:
+        # each answers from nodes the earlier terms already evaluated, and
+        # each answer must still be the one a fresh evaluation gives.
+        model, probe = Model(assignment), Model(fill=-1)
+        ones = _all_ones(terms)
+        for term in terms:
+            expected = reference_evaluate(term, assignment)
+            assert model.evaluate(term) == expected
+            assert model.satisfies(term) is bool(expected)
+            probed = reference_evaluate(term, ones)
+            assert probe.satisfies(term) is bool(probed)
+            assert probe.evaluate(term) == probed
+        for term in terms:  # every root is answered from the memo now
+            assert model.satisfies(term) is bool(reference_evaluate(term, assignment))
+
+    def test_pickled_and_copied_models_carry_no_memo(self):
+        # Uids are process-local: a model that leaves its process, or is
+        # copied, starts a new memo and evaluates from its assignment.
+        x, p = BitVec("x", 8), Bool("p")
+        formula = And(ULT(x + BitVecVal(1, 8), BitVecVal(10, 8)), Not(p))
+        model, probe = Model({"x": 3, "p": False}), Model(fill=-1)
+        assert model.satisfies(formula) and not probe.satisfies(formula)
+        assert model._memo and probe._memo
+        for original in (model, probe):
+            for clone in (
+                pickle.loads(pickle.dumps(original)),
+                copy.copy(original),
+                copy.deepcopy(original),
+            ):
+                assert clone._memo == {}
+                assert clone.as_dict() == original.as_dict()
+                assert clone.satisfies(formula) is original.satisfies(formula)
+                assert clone.evaluate(x) == original.evaluate(x)

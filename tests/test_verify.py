@@ -271,6 +271,30 @@ class TestPerCallCounters:
         assert reach.statistics.composed_paths_checked == fresh.statistics.composed_paths_checked
         assert reach.statistics.solver_checks == fresh.statistics.solver_checks
 
+    def test_a_pipeline_that_composes_nothing_builds_no_composer(self, monkeypatch):
+        """Step 2 starts at a suspect segment: a pipeline whose summaries
+        hold none never builds the composer or its solver context, and
+        its results count no composition."""
+        import repro.verify.pipeline_verifier as verifier_module
+        from repro.workloads import store_scale_catalog
+
+        built = []
+        real = verifier_module.CompositionEngine
+
+        def counting(cache):
+            built.append(cache)
+            return real(cache)
+
+        monkeypatch.setattr(verifier_module, "CompositionEngine", counting)
+        verifier = PipelineVerifier(store_scale_catalog(1)[0])
+        for target in (CrashFreedom(), destination_reachability(0x0A000001)):
+            result = verifier.verify(target, input_lengths=[INPUT_LENGTH])
+            assert result.verdict == Verdict.PROVED
+            assert result.statistics.composed_paths_checked == 0
+        assert built == []
+        assert verifier.composer is verifier.composer  # built once, on first use
+        assert len(built) == 1
+
 
 class TestMonolithicBaseline:
     def test_agrees_with_decomposed_on_small_pipeline(self):
