@@ -13,9 +13,12 @@ mixes this in and gets, generically over its dataclass fields:
   per pipeline;
 * ``merge(other)`` — numeric fields sum, bools OR, dict fields key-sum,
   except fields named in the ``MERGE_MAX`` class var which take the max
-  (high-water marks like a driver's ``max_instructions``).
+  (high-water marks like a driver's ``max_instructions``);
+* ``copy()`` — a copy that shares no dict field, built without the
+  constructor, because a delta pass copies the statistics of every
+  verdict record it reuses.
 
-All three read each class's field layout (:func:`dataclasses.fields`)
+All four read each class's field layout (:func:`dataclasses.fields`)
 once per process, not on every call.
 
 Each counter has one owner: a report copies or takes a delta of the
@@ -80,6 +83,15 @@ class StatisticsMixin:
             if values.get(name) is not None:
                 values[name] = dict(values[name])  # never alias the payload's dict
         return cls(**values)
+
+    def copy(self: S) -> S:
+        """A copy that shares no dict with this one; every other field is a scalar."""
+        duplicate = object.__new__(type(self))
+        state = duplicate.__dict__
+        state.update(self.__dict__)
+        for name in _layout(type(self))[1]:
+            state[name] = dict(state[name])
+        return duplicate
 
     def merge(self: S, other: S) -> S:
         """Fold ``other`` into ``self`` (sum/OR/key-sum; ``MERGE_MAX`` maxes)."""

@@ -31,7 +31,7 @@ import dataclasses
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..dataplane.fingerprint import pipeline_fingerprint
 from ..dataplane.pipeline import Pipeline
@@ -64,8 +64,9 @@ class PipelineCertification:
     instruction_bound: Optional[InstructionBoundResult] = None
     #: :data:`FRESH` when verified on this run, :data:`DELTA_REUSED` when
     #: served from the verdict store.  Reused certifications' statistics
-    #: describe the run that originally computed them, so the fleet-level
-    #: counters deliberately exclude them.
+    #: count the work of the run that originally computed them (and no
+    #: seconds: stored records carry none), so the fleet-level counters
+    #: deliberately exclude them.
     provenance: str = FRESH
     #: Why this pipeline was (or was not) re-verified, as human-readable
     #: impact provenance ("element lookup: contents of static table
@@ -107,18 +108,25 @@ class PipelineCertification:
             impact_causes=list(payload.get("impact_causes", [])),
         )
 
-    def relabel(self, pipeline_name: str) -> None:
-        """Adopt the current catalog's name for this pipeline.
+    def reused_as(self, pipeline_name: str) -> "PipelineCertification":
+        """This stored record, served to the catalog's pipeline ``pipeline_name``.
 
         Verdict records are content-addressed by fingerprint, which
-        normalizes names out — a renamed-but-identical pipeline hits the
-        record stored under its old name.
+        normalizes names out, so a renamed or identical pipeline hits a
+        record stored under another name.  The copy takes the current
+        name, provenance :data:`DELTA_REUSED` and no impact causes, and
+        it shares nothing mutable with this record, which the verdict
+        store's decode memo hands to every later load, or with another
+        copy: every list, dict, result, counterexample and statistics
+        object is new.  Built field by field, parsing no JSON.
         """
-        self.pipeline_name = pipeline_name
-        for result in self.results:
-            result.pipeline_name = pipeline_name
-        if self.instruction_bound is not None:
-            self.instruction_bound.pipeline_name = pipeline_name
+        bound = self.instruction_bound
+        return PipelineCertification(
+            pipeline_name,
+            [result.renamed(pipeline_name) for result in self.results],
+            bound.renamed(pipeline_name) if bound is not None else None,
+            DELTA_REUSED,
+        )
 
 
 @dataclass
@@ -472,20 +480,13 @@ def _certify_fleet(
         records = verdict_store.load_records(
             [key for key in record_keys if key is not None]
         )
-        consumed: Set[str] = set()
         for index, pipeline in enumerate(pipelines):
             record = records.get(record_keys[index])
             if record is not None:
-                if record_keys[index] in consumed:
-                    # Identical pipelines share a digest; each index still
-                    # gets its own record (relabel mutates it), rebuilt
-                    # from its plain form, which shares nothing mutable.
-                    record = PipelineCertification.from_dict(record.to_dict())
-                consumed.add(record_keys[index])
-                record.provenance = DELTA_REUSED
-                record.impact_causes = []
-                record.relabel(pipeline.name)
-                merged[index] = record
+                # Loaded records are shared (the store's decode memo), and
+                # identical pipelines share a digest: each index gets a
+                # copy of its own, under its own name.
+                merged[index] = record.reused_as(pipeline.name)
     fresh_indices = [index for index in range(len(pipelines)) if index not in merged]
     fresh_pipelines = [pipelines[index] for index in fresh_indices]
     report.statistics.verdicts_reused = len(merged)

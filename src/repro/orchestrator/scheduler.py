@@ -791,7 +791,7 @@ def run_scheduled(
             return status, None
         # The store now holds this same text under this digest, so the
         # next run's admission probe finds it in the decode memo.
-        return status, store_module._decoded.decode(task.key, text)
+        return status, store_module._decoded_summaries.decode(task.key, text)
 
     def _summarize(element: Element, length: int) -> tuple:
         """A Step-1 task's ``(status, summary)``, run through the parent's cache."""

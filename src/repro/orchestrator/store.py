@@ -33,12 +33,13 @@ cannot read (a torn write, a file that is not a store, or an older
 schema) is quarantined aside and the root starts empty; a database from
 a *newer* repro is refused loudly.
 
-:class:`SummaryStore` specializes the store for element summaries
-(decoding each unchanged entry once per process), :class:`QueryStore`
-for sliced solver-query verdicts (the query cache's L3 tier),
-:class:`repro.orchestrator.verdicts.VerdictStore` for per-pipeline
-verdict records and :class:`repro.orchestrator.risk.RiskStore` for the
-scheduler's risk history.
+:class:`SummaryStore` specializes the store for element summaries,
+:class:`QueryStore` for sliced solver-query verdicts (the query cache's
+L3 tier), :class:`repro.orchestrator.verdicts.VerdictStore` for
+per-pipeline verdict records and :class:`repro.orchestrator.risk.RiskStore`
+for the scheduler's risk history.  Summaries and verdict records each
+decode through one process-wide memo (:class:`_DecodeMemo`), so an
+unchanged entry is decoded once per process.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Callable, Dict, Generic, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from ..dataplane.element import Element
 from ..obs.stats import StatisticsMixin
@@ -741,58 +742,69 @@ class Store:
 _MAX_DECODED_SUMMARIES = 256
 
 
-class _DecodedSummaries:
-    """Summaries decoded from store text, shared by every load in the process.
+class _DecodeMemo(Generic[T]):
+    """Values decoded from one tier's store text, shared by every load in the process.
 
-    Decoding re-interns each of a summary's terms, which a warm pass
-    would otherwise pay for every entry on every load.  An entry is keyed
-    by store digest and served only while the text just read from the
-    store equals the text it was decoded from, so a rewritten entry is
-    decoded again; a deleted, cleared or quarantined one reads as a miss
-    before the memo is asked.  Only store text enters, including the text
-    a pool worker shipped, which the scheduler decodes as it arrives, so a
-    load never hands out the object a cache in this process computed.
-    Fork children inherit the memo, so pool workers start with what the
-    parent decoded.  Every later load shares the returned object: nobody
-    may mutate it.
+    A warm pass would otherwise decode every entry on every load: a
+    summary re-interns each of its terms, a verdict record rebuilds its
+    result tree.  An entry is keyed by store digest and served only while
+    the text just read from the store equals the text it was decoded
+    from, so a rewritten entry is decoded again; a deleted, cleared or
+    quarantined one reads as a miss before the memo is asked, and text
+    that does not decode never enters.  Only store text enters, including
+    the summary text a pool worker shipped, which the scheduler decodes as
+    it arrives, so a load never hands out an object that a cache or a
+    certification in this process computed, and that its caller may
+    still mutate.  The memo keeps at most ``bound`` entries, evicting the
+    least recently used, under a lock that fork children replace.  Fork
+    children inherit the memo, so pool workers start with what the parent
+    decoded.  Every later load shares the returned object: nobody may
+    mutate it.
     """
 
-    def __init__(self) -> None:
-        self._entries: "OrderedDict[str, Tuple[str, ElementSummary]]" = OrderedDict()
+    def __init__(self, decode: Callable[[str], T], bound: int) -> None:
+        self._decode = decode
+        self.bound = bound
+        self._entries: "OrderedDict[str, Tuple[str, T]]" = OrderedDict()
         self._lock = threading.Lock()
-        #: Memo misses: summaries this process decoded.
+        #: Memo misses: entries this process decoded.
         self.decoded = 0
 
-    def decode(self, digest: str, text: str) -> ElementSummary:
-        """The summary ``text`` encodes; raises what :func:`loads_summary` raises."""
+    def decode(self, digest: str, text: str) -> T:
+        """The value ``text`` encodes; raises what the tier's decoder raises."""
         with self._lock:
             held = self._entries.pop(digest, None)
             if held is not None and held[0] == text:
-                summary = held[1]
+                value = held[1]
             else:
-                summary = loads_summary(text)
+                value = self._decode(text)
                 self.decoded += 1
-            if len(self._entries) >= _MAX_DECODED_SUMMARIES:
+            if len(self._entries) >= self.bound:
                 self._entries.popitem(last=False)
-            self._entries[digest] = (text, summary)
-            return summary
+            self._entries[digest] = (text, value)
+            return value
 
     def after_fork(self) -> None:
         # Another thread of the parent may have held the lock at the fork.
         self._lock = threading.Lock()
 
 
-_decoded = _DecodedSummaries()
-os.register_at_fork(after_in_child=lambda: _decoded.after_fork())
+# The decoder looks ``loads_summary`` up on every decode, so a wrapper
+# installed on this module's name (perfbench's ledger) sees each one.
+_decoded_summaries: _DecodeMemo[ElementSummary] = _DecodeMemo(
+    lambda text: loads_summary(text), _MAX_DECODED_SUMMARIES
+)
+os.register_at_fork(after_in_child=lambda: _decoded_summaries.after_fork())
 
 
 def summaries_decoded() -> int:
     """How many summaries this process has decoded from store text.
 
     A load the memo serves does not count, so the difference across a
-    piece of work is what it decoded.
+    piece of work is what it decoded.  Verdict records decode through
+    a memo of their own and never count here.
     """
-    return _decoded.decoded
+    return _decoded_summaries.decoded
 
 
 class SummaryStore(Store):
@@ -828,7 +840,7 @@ class SummaryStore(Store):
     # -- keyed by digest (workers compute keys once and ship them around) -----------
 
     def load_digest(self, digest: str) -> Optional[ElementSummary]:
-        return self._load(digest, _decoded.decode)
+        return self._load(digest, _decoded_summaries.decode)
 
     def load_digests(self, digests) -> dict:
         """Bulk :meth:`load_digest`: ``{digest: summary}`` for every loadable entry.
@@ -836,7 +848,7 @@ class SummaryStore(Store):
         One chunked query instead of a round trip per job — at catalog
         scale the per-call overhead dominates warm discovery.
         """
-        return self._load_many(digests, _decoded.decode)
+        return self._load_many(digests, _decoded_summaries.decode)
 
     def save_digest(self, digest: str, summary: ElementSummary) -> None:
         self.write_entry(digest, dumps_summary(summary))

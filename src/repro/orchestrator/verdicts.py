@@ -22,7 +22,14 @@ not.
 
 Records whose verdicts include ``unknown`` are never stored: an unknown is
 a budget artifact, not a fact about the pipeline, and a bigger budget on
-the next run should get the chance to resolve it.
+the next run should get the chance to resolve it.  A stored record
+carries no wall-clock seconds, so two runs that compute the same record
+write the same text.
+
+Each stored record is decoded once per process and shared by every load
+(see :class:`VerdictStore`), so :func:`repro.orchestrator.fleet.certify_fleet`
+serves each reused pipeline its own copy
+(:meth:`~repro.orchestrator.fleet.PipelineCertification.reused_as`).
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import types
 from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
@@ -38,7 +46,7 @@ from ..dataplane.pipeline import Pipeline
 from ..symbex.engine import SymbexOptions
 from ..verify.properties import Property
 from ..verify.report import Verdict
-from .store import Store
+from .store import Store, _DecodeMemo
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fleet imports this module)
     from .fleet import PipelineCertification
@@ -57,6 +65,15 @@ __all__ = [
 #: code could store ``proved`` for a violation its conflict budget left
 #: undecided.
 RECORD_VERSION = 2
+
+#: How many decoded records a process keeps, the least recently used
+#: evicted first: room for ``store_scale_catalog(1000)`` and thousands of
+#: its one-pipeline replacements.  An entry holds its text and its
+#: decoded record: about 1.5 KB plus 2.8 KB (tracemalloc) for a scale
+#: record, so the memo stays under 18 MB full of them.  A
+#: ``fleet_catalog(12)`` record with counterexamples and a bound has at
+#: most 3 KB of text.
+_MAX_DECODED_RECORDS = 4096
 
 
 def _render_value(value: object) -> str:
@@ -157,7 +174,9 @@ def verdict_key(
 
     Covers the request knobs that shape record *content*
     (counterexample budget, replay confirmation, the instruction-bound
-    extra) and the summary-shaping engine options, mirroring
+    extra) and the summary-shaping engine options (static-table mode,
+    conflict budget and merge policy: merged instruction bounds are upper
+    bounds that differ by mode), mirroring
     :func:`repro.orchestrator.store.summary_key`.  Path/time budgets are
     excluded: a starved budget yields ``unknown``, and unknown records are
     never stored, so budgets cannot poison the tier — while a stored
@@ -181,6 +200,7 @@ def verdict_key(
             ",".join(str(length) for length in input_lengths),
             options.static_table_mode,
             f"conflicts={options.solver_max_conflicts}",
+            f"merge={options.merge}:{options.merge_max_ites}",
             f"cex={max_counterexamples}",
             f"replay={confirm_by_replay}",
             f"bounds={instruction_bounds}",
@@ -190,7 +210,7 @@ def verdict_key(
     return hashlib.sha256(material.encode()).hexdigest()
 
 
-def _record_from_text(digest: str, text: str) -> "PipelineCertification":
+def _record_from_text(text: str) -> "PipelineCertification":
     from .fleet import PipelineCertification  # fleet imports this module
 
     payload = json.loads(text)
@@ -199,19 +219,39 @@ def _record_from_text(digest: str, text: str) -> "PipelineCertification":
     return PipelineCertification.from_dict(payload["certification"])
 
 
+_decoded_records: "_DecodeMemo[PipelineCertification]" = _DecodeMemo(
+    _record_from_text, _MAX_DECODED_RECORDS
+)
+os.register_at_fork(after_in_child=lambda: _decoded_records.after_fork())
+
+
+def _unclocked(statistics: dict) -> None:
+    """Zero the wall-clock seconds in one result's plain-form statistics."""
+    statistics["elapsed_seconds"] = 0.0
+    statistics["per_element_seconds"] = dict.fromkeys(statistics["per_element_seconds"], 0.0)
+
+
 class VerdictStore(Store):
     """Content-addressed persistence for per-pipeline certification records.
 
     A record that does not decode, or was written under another
     :data:`RECORD_VERSION`, is quarantined and read as a miss, like an
-    entry of any other tier.
+    entry of any other tier.  Loads decode through the process-wide
+    record memo: every load still reads the entry (refreshing its mtime)
+    and counts its hit, miss or quarantine, but an entry whose text is
+    unchanged is decoded once, and every load of it shares the record.
     """
 
     kind = "verdict store"
 
     def load_record(self, digest: str) -> Optional["PipelineCertification"]:
-        """Return the stored certification, or ``None`` on a miss."""
-        return self._load(digest, _record_from_text)
+        """Return the stored certification, or ``None`` on a miss.
+
+        The record is shared with every later load in the process: copy
+        it (:meth:`~repro.orchestrator.fleet.PipelineCertification.reused_as`)
+        before changing anything.
+        """
+        return self._load(digest, _decoded_records.decode)
 
     def load_records(self, digests: Sequence[str]) -> dict:
         """Bulk :meth:`load_record`: ``{digest: certification}`` for every hit.
@@ -220,7 +260,7 @@ class VerdictStore(Store):
         fleet scale (1,000+ records) the per-call overhead is the warm
         run.
         """
-        return self._load_many(digests, _record_from_text)
+        return self._load_many(digests, _decoded_records.decode)
 
     def save_record(self, digest: str, certification: "PipelineCertification") -> bool:
         """Persist a certification record; refuses (returns False) on ``unknown``.
@@ -229,12 +269,25 @@ class VerdictStore(Store):
         failure and rob a future (possibly better-budgeted) run of the
         chance to resolve it.  An instruction bound the budget left
         unfound (``bound is None``) is refused for the same reason.
+
+        The row carries no wall-clock seconds: ``elapsed_seconds`` and
+        every ``per_element_seconds`` value are written as 0, in each
+        result's statistics and in the bound's, so two runs that compute
+        the same record write the same text and a warm pass after either
+        is served by the decode memo.  ``certification`` itself keeps
+        its measured seconds for the report of the run that computed it;
+        a reused record reports 0 s, which is what that run spent on it.
         """
         if any(result.verdict == Verdict.UNKNOWN for result in certification.results):
             return False
         bound = certification.instruction_bound
         if bound is not None and bound.bound is None:
             return False
-        payload = {"version": RECORD_VERSION, "certification": certification.to_dict()}
+        record = certification.to_dict()
+        for result in record["results"]:
+            _unclocked(result["statistics"])
+        if record["instruction_bound"] is not None:
+            _unclocked(record["instruction_bound"]["statistics"])
+        payload = {"version": RECORD_VERSION, "certification": record}
         self.write_entry(digest, json.dumps(payload, separators=(",", ":")))
         return True

@@ -62,6 +62,19 @@ class Counterexample:
             "confirmed_by_replay": self.confirmed_by_replay,
         }
 
+    def copy(self) -> "Counterexample":
+        """A copy that shares no list or dict with this one."""
+        return Counterexample(
+            self.packet,
+            list(self.element_path),
+            self.violating_element,
+            self.violation_kind,
+            self.detail,
+            dict(self.required_table_values),
+            dict(self.metadata),
+            self.confirmed_by_replay,
+        )
+
     @classmethod
     def from_dict(cls, payload: dict) -> "Counterexample":
         return cls(
@@ -200,6 +213,18 @@ class VerificationResult:
             "notes": list(self.notes),
         }
 
+    def renamed(self, pipeline_name: str) -> "VerificationResult":
+        """A copy for ``pipeline_name`` that shares nothing mutable with this result."""
+        return VerificationResult(
+            self.property_name,
+            pipeline_name,
+            self.verdict,
+            self.input_lengths,
+            [counterexample.copy() for counterexample in self.counterexamples],
+            self.statistics.copy(),
+            list(self.notes),
+        )
+
     @classmethod
     def from_dict(cls, payload: dict) -> "VerificationResult":
         return cls(
@@ -251,6 +276,19 @@ class InstructionBoundResult:
             "per_path_bounds": [list(pair) for pair in self.per_path_bounds],
             "statistics": self.statistics.to_dict(),
         }
+
+    def renamed(self, pipeline_name: str) -> "InstructionBoundResult":
+        """A copy for ``pipeline_name`` that shares nothing mutable with this result."""
+        return InstructionBoundResult(
+            pipeline_name,
+            self.input_lengths,
+            self.bound,
+            self.witness_packet,
+            self.witness_instructions,
+            self.witness_confirmed,
+            list(self.per_path_bounds),
+            self.statistics.copy(),
+        )
 
     @classmethod
     def from_dict(cls, payload: dict) -> "InstructionBoundResult":

@@ -36,6 +36,20 @@ def all_in_pool(monkeypatch):
     monkeypatch.setattr(scheduler_mod, "has_suspect", lambda *args: True)
 
 
+def _counting_memo(monkeypatch, module, name: str, decode, bound: int) -> list:
+    """Replace ``module.name`` with an empty decode memo; list every text it decodes."""
+    import repro.orchestrator.store as store_mod
+
+    decoded = []
+
+    def counting(text):
+        decoded.append(text)
+        return decode(text)
+
+    monkeypatch.setattr(module, name, store_mod._DecodeMemo(counting, bound))
+    return decoded
+
+
 @pytest.fixture
 def summary_decodes(monkeypatch):
     """Empty the process-wide summary decode memo; list every text decoded from here on.
@@ -45,16 +59,21 @@ def summary_decodes(monkeypatch):
     """
     import repro.orchestrator.store as store_mod
 
-    decoded = []
-    real = store_mod.loads_summary
+    return _counting_memo(
+        monkeypatch, store_mod, "_decoded_summaries", store_mod.loads_summary,
+        store_mod._MAX_DECODED_SUMMARIES,
+    )
 
-    def counting(text):
-        decoded.append(text)
-        return real(text)
 
-    monkeypatch.setattr(store_mod, "_decoded", store_mod._DecodedSummaries())
-    monkeypatch.setattr(store_mod, "loads_summary", counting)
-    return decoded
+@pytest.fixture
+def record_decodes(monkeypatch):
+    """Empty the process-wide verdict-record decode memo; list every text decoded from here on."""
+    import repro.orchestrator.verdicts as verdicts_mod
+
+    return _counting_memo(
+        monkeypatch, verdicts_mod, "_decoded_records", verdicts_mod._record_from_text,
+        verdicts_mod._MAX_DECODED_RECORDS,
+    )
 
 
 def _reference_solver(engine, options) -> smt.Solver:

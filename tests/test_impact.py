@@ -2,6 +2,7 @@
 
 import json
 import re
+import sqlite3
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.orchestrator import (
 from repro.cli import main as cli_main
 from repro.cli.specs import CATALOG_SPECS, SpecError, parse_catalog
 from repro.symbex import StaticTableMode, SymbexOptions
+from repro.symbex.merge import MergeMode
 from repro.verify import BoundedInstructions, CrashFreedom, destination_reachability
 from repro.workloads import (
     ALTERNATE_ROUTES,
@@ -39,6 +41,16 @@ from repro.workloads.pipelines import DEFAULT_ROUTES
 
 CATALOG_SIZE = 4
 LENGTHS = (24,)
+REACH_AND_CRASH = [CrashFreedom(), destination_reachability(0x0A000001)]
+
+
+def _rows(store):
+    """Every ``(digest, payload)`` row of a flushed store, sorted."""
+    connection = sqlite3.connect(str(store.path))
+    try:
+        return sorted(connection.execute("SELECT digest, payload FROM entries"))
+    finally:
+        connection.close()
 
 
 # -- fingerprints ---------------------------------------------------------------------
@@ -89,8 +101,10 @@ class TestPipelineFingerprints:
     def test_verdict_key_unchanged_when_no_property_names_an_element(self):
         # Pinned digest: a property set that names no element adds no
         # slots to the key material.  The digest moved once on purpose
-        # when the configuration key left the element fingerprint, so
-        # verdict stores written before that read cold.
+        # when the configuration key left the element fingerprint, and
+        # once when the key took in the merge policy (merged instruction
+        # bounds differ by mode), so verdict stores written before each
+        # read cold.
         pipeline = ip_router_pipeline(length=2, name="p")
         properties = [CrashFreedom(), destination_reachability(0x0A000001)]
         slots = element_slots(pipeline, properties)
@@ -99,7 +113,7 @@ class TestPipelineFingerprints:
             pipeline_fingerprint(pipeline, True), properties, (24,), SymbexOptions(),
             3, True, False, slots=slots,
         )
-        assert key == "50bed102fcc9a6044f23761c7135c33e3d5328b595b9d85fb4d5f5c5dd7b4266"
+        assert key == "4b945e81824f836b7b493dccb961d0d854afff732a19f8481fdfea36b4c203cc"
         assert key == verdict_key(
             pipeline_fingerprint(pipeline, True), properties, (24,), SymbexOptions(),
             3, True, False,
@@ -439,7 +453,9 @@ class TestDeltaRecertification:
 
         # Changing one leaves the other intact.
         untouched = second.to_dict()
-        first.relabel("renamed")
+        first.pipeline_name = "renamed"
+        for result in first.results:
+            result.pipeline_name = "renamed"
         first.impact_causes.append("changed")
         first.results[0].notes.append("changed")
         first.results[0].statistics.solver_checks += 1000
@@ -447,6 +463,66 @@ class TestDeltaRecertification:
         first.results[0].counterexamples[0].element_path.append("changed")
         first.results[0].counterexamples.clear()
         assert second.to_dict() == untouched
+
+    @pytest.mark.parametrize(
+        "catalog, workers, bounds",
+        [("fleet", 1, True), ("scale", 1, False), ("scale", 2, False)],
+        ids=["fleet-6-bounds", "scale-20-one-worker", "scale-20-two-workers"],
+    )
+    def test_cold_passes_write_identical_rows(self, catalog, workers, bounds, four_cpus, tmp_path):
+        """A stored record carries no wall-clock seconds, so two cold passes
+        into fresh roots write the same rows; each report keeps its seconds."""
+        make = {
+            "fleet": lambda: fleet_catalog(6), "scale": lambda: store_scale_catalog(20),
+        }[catalog]
+        written = []
+        for run in ("a", "b"):
+            roots = {tier: str(tmp_path / run / tier) for tier in ("store", "query_store")}
+            verdicts = VerdictStore(tmp_path / run / "verdicts")
+            report = certify_fleet(
+                make(), REACH_AND_CRASH, input_lengths=LENGTHS, workers=workers,
+                instruction_bounds=bounds, verdict_store=verdicts, **roots,
+            )
+            assert report.statistics.verdicts_fresh == len(report.certifications)
+            assert all(
+                result.statistics.elapsed_seconds > 0
+                for certification in report.certifications
+                for result in certification.results
+            )
+            written.append(_rows(verdicts))
+        assert written[0] == written[1] and len(written[0]) == len(report.certifications)
+
+        # A reused record reports the seconds this run spent on it: none.
+        warm = certify_fleet(
+            make(), REACH_AND_CRASH, input_lengths=LENGTHS, workers=workers,
+            instruction_bounds=bounds, verdict_store=verdicts, **roots,
+        )
+        assert warm.statistics.verdicts_reused == len(warm.certifications)
+        statistics = [r.statistics for c in warm.certifications for r in c.results]
+        statistics += [c.instruction_bound.statistics for c in warm.certifications if bounds]
+        assert all(
+            s.elapsed_seconds == 0 and set(s.per_element_seconds.values()) <= {0.0}
+            for s in statistics
+        )
+
+    def test_merge_policy_partitions_the_verdict_store(self, tmp_path):
+        """Merged instruction bounds are upper bounds that differ by merge
+        mode, so a record certified under one policy never serves another."""
+        verdicts = VerdictStore(tmp_path / "verdicts")
+        run = dict(input_lengths=LENGTHS, instruction_bounds=True, verdict_store=verdicts)
+        unmerged = certify_fleet(
+            fleet_catalog(6), REACH_AND_CRASH, options=SymbexOptions(merge=MergeMode.OFF), **run
+        )
+        merged = certify_fleet(fleet_catalog(6), REACH_AND_CRASH, **run)
+        assert merged.statistics.verdicts_reused == 0
+        assert len(verdicts) == 12
+
+        def bound(report):
+            return {c.pipeline_name: c.instruction_bound.bound for c in report.certifications}
+
+        assert bound(unmerged)["fleet-2-router-4"] == 196
+        assert bound(merged)["fleet-2-router-4"] == 214
+        assert merged.verdicts() == unmerged.verdicts()
 
 
 # -- manifest hygiene -----------------------------------------------------------------

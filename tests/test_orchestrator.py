@@ -9,9 +9,13 @@ import pytest
 
 from repro import smt
 from repro.orchestrator import (
+    DELTA_REUSED,
     FORMAT_VERSION,
+    RECORD_VERSION,
     SQLITE_FILENAME,
+    PipelineCertification,
     SummaryStore,
+    VerdictStore,
     certify_fleet,
     decode_terms,
     dumps_summary,
@@ -28,7 +32,8 @@ from repro.orchestrator.workers import COMPUTED, EXPLODED, LOADED, PoolRun, _sum
 from repro.symbex import SymbexOptions
 from repro.symbex.engine import StaticTableMode, SymbolicEngine
 from repro.symbex.merge import MergeMode
-from repro.verify import CrashFreedom, PipelineVerifier, SummaryCache
+from repro.verify import CrashFreedom, PipelineVerifier, SummaryCache, destination_reachability
+from repro.verify.report import Verdict, VerificationResult
 from repro.workloads import fleet_catalog, ip_router_elements, ip_router_pipeline
 from repro.workloads.pipelines import SyntheticBranchyElement
 
@@ -60,6 +65,27 @@ def _has_row(store, digest):
         ).fetchone() is not None
     finally:
         connection.close()
+
+
+def _mutable_parts(certification):
+    """Every object, list and dict a certification holds, itself included."""
+    yield from (certification, certification.results, certification.impact_causes)
+    for result in certification.results:
+        yield from (result, result.counterexamples, result.notes)
+        for counterexample in result.counterexamples:
+            yield from (
+                counterexample, counterexample.element_path,
+                counterexample.required_table_values, counterexample.metadata,
+            )
+        yield from _statistics_parts(result.statistics)
+    bound = certification.instruction_bound
+    if bound is not None:
+        yield from (bound, bound.per_path_bounds)
+        yield from _statistics_parts(bound.statistics)
+
+
+def _statistics_parts(statistics):
+    return (statistics, statistics.per_element_segments, statistics.per_element_seconds)
 
 
 def _summarize(element, length=24, **options):
@@ -257,8 +283,8 @@ class TestSummaryStore:
         "solver_max_conflicts": (10, {"summary", "verdict"}),
         "query_cache_dir": ("l3", set()),
         "trace": (True, set()),
-        "merge": (MergeMode.OFF, {"summary"}),
-        "merge_max_ites": (8, {"summary"}),
+        "merge": (MergeMode.OFF, {"summary", "verdict"}),
+        "merge_max_ites": (8, {"summary", "verdict"}),
     }
 
     def test_key_covers_summary_shaping_options(self):
@@ -436,7 +462,7 @@ class TestDecodeMemo:
         # Cleared, deleted or quarantined: a miss, though the memo holds the digest.
         def absent():
             misses = store.statistics.misses
-            assert digest in store_mod._decoded._entries
+            assert digest in store_mod._decoded_summaries._entries
             assert store.load_digest(digest) is None
             assert store.load_digests([digest]) == {}
             assert store.statistics.misses == misses + 2
@@ -454,9 +480,132 @@ class TestDecodeMemo:
         _set_row(store, digest, "{not json")
         assert store.load_digest(digest) is None
         assert store.statistics.quarantined == 1
-        store_mod._decoded.decode(digest, text)  # the memo holds the digest again
+        store_mod._decoded_summaries.decode(digest, text)  # the memo holds the digest again
         absent()
         assert len(summary_decodes) == 5  # four texts, and the garbage tried once
+
+    def test_warm_passes_decode_each_record_once(self, record_decodes, tmp_path):
+        catalog = fleet_catalog(4)
+        stores = dict(store=str(tmp_path / "s"), query_store=str(tmp_path / "q"))
+        cold = certify_fleet(
+            catalog, [CrashFreedom()], input_lengths=(24,), verdict_store=str(tmp_path / "v"),
+            **stores,
+        )
+        assert record_decodes == []  # computed certifications are not decoded
+        rows = len(VerdictStore(tmp_path / "v"))
+        for _ in range(2):
+            verdicts = VerdictStore(tmp_path / "v")
+            warm = certify_fleet(
+                catalog, [CrashFreedom()], input_lengths=(24,), verdict_store=verdicts, **stores
+            )
+            # Every load still reads the store and counts its hit.
+            assert verdicts.statistics.hits == rows == warm.statistics.verdicts_reused
+            assert warm.verdicts() == cold.verdicts()
+        assert len(record_decodes) == rows
+
+    def test_record_memo_serves_only_the_text_it_decoded(self, record_decodes, tmp_path):
+        import repro.orchestrator.verdicts as verdicts_mod
+
+        memo = verdicts_mod._decoded_records
+        record = PipelineCertification("p", [VerificationResult("crash", "p", Verdict.PROVED)])
+        store = VerdictStore(tmp_path)
+        digest = f"{1:064x}"
+        assert store.save_record(digest, record)
+        store.flush()
+        loaded = store.load_record(digest)
+        assert store.load_record(digest) is loaded
+        assert store.load_records([digest]) == {digest: loaded}
+        assert len(record_decodes) == 1 and store.statistics.hits == 3
+
+        # Rewritten with other text: decoded again, into a new object.
+        text = record_decodes[0]
+        indented = json.dumps(json.loads(text), indent=1)
+        _set_row(store, digest, indented)
+        reloaded = store.load_record(digest)
+        assert reloaded is not loaded and len(record_decodes) == 2
+        assert reloaded.to_dict() == loaded.to_dict()
+
+        def absent():
+            misses = store.statistics.misses
+            assert store.load_record(digest) is None
+            assert store.load_records([digest]) == {}
+            assert store.statistics.misses == misses + 2
+
+        # Corrupt, or written under another record version: quarantined
+        # and a miss, though the memo held the digest when it was read.
+        stale = json.dumps({"version": RECORD_VERSION - 1, "certification": record.to_dict()})
+        for garbage, quarantined in (("{not json", 1), (stale, 2)):
+            _set_row(store, digest, text)
+            assert store.load_record(digest) is not None
+            assert digest in memo._entries
+            _set_row(store, digest, garbage)
+            assert store.load_record(digest) is None
+            assert store.statistics.quarantined == quarantined
+            memo.decode(digest, text)  # the memo holds the digest again
+            absent()  # the row is gone
+        # Deleted: a miss, though the memo holds the digest.
+        _set_row(store, digest, text)
+        connection = sqlite3.connect(str(store.root / SQLITE_FILENAME))
+        with connection:
+            connection.execute("DELETE FROM entries WHERE digest=?", (digest,))
+        connection.close()
+        assert digest in memo._entries
+        absent()
+        # Each undecodable row was tried once; the memo served every other
+        # load of the text it held.
+        assert record_decodes == [text, indented, text, "{not json", text, stale, text]
+
+    def test_reused_records_share_nothing_across_passes(self, record_decodes, tmp_path):
+        import repro.orchestrator.verdicts as verdicts_mod
+
+        properties = [CrashFreedom(), destination_reachability(0x0A000001)]
+        run = dict(
+            input_lengths=(24,), instruction_bounds=True, store=str(tmp_path / "s"),
+            query_store=str(tmp_path / "q"),
+        )
+        verdicts = VerdictStore(tmp_path / "v")
+        certify_fleet(fleet_catalog(3), properties, verdict_store=verdicts, **run)
+
+        # One pass's reused records, changed in every part.
+        first = certify_fleet(fleet_catalog(3), properties, verdict_store=verdicts, **run)
+        assert first.statistics.verdicts_reused == 3
+        assert any(r.counterexamples for c in first.certifications for r in c.results)
+        # Held here, so no id below is reused while the test runs.
+        first_parts = [part for c in first.certifications for part in _mutable_parts(c)]
+        for certification in first.certifications:
+            certification.pipeline_name = "renamed"
+            certification.impact_causes.append("changed")
+            for result in certification.results:
+                result.pipeline_name = "renamed"
+                result.notes.append("changed")
+                result.statistics.solver_checks += 1000
+                result.statistics.per_element_segments["changed"] = 1
+                result.statistics.per_element_seconds["changed"] = 1.0
+                for counterexample in result.counterexamples:
+                    counterexample.element_path.append("changed")
+                    counterexample.required_table_values["changed"] = 1
+                    counterexample.metadata["changed"] = 1
+                result.counterexamples.clear()
+            bound = certification.instruction_bound
+            bound.pipeline_name = "renamed"
+            bound.per_path_bounds.append(("changed", 1))
+            bound.statistics.per_element_segments["changed"] = 1
+            certification.results.clear()
+
+        # A later pass still serves what the stored text decodes to.
+        second = certify_fleet(fleet_catalog(3), properties, verdict_store=verdicts, **run)
+        assert len(record_decodes) == 3  # both passes were served by the memo
+        held = {
+            record.pipeline_name: (text, record)
+            for text, record in verdicts_mod._decoded_records._entries.values()
+        }
+        for certification in second.certifications:
+            text, record = held[certification.pipeline_name]
+            stored = json.loads(text)["certification"]
+            assert certification.to_dict() == dict(stored, provenance=DELTA_REUSED)
+            served = set(map(id, _mutable_parts(certification)))
+            assert not served & set(map(id, _mutable_parts(record)))
+            assert not served & set(map(id, first_parts))
 
     def test_cold_pass_after_warm_pass_computes_everything(self, summary_decodes, tmp_path):
         catalog = fleet_catalog(4)
@@ -486,71 +635,89 @@ class TestDecodeMemo:
         assert warm.statistics.sat_core_calls == 0
         assert warm.verdicts() == cold.verdicts()
 
-    def test_concurrent_loads_stay_within_the_bound(self, summary_decodes, monkeypatch, tmp_path):
+    def test_concurrent_loads_stay_within_the_bound(self, monkeypatch, tmp_path):
         import random
         import sys
         import threading
 
         import repro.orchestrator.store as store_mod
+        import repro.orchestrator.verdicts as verdicts_mod
 
-        counting = store_mod.loads_summary
-
-        def slow(text):
-            time.sleep(0.002)  # let every other thread reach the memo meanwhile
-            return counting(text)
-
-        monkeypatch.setattr(store_mod, "loads_summary", slow)
         summary = _summarize(ip_router_elements(1)[0])
-        store = SummaryStore(tmp_path)
+        record = PipelineCertification("p", [VerificationResult("crash", "p", Verdict.PROVED)])
         digests = [f"{index:064x}" for index in range(8)]
-        for digest in digests:
-            store.save_digest(digest, summary)
-        store.flush()
-        failures = []
+        # Per memo: its module and name, the tier's decoder and store,
+        # how to save an entry, and the one-entry and bulk loaders.
+        tiers = [
+            (store_mod, "_decoded_summaries", store_mod.loads_summary, SummaryStore,
+             lambda store, digest: store.save_digest(digest, summary),
+             SummaryStore.load_digest, SummaryStore.load_digests),
+            (verdicts_mod, "_decoded_records", verdicts_mod._record_from_text, VerdictStore,
+             lambda store, digest: store.save_record(digest, record),
+             VerdictStore.load_record, VerdictStore.load_records),
+        ]
+        for module, name, decode, store_class, save, load, load_many in tiers:
+            root = tmp_path / name
+            store = store_class(root)
+            for digest in digests:
+                save(store, digest)
+            store.flush()
+            decoded = []
+            failures = []
 
-        def run_threads(load):
-            def guarded(seed):
-                own = SummaryStore(tmp_path)  # each thread reads through its own connection
+            def fresh_memo(bound):
+                def slow(text):
+                    time.sleep(0.002)  # let every other thread reach the memo meanwhile
+                    decoded.append(text)
+                    return decode(text)
+
+                memo = store_mod._DecodeMemo(slow, bound)
+                monkeypatch.setattr(module, name, memo)
+                return memo
+
+            def run_threads(load_with):
+                def guarded(seed):
+                    own = store_class(root)  # each thread reads through its own connection
+                    try:
+                        load_with(own, random.Random(seed))
+                    except BaseException as exc:  # noqa: BLE001 - reported below
+                        failures.append(exc)
+
+                threads = [threading.Thread(target=guarded, args=(seed,)) for seed in range(4)]
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-6)  # switch threads as often as possible
                 try:
-                    load(own, random.Random(seed))
-                except BaseException as exc:  # noqa: BLE001 - reported below
-                    failures.append(exc)
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=120)
+                finally:
+                    sys.setswitchinterval(interval)
+                assert not any(thread.is_alive() for thread in threads)
+                assert failures == []
 
-            threads = [threading.Thread(target=guarded, args=(seed,)) for seed in range(4)]
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)  # switch threads as often as possible
-            try:
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=120)
-            finally:
-                sys.setswitchinterval(interval)
-            assert not any(thread.is_alive() for thread in threads)
-            assert failures == []
+            def load_all(own, rng):
+                for digest in rng.sample(digests, len(digests)):
+                    assert load(own, digest) is not None
 
-        def load_all(own, rng):
-            for digest in rng.sample(digests, len(digests)):
-                assert own.load_digest(digest) is not None
+            # Room for every entry: racing threads decode each digest once.
+            fresh_memo(len(digests))
+            run_threads(load_all)
+            assert len(decoded) == len(digests), name
 
-        # Room for every entry: racing threads decode each digest once.
-        run_threads(load_all)
-        assert len(summary_decodes) == len(digests)
+            def load_some(own, rng):
+                for _ in range(20):
+                    picked = rng.sample(digests, 3)
+                    assert load(own, picked[0]) is not None
+                    assert len(load_many(own, picked)) == 3
+                    assert len(memo._entries) <= 3
 
-        def load_some(own, rng):
-            for _ in range(20):
-                picked = rng.sample(digests, 3)
-                assert own.load_digest(picked[0]) is not None
-                assert len(own.load_digests(picked)) == 3
-                assert len(store_mod._decoded._entries) <= 3
-
-        monkeypatch.setattr(store_mod, "_MAX_DECODED_SUMMARIES", 3)
-        monkeypatch.setattr(store_mod, "_decoded", store_mod._DecodedSummaries())
-        summary_decodes.clear()
-        run_threads(load_some)
-        assert len(store_mod._decoded._entries) <= 3
-        # No lost update: the memo counted every decode it ran.
-        assert store_mod._decoded.decoded == len(summary_decodes) > len(digests)
+            memo = fresh_memo(3)
+            decoded.clear()
+            run_threads(load_some)
+            assert len(memo._entries) <= 3
+            # No lost update: the memo counted every decode it ran.
+            assert memo.decoded == len(decoded) > len(digests), name
 
 
 class TestTieredCache:
